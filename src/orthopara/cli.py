@@ -32,9 +32,12 @@ from .transforms import (
     fourier_h_laguerre_closed, lambda_factor, phi_factor, theta_factor,
 )
 from .verifier import (
-    ALL_FAMILIES, DEFAULT_TOLERANCES, FAMILY_DESCRIPTIONS, FAMILY_GROUPS,
-    IdentityCase, generate_cases, run_case,
+    ALL_FAMILIES, FAMILIES, FAMILY_GROUPS, IdentityCase, generate_cases, run_case,
 )
+
+# SweepConfig annotation -> accepted types (an int field rejects bools too)
+_FIELD_TYPES = {"int": int, "list": list, "dict": dict, "str": str, "bool": bool,
+                "str | None": (str, type(None))}
 
 
 @dataclass
@@ -60,21 +63,23 @@ class SweepConfig:
     no_timestamp: bool = False
 
     def validate(self):
-        unknown = [f for f in self.families if f not in ALL_FAMILIES]
-        if unknown:
-            raise ConfigError(f"unknown identity families: {unknown}")
-        if not set(self.dims) <= {1, 2}:
+        """Check every field, expanding family groups in place; ConfigError
+        on the first bad one."""
+        for f in dataclasses.fields(self):
+            val = getattr(self, f.name)
+            if not isinstance(val, _FIELD_TYPES[f.type]) or (
+                    f.type == "int" and isinstance(val, bool)):
+                raise ConfigError(f"{f.name} must be {f.type}, got {val!r}")
+            if f.type == "int" and val < 0:
+                raise ConfigError(f"{f.name} must be nonnegative")
+        self.families = expand_families(self.families)
+        if any(type(d) is not int or d not in (1, 2) for d in self.dims):
             raise ConfigError("dims must be a subset of {1, 2}")
         for fam, tol in self.tolerances.items():
             if fam not in ALL_FAMILIES:
                 raise ConfigError(f"tolerance for unknown family {fam!r}")
-            if not tol > 0:
-                raise ConfigError(f"tolerance for {fam} must be positive, got {tol}")
-        for name in ("max_degree_1d", "max_degree_multi", "fourier_max_degree",
-                     "parseval_max_degree", "ort_param_draws", "fourier_xi_draws",
-                     "contig_draws", "form_draws"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
+            if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
+                raise ConfigError(f"tolerance for {fam} must be a positive number, got {tol!r}")
         if self.out_format not in ("json", "csv"):
             raise ConfigError("out_format must be 'json' or 'csv'")
         return self
@@ -95,7 +100,7 @@ def expand_families(names):
     for name in names:
         if name == "all":
             out.extend(ALL_FAMILIES)
-        elif name in FAMILY_GROUPS:
+        elif isinstance(name, str) and name in FAMILY_GROUPS:
             out.extend(FAMILY_GROUPS[name])
         elif name in ALL_FAMILIES:
             out.append(name)
@@ -111,13 +116,14 @@ def load_config(path):
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
     cfg = SweepConfig()
     valid = {f.name for f in dataclasses.fields(SweepConfig)}
     for key, val in raw.items():
         if key not in valid:
             raise ConfigError(f"unknown config field {key!r}")
         setattr(cfg, key, val)
-    cfg.families = expand_families(cfg.families)
     return cfg
 
 
@@ -141,6 +147,8 @@ def _case_record(report, no_timestamp):
     }
     if report.skipped_reason is not None:
         rec["skipped_reason"] = report.skipped_reason
+    if report.error is not None:
+        rec["error"] = report.error
     if case.xi is not None:
         rec["params"] = dict(rec["params"], **{f"xi{i+1}": v for i, v in enumerate(case.xi)})
     return rec
@@ -152,7 +160,7 @@ def _complex_str(z):
 
 def _write_csv(records, fh):
     cols = ["identity_id", "d", "m", "m2", "k", "k2", "lhs", "rhs",
-            "abs_residual", "rel_residual", "passed", "skipped_reason",
+            "abs_residual", "rel_residual", "passed", "skipped_reason", "error",
             "nodes", "seconds", "params"]
     fh.write(",".join(cols) + "\n")
     for rec in records:
@@ -163,7 +171,7 @@ def _write_csv(records, fh):
             f"{rec['lhs']['re']!r}{rec['lhs']['im']:+}i",
             f"{rec['rhs']['re']!r}{rec['rhs']['im']:+}i",
             repr(rec["abs_residual"]), repr(rec["rel_residual"]),
-            str(rec["passed"]).lower(), rec.get("skipped_reason", ""),
+            str(rec["passed"]).lower(), rec.get("skipped_reason", ""), rec.get("error", ""),
             str(rec["nodes"]), repr(rec["seconds"]),
             ";".join(f"{key}={val!r}" for key, val in rec["params"].items()),
         ]
@@ -187,10 +195,10 @@ def run_sweep(cfg: SweepConfig, stream=None) -> RunSummary:
                 verifier.VerificationReport(
                     case=case, lhs=0j, rhs=0j, abs_residual=float("nan"),
                     rel_residual=float("nan"), passed=False, nodes=0,
-                    seconds=0.0, skipped_reason=f"{type(exc).__name__}: {exc}",
+                    seconds=0.0, error=f"{type(exc).__name__}: {exc}",
                 )
             )
-    skipped = sum(1 for r in reports if r.passed and r.skipped_reason is not None)
+    skipped = sum(1 for r in reports if r.skipped_reason is not None)
     failed = sum(1 for r in reports if not r.passed)
     passed = len(reports) - failed - skipped
     worst = {}
@@ -413,8 +421,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "list-identities":
-        for fam in ALL_FAMILIES:
-            print(f"{fam:16s} tol={DEFAULT_TOLERANCES[fam]:.0e}  {FAMILY_DESCRIPTIONS[fam]}")
+        for fam in FAMILIES.values():
+            print(f"{fam.id:16s} tol={fam.tolerance:.0e}  {fam.description}")
         return 0
 
     if args.command == "sweep":
@@ -434,7 +442,7 @@ def main(argv=None):
             if args.max_degree is not None:
                 cfg.max_degree_multi = args.max_degree
             if args.families:
-                cfg.families = expand_families(args.families.split(","))
+                cfg.families = args.families.split(",")
             if args.format:
                 cfg.out_format = args.format
             if args.out:

@@ -1,5 +1,5 @@
 """Numerical integration: Gauss rules, tanh-sinh for endpoint singularities,
-truncated-line rules for Gamma-decay integrands, and tensor products.
+composite Gauss-Legendre panels on truncated intervals, and tensor products.
 
 Rule construction is cached; integration itself is pure, with deterministic
 summation order so repeated runs produce bit-identical results.
@@ -14,7 +14,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_genlaguerre, roots_jacobi
 
-from .errors import DomainError, QuadratureNonConvergence
+from .errors import DomainError
 
 MAX_NODES_PER_AXIS = 2**14
 
@@ -28,14 +28,6 @@ class QuadratureRule:
 
     def __len__(self):
         return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class IntegrationResult:
-    value: complex
-    nodes: int
-    refinements: int
-    last_delta: float
 
 
 @lru_cache(maxsize=256)
@@ -136,65 +128,6 @@ def composite_legendre(lo, hi, panels, n=12):
 def integrate(f, rule):
     """Sum w_i f(x_i) in fixed node order."""
     return np.sum(rule.weights * f(rule.nodes))
-
-
-def integrate_to_tolerance(f, rule_factory, rel_tol=1e-10, max_refinements=10,
-                           abs_floor=0.0, start_level=0):
-    """Refine rule_factory(level) until two successive values agree.
-
-    The agreement of the last two levels is the convergence certificate;
-    failure after ``max_refinements`` raises QuadratureNonConvergence.
-    """
-    prev = None
-    nodes = 0
-    for level in range(start_level, start_level + max_refinements + 1):
-        rule = rule_factory(level)
-        val = integrate(f, rule)
-        nodes += len(rule)
-        if prev is not None:
-            delta = abs(val - prev)
-            if delta <= max(rel_tol * abs(val), abs_floor):
-                return IntegrationResult(val, nodes, level - start_level, float(delta))
-        prev = val
-    raise QuadratureNonConvergence(
-        f"no two successive refinements agreed to rel_tol={rel_tol:g}"
-    )
-
-
-def gamma_line_decay_rate(imag_coeffs):
-    """Decay rate c with |integrand| <= C e^{-c|s|} for a product of gamma
-    factors Gamma(a_j + i c_j s): each contributes (pi/2)|c_j|."""
-    return 0.5 * np.pi * float(np.sum(np.abs(np.asarray(imag_coeffs, dtype=float))))
-
-
-def line_rule_factory(halfwidth, nodes_per_panel=12, base_panels=None):
-    """Factory of composite rules on [-T, T] whose panel count doubles per level."""
-    T = float(halfwidth)
-    if base_panels is None:
-        base_panels = max(8, int(np.ceil(T)))
-
-    def factory(level):
-        return composite_legendre(-T, T, base_panels * 2**level, nodes_per_panel)
-
-    return factory
-
-
-def integrate_line_gamma_decay(f, decay_rate, rel_tol=1e-8, max_refinements=8,
-                               abs_floor=0.0, halfwidth=None):
-    """Integral over the real line of an integrand with Gamma-product decay.
-
-    Truncates at T with e^{-c T} < 0.01 * rel_tol (plus a 10% margin for the
-    polynomial factors), then refines composite Gauss-Legendre panels until
-    two successive levels agree.
-    """
-    if decay_rate <= 0:
-        raise DomainError("integrate_line_gamma_decay: decay rate must be positive")
-    if halfwidth is None:
-        halfwidth = 1.1 * np.log(100.0 / rel_tol) / decay_rate
-    return integrate_to_tolerance(
-        f, line_rule_factory(halfwidth), rel_tol=rel_tol,
-        max_refinements=max_refinements, abs_floor=abs_floor,
-    )
 
 
 _CHUNK_LIMIT = 2**22

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,34 +37,6 @@ from .transforms import (
 )
 
 ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii")
-
-FAMILY_DESCRIPTIONS = {
-    "ORT_GEGEN": "1-D Gegenbauer Gram matrix vs norm formula",
-    "ORT_JACOBI": "1-D Jacobi Gram matrix vs norm formula",
-    "ORT_LAGUERRE": "1-D Laguerre Gram matrix vs norm formula",
-    "ORT_BALL": "unit-ball basis Gram matrix vs product norm formula",
-    "ORT_PARA_J": "height-1 paraboloid basis Gram matrix vs product norms",
-    "ORT_PARA_L": "infinite-height paraboloid basis Gram matrix vs product norms",
-    "FOURIER_J": "closed-form height-1 Fourier transform vs direct quadrature",
-    "FOURIER_L": "closed-form infinite-height Fourier transform vs direct quadrature",
-    "PARSEVAL_A": "height-1 Parseval integral vs printed constant",
-    "PARSEVAL_B": "infinite-height Parseval integral vs printed constant",
-    "FORM_EQUIV_PHI": "per-axis transform factor: series form vs Hahn form",
-    "FORM_EQUIV_D": "Gamma-hypergeometric product: series form vs Hahn form",
-    "FORM_EQUIV_A": "height-1 Parseval family: series form vs Hahn form",
-}
-for _r in ROMAN:
-    FAMILY_DESCRIPTIONS[f"CONTIG_A_{_r}"] = f"lifted contiguous relation ({_r}) of the height-1 family"
-    FAMILY_DESCRIPTIONS[f"CONTIG_B_{_r}"] = f"lifted contiguous relation ({_r}) of the infinite-height family"
-
-FAMILY_GROUPS = {
-    "ORT": ["ORT_GEGEN", "ORT_JACOBI", "ORT_LAGUERRE", "ORT_BALL", "ORT_PARA_J", "ORT_PARA_L"],
-    "FOURIER": ["FOURIER_J", "FOURIER_L"],
-    "PARSEVAL": ["PARSEVAL_A", "PARSEVAL_B"],
-    "CONTIG": [f"CONTIG_A_{r}" for r in ROMAN] + [f"CONTIG_B_{r}" for r in ROMAN],
-    "FORM_EQUIV": ["FORM_EQUIV_PHI", "FORM_EQUIV_D", "FORM_EQUIV_A"],
-}
-ALL_FAMILIES = [f for group in FAMILY_GROUPS.values() for f in group]
 
 DEFAULT_TOLERANCES = {
     "ORT_GEGEN": 1e-10, "ORT_JACOBI": 1e-10, "ORT_LAGUERRE": 1e-10,
@@ -101,6 +74,7 @@ class VerificationReport:
     nodes: int
     seconds: float
     skipped_reason: str | None = None
+    error: str | None = None
 
 
 def _finish(case, lhs, rhs, scale, nodes, t0):
@@ -128,6 +102,30 @@ def _skip(case, reason, t0):
     )
 
 
+def _certified(levels, integral, tol, scale):
+    """Refine through ``levels`` until two successive ones agree.
+
+    ``integral(level)`` returns (value, nodes).  Agreement within
+    max(tol |value|, 0.1 tol scale) is the convergence certificate behind the
+    verdict; returns the finer value and the nodes of every level used.
+    """
+    prev = None
+    nodes = 0
+    for level in levels:
+        val, n = integral(level)
+        nodes += n
+        if prev is not None:
+            delta = abs(val - prev)
+            threshold = max(tol * abs(val), 0.1 * tol * scale)
+            if delta <= threshold:
+                return val, nodes
+        prev = val
+    raise QuadratureNonConvergence(
+        f"refinement levels {levels} did not agree: "
+        f"last delta {delta:.3e} > threshold {threshold:.3e}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # orthogonality
 
@@ -152,18 +150,16 @@ def _ort_1d(case):
         rule_of = lambda n: gauss_laguerre(n, a)
         poly = lambda x, mm: laguerre(mm, a, x)
         norm = lambda mm: laguerre_norm(mm, a)
-    n0 = max(16, m + m2 + 4)
-    vals = []
-    nodes = 0
-    for n in (n0, 2 * n0):
+
+    def gram_entry(n):
         r = rule_of(n)
-        vals.append(np.sum(r.weights * poly(r.nodes, m) * poly(r.nodes, m2)))
-        nodes += n
+        return np.sum(r.weights * poly(r.nodes, m) * poly(r.nodes, m2)), n
+
+    n0 = max(16, m + m2 + 4)
     scale = math.sqrt(norm(m) * norm(m2))
-    if abs(vals[1] - vals[0]) > max(case.tolerance * abs(vals[1]), 0.1 * case.tolerance * scale):
-        raise QuadratureNonConvergence(f"{fam} Gram entry ({m},{m2}) did not converge")
+    val, nodes = _certified((n0, 2 * n0), gram_entry, case.tolerance, scale)
     rhs = norm(m) if m == m2 else 0.0
-    return _finish(case, vals[1], rhs, scale, nodes, t0)
+    return _finish(case, val, rhs, scale, nodes, t0)
 
 
 def _ort_ball(case):
@@ -177,13 +173,11 @@ def _ort_ball(case):
         )
 
     n0 = max(12, tail_sum(k, 1) + tail_sum(k2, 1) + 4)
-    v0 = ball_integral(F, d, mu, n0)
-    v1 = ball_integral(F, d, mu, 2 * n0)
     scale = math.sqrt(ball_norm(k, mu) * ball_norm(k2, mu))
-    if abs(v1 - v0) > max(case.tolerance * abs(v1), 0.1 * case.tolerance * scale):
-        raise QuadratureNonConvergence(f"ball Gram entry {k} x {k2} did not converge")
+    val, nodes = _certified((n0, 2 * n0), lambda n: (ball_integral(F, d, mu, n), d * n),
+                            case.tolerance, scale)
     rhs = ball_norm(k, mu) if k == k2 else 0.0
-    return _finish(case, v1, rhs, scale, nodes=d * (n0 + 2 * n0), t0=t0)
+    return _finish(case, val, rhs, scale, nodes, t0)
 
 
 def _ort_para(case):
@@ -202,13 +196,14 @@ def _ort_para(case):
         g = lambda t, x: laguerre_paraboloid(case.m2, case.k2, p["beta"], mu, t, x, check_domain=False)
         diag = lambda m, k: laguerre_paraboloid_norm(m, k, p["beta"], mu, d)
     n0 = max(12, case.m + case.m2 + 4)
-    v0 = paraboloid_inner_product(f, g, d, mu, weight, n_axis=n0)
-    v1 = paraboloid_inner_product(f, g, d, mu, weight, n_axis=2 * n0)
     scale = math.sqrt(diag(case.m, case.k) * diag(case.m2, case.k2))
-    if abs(v1 - v0) > max(case.tolerance * abs(v1), 0.1 * case.tolerance * scale):
-        raise QuadratureNonConvergence("paraboloid Gram entry did not converge")
+    val, nodes = _certified(
+        (n0, 2 * n0),
+        lambda n: (paraboloid_inner_product(f, g, d, mu, weight, n_axis=n), (d + 1) * n),
+        case.tolerance, scale,
+    )
     rhs = diag(case.m, case.k) if (case.m, case.k) == (case.m2, case.k2) else 0.0
-    return _finish(case, v1, rhs, scale, nodes=(d + 1) * 3 * n0, t0=t0)
+    return _finish(case, val, rhs, scale, nodes, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +288,12 @@ def _fourier(case):
     else:
         wp = WrapParamsLaguerre(p["alpha"], p["zeta"], p["beta"], p["mu"])
         closed = fourier_h_laguerre_closed(case.m, case.k, wp, case.d, case.xi)
-    v0, n0 = _fourier_direct(case.identity_id, case.m, case.k, wp, case.d, case.xi, 0)
-    v1, n1 = _fourier_direct(case.identity_id, case.m, case.k, wp, case.d, case.xi, 1)
-    if abs(v1 - v0) > max(case.tolerance * abs(v1), 0.1 * case.tolerance * abs(closed)):
-        raise QuadratureNonConvergence("direct transform did not converge")
-    return _finish(case, v1, closed, abs(closed), n0 + n1, t0)
+    val, nodes = _certified(
+        (0, 1),
+        lambda level: _fourier_direct(case.identity_id, case.m, case.k, wp, case.d, case.xi, level),
+        case.tolerance, abs(closed),
+    )
+    return _finish(case, val, closed, abs(closed), nodes, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +338,9 @@ def parseval_rhs(fam, m, k, sp, d):
     return float(val)
 
 
-def _parseval_lhs(fam, m, k, m2, k2, sp, d, level):
+def _parseval_lhs(fam, m, k, m2, k2, sp, d, panels):
     T = 1.1 * math.log(100.0 / 1e-12) / math.pi
-    rule = composite_legendre(-T, T, _PARSEVAL_LEVELS[level], 12)
+    rule = composite_legendre(-T, T, panels, 12)
     sw = sp.swapped()
     if fam == "PARSEVAL_A":
         def f(t, *xs):
@@ -372,19 +368,14 @@ def _parseval(case):
     diag1 = parseval_rhs(case.identity_id, case.m, case.k, sp, case.d)
     diag2 = parseval_rhs(case.identity_id, case.m2, case.k2, sp, case.d)
     scale = math.sqrt(diag1 * diag2)
-    nodes = 0
-    prev = None
-    for level in range(len(_PARSEVAL_LEVELS)):
-        val, n = _parseval_lhs(case.identity_id, case.m, case.k, case.m2, case.k2,
-                               sp, case.d, level)
-        nodes += n
-        if prev is not None and abs(val - prev) <= max(
-            case.tolerance * abs(val), 0.1 * case.tolerance * scale
-        ):
-            rhs = diag1 if (case.m, case.k) == (case.m2, case.k2) else 0.0
-            return _finish(case, val, rhs, scale, nodes, t0)
-        prev = val
-    raise QuadratureNonConvergence("Parseval integral did not converge")
+    val, nodes = _certified(
+        _PARSEVAL_LEVELS,
+        lambda panels: _parseval_lhs(case.identity_id, case.m, case.k, case.m2, case.k2,
+                                     sp, case.d, panels),
+        case.tolerance, scale,
+    )
+    rhs = diag1 if (case.m, case.k) == (case.m2, case.k2) else 0.0
+    return _finish(case, val, rhs, scale, nodes, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -437,38 +428,27 @@ def _form_equiv(case):
     return _finish(case, lhs, rhs, scale if scale > 0 else 1.0, 0, t0)
 
 
-_DISPATCH = {
-    "ORT_GEGEN": _ort_1d, "ORT_JACOBI": _ort_1d, "ORT_LAGUERRE": _ort_1d,
-    "ORT_BALL": _ort_ball, "ORT_PARA_J": _ort_para, "ORT_PARA_L": _ort_para,
-    "FOURIER_J": _fourier, "FOURIER_L": _fourier,
-    "PARSEVAL_A": _parseval, "PARSEVAL_B": _parseval,
-    "FORM_EQUIV_PHI": _form_equiv, "FORM_EQUIV_D": _form_equiv, "FORM_EQUIV_A": _form_equiv,
-}
-
-
 def run_case(case: IdentityCase) -> VerificationReport:
-    fn = _DISPATCH.get(case.identity_id)
-    if fn is None and case.identity_id.startswith("CONTIG_"):
-        fn = _contiguous
-    if fn is None:
+    fam = FAMILIES.get(case.identity_id)
+    if fam is None:
         raise DomainError(f"unknown identity id {case.identity_id!r}")
-    return fn(case)
+    return fam.run(case)
 
 
-def _checked(case, prefixes):
-    if not any(case.identity_id.startswith(p) for p in prefixes):
+def _checked(case, ids):
+    if case.identity_id not in ids:
         raise DomainError(f"case family {case.identity_id!r} not handled by this check")
     return run_case(case)
 
 
 def check_orthogonality(case: IdentityCase) -> VerificationReport:
     """Gram-matrix entry against the norm formulas (any ORT_* family)."""
-    return _checked(case, ("ORT_",))
+    return _checked(case, FAMILY_GROUPS["ORT"])
 
 
 def check_fourier(case: IdentityCase) -> VerificationReport:
     """Closed-form transform against the direct numeric transform."""
-    return _checked(case, ("FOURIER_",))
+    return _checked(case, FAMILY_GROUPS["FOURIER"])
 
 
 def check_parseval_A(case: IdentityCase) -> VerificationReport:
@@ -483,11 +463,12 @@ def check_parseval_B(case: IdentityCase) -> VerificationReport:
 
 def check_contiguous(case: IdentityCase) -> VerificationReport:
     """One lifted contiguous relation at the case's parameter/point draw."""
-    return _checked(case, ("CONTIG_",))
+    return _checked(case, FAMILY_GROUPS["CONTIG"])
 
 
 # ---------------------------------------------------------------------------
-# case generation
+# case generation: one generator per family kind, called as
+# gen(identity_id, cfg, rng, tolerance) in registry order
 
 
 def multi_indices(d, total_max):
@@ -505,133 +486,178 @@ def degree_index_pairs(d, m_max):
     return [(m, k) for m in range(m_max + 1) for k in multi_indices(d, m) if sum(k) <= m]
 
 
+def _ort_1d_cases(fam, cfg, rng, tol):
+    for _ in range(cfg.ort_param_draws):
+        if fam == "ORT_GEGEN":
+            params = {"mu": float(rng.uniform(0.3, 2.5))}
+        elif fam == "ORT_JACOBI":
+            params = {"alpha": float(rng.uniform(-0.6, 2.0)), "beta": float(rng.uniform(-0.6, 2.0))}
+        else:
+            params = {"alpha": float(rng.uniform(-0.6, 2.5))}
+        for m in range(cfg.max_degree_1d + 1):
+            for m2 in range(m, cfg.max_degree_1d + 1):
+                yield IdentityCase(fam, 1, tol, m=m, m2=m2, params=params)
+
+
+def _ball_cases(fam, cfg, rng, tol):
+    d = 2
+    ks = multi_indices(d, cfg.max_degree_multi)
+    for mu in (0.5, 1.5):
+        for i, k in enumerate(ks):
+            for k2 in ks[i:]:
+                yield IdentityCase(fam, d, tol, k=k, k2=k2, params={"mu": mu})
+
+
+def _para_cases(fam, cfg, rng, tol):
+    for d in cfg.dims:
+        params = {"beta": float(rng.uniform(-0.4, 1.2)), "mu": float(rng.uniform(0.3, 1.5))}
+        if fam == "ORT_PARA_J":
+            params["gamma"] = float(rng.uniform(-0.4, 1.2))
+        pairs = degree_index_pairs(d, cfg.max_degree_multi)
+        for i, (m, k) in enumerate(pairs):
+            for (m2, k2) in pairs[i:]:
+                yield IdentityCase(fam, d, tol, m=m, m2=m2, k=k, k2=k2, params=params)
+
+
+def _fourier_cases(fam, cfg, rng, tol):
+    for d in cfg.dims:
+        params = {
+            "alpha": float(rng.uniform(0.5, 1.2)),
+            "zeta": float(rng.uniform(0.5, 1.2)),
+            "beta": float(rng.uniform(-0.3, 0.8)),
+            "mu": float(rng.uniform(0.3, 1.2)),
+        }
+        if fam == "FOURIER_J":
+            params["eta"] = float(rng.uniform(0.5, 1.2))
+            params["gamma"] = float(rng.uniform(-0.3, 0.8))
+        pairs = [(m, k) for (m, k) in degree_index_pairs(d, cfg.fourier_max_degree)
+                 if sum(k) <= 2]
+        for (m, k) in pairs:
+            for _ in range(cfg.fourier_xi_draws):
+                xi = tuple(float(v) for v in rng.uniform(-2.0, 2.0, d + 1))
+                yield IdentityCase(fam, d, tol, m=m, k=k, params=params, xi=xi)
+
+
+def _parseval_cases(fam, cfg, rng, tol):
+    names = ["alpha1", "alpha2", "zeta1", "zeta2"]
+    if fam == "PARSEVAL_A":
+        names += ["eta1", "eta2"]
+    params = {name: float(rng.uniform(0.4, 1.6)) for name in names}
+    pairs = degree_index_pairs(1, cfg.parseval_max_degree)
+    for (m, k) in pairs:
+        for (m2, k2) in pairs:
+            yield IdentityCase(fam, 1, tol, m=m, m2=m2, k=k, k2=k2, params=params)
+    if 2 in cfg.dims:
+        yield IdentityCase(fam, 2, tol, m=0, m2=0, k=(0, 0), k2=(0, 0), params=params)
+
+
+def _draw_point(rng, d, params):
+    params["t_re"] = float(rng.uniform(-1, 1))
+    params["t_im"] = float(rng.uniform(-1, 1))
+    for j in range(1, d + 1):
+        params[f"x{j}_re"] = float(rng.uniform(-1, 1))
+        params[f"x{j}_im"] = float(rng.uniform(-1, 1))
+
+
+def _contig_cases(fam, cfg, rng, tol):
+    names = ["alpha1", "alpha2", "zeta1", "zeta2"]
+    if fam.startswith("CONTIG_A"):
+        names += ["eta1", "eta2"]
+    for _ in range(cfg.contig_draws):
+        d = int(rng.choice(cfg.dims))
+        k = tuple(int(v) for v in rng.integers(0, 3, d))
+        # m >= |k|+1 keeps the lower-degree terms well defined and the
+        # two sides generically nonzero
+        m = sum(k) + int(rng.integers(1, 3))
+        params = {name: float(rng.uniform(0.3, 2.5)) for name in names}
+        _draw_point(rng, d, params)
+        yield IdentityCase(fam, d, tol, m=m, k=k, params=params)
+
+
+def _form_equiv_cases(fam, cfg, rng, tol):
+    for _ in range(cfg.form_draws):
+        d = int(rng.choice(cfg.dims))
+        k = tuple(int(v) for v in rng.integers(0, 3, d))
+        params = {}
+        m = None
+        if fam == "FORM_EQUIV_PHI":
+            params["alpha"] = float(rng.uniform(0.2, 3.0))
+            params["mu"] = float(rng.uniform(0.2, 3.0))
+            params["xi"] = float(rng.uniform(-3.0, 3.0))
+            params["axis"] = float(rng.integers(1, d + 1))
+        else:
+            params["alpha1"] = float(rng.uniform(0.2, 3.0))
+            params["alpha2"] = float(rng.uniform(0.2, 3.0))
+            if fam == "FORM_EQUIV_A":
+                for name in ("zeta1", "zeta2", "eta1", "eta2"):
+                    params[name] = float(rng.uniform(0.2, 3.0))
+                m = sum(k) + int(rng.integers(0, 3))
+            _draw_point(rng, d, params)
+        yield IdentityCase(fam, d, tol, m=m, k=k, params=params)
+
+
 def generate_cases(cfg) -> list[IdentityCase]:
-    """Deterministic case list: fixed family order, all draws from one
+    """Deterministic case list: registry family order, all draws from one
     seeded PCG64 generator."""
     rng = np.random.default_rng(cfg.seed)
-    tol = lambda fam: cfg.tolerances.get(fam, DEFAULT_TOLERANCES[fam])
     cases = []
-    fams = cfg.families
-
-    for fam in ("ORT_GEGEN", "ORT_JACOBI", "ORT_LAGUERRE"):
-        if fam not in fams:
-            continue
-        for _ in range(cfg.ort_param_draws):
-            if fam == "ORT_GEGEN":
-                params = {"mu": float(rng.uniform(0.3, 2.5))}
-            elif fam == "ORT_JACOBI":
-                params = {"alpha": float(rng.uniform(-0.6, 2.0)), "beta": float(rng.uniform(-0.6, 2.0))}
-            else:
-                params = {"alpha": float(rng.uniform(-0.6, 2.5))}
-            for m in range(cfg.max_degree_1d + 1):
-                for m2 in range(m, cfg.max_degree_1d + 1):
-                    cases.append(IdentityCase(fam, 1, tol(fam), m=m, m2=m2, params=params))
-
-    if "ORT_BALL" in fams:
-        d = 2
-        for mu in (0.5, 1.5):
-            ks = multi_indices(d, cfg.max_degree_multi)
-            for i, k in enumerate(ks):
-                for k2 in ks[i:]:
-                    cases.append(IdentityCase("ORT_BALL", d, tol("ORT_BALL"),
-                                              k=k, k2=k2, params={"mu": mu}))
-
-    for fam in ("ORT_PARA_J", "ORT_PARA_L"):
-        if fam not in fams:
-            continue
-        for d in cfg.dims:
-            params = {"beta": float(rng.uniform(-0.4, 1.2)), "mu": float(rng.uniform(0.3, 1.5))}
-            if fam == "ORT_PARA_J":
-                params["gamma"] = float(rng.uniform(-0.4, 1.2))
-            pairs = degree_index_pairs(d, cfg.max_degree_multi)
-            for i, (m, k) in enumerate(pairs):
-                for (m2, k2) in pairs[i:]:
-                    cases.append(IdentityCase(fam, d, tol(fam), m=m, m2=m2, k=k, k2=k2,
-                                              params=params))
-
-    for fam in ("FOURIER_J", "FOURIER_L"):
-        if fam not in fams:
-            continue
-        for d in cfg.dims:
-            params = {
-                "alpha": float(rng.uniform(0.5, 1.2)),
-                "zeta": float(rng.uniform(0.5, 1.2)),
-                "beta": float(rng.uniform(-0.3, 0.8)),
-                "mu": float(rng.uniform(0.3, 1.2)),
-            }
-            if fam == "FOURIER_J":
-                params["eta"] = float(rng.uniform(0.5, 1.2))
-                params["gamma"] = float(rng.uniform(-0.3, 0.8))
-            pairs = [(m, k) for (m, k) in degree_index_pairs(d, cfg.fourier_max_degree)
-                     if sum(k) <= 2]
-            for (m, k) in pairs:
-                for _ in range(cfg.fourier_xi_draws):
-                    xi = tuple(float(v) for v in rng.uniform(-2.0, 2.0, d + 1))
-                    cases.append(IdentityCase(fam, d, tol(fam), m=m, k=k, params=params, xi=xi))
-
-    for fam in ("PARSEVAL_A", "PARSEVAL_B"):
-        if fam not in fams:
-            continue
-        names = ["alpha1", "alpha2", "zeta1", "zeta2"]
-        if fam == "PARSEVAL_A":
-            names += ["eta1", "eta2"]
-        params = {name: float(rng.uniform(0.4, 1.6)) for name in names}
-        pairs = degree_index_pairs(1, cfg.parseval_max_degree)
-        for (m, k) in pairs:
-            for (m2, k2) in pairs:
-                cases.append(IdentityCase(fam, 1, tol(fam), m=m, m2=m2, k=k, k2=k2,
-                                          params=params))
-        if 2 in cfg.dims:
-            cases.append(IdentityCase(fam, 2, tol(fam), m=0, m2=0, k=(0, 0), k2=(0, 0),
-                                      params=params))
-
-    for fam_base in ("CONTIG_A", "CONTIG_B"):
-        for roman in ROMAN:
-            fam = f"{fam_base}_{roman}"
-            if fam not in fams:
-                continue
-            for _ in range(cfg.contig_draws):
-                d = int(rng.choice(cfg.dims))
-                k = tuple(int(v) for v in rng.integers(0, 3, d))
-                # m >= |k|+1 keeps the lower-degree terms well defined and the
-                # two sides generically nonzero
-                m = sum(k) + int(rng.integers(1, 3))
-                names = ["alpha1", "alpha2", "zeta1", "zeta2"]
-                if fam_base == "CONTIG_A":
-                    names += ["eta1", "eta2"]
-                params = {name: float(rng.uniform(0.3, 2.5)) for name in names}
-                params["t_re"] = float(rng.uniform(-1, 1))
-                params["t_im"] = float(rng.uniform(-1, 1))
-                for j in range(1, d + 1):
-                    params[f"x{j}_re"] = float(rng.uniform(-1, 1))
-                    params[f"x{j}_im"] = float(rng.uniform(-1, 1))
-                cases.append(IdentityCase(fam, d, tol(fam), m=m, k=k, params=params))
-
-    for fam in ("FORM_EQUIV_PHI", "FORM_EQUIV_D", "FORM_EQUIV_A"):
-        if fam not in fams:
-            continue
-        for _ in range(cfg.form_draws):
-            d = int(rng.choice(cfg.dims))
-            k = tuple(int(v) for v in rng.integers(0, 3, d))
-            params = {}
-            m = None
-            if fam == "FORM_EQUIV_PHI":
-                params["alpha"] = float(rng.uniform(0.2, 3.0))
-                params["mu"] = float(rng.uniform(0.2, 3.0))
-                params["xi"] = float(rng.uniform(-3.0, 3.0))
-                params["axis"] = float(rng.integers(1, d + 1))
-            else:
-                params["alpha1"] = float(rng.uniform(0.2, 3.0))
-                params["alpha2"] = float(rng.uniform(0.2, 3.0))
-                if fam == "FORM_EQUIV_A":
-                    for name in ("zeta1", "zeta2", "eta1", "eta2"):
-                        params[name] = float(rng.uniform(0.2, 3.0))
-                    m = sum(k) + int(rng.integers(0, 3))
-                params["t_re"] = float(rng.uniform(-1, 1))
-                params["t_im"] = float(rng.uniform(-1, 1))
-                for j in range(1, d + 1):
-                    params[f"x{j}_re"] = float(rng.uniform(-1, 1))
-                    params[f"x{j}_im"] = float(rng.uniform(-1, 1))
-            cases.append(IdentityCase(fam, d, tol(fam), m=m, k=k, params=params))
-
+    for fam in FAMILIES.values():
+        if fam.id in cfg.families:
+            cases.extend(fam.cases(fam.id, cfg, rng, cfg.tolerances.get(fam.id, fam.tolerance)))
     return cases
+
+
+# ---------------------------------------------------------------------------
+# the family registry: one entry per identity id, in case-list order
+
+
+@dataclass(frozen=True)
+class Family:
+    """One identity family: its group, the oracle that runs one of its
+    cases, the generator that draws its cases, and a one-line description."""
+    id: str
+    group: str
+    run: Callable[[IdentityCase], VerificationReport]
+    cases: Callable  # (id, cfg, rng, tolerance) -> IdentityCases, drawing from rng
+    description: str
+
+    @property
+    def tolerance(self):
+        return DEFAULT_TOLERANCES[self.id]
+
+
+FAMILIES = {fam.id: fam for fam in [
+    Family("ORT_GEGEN", "ORT", _ort_1d, _ort_1d_cases,
+           "1-D Gegenbauer Gram matrix vs norm formula"),
+    Family("ORT_JACOBI", "ORT", _ort_1d, _ort_1d_cases,
+           "1-D Jacobi Gram matrix vs norm formula"),
+    Family("ORT_LAGUERRE", "ORT", _ort_1d, _ort_1d_cases,
+           "1-D Laguerre Gram matrix vs norm formula"),
+    Family("ORT_BALL", "ORT", _ort_ball, _ball_cases,
+           "unit-ball basis Gram matrix vs product norm formula"),
+    Family("ORT_PARA_J", "ORT", _ort_para, _para_cases,
+           "height-1 paraboloid basis Gram matrix vs product norms"),
+    Family("ORT_PARA_L", "ORT", _ort_para, _para_cases,
+           "infinite-height paraboloid basis Gram matrix vs product norms"),
+    Family("FOURIER_J", "FOURIER", _fourier, _fourier_cases,
+           "closed-form height-1 Fourier transform vs direct quadrature"),
+    Family("FOURIER_L", "FOURIER", _fourier, _fourier_cases,
+           "closed-form infinite-height Fourier transform vs direct quadrature"),
+    Family("PARSEVAL_A", "PARSEVAL", _parseval, _parseval_cases,
+           "height-1 Parseval integral vs printed constant"),
+    Family("PARSEVAL_B", "PARSEVAL", _parseval, _parseval_cases,
+           "infinite-height Parseval integral vs printed constant"),
+    *(Family(f"CONTIG_{side}_{r}", "CONTIG", _contiguous, _contig_cases,
+             f"lifted contiguous relation ({r}) of the {height} family")
+      for side, height in (("A", "height-1"), ("B", "infinite-height")) for r in ROMAN),
+    Family("FORM_EQUIV_PHI", "FORM_EQUIV", _form_equiv, _form_equiv_cases,
+           "per-axis transform factor: series form vs Hahn form"),
+    Family("FORM_EQUIV_D", "FORM_EQUIV", _form_equiv, _form_equiv_cases,
+           "Gamma-hypergeometric product: series form vs Hahn form"),
+    Family("FORM_EQUIV_A", "FORM_EQUIV", _form_equiv, _form_equiv_cases,
+           "height-1 Parseval family: series form vs Hahn form"),
+]}
+ALL_FAMILIES = list(FAMILIES)
+FAMILY_GROUPS = {}
+for _fam in FAMILIES.values():
+    FAMILY_GROUPS.setdefault(_fam.group, []).append(_fam.id)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -45,6 +46,37 @@ def test_config_file_roundtrip(tmp_path):
     bad.write_text(json.dumps({"not_a_field": 1}))
     with pytest.raises(ConfigError):
         load_config(str(bad))
+
+
+@pytest.mark.parametrize("raw", [
+    {"max_degree_multi": "3"}, {"seed": "x"}, {"tolerances": {"ORT_GEGEN": "1e-3"}},
+    {"max_degree_1d": 2.5}, [1, 2],
+], ids=["str_degree", "str_seed", "str_tolerance", "float_degree", "not_an_object"])
+def test_config_field_types_rejected(raw, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_raised_case_reports_error_not_skip(tmp_path):
+    # no two refinement levels agree at 1e-30: the cases raise, and the
+    # exception goes to `error` of a failed record, never to `skipped_reason`
+    out = tmp_path / "rep.json"
+    cfg = SweepConfig(families=["ORT_GEGEN"], max_degree_1d=2, ort_param_draws=1,
+                      tolerances={"ORT_GEGEN": 1e-30}, out_path=str(out), no_timestamp=True)
+    summary = run_sweep(cfg)
+    records = json.loads(out.read_text())["cases"]
+    assert summary.failed == summary.total == len(records) and summary.skipped == 0
+    errored = [rec for rec in records if "error" in rec]
+    assert errored and all(rec["error"].startswith("QuadratureNonConvergence: ")
+                           for rec in errored)
+    assert not any("skipped_reason" in rec for rec in records)
+    csv_out = tmp_path / "rep.csv"
+    run_sweep(dataclasses.replace(cfg, out_path=str(csv_out), out_format="csv"))
+    lines = csv_out.read_text().splitlines()
+    assert "error" in lines[0].split(",")
+    assert sum("QuadratureNonConvergence" in line for line in lines) == len(errored)
 
 
 def test_sweep_writes_report_and_summary(tmp_path):

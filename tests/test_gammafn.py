@@ -26,12 +26,16 @@ def test_gamma_values():
 
 
 def test_strip_accuracy():
-    # post-condition strip: 0.5 <= Re z <= 10, |Im z| <= 40
+    # post-condition strip 0.5 <= Re z <= 10, |Im z| <= 40, plus the
+    # reflection side Re z < 1/2, against mpmath's independent loggamma
+    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(11)
-    z = rng.uniform(0.5, 10, 4000) + 1j * rng.uniform(-40, 40, 4000)
-    import scipy.special as sp
-
-    rel = np.abs(np.expm1(log_gamma(z) - sp.loggamma(z)))
+    z = np.concatenate([
+        rng.uniform(0.5, 10, 4000) + 1j * rng.uniform(-40, 40, 4000),
+        rng.uniform(-6, 0.5, 500) + 1j * rng.uniform(-40, 40, 500),
+    ])
+    ref = np.array([complex(mpmath.loggamma(complex(v))) for v in z])
+    rel = np.abs(np.expm1(log_gamma(z) - ref))
     assert rel.max() < 1e-12
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -183,6 +185,19 @@ def test_nonconvergence_raises():
         run_case(_case("ORT_GEGEN", m=6, m2=6, params={"mu": 0.77}, tolerance=1e-16))
 
 
+def test_certificate_needs_two_agreeing_levels():
+    from orthopara.verifier import _certified
+
+    vals = {0: 1.0, 1: 1.5, 2: 1.5 + 1e-12}
+    level = lambda lv: (vals[lv], 10)
+    # stops at the first agreeing pair; nodes of every level used add up
+    assert _certified((0, 1, 2), level, 1e-8, 1.0) == (vals[2], 30)
+    with pytest.raises(QuadratureNonConvergence):
+        _certified((0, 1), level, 1e-8, 1.0)
+    with pytest.raises(QuadratureNonConvergence):  # a NaN delta never certifies
+        _certified((0, 1), lambda lv: (float("nan"), 10), 1e-8, 1.0)
+
+
 def test_case_determinism():
     # identical IdentityCase inputs give identical numeric content
     case = _case("PARSEVAL_B", m=1, m2=1, k=(1,), k2=(1,),
@@ -229,3 +244,15 @@ def test_generated_cases_respect_preconditions():
         if case.k is not None and case.m is not None:
             assert sum(case.k) <= case.m
         assert case.tolerance > 0
+
+
+def test_default_case_list_pinned():
+    # the default sweep's case list, every draw at full precision; a change
+    # here changes what the default sweep verifies
+    cases = generate_cases(SweepConfig())
+    h = hashlib.sha256()
+    for c in cases:
+        h.update(json.dumps([c.identity_id, c.d, c.tolerance, c.m, c.m2, c.k, c.k2,
+                             sorted(c.params.items()), c.xi]).encode() + b"\n")
+    assert len(cases) == 3030
+    assert h.hexdigest() == "8b745704077edcd2e426b9db44fac0a90d58b5c0e4388eab135daa40ee1235f7"
