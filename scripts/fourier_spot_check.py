@@ -22,6 +22,8 @@ def main():
     args = ap.parse_args()
 
     k = tuple(int(v) for v in args.k.split(","))
+    if len(k) != args.d:
+        ap.error(f"--k needs {args.d} comma-separated entries, got {args.k!r}")
     rng = np.random.default_rng(args.seed)
     pj = {"alpha": 0.8, "zeta": 1.1, "eta": 0.9, "beta": 0.3, "gamma": 0.4, "mu": 0.7}
     pl = {"alpha": 0.8, "zeta": 1.1, "beta": 0.3, "mu": 0.7}

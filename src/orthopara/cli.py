@@ -339,8 +339,10 @@ def eval_point(args) -> complex:
     if fn == "phi":
         alpha, mu = _need(p, "alpha", "mu")
         xi = _parse_complex_list(args.xi, 1, "xi")[0].real
-        axis = int(p.get("axis", 1))
-        return complex(phi_factor(axis, d, alpha, mu, k, xi))
+        axis = p.get("axis", 1.0)
+        if not axis.is_integer():
+            raise ParseError(f"axis must be an integer, got {axis!r}")
+        return complex(phi_factor(int(axis), d, alpha, mu, k, xi))
     if fn == "theta":
         zeta, eta, beta, gamma, mu = _need(p, "zeta", "eta", "beta", "gamma", "mu")
         xi = _parse_complex_list(args.xi, 1, "xi")[0].real

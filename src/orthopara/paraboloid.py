@@ -17,7 +17,7 @@ import numpy as np
 
 from .ball import ball_homogeneous, ball_integral, ball_norm, tail_sum, validate_multi_index
 from .classical import jacobi, jacobi_norm, laguerre, laguerre_norm
-from .errors import DomainError, QuadratureNonConvergence
+from .errors import DomainError
 from .quadrature import gauss_jacobi, gauss_laguerre
 
 _DOMAIN_SLACK = 1e-12
@@ -107,45 +107,27 @@ def _t_rule(kind, n_t, beta, gamma, mu, d):
     return t, w
 
 
-def paraboloid_inner_product(f, g, d, mu, weight, n_axis=40, rel_tol=None,
-                             max_refinements=6):
+def paraboloid_inner_product(f, g, d, mu, weight, n_axis=40):
     """<f, g> over U^{d+1} against the requested weight.
 
     ``weight`` is ("jacobi", beta, gamma) for b = 1 or ("laguerre", beta) for
     b = inf.  Uses the slice change of variable
     int_U f = int_0^b t^{d/2} int_{B^d} f(t, sqrt(t) y) dy dt with the
-    algebraic weights absorbed into Gauss rules.  With rel_tol set, the axis
-    order doubles until two successive values agree (the convergence
-    certificate); otherwise a single rule of order n_axis is used.
+    algebraic weights absorbed into Gauss rules of order n_axis on every
+    axis.  f(t, x) and g(t, x) are evaluated once, on the whole
+    (t, y_1..y_d) grid: they must broadcast over t as well as over x.
     """
     if weight[0] == "jacobi":
         kind, beta, gamma = weight
     else:
         (kind, beta), gamma = weight, 0.0
+    t, w = _t_rule(kind, n_axis, beta, gamma, mu, d)
+    t = t.reshape((-1,) + (1,) * d)  # the t axis leads the ball axes
+    w = w.reshape(t.shape)
+    sq = np.sqrt(t)
 
-    def compute(n):
-        t_nodes, t_weights = _t_rule(kind, n, beta, gamma, mu, d)
-        total = 0.0
-        for ti, wi in zip(t_nodes, t_weights):
-            sq = np.sqrt(ti)
+    def F(*y):
+        xs = [sq * yj for yj in y]
+        return w * f(t, xs) * g(t, xs)
 
-            def F(*y):
-                xs = [sq * yj for yj in y]
-                return f(ti, xs) * g(ti, xs)
-
-            total += wi * ball_integral(F, d, mu, n)
-        return total
-
-    if rel_tol is None:
-        return compute(n_axis)
-    prev = None
-    n = n_axis
-    for _ in range(max_refinements + 1):
-        val = compute(n)
-        if prev is not None and abs(val - prev) <= max(rel_tol * abs(val), 1e-300):
-            return val
-        prev = val
-        n *= 2
-    raise QuadratureNonConvergence(
-        f"paraboloid inner product did not converge at rel_tol={rel_tol:g}"
-    )
+    return ball_integral(F, d, mu, n_axis)

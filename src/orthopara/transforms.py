@@ -117,71 +117,88 @@ def _sech2(x):
     return 1.0 / (c * c)
 
 
+def _degree_split(m, k):
+    """Validated k and n = |k| of a degree-m, index-k function (|k| <= m)."""
+    k = validate_multi_index(k)
+    n = tail_sum(k, 1)
+    if n > m:
+        raise DomainError("requires |k| <= m")
+    return k, n
+
+
+def _axis_tail(j, d, k):
+    """Validated k and K = |k^{j+1}| of the factor on axis j (1-based) of d."""
+    k = validate_multi_index(k)
+    if len(k) != d or j not in range(1, d + 1):
+        raise DomainError(f"axis factor needs len(k) = d and 1 <= j <= d, "
+                          f"got k = {k}, j = {j!r}, d = {d}")
+    return k, tail_sum(k, j + 1)
+
+
 def eval_g(k, alpha, mu, x):
     """Wrapped ball polynomial on R^d:
 
         g_d(x) = prod_j (1-tanh^2 x_j)^(alpha+(d-j)/4) P_k^mu(theta_1..theta_d)
 
     with theta_j = tanh x_j prod_{i<j} sqrt(1-tanh^2 x_i).  Computed in the
-    equivalent separated form
-    prod_j (1-tanh^2 x_j)^(alpha+(d-j)/4+|k^{j+1}|/2) C_{k_j}^(lam_j)(tanh x_j).
+    equivalent separated form, the product of g_axis over j = 1..d.
     """
     k = validate_multi_index(k)
     d = len(k)
     if len(x) != d:
         raise DomainError(f"expected {d} coordinates, got {len(x)}")
-    out = 1.0
-    for j in range(1, d + 1):
-        xj = np.asarray(x[j - 1])
-        sech2 = _sech2(xj)
-        K = tail_sum(k, j + 1)
-        lam = mu + K + 0.5 * (d - j)
-        out = out * sech2 ** (alpha + 0.25 * (d - j) + 0.5 * K) * gegenbauer(
-            k[j - 1], lam, np.tanh(xj)
-        )
-    return out
+    return math.prod(g_axis(j, d, alpha, mu, k, x[j - 1]) for j in range(1, d + 1))
+
+
+def g_axis(j, d, alpha, mu, k, x_j):
+    """Factor of g_d on axis j (1-based), K = |k^{j+1}|:
+
+        (1-tanh^2 x_j)^(alpha+(d-j)/4+K/2) C_{k_j}^(mu+K+(d-j)/2)(tanh x_j).
+    """
+    k, K = _axis_tail(j, d, k)
+    x_j = np.asarray(x_j)
+    return _sech2(x_j) ** (alpha + 0.25 * (d - j) + 0.5 * K) * gegenbauer(
+        k[j - 1], mu + K + 0.5 * (d - j), np.tanh(x_j)
+    )
 
 
 def eval_h_jacobi(m, k, params: WrapParamsJacobi, t, x):
-    """Wrapped height-1 basis function on R^{d+1}:
+    """Wrapped height-1 basis function on R^{d+1}: h_jacobi_t(t) * g_d(x)."""
+    return h_jacobi_t(m, k, params, t) * eval_g(k, params.alpha, params.mu, x)
+
+
+def h_jacobi_t(m, k, params: WrapParamsJacobi, t):
+    """t-factor of the height-1 wrapped function, d = len(k):
 
         2^{-|k|/2} (1+tanh t)^(zeta+|k|/2) (1-tanh t)^eta
-        * P_{m-|k|}^(|k|+mu+beta+(d-1)/2, gamma)(-tanh t) * g_d(x).
+        * P_{m-|k|}^(|k|+mu+beta+(d-1)/2, gamma)(-tanh t).
     """
-    k = validate_multi_index(k)
-    d = len(x)
-    n = tail_sum(k, 1)
-    if n > m:
-        raise DomainError("requires |k| <= m")
+    k, n = _degree_split(m, k)
     th = np.tanh(np.asarray(t, dtype=float))
-    a = n + params.mu + params.beta + 0.5 * (d - 1)
+    a = n + params.mu + params.beta + 0.5 * (len(k) - 1)
     return (
         2.0 ** (-0.5 * n)
         * (1.0 + th) ** (params.zeta + 0.5 * n)
         * (1.0 - th) ** params.eta
         * jacobi(m - n, a, params.gamma, -th)
-        * eval_g(k, params.alpha, params.mu, x)
     )
 
 
 def eval_h_laguerre(m, k, params: WrapParamsLaguerre, t, x):
-    """Wrapped infinite-height basis function on R^{d+1}:
+    """Wrapped infinite-height basis function on R^{d+1}: h_laguerre_t(t) * g_d(x)."""
+    return h_laguerre_t(m, k, params, t) * eval_g(k, params.alpha, params.mu, x)
 
-        e^{-e^t/2 + (zeta+|k|/2) t} L_{m-|k|}^(|k|+mu+beta+(d-1)/2)(e^t) g_d(x).
+
+def h_laguerre_t(m, k, params: WrapParamsLaguerre, t):
+    """t-factor of the infinite-height wrapped function, d = len(k):
+
+        e^{-e^t/2 + (zeta+|k|/2) t} L_{m-|k|}^(|k|+mu+beta+(d-1)/2)(e^t).
     """
-    k = validate_multi_index(k)
-    d = len(x)
-    n = tail_sum(k, 1)
-    if n > m:
-        raise DomainError("requires |k| <= m")
+    k, n = _degree_split(m, k)
     t = np.asarray(t, dtype=float)
     et = np.exp(t)
-    a = n + params.mu + params.beta + 0.5 * (d - 1)
-    return (
-        np.exp(-0.5 * et + (params.zeta + 0.5 * n) * t)
-        * laguerre(m - n, a, et)
-        * eval_g(k, params.alpha, params.mu, x)
-    )
+    a = n + params.mu + params.beta + 0.5 * (len(k) - 1)
+    return np.exp(-0.5 * et + (params.zeta + 0.5 * n) * t) * laguerre(m - n, a, et)
 
 
 def _phi_beta_part(j, d, alpha, K, xi_j):
@@ -197,8 +214,7 @@ def phi_factor(j, d, alpha, mu, k, xi_j):
         * 3F2(-k_j, k_j+2(K+mu+(d-j)/2), alpha+(K+i xi)/2+(d-j)/4;
                K+mu+(d-j+1)/2, K+2 alpha+(d-j)/2; 1),     K = |k^{j+1}|.
     """
-    k = validate_multi_index(k)
-    K = tail_sum(k, j + 1)
+    k, K = _axis_tail(j, d, k)
     if alpha + 0.5 * K + 0.25 * (d - j) <= 0:
         raise DomainError("phi_factor: requires alpha + |k^{j+1}|/2 + (d-j)/4 > 0")
     bpart, ap = _phi_beta_part(j, d, alpha, K, np.asarray(xi_j))
@@ -214,8 +230,7 @@ def phi_factor(j, d, alpha, mu, k, xi_j):
 def phi_factor_hahn(j, d, alpha, mu, k, xi_j):
     """phi_factor rewritten through a continuous Hahn polynomial at xi/2;
     must agree with phi_factor identically."""
-    k = validate_multi_index(k)
-    K = tail_sum(k, j + 1)
+    k, K = _axis_tail(j, d, k)
     if alpha + 0.5 * K + 0.25 * (d - j) <= 0:
         raise DomainError("phi_factor_hahn: requires alpha + |k^{j+1}|/2 + (d-j)/4 > 0")
     kj = k[j - 1]
@@ -258,10 +273,7 @@ def theta_factor(m, k, zeta, eta, beta, gamma, mu, d, xi_last):
         3F2(-m+|k|, m+mu+beta+gamma+(d+1)/2, |k|/2+zeta-i xi/2;
              |k|+mu+beta+(d+1)/2, |k|/2+zeta+eta; 1).
     """
-    k = validate_multi_index(k)
-    n = tail_sum(k, 1)
-    if n > m:
-        raise DomainError("requires |k| <= m")
+    k, n = _degree_split(m, k)
     return hyp_terminating(
         [
             -(m - n),
@@ -278,10 +290,7 @@ def fourier_h_jacobi_closed(m, k, params: WrapParamsJacobi, d, xi):
 
     xi is the full frequency point (xi_1..xi_d, xi_{d+1}).
     """
-    k = validate_multi_index(k)
-    n = tail_sum(k, 1)
-    if n > m:
-        raise DomainError("requires |k| <= m")
+    k, n = _degree_split(m, k)
     if params.zeta + 0.5 * n <= 0 or params.eta <= 0:
         raise DomainError("requires zeta + |k|/2 > 0 and eta > 0")
     if len(xi) != d + 1:
@@ -309,10 +318,7 @@ def lambda_factor(m, k, zeta, mu, beta, d, xi_last):
 
         2F1(-m+|k|, zeta+|k|/2-i xi; |k|+mu+beta+(d+1)/2; 2).
     """
-    k = validate_multi_index(k)
-    n = tail_sum(k, 1)
-    if n > m:
-        raise DomainError("requires |k| <= m")
+    k, n = _degree_split(m, k)
     return hyp2f1_at_2(
         -(m - n),
         zeta + 0.5 * n - 1j * np.asarray(xi_last),
@@ -325,10 +331,7 @@ def fourier_h_laguerre_closed(m, k, params: WrapParamsLaguerre, d, xi):
 
     The 2^{-i xi_{d+1}} prefactor is complex of unit modulus.
     """
-    k = validate_multi_index(k)
-    n = tail_sum(k, 1)
-    if n > m:
-        raise DomainError("requires |k| <= m")
+    k, n = _degree_split(m, k)
     if params.zeta + 0.5 * n <= 0:
         raise DomainError("requires zeta + |k|/2 > 0")
     if len(xi) != d + 1:
@@ -345,31 +348,31 @@ def fourier_h_laguerre_closed(m, k, params: WrapParamsLaguerre, d, xi):
 
 
 def eval_D(k, alpha1, alpha2, d, x):
-    """Gamma-hypergeometric product over the x axes:
-
-        prod_j Gamma(a1+(K_j-x_j)/2+(d-j)/4) Gamma(a1+(K_j+x_j)/2+(d-j)/4)
-        * 3F2(-k_j, k_j+2(K_j+|a|+(d-j-1)/2), a1+(K_j+x_j)/2+(d-j)/4;
-               K_j+|a|+(d-j)/2, K_j+2 a1+(d-j)/2; 1).
-    """
+    """Gamma-hypergeometric product over the x axes: prod_j D_axis(x_j)."""
     k = validate_multi_index(k)
     if len(k) != d or len(x) != d:
         raise DomainError("eval_D: k and x must have length d")
+    return math.prod(D_axis(j, d, alpha1, alpha2, k, x[j - 1]) for j in range(1, d + 1))
+
+
+def D_axis(j, d, alpha1, alpha2, k, x_j):
+    """Factor of D_k on axis j (1-based), K = |k^{j+1}|:
+
+        Gamma(a1+(K-x_j)/2+(d-j)/4) Gamma(a1+(K+x_j)/2+(d-j)/4)
+        * 3F2(-k_j, k_j+2(K+|a|+(d-j-1)/2), a1+(K+x_j)/2+(d-j)/4;
+               K+|a|+(d-j)/2, K+2 a1+(d-j)/2; 1).
+    """
+    k, K = _axis_tail(j, d, k)
     absa = alpha1 + alpha2
-    lg = 0.0
-    fpart = 1.0
-    for j in range(1, d + 1):
-        K = tail_sum(k, j + 1)
-        kj = k[j - 1]
-        xj = np.asarray(x[j - 1])
-        gp = alpha1 + 0.5 * (K + xj) + 0.25 * (d - j)
-        gm = alpha1 + 0.5 * (K - xj) + 0.25 * (d - j)
-        lg = lg + log_gamma(gp) + log_gamma(gm)
-        fpart = fpart * hyp_terminating(
-            [-kj, kj + 2 * (K + absa + 0.5 * (d - j - 1)), gp],
-            [K + absa + 0.5 * (d - j), K + 2 * alpha1 + 0.5 * (d - j)],
-            1.0,
-        )
-    return np.exp(lg) * fpart
+    kj = k[j - 1]
+    x_j = np.asarray(x_j)
+    gp = alpha1 + 0.5 * (K + x_j) + 0.25 * (d - j)
+    gm = alpha1 + 0.5 * (K - x_j) + 0.25 * (d - j)
+    return np.exp(log_gamma(gp) + log_gamma(gm)) * hyp_terminating(
+        [-kj, kj + 2 * (K + absa + 0.5 * (d - j - 1)), gp],
+        [K + absa + 0.5 * (d - j), K + 2 * alpha1 + 0.5 * (d - j)],
+        1.0,
+    )
 
 
 def eval_D_hahn(k, alpha1, alpha2, d, x):
@@ -401,38 +404,37 @@ def eval_D_hahn(k, alpha1, alpha2, d, x):
 
 
 def eval_A(m, k, sp: SplitParams, d, t, x):
-    """The height-1 Parseval family:
-
-        Gamma(|k|/2+z1-t/2)
-        * 3F2(-m+|k|, m+|z|+|e|-1, |k|/2+z1-t/2; |k|+|z|, |k|/2+z1+e1; 1)
-        * D_k(x; a1, a2).
+    """The height-1 Parseval family: A_t(t) * D_k(x; a1, a2).
 
     Accepts fully complex (t, x); the Parseval integrals evaluate it at
     (i t, i x) and (-i t, -i x) with the parameter pairs swapped.
     """
+    return A_t(m, k, sp, t) * eval_D(k, sp.alpha1, sp.alpha2, d, x)
+
+
+def A_t(m, k, sp: SplitParams, t):
+    """t-factor of the height-1 Parseval family:
+
+        Gamma(|k|/2+z1-t/2)
+        * 3F2(-m+|k|, m+|z|+|e|-1, |k|/2+z1-t/2; |k|+|z|, |k|/2+z1+e1; 1).
+    """
     if sp.eta1 is None:
-        raise DomainError("eval_A requires the eta parameter pair")
-    k = validate_multi_index(k)
-    n = tail_sum(k, 1)
-    if n > m:
-        raise DomainError("requires |k| <= m")
+        raise DomainError("the height-1 family requires the eta parameter pair")
+    k, n = _degree_split(m, k)
     arg = 0.5 * n + sp.zeta1 - 0.5 * np.asarray(t)
     f = hyp_terminating(
         [-(m - n), m + sp.abs_zeta + sp.abs_eta - 1, arg],
         [n + sp.abs_zeta, 0.5 * n + sp.zeta1 + sp.eta1],
         1.0,
     )
-    return np.exp(log_gamma(arg)) * f * eval_D(k, sp.alpha1, sp.alpha2, d, x)
+    return np.exp(log_gamma(arg)) * f
 
 
 def eval_A_hahn(m, k, sp: SplitParams, d, t, x):
     """eval_A through the continuous Hahn form of both the t part and D."""
     if sp.eta1 is None:
         raise DomainError("eval_A_hahn requires the eta parameter pair")
-    k = validate_multi_index(k)
-    n = tail_sum(k, 1)
-    if n > m:
-        raise DomainError("requires |k| <= m")
+    k, n = _degree_split(m, k)
     M = m - n
     arg = 0.5 * n + sp.zeta1 - 0.5 * np.asarray(t)
     denom = pochhammer(n + sp.abs_zeta, M) * pochhammer(0.5 * n + sp.zeta1 + sp.eta1, M)
@@ -448,27 +450,21 @@ def eval_A_hahn(m, k, sp: SplitParams, d, t, x):
 
 
 def eval_B(m, k, sp: SplitParams, d, t, x):
-    """The infinite-height Parseval family:
+    """The infinite-height Parseval family: B_t(t) * D_k(x; a1, a2)."""
+    return B_t(m, k, sp, t) * eval_D(k, sp.alpha1, sp.alpha2, d, x)
 
-        Gamma(z1+|k|/2-t) D_k(x; a1, a2)
-        * 2F1(-m+|k|, z1+|k|/2-t; |k|+|z|; 2).
+
+def B_t(m, k, sp: SplitParams, t):
+    """t-factor of the infinite-height Parseval family:
+
+        Gamma(z1+|k|/2-t) 2F1(-m+|k|, z1+|k|/2-t; |k|+|z|; 2).
     """
-    k = validate_multi_index(k)
-    n = tail_sum(k, 1)
-    if n > m:
-        raise DomainError("requires |k| <= m")
+    k, n = _degree_split(m, k)
     arg = sp.zeta1 + 0.5 * n - np.asarray(t)
-    f = hyp2f1_at_2(-(m - n), arg, n + sp.abs_zeta)
-    return np.exp(log_gamma(arg)) * f * eval_D(k, sp.alpha1, sp.alpha2, d, x)
+    return np.exp(log_gamma(arg)) * hyp2f1_at_2(-(m - n), arg, n + sp.abs_zeta)
 
 
 def eval_B_hahn(m, k, sp: SplitParams, d, t, x):
     """eval_B with the x part in continuous Hahn form (the t part keeps its
     2F1 at argument 2)."""
-    k = validate_multi_index(k)
-    n = tail_sum(k, 1)
-    if n > m:
-        raise DomainError("requires |k| <= m")
-    arg = sp.zeta1 + 0.5 * n - np.asarray(t)
-    f = hyp2f1_at_2(-(m - n), arg, n + sp.abs_zeta)
-    return np.exp(log_gamma(arg)) * f * eval_D_hahn(k, sp.alpha1, sp.alpha2, d, x)
+    return B_t(m, k, sp, t) * eval_D_hahn(k, sp.alpha1, sp.alpha2, d, x)

@@ -29,11 +29,11 @@ from .paraboloid import (
     jacobi_paraboloid, jacobi_paraboloid_norm, laguerre_paraboloid,
     laguerre_paraboloid_norm, paraboloid_inner_product,
 )
-from .quadrature import composite_legendre, gauss_jacobi, gauss_laguerre, tensor_integrate
+from .quadrature import composite_legendre, gauss_jacobi, gauss_laguerre
 from .transforms import (
-    SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_A_hahn,
-    eval_B, eval_D, eval_D_hahn, eval_h_jacobi, eval_h_laguerre,
-    fourier_h_jacobi_closed, fourier_h_laguerre_closed, phi_factor, phi_factor_hahn,
+    A_t, B_t, D_axis, SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A,
+    eval_A_hahn, eval_D, eval_D_hahn, fourier_h_jacobi_closed, fourier_h_laguerre_closed,
+    g_axis, h_jacobi_t, h_laguerre_t, phi_factor, phi_factor_hahn,
 )
 
 ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii")
@@ -232,51 +232,27 @@ def _t_axis_rule_laguerre(level, rate_left):
     return composite_legendre(-TL, TR, panels, 12)
 
 
-def _fourier_direct(fam, m, k, wp, d, xi, level):
-    """Direct numeric transform: full tensor quadrature for d = 1, per-axis
-    separated 1-D transforms for d = 2 (the integrand factors by axis)."""
+def _fourier_rules(fam, k, wp, d, level):
+    """The t rule and the d x rules of the direct transform at ``level``."""
     n = tail_sum(k, 1)
     if fam == "FOURIER_J":
         t_rule = _t_axis_rule_jacobi(level, 2 * (wp.zeta + 0.5 * n), 2 * wp.eta)
     else:
         t_rule = _t_axis_rule_laguerre(level, wp.zeta + 0.5 * n)
-    x_rules = [_x_axis_rule(level, 2 * wp.alpha) for _ in range(d)]
-    nodes = len(t_rule) + sum(len(r) for r in x_rules)
+    return t_rule, [_x_axis_rule(level, 2 * wp.alpha) for _ in range(d)]
 
-    if d == 1:
-        if fam == "FOURIER_J":
-            h = lambda t, x: eval_h_jacobi(m, k, wp, t, [x])
-        else:
-            h = lambda t, x: eval_h_laguerre(m, k, wp, t, [x])
-        val = tensor_integrate(
-            [t_rule, x_rules[0]],
-            lambda t, x: np.exp(-1j * (xi[1] * t + xi[0] * x)) * h(t, x),
-        )
-        return val, nodes
 
-    # d = 2: per-axis factors of the separable integrand
-    a_rad = n + wp.mu + wp.beta + 0.5 * (d - 1)
-    if fam == "FOURIER_J":
-        t_f = lambda t: (
-            2.0 ** (-0.5 * n)
-            * (1 + np.tanh(t)) ** (wp.zeta + 0.5 * n)
-            * (1 - np.tanh(t)) ** wp.eta
-            * jacobi(m - n, a_rad, wp.gamma, -np.tanh(t))
-        )
-    else:
-        t_f = lambda t: np.exp(-0.5 * np.exp(t) + (wp.zeta + 0.5 * n) * t) * laguerre(
-            m - n, a_rad, np.exp(t)
-        )
-    val = np.sum(t_rule.weights * np.exp(-1j * xi[d] * t_rule.nodes) * t_f(t_rule.nodes))
-    for j in range(1, d + 1):
-        K = tail_sum(k, j + 1)
-        lam = wp.mu + K + 0.5 * (d - j)
-        A = wp.alpha + 0.25 * (d - j) + 0.5 * K
-        r = x_rules[j - 1]
-        sech2 = 1.0 / np.cosh(r.nodes) ** 2
-        fx = sech2**A * gegenbauer(k[j - 1], lam, np.tanh(r.nodes))
+def _fourier_direct(fam, m, k, wp, d, xi, level):
+    """Direct numeric transform of h = h_t(t) prod_j g_axis(x_j): the 1-D
+    transform of the t-factor times one 1-D transform per x axis."""
+    t_rule, x_rules = _fourier_rules(fam, k, wp, d, level)
+    h_t = h_jacobi_t if fam == "FOURIER_J" else h_laguerre_t
+    t = t_rule.nodes
+    val = np.sum(t_rule.weights * np.exp(-1j * xi[d] * t) * h_t(m, k, wp, t))
+    for j, r in enumerate(x_rules, start=1):
+        fx = g_axis(j, d, wp.alpha, wp.mu, k, r.nodes)
         val = val * np.sum(r.weights * np.exp(-1j * xi[j - 1] * r.nodes) * fx)
-    return val, nodes
+    return val, len(t_rule) + sum(len(r) for r in x_rules)
 
 
 def _fourier(case):
@@ -338,24 +314,28 @@ def parseval_rhs(fam, m, k, sp, d):
     return float(val)
 
 
-def _parseval_lhs(fam, m, k, m2, k2, sp, d, panels):
+def _parseval_rule(panels):
+    """The line rule used on each of the d + 1 axes of the Parseval integral."""
     T = 1.1 * math.log(100.0 / 1e-12) / math.pi
-    rule = composite_legendre(-T, T, panels, 12)
-    sw = sp.swapped()
+    return composite_legendre(-T, T, panels, 12)
+
+
+def _parseval_lhs(fam, m, k, m2, k2, sp, d, panels):
+    """The Parseval integral of F(it, ix) G(-it, -ix), F and G the A (with
+    its Gamma weight in t) or B family: a t-factor times prod_j D_axis, so the
+    integral is the weighted t-sum times one D-line sum per x axis."""
+    rule = _parseval_rule(panels)
+    s, w = rule.nodes, rule.weights
     if fam == "PARSEVAL_A":
-        def f(t, *xs):
-            w = np.exp(log_gamma(sp.eta1 + 0.5j * t) + log_gamma(sp.eta2 - 0.5j * t))
-            return (
-                w
-                * eval_A(m, k, sp, d, 1j * t, [1j * x for x in xs])
-                * eval_A(m2, k2, sw, d, -1j * t, [-1j * x for x in xs])
-            )
+        w = w * np.exp(log_gamma(sp.eta1 + 0.5j * s) + log_gamma(sp.eta2 - 0.5j * s))
+        f_t = A_t
     else:
-        def f(t, *xs):
-            return eval_B(m, k, sp, d, 1j * t, [1j * x for x in xs]) * eval_B(
-                m2, k2, sw, d, -1j * t, [-1j * x for x in xs]
-            )
-    return tensor_integrate([rule] * (d + 1), f), (d + 1) * len(rule)
+        f_t = B_t
+    val = np.sum(w * f_t(m, k, sp, 1j * s) * f_t(m2, k2, sp.swapped(), -1j * s))
+    for j in range(1, d + 1):
+        val = val * np.sum(rule.weights * D_axis(j, d, sp.alpha1, sp.alpha2, k, 1j * s)
+                           * D_axis(j, d, sp.alpha2, sp.alpha1, k2, -1j * s))
+    return val, (d + 1) * len(rule)
 
 
 def _parseval(case):

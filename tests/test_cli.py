@@ -142,6 +142,15 @@ def test_cli_eval_more_functions(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("axis, rc", [("0", 4), ("3", 4), ("1.5", 2)])
+def test_cli_eval_phi_axis_checked(axis, rc, capsys):
+    # d = 1 has only axis 1: other integers are a domain error, a fraction
+    # does not parse
+    assert main(["eval", "--fn", "phi", "--d", "1", "--k", "1",
+                 "--params", f"alpha=1,mu=1,axis={axis}", "--xi", "0.5"]) == rc
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_eval_malformed_multi_index(capsys):
     rc = main(["eval", "--fn", "g", "--d", "2", "--k", "1,x",
                "--params", "alpha=0.8,mu=0.7", "--x", "0.1,0.2"])

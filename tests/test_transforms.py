@@ -183,6 +183,11 @@ def test_phi_hahn_form_agrees():
 def test_phi_domain_error():
     with pytest.raises(DomainError):
         phi_factor(1, 1, -0.1, 0.7, (0,), 0.0)
+    # the axis must lie in 1..d and k must have d entries, in both forms
+    for fn in (phi_factor, phi_factor_hahn):
+        for j, d, k in ((0, 1, (1,)), (2, 1, (1,)), (1, 2, (1,))):
+            with pytest.raises(DomainError):
+                fn(j, d, 0.8, 0.7, k, 0.3)
 
 
 # ---------------------------------------------------------------------------

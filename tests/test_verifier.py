@@ -8,10 +8,15 @@ import pytest
 from orthopara.ball import ball_norm
 from orthopara.cli import SweepConfig
 from orthopara.errors import QuadratureNonConvergence
-from orthopara.gammafn import gamma
-from orthopara.transforms import SplitParams
+from orthopara.gammafn import gamma, log_gamma
+from orthopara.quadrature import tensor_integrate
+from orthopara.transforms import (
+    SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_B,
+    eval_h_jacobi, eval_h_laguerre,
+)
 from orthopara.verifier import (
-    ALL_FAMILIES, IdentityCase, degree_index_pairs, generate_cases,
+    _PARSEVAL_LEVELS, ALL_FAMILIES, IdentityCase, _fourier_direct, _fourier_rules,
+    _parseval_lhs, _parseval_rule, degree_index_pairs, generate_cases,
     multi_indices, parseval_rhs, run_case,
 )
 
@@ -86,6 +91,54 @@ def test_parseval_d2_nonzero_index_diagonals():
     repb = run_case(_case("PARSEVAL_B", d=2, m=1, m2=1, k=(1, 0), k2=(1, 0),
                           params=pb, tolerance=1e-6))
     assert repb.passed
+
+
+# The oracles sum per-axis factors; these full tensors sum the composed
+# evaluators over the same rules, so a factorisation the oracle adopts is
+# itself checked.
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("fam", ["FOURIER_J", "FOURIER_L"])
+def test_separated_fourier_oracle_matches_full_tensor(fam, d):
+    # damping 3.5 keeps the d = 2 grid near 1e6 points
+    p = {"alpha": 3.5, "zeta": 3.5, "eta": 3.5, "beta": 0.3, "gamma": 0.4, "mu": 0.7}
+    m, k, xi = 3, (1,) * d, (0.7, -0.4, 0.3)[:d + 1]
+    if fam == "FOURIER_J":
+        wp = WrapParamsJacobi(p["alpha"], p["zeta"], p["eta"], p["beta"], p["gamma"], p["mu"])
+        h = lambda t, *x: eval_h_jacobi(m, k, wp, t, list(x))
+    else:
+        wp = WrapParamsLaguerre(p["alpha"], p["zeta"], p["beta"], p["mu"])
+        h = lambda t, *x: eval_h_laguerre(m, k, wp, t, list(x))
+    t_rule, x_rules = _fourier_rules(fam, k, wp, d, 0)
+    full = tensor_integrate(
+        [t_rule, *x_rules],
+        lambda t, *x: np.exp(-1j * (xi[d] * t + sum(v * xv for v, xv in zip(xi, x)))) * h(t, *x),
+    )
+    separated, _ = _fourier_direct(fam, m, k, wp, d, xi, 0)
+    assert separated == pytest.approx(full, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("fam", ["PARSEVAL_A", "PARSEVAL_B"])
+def test_separated_parseval_oracle_matches_full_tensor(fam, d):
+    m, k = 2, (1,) * d
+    if fam == "PARSEVAL_A":
+        sp = SplitParams(**PARSEVAL_PARAMS)
+        weight = lambda t: np.exp(log_gamma(sp.eta1 + 0.5j * t) + log_gamma(sp.eta2 - 0.5j * t))
+        family = eval_A
+    else:
+        sp = SplitParams(*(PARSEVAL_PARAMS[n] for n in ("alpha1", "alpha2", "zeta1", "zeta2")))
+        weight = lambda t: 1.0
+        family = eval_B
+    sw = sp.swapped()
+
+    def f(t, *x):
+        return (weight(t) * family(m, k, sp, d, 1j * t, [1j * v for v in x])
+                * family(m, k, sw, d, -1j * t, [-1j * v for v in x]))
+
+    panels = _PARSEVAL_LEVELS[0]
+    full = tensor_integrate([_parseval_rule(panels)] * (d + 1), f)
+    separated, _ = _parseval_lhs(fam, m, k, m, k, sp, d, panels)
+    assert separated == pytest.approx(full, rel=1e-12)
 
 
 def test_D_family_line_integral_d2():
