@@ -21,7 +21,10 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    k = tuple(int(v) for v in args.k.split(","))
+    try:
+        k = tuple(int(v) for v in args.k.split(","))
+    except ValueError:
+        ap.error(f"--k needs comma-separated integers, got {args.k!r}")
     if len(k) != args.d:
         ap.error(f"--k needs {args.d} comma-separated entries, got {args.k!r}")
     rng = np.random.default_rng(args.seed)

@@ -14,8 +14,10 @@ per-case wall-time fields, the only other run-dependent data).
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -266,9 +268,12 @@ def _parse_kv(text):
             raise ParseError(f"expected name=value, got {piece!r}")
         key, val = piece.split("=", 1)
         try:
-            out[key.strip()] = float(val)
+            value = float(val)
         except ValueError as exc:
             raise ParseError(f"bad numeric value in {piece!r}") from exc
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite value in {piece!r}")
+        out[key.strip()] = value
     return out
 
 
@@ -291,6 +296,8 @@ def _parse_complex_list(text, d, what):
         vals = [complex(v) for v in text.split(",")]
     except ValueError as exc:
         raise ParseError(f"malformed {what} list {text!r}") from exc
+    if not all(map(cmath.isfinite, vals)):
+        raise ParseError(f"non-finite entry in {what} list {text!r}")
     if len(vals) != d:
         raise ParseError(f"--{what} must have {d} entries")
     return vals

@@ -4,10 +4,14 @@ Everything here is vectorized over numpy arrays and safe for concurrent use
 (pure functions, no mutable state).  log_gamma is scipy's loggamma behind a
 pole check; exp(log_gamma(z)) matches Gamma(z) to ~1e-13 relative on the
 strip 0.5 <= Re z <= 10, |Im z| <= 40, which covers every argument the higher
-modules produce.
+modules produce.  Scalar arguments skip the array bookkeeping: log_gamma
+checks the pole in Python and calls loggamma once, bit for bit the array
+result, and pochhammer multiplies numpy scalars, not 0-d arrays.
 """
 
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 from scipy.special import loggamma
@@ -18,6 +22,8 @@ POLE_TOL = 1e-12
 
 # exp overflows above ~709.78 in double precision
 _EXP_OVERFLOW = 709.0
+
+_POLE_MESSAGE = "log_gamma: argument within 1e-12 of a non-positive integer pole"
 
 
 def _as_complex(z):
@@ -37,9 +43,18 @@ def log_gamma(z):
 
     Raises PoleError if any entry is within 1e-12 of a non-positive integer.
     """
+    if isinstance(z, (int, float, complex, np.number)):
+        # np.round / np.abs of the array path are round-half-even and hypot,
+        # as round / abs are
+        z = complex(z)
+        if cmath.isfinite(z):
+            n = round(z.real)
+            if n <= 0 and abs(z - n) <= POLE_TOL:
+                raise PoleError(_POLE_MESSAGE)
+        return complex(loggamma(z))
     z = _as_complex(z)
     if np.any(is_nonpositive_integer(z)):
-        raise PoleError("log_gamma: argument within 1e-12 of a non-positive integer pole")
+        raise PoleError(_POLE_MESSAGE)
     out = loggamma(z)
     return complex(out) if z.ndim == 0 else out
 
@@ -75,6 +90,8 @@ def pochhammer(a, m):
     if m < 0:
         raise DomainError("pochhammer: order must be >= 0")
     a = np.asarray(a)
+    if a.ndim == 0:
+        a = a[()]  # numpy scalar arithmetic, same dtype and bits as the 0-d array
     if m == 0:
         out = np.ones(a.shape, dtype=np.result_type(a, np.float64))
         return out if a.ndim else out[()]

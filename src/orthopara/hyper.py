@@ -8,9 +8,18 @@ Terminating series are summed with the running-ratio recurrence
 
 which is exact up to rounding for the N+1 terms of a series whose
 certificate parameter has been snapped to its integer value.
+
+When z and every parameter are scalars (Python numbers, numpy float64,
+complex128 or integer scalars) the same recurrence runs on numpy scalars of
+the result dtype, skipping the shape and dtype bookkeeping of arrays.  A real
+series then equals the matching element of an array call bit for bit; a
+complex one agrees to rounding, because numpy's array loop for complex
+multiplication may fuse multiply-adds where its scalar arithmetic does not.
 """
 
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 
@@ -20,13 +29,22 @@ SNAP_TOL = 1e-9
 TAIL_RTOL = 1e-15
 MAX_TERMS = 10000
 
+# scalars whose result dtype is float64, or complex128 for a complex
+_SCALARS = (int, float, complex, np.integer)
+
+
+def _is_scalar(a):
+    return isinstance(a, _SCALARS) or np.ndim(a) == 0
+
 
 def snap_nonpositive_int(a, tol=SNAP_TOL):
-    """Integer n <= 0 with |a - n| <= tol, or None.  Scalars only."""
-    a = np.asarray(a)
-    if a.ndim != 0:
+    """Integer n <= 0 with |a - n| <= tol, or None.  Scalars only; NaN and
+    infinities are not integers."""
+    if not _is_scalar(a):
         return None
     a = complex(a)
+    if not cmath.isfinite(a):
+        return None
     n = round(a.real)
     if n <= 0 and abs(a - n) <= tol:
         return n
@@ -54,15 +72,28 @@ def _check_denominator(denominator, n_terms):
             )
 
 
-def _result_dtype(*vals):
-    return np.result_type(np.float64, *(np.asarray(v) for v in vals))
+def _order_key(p):
+    """Scalars first, by (re, im); arrays after, in their given order."""
+    if _is_scalar(p):
+        p = complex(p)
+        return 0, p.real, p.imag
+    return (1,)
 
 
-def _canonical_order(params):
-    scalars = [p for p in params if np.ndim(p) == 0]
-    arrays = [p for p in params if np.ndim(p) != 0]
-    scalars.sort(key=lambda p: (complex(p).real, complex(p).imag))
-    return scalars + arrays
+def _sum_terms(numerator, denominator, z, degree, total):
+    """Sum of the first degree+1 terms.  ``total`` is the leading 1 and ``z``
+    the argument, both of the result dtype: numpy scalars, or arrays (total
+    of the broadcast shape)."""
+    term = total
+    for m in range(degree):
+        ratio = z / (m + 1)
+        for a in numerator:
+            ratio = ratio * (a + m)
+        for b in denominator:
+            ratio = ratio / (b + m)
+        term = term * ratio
+        total = total + term
+    return total
 
 
 def hyp_terminating(numerator, denominator, z, snap_tol=SNAP_TOL):
@@ -82,23 +113,17 @@ def hyp_terminating(numerator, denominator, z, snap_tol=SNAP_TOL):
     _check_denominator(denominator, degree + 1)
     # canonical parameter order: scalar parameters sorted by (re, im), arrays
     # after in given order, so permuted parameter lists produce identical floats
-    numerator = _canonical_order(numerator)
-    denominator = _canonical_order(denominator)
+    numerator.sort(key=_order_key)
+    denominator.sort(key=_order_key)
 
-    dtype = _result_dtype(z, *numerator, *denominator)
-    shape = np.broadcast_shapes(
-        np.shape(z), *(np.shape(p) for p in numerator + denominator)
-    )
-    term = np.ones(shape, dtype=dtype)
-    total = term.copy()
-    for m in range(degree):
-        ratio = np.asarray(z, dtype=dtype) / (m + 1)
-        for a in numerator:
-            ratio = ratio * (a + m)
-        for b in denominator:
-            ratio = ratio / (b + m)
-        term = term * ratio
-        total = total + term
+    vals = (z, *numerator, *denominator)
+    if all(isinstance(v, _SCALARS) for v in vals):
+        dtype = np.complex128 if any(isinstance(v, complex) for v in vals) else np.float64
+        return _sum_terms(numerator, denominator, dtype(z), degree, dtype(1))
+    dtype = np.result_type(np.float64, *(np.asarray(v) for v in vals))
+    shape = np.broadcast_shapes(*(np.shape(v) for v in vals))
+    total = _sum_terms(numerator, denominator, np.asarray(z, dtype=dtype), degree,
+                       np.ones(shape, dtype=dtype))
     if total.ndim == 0:
         return total[()]
     return total

@@ -147,7 +147,8 @@ def eval_g(k, alpha, mu, x):
     d = len(k)
     if len(x) != d:
         raise DomainError(f"expected {d} coordinates, got {len(x)}")
-    return math.prod(g_axis(j, d, alpha, mu, k, x[j - 1]) for j in range(1, d + 1))
+    return math.prod(_g_axis(j, d, alpha, mu, k, tail_sum(k, j + 1), x[j - 1])
+                     for j in range(1, d + 1))
 
 
 def g_axis(j, d, alpha, mu, k, x_j):
@@ -156,6 +157,11 @@ def g_axis(j, d, alpha, mu, k, x_j):
         (1-tanh^2 x_j)^(alpha+(d-j)/4+K/2) C_{k_j}^(mu+K+(d-j)/2)(tanh x_j).
     """
     k, K = _axis_tail(j, d, k)
+    return _g_axis(j, d, alpha, mu, k, K, x_j)
+
+
+def _g_axis(j, d, alpha, mu, k, K, x_j):
+    # g_axis body for an already validated k and its tail K
     x_j = np.asarray(x_j)
     return _sech2(x_j) ** (alpha + 0.25 * (d - j) + 0.5 * K) * gegenbauer(
         k[j - 1], mu + K + 0.5 * (d - j), np.tanh(x_j)
@@ -352,7 +358,8 @@ def eval_D(k, alpha1, alpha2, d, x):
     k = validate_multi_index(k)
     if len(k) != d or len(x) != d:
         raise DomainError("eval_D: k and x must have length d")
-    return math.prod(D_axis(j, d, alpha1, alpha2, k, x[j - 1]) for j in range(1, d + 1))
+    return math.prod(_D_axis(j, d, alpha1, alpha2, k, tail_sum(k, j + 1), x[j - 1])
+                     for j in range(1, d + 1))
 
 
 def D_axis(j, d, alpha1, alpha2, k, x_j):
@@ -363,6 +370,11 @@ def D_axis(j, d, alpha1, alpha2, k, x_j):
                K+|a|+(d-j)/2, K+2 a1+(d-j)/2; 1).
     """
     k, K = _axis_tail(j, d, k)
+    return _D_axis(j, d, alpha1, alpha2, k, K, x_j)
+
+
+def _D_axis(j, d, alpha1, alpha2, k, K, x_j):
+    # D_axis body for an already validated k and its tail K
     absa = alpha1 + alpha2
     kj = k[j - 1]
     x_j = np.asarray(x_j)

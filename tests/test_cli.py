@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,26 @@ def test_cli_eval_phi_axis_checked(axis, rc, capsys):
     assert main(["eval", "--fn", "phi", "--d", "1", "--k", "1",
                  "--params", f"alpha=1,mu=1,axis={axis}", "--xi", "0.5"]) == rc
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("params, x", [("alpha1=1,alpha2=1", "nan"),
+                                       ("alpha1=1,alpha2=inf", "0.3")],
+                         ids=["x_nan", "param_inf"])
+def test_cli_eval_non_finite_rejected(params, x, capsys):
+    # a non-finite input is a parse error (exit 2), never a traceback
+    assert main(["eval", "--fn", "D", "--d", "1", "--k", "1",
+                 "--params", params, "--x", x]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--k", "a"], ["--d", "2", "--k", "1"]],
+                         ids=["k_not_integer", "k_wrong_length"])
+def test_spot_check_script_rejects_bad_k(argv):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fourier_spot_check.py"
+    res = subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True)
+    assert res.returncode == 2 and "--k needs" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_eval_malformed_multi_index(capsys):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -122,3 +123,65 @@ def test_pochhammer_splitting(a, m, n):
     whole = pochhammer(a, m + n)
     split = pochhammer(a, m) * pochhammer(a + m, n)
     assert abs(whole - split) <= 1e-12 * max(abs(whole), 1e-30) + 1e-300
+
+
+def test_log_gamma_scalar_matches_array_element():
+    # scalars check the pole in Python and call loggamma once; the result is
+    # the array path's element bit for bit, returned as a Python complex
+    rng = np.random.default_rng(12)
+    z = np.concatenate([
+        rng.uniform(-6, 10, 300) + 1j * rng.uniform(-40, 40, 300),
+        rng.uniform(-6, 10, 100),
+        np.arange(1, 8) + 0.5,
+    ])
+    arr = log_gamma(z)
+    for v, want in zip(z, arr):
+        args = [complex(v), np.complex128(v)]
+        if v.imag == 0:
+            args += [v.real, np.float64(v.real)]
+        for arg in args:
+            got = log_gamma(arg)
+            assert type(got) is complex
+            assert got == want
+    assert log_gamma(3) == log_gamma(np.array([3.0]))[0]
+
+
+@pytest.mark.parametrize("pole", [0, -3])
+def test_log_gamma_scalar_pole_band(pole):
+    for off in (0.0, 9e-13, -9e-13, 9e-13j, 6e-13 + 6e-13j):
+        for arg in (pole + off, np.complex128(pole + off)):
+            with pytest.raises(PoleError):
+                log_gamma(arg)
+        with pytest.raises(PoleError):
+            log_gamma(np.array([1.5, pole + off]))
+    for off in (1.1e-12, -1.1e-12, 1.1e-12j):
+        assert np.isfinite(log_gamma(pole + off))
+        assert np.isfinite(log_gamma(np.array([pole + off]))[0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(-3, math.nan),
+                                 complex(math.nan, 0.5), complex(2, math.inf)])
+def test_log_gamma_non_finite_argument(bad):
+    # NaN and infinities are no pole: a non-finite value comes back, no raise
+    got = log_gamma(bad)
+    assert type(got) is complex and not cmath.isfinite(got)
+    assert not cmath.isfinite(log_gamma(np.array([bad]))[0])
+
+
+def test_pochhammer_scalar_matches_array_element():
+    # a scalar multiplies as numpy scalars: real arguments match the array
+    # element bit for bit; complex ones to rounding, since numpy's array loop
+    # for complex multiplication may fuse the multiply-add
+    rng = np.random.default_rng(13)
+    real = rng.uniform(-4, 6, 40)
+    cplx = real + 1j * rng.uniform(-3, 3, 40)
+    for m in (0, 1, 3, 7, 64, 65):
+        for a, kind in ((real, np.float64), (cplx, np.complex128)):
+            arr = pochhammer(a, m)
+            for v, want in zip(a.tolist(), arr):
+                got = pochhammer(v, m)
+                assert got == pochhammer(kind(v), m)
+                if kind is np.float64 and m <= 64:
+                    assert type(got) is np.float64 and got == want
+                else:
+                    assert abs(got - want) <= 1e-14 * abs(want)

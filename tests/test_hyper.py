@@ -23,6 +23,15 @@ def naive_sum(num, den, z, n_terms):
     return total
 
 
+def largest_term(num, den, z, n_terms):
+    """max_m |z^m / m! * prod (a)_m / prod (b)_m|, the summation's scale."""
+    return max(
+        abs(z**m / math.factorial(m) * math.prod(pochhammer(a, m) for a in num)
+            / math.prod(pochhammer(b, m) for b in den))
+        for m in range(n_terms + 1)
+    )
+
+
 def test_trivial_cases():
     assert hyp_terminating([0, 2.2], [1.1], 0.7) == 1.0
     b, c, z = 1.7, 2.9, 0.31
@@ -46,12 +55,7 @@ def test_termination_exactness_vs_naive():
         z = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         got = hyp_terminating(num, den, z)
         want = naive_sum(num, den, z, N)
-        tmax = max(
-            abs(z**m / math.factorial(m) * pochhammer(num[0], m) * pochhammer(num[1], m)
-                / pochhammer(den[0], m))
-            for m in range(N + 1)
-        )
-        assert abs(got - want) <= 1e-12 * max(tmax, 1.0)
+        assert abs(got - want) <= 1e-12 * max(largest_term(num, den, z, N), 1.0)
 
 
 def test_termination_exactness_benign_draws():
@@ -76,7 +80,8 @@ def test_permutation_invariance(N, data):
     z = data.draw(st.floats(-1.5, 1.5))
     v1 = hyp_terminating([-N, a2, a3], [b1, b2], z)
     v2 = hyp_terminating([a3, -N, a2], [b2, b1], z)
-    assert abs(v1 - v2) <= 1e-13 * max(abs(v1), 1.0)
+    # the canonical parameter order makes permuted lists sum identically
+    assert v1 == v2
 
 
 def test_snap_tolerance():
@@ -128,3 +133,51 @@ def test_array_broadcast():
     arr = hyp_terminating([-2, 1.5, 0.3 + 1j * xi], [1.1, 2.2], 1.0)
     for val, x in zip(arr, xi):
         assert val == hyp_terminating([-2, 1.5, 0.3 + 1j * x], [1.1, 2.2], 1.0)
+
+
+# (p, q) of the series shapes the closed forms use: 1F1, 2F1 and 3F2
+SERIES_SHAPES = [(1, 1), (2, 1), (3, 2)]
+
+
+@given(st.sampled_from(SERIES_SHAPES), st.integers(min_value=0, max_value=8),
+       st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_scalar_call_matches_array_element(shape, N, complex_params, data):
+    # a scalar call sums on numpy scalars, an array call on arrays of the
+    # broadcast shape; both run the one recurrence on the same operands
+    p, q = shape
+
+    def draw():
+        re = data.draw(st.floats(0.2, 3.0))
+        return complex(re, data.draw(st.floats(-1.5, 1.5))) if complex_params else re
+
+    # the certificate is a snapped parameter, placed anywhere in the list
+    num = [draw() for _ in range(p - 1)]
+    num.insert(data.draw(st.integers(0, p - 1)), -N + 1e-10)
+    den = [draw() for _ in range(q)]
+    zs = np.array([draw() for _ in range(3)])
+    arr = hyp_terminating(num, den, zs)
+    kind = np.complex128 if complex_params else np.float64
+    for z, want in zip(zs.tolist(), arr):
+        val = hyp_terminating(num, den, z)
+        # Python and numpy scalar arguments take the same numpy-scalar path
+        as_numpy = hyp_terminating([kind(a) for a in num], [kind(b) for b in den], kind(z))
+        assert type(val) is type(as_numpy) is kind
+        assert val == as_numpy
+        if not complex_params:
+            assert val == want
+        else:
+            # numpy's array loop for complex multiplication may fuse the
+            # multiply-add where its scalar multiplication does not, so the
+            # two agree to rounding of the largest term, not bit for bit
+            assert abs(val - want) <= 1e-14 * max(largest_term(num, den, z, N), 1.0)
+
+
+def test_nan_parameter_propagates():
+    # NaN is not a terminating certificate: the other parameter terminates
+    # the sum, and the NaN flows through it instead of raising
+    assert np.isnan(hyp_terminating([-2, float("nan")], [1.5], 0.5))
+    assert np.isnan(hyp_terminating([float("nan"), -1, 0.3 + 1j], [1.5], 0.5))
+    assert np.isnan(hyp_terminating([-2, 0.7], [float("inf") * 1j], 0.5))
+    with pytest.raises(NonTerminatingError):
+        hyp_terminating([float("nan"), 0.7], [1.5], 0.5)

@@ -309,3 +309,19 @@ def test_default_case_list_pinned():
                              sorted(c.params.items()), c.xi]).encode() + b"\n")
     assert len(cases) == 3030
     assert h.hexdigest() == "8b745704077edcd2e426b9db44fac0a90d58b5c0e4388eab135daa40ee1235f7"
+
+
+def test_series_layer_values_pinned():
+    # every value of a small seeded CONTIG + FORM_EQUIV sweep (d = 1 and 2)
+    # at full precision: a faster path through hyp_terminating, log_gamma or
+    # pochhammer must not move a single bit of it
+    cfg = SweepConfig(families=["CONTIG", "FORM_EQUIV"], contig_draws=10, form_draws=20,
+                      seed=0, dims=[1, 2])
+    cfg.validate()
+    cases = generate_cases(cfg)
+    h = hashlib.sha256()
+    for c in cases:
+        rep = run_case(c)
+        h.update(repr((c.identity_id, rep.passed, rep.lhs, rep.rhs)).encode() + b"\n")
+    assert len(cases) == 200
+    assert h.hexdigest() == "b950eec4076889ca5e049c2742d6008482b87171b9567ac0fc06d34bf9448f09"
