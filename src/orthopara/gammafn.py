@@ -86,10 +86,13 @@ def pochhammer(a, m):
     """Rising factorial (a)_m for integer m >= 0.
 
     Exact product for m <= 64, log-gamma ratio beyond; (a)_0 == 1 exactly.
+    Integer ``a`` is taken as float64.
     """
     if m < 0:
         raise DomainError("pochhammer: order must be >= 0")
     a = np.asarray(a)
+    if a.dtype.kind in "biu":  # an integer product would wrap silently
+        a = a.astype(np.float64)
     if a.ndim == 0:
         a = a[()]  # numpy scalar arithmetic, same dtype and bits as the 0-d array
     if m == 0:

@@ -37,7 +37,7 @@ def _is_scalar(a):
     return isinstance(a, _SCALARS) or np.ndim(a) == 0
 
 
-def snap_nonpositive_int(a, tol=SNAP_TOL):
+def _snap_nonpositive_int(a, tol=SNAP_TOL):
     """Integer n <= 0 with |a - n| <= tol, or None.  Scalars only; NaN and
     infinities are not integers."""
     if not _is_scalar(a):
@@ -55,7 +55,7 @@ def _termination_degree(numerator, tol=SNAP_TOL):
     """(index, N): position of the snapped parameter and the term count bound."""
     best = None
     for i, a in enumerate(numerator):
-        n = snap_nonpositive_int(a, tol)
+        n = _snap_nonpositive_int(a, tol)
         if n is not None and (best is None or -n < best[1]):
             best = (i, -n)
     return best
@@ -65,7 +65,7 @@ def _check_denominator(denominator, n_terms):
     # a denominator parameter -j poles the factor (b + m) at m = j, which the
     # sum touches only while m <= n_terms - 2; later poles are harmless
     for b in denominator:
-        nb = snap_nonpositive_int(b)
+        nb = _snap_nonpositive_int(b)
         if nb is not None and -nb <= n_terms - 2:
             raise DenominatorPoleError(
                 f"denominator parameter {b} hits a pole before termination"
@@ -142,7 +142,7 @@ def hyp_nonterminating(numerator, denominator, z, rel_tol=TAIL_RTOL, max_terms=M
             f"{p}F{q} at |z| = {abs(z):g} has no termination certificate and diverges"
         )
     for b in denominator:
-        if snap_nonpositive_int(b) is not None:
+        if _snap_nonpositive_int(b) is not None:
             raise DenominatorPoleError(f"denominator parameter {b} is a pole")
     term = 1.0 + 0.0j
     total = term
@@ -169,6 +169,6 @@ def hyp(numerator, denominator, z):
 def hyp2f1_at_2(a, b, c):
     """2F1(a, b; c; 2): only meaningful terminating, so ``a`` must be a
     non-positive integer (within the snap tolerance)."""
-    if snap_nonpositive_int(a) is None:
+    if _snap_nonpositive_int(a) is None:
         raise NonTerminatingError("2F1 at z = 2 requires a non-positive integer first parameter")
     return hyp_terminating([a, b], [c], 2.0)

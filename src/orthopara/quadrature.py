@@ -108,21 +108,29 @@ def scaled(rule, lo, hi):
     )
 
 
+@lru_cache(maxsize=256)
+def _composite_nodes(lo, hi, panels, n):
+    # every panel at once, with the element-wise operations of ``scaled``
+    base = gauss_legendre(n)
+    x, w = base.nodes, base.weights
+    edges = np.linspace(lo, hi, panels + 1)
+    slope = ((edges[1:] - edges[:-1]) / 2.0)[:, None]
+    nodes = (edges[:-1, None] + (x + 1.0) * slope).ravel()
+    weights = (w * slope).ravel()
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def composite_legendre(lo, hi, panels, n=12):
-    """Composite Gauss-Legendre: ``panels`` equal panels of an n-point rule."""
+    """Composite Gauss-Legendre: ``panels`` equal panels of an n-point rule.
+
+    Cached on (lo, hi, panels, n); the nodes and weights are read-only.
+    """
     if panels * n > MAX_NODES_PER_AXIS:
         raise DomainError("composite_legendre: node budget exceeded")
-    base = gauss_legendre(n)
-    edges = np.linspace(lo, hi, panels + 1)
-    nodes = []
-    weights = []
-    for i in range(panels):
-        r = scaled(base, edges[i], edges[i + 1])
-        nodes.append(r.nodes)
-        weights.append(r.weights)
-    return QuadratureRule(
-        np.concatenate(nodes), np.concatenate(weights), (lo, hi), "truncated_line"
-    )
+    nodes, weights = _composite_nodes(lo, hi, panels, n)
+    return QuadratureRule(nodes, weights, (lo, hi), "truncated_line")
 
 
 def integrate(f, rule):

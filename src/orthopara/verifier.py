@@ -127,11 +127,64 @@ def _certified(levels, integral, tol, scale):
 
 
 # ---------------------------------------------------------------------------
+# per-draw memo: the cases of one parameter draw share their columns
+
+
+class _DrawMemo:
+    """The columns (basis values on a grid, factor lines on a rule, line
+    weights, norms) of the current parameter draw only: identity id, d and
+    params.
+
+    ``open(case)`` drops the held columns when ``case`` belongs to another
+    draw and returns the getter ``column(key, compute)`` of the case's draw,
+    which evaluates ``compute()`` once per key; an array comes back as a
+    read-only view.  The key names the column within the draw, so an entry
+    is the same arithmetic over cached arrays.  A getter keeps its own draw's
+    columns, so callers on other threads cannot mix draws.
+    """
+
+    def __init__(self):
+        self.current = (None, {})  # (draw, its columns), replaced as one
+
+    def open(self, case):
+        draw = (case.identity_id, case.d, tuple(sorted(case.params.items())))
+        current = self.current
+        if current[0] != draw:
+            current = self.current = (draw, {})
+        columns = current[1]
+
+        def column(key, compute):
+            col = columns.get(key)
+            if col is None:
+                col = compute()
+                if isinstance(col, np.ndarray):
+                    col = col.view()
+                    col.flags.writeable = False
+                columns[key] = col
+            return col
+
+        return column
+
+
+_memo = _DrawMemo()
+
+
+def _gram(case, t0, column, norm, i, i2, levels, entry):
+    """The certified inner product <i, i2> (``entry(level)`` returns value and
+    nodes) against the diagonal value ``norm(i)``, or 0 off the diagonal."""
+    diag, diag2 = (column(("norm", j), lambda: norm(j)) for j in (i, i2))
+    scale = math.sqrt(diag * diag2)
+    val, nodes = _certified(levels, entry, case.tolerance, scale)
+    return _finish(case, val, diag if i == i2 else 0.0, scale, nodes, t0)
+
+
+# ---------------------------------------------------------------------------
 # orthogonality
 
 
 def _ort_1d(case):
     t0 = time.perf_counter()
+    column = _memo.open(case)
     p = case.params
     m, m2 = case.m, case.m2
     fam = case.identity_id
@@ -153,57 +206,55 @@ def _ort_1d(case):
 
     def gram_entry(n):
         r = rule_of(n)
-        return np.sum(r.weights * poly(r.nodes, m) * poly(r.nodes, m2)), n
+        values = lambda mm: column((n, mm), lambda: poly(r.nodes, mm))  # P_mm on the rule
+        return np.sum(r.weights * values(m) * values(m2)), n
 
     n0 = max(16, m + m2 + 4)
-    scale = math.sqrt(norm(m) * norm(m2))
-    val, nodes = _certified((n0, 2 * n0), gram_entry, case.tolerance, scale)
-    rhs = norm(m) if m == m2 else 0.0
-    return _finish(case, val, rhs, scale, nodes, t0)
+    return _gram(case, t0, column, norm, m, m2, (n0, 2 * n0), gram_entry)
 
 
 def _ort_ball(case):
     t0 = time.perf_counter()
+    column = _memo.open(case)
     mu = case.params["mu"]
     k, k2, d = case.k, case.k2, case.d
 
-    def F(*y):
-        return ball_eval(k, mu, list(y), check_domain=False) * ball_eval(
-            k2, mu, list(y), check_domain=False
-        )
+    def gram_entry(n):
+        def F(*y):
+            return (column((n, k), lambda: ball_eval(k, mu, list(y), check_domain=False))
+                    * column((n, k2), lambda: ball_eval(k2, mu, list(y), check_domain=False)))
+        return ball_integral(F, d, mu, n), d * n
 
     n0 = max(12, tail_sum(k, 1) + tail_sum(k2, 1) + 4)
-    scale = math.sqrt(ball_norm(k, mu) * ball_norm(k2, mu))
-    val, nodes = _certified((n0, 2 * n0), lambda n: (ball_integral(F, d, mu, n), d * n),
-                            case.tolerance, scale)
-    rhs = ball_norm(k, mu) if k == k2 else 0.0
-    return _finish(case, val, rhs, scale, nodes, t0)
+    return _gram(case, t0, column, lambda kk: ball_norm(kk, mu), k, k2, (n0, 2 * n0), gram_entry)
 
 
 def _ort_para(case):
     t0 = time.perf_counter()
+    column = _memo.open(case)
     p = case.params
     d = case.d
     mu = p["mu"]
     if case.identity_id == "ORT_PARA_J":
         weight = ("jacobi", p["beta"], p["gamma"])
-        f = lambda t, x: jacobi_paraboloid(case.m, case.k, p["beta"], p["gamma"], mu, t, x, check_domain=False)
-        g = lambda t, x: jacobi_paraboloid(case.m2, case.k2, p["beta"], p["gamma"], mu, t, x, check_domain=False)
-        diag = lambda m, k: jacobi_paraboloid_norm(m, k, p["beta"], p["gamma"], mu, d)
+        basis = lambda m, k, t, x: jacobi_paraboloid(m, k, p["beta"], p["gamma"], mu, t, x,
+                                                     check_domain=False)
+        norm = lambda mk: jacobi_paraboloid_norm(*mk, p["beta"], p["gamma"], mu, d)
     else:
         weight = ("laguerre", p["beta"])
-        f = lambda t, x: laguerre_paraboloid(case.m, case.k, p["beta"], mu, t, x, check_domain=False)
-        g = lambda t, x: laguerre_paraboloid(case.m2, case.k2, p["beta"], mu, t, x, check_domain=False)
-        diag = lambda m, k: laguerre_paraboloid_norm(m, k, p["beta"], mu, d)
+        basis = lambda m, k, t, x: laguerre_paraboloid(m, k, p["beta"], mu, t, x,
+                                                       check_domain=False)
+        norm = lambda mk: laguerre_paraboloid_norm(*mk, p["beta"], mu, d)
+
+    def gram_entry(n):
+        def values(m, k):  # the basis function on the n-point (t, y) grid
+            return lambda t, x: column((n, m, k), lambda: basis(m, k, t, x))
+        f, g = values(case.m, case.k), values(case.m2, case.k2)
+        return paraboloid_inner_product(f, g, d, mu, weight, n_axis=n), (d + 1) * n
+
     n0 = max(12, case.m + case.m2 + 4)
-    scale = math.sqrt(diag(case.m, case.k) * diag(case.m2, case.k2))
-    val, nodes = _certified(
-        (n0, 2 * n0),
-        lambda n: (paraboloid_inner_product(f, g, d, mu, weight, n_axis=n), (d + 1) * n),
-        case.tolerance, scale,
-    )
-    rhs = diag(case.m, case.k) if (case.m, case.k) == (case.m2, case.k2) else 0.0
-    return _finish(case, val, rhs, scale, nodes, t0)
+    return _gram(case, t0, column, norm, (case.m, case.k), (case.m2, case.k2), (n0, 2 * n0),
+                 gram_entry)
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +293,24 @@ def _fourier_rules(fam, k, wp, d, level):
     return t_rule, [_x_axis_rule(level, 2 * wp.alpha) for _ in range(d)]
 
 
-def _fourier_direct(fam, m, k, wp, d, xi, level):
+def _fourier_direct(fam, m, k, wp, d, xi, level, column):
     """Direct numeric transform of h = h_t(t) prod_j g_axis(x_j): the 1-D
-    transform of the t-factor times one 1-D transform per x axis."""
+    transform of the t-factor times one 1-D transform per x axis.  The factor
+    lines do not depend on xi and come from ``column``."""
     t_rule, x_rules = _fourier_rules(fam, k, wp, d, level)
     h_t = h_jacobi_t if fam == "FOURIER_J" else h_laguerre_t
     t = t_rule.nodes
-    val = np.sum(t_rule.weights * np.exp(-1j * xi[d] * t) * h_t(m, k, wp, t))
+    ht = column(("h", m, k, level), lambda: h_t(m, k, wp, t))
+    val = np.sum(t_rule.weights * np.exp(-1j * xi[d] * t) * ht)
     for j, r in enumerate(x_rules, start=1):
-        fx = g_axis(j, d, wp.alpha, wp.mu, k, r.nodes)
+        fx = column(("g", j, k, level), lambda: g_axis(j, d, wp.alpha, wp.mu, k, r.nodes))
         val = val * np.sum(r.weights * np.exp(-1j * xi[j - 1] * r.nodes) * fx)
     return val, len(t_rule) + sum(len(r) for r in x_rules)
 
 
 def _fourier(case):
     t0 = time.perf_counter()
+    column = _memo.open(case)
     p = case.params
     if case.identity_id == "FOURIER_J":
         wp = WrapParamsJacobi(p["alpha"], p["zeta"], p["eta"], p["beta"], p["gamma"], p["mu"])
@@ -266,7 +320,8 @@ def _fourier(case):
         closed = fourier_h_laguerre_closed(case.m, case.k, wp, case.d, case.xi)
     val, nodes = _certified(
         (0, 1),
-        lambda level: _fourier_direct(case.identity_id, case.m, case.k, wp, case.d, case.xi, level),
+        lambda level: _fourier_direct(case.identity_id, case.m, case.k, wp, case.d, case.xi,
+                                      level, column),
         case.tolerance, abs(closed),
     )
     return _finish(case, val, closed, abs(closed), nodes, t0)
@@ -320,42 +375,44 @@ def _parseval_rule(panels):
     return composite_legendre(-T, T, panels, 12)
 
 
-def _parseval_lhs(fam, m, k, m2, k2, sp, d, panels):
+def _parseval_lhs(fam, m, k, m2, k2, sp, d, panels, column):
     """The Parseval integral of F(it, ix) G(-it, -ix), F and G the A (with
     its Gamma weight in t) or B family: a t-factor times prod_j D_axis, so the
-    integral is the weighted t-sum times one D-line sum per x axis."""
+    integral is the weighted t-sum times one D-line sum per x axis.  The
+    factor lines (side +1 for F, -1 for G) and the weight come from ``column``."""
     rule = _parseval_rule(panels)
     s, w = rule.nodes, rule.weights
     if fam == "PARSEVAL_A":
-        w = w * np.exp(log_gamma(sp.eta1 + 0.5j * s) + log_gamma(sp.eta2 - 0.5j * s))
+        w = column(("w", panels), lambda: rule.weights * np.exp(
+            log_gamma(sp.eta1 + 0.5j * s) + log_gamma(sp.eta2 - 0.5j * s)))
         f_t = A_t
     else:
         f_t = B_t
-    val = np.sum(w * f_t(m, k, sp, 1j * s) * f_t(m2, k2, sp.swapped(), -1j * s))
+    f = column(("t", m, k, panels, 1), lambda: f_t(m, k, sp, 1j * s))
+    g = column(("t", m2, k2, panels, -1), lambda: f_t(m2, k2, sp.swapped(), -1j * s))
+    val = np.sum(w * f * g)
     for j in range(1, d + 1):
-        val = val * np.sum(rule.weights * D_axis(j, d, sp.alpha1, sp.alpha2, k, 1j * s)
-                           * D_axis(j, d, sp.alpha2, sp.alpha1, k2, -1j * s))
+        f = column(("D", j, k, panels, 1), lambda: D_axis(j, d, sp.alpha1, sp.alpha2, k, 1j * s))
+        g = column(("D", j, k2, panels, -1),
+                   lambda: D_axis(j, d, sp.alpha2, sp.alpha1, k2, -1j * s))
+        val = val * np.sum(rule.weights * f * g)
     return val, (d + 1) * len(rule)
 
 
 def _parseval(case):
     t0 = time.perf_counter()
+    column = _memo.open(case)
     p = case.params
     if case.identity_id == "PARSEVAL_A":
         sp = SplitParams(p["alpha1"], p["alpha2"], p["zeta1"], p["zeta2"], p["eta1"], p["eta2"])
     else:
         sp = SplitParams(p["alpha1"], p["alpha2"], p["zeta1"], p["zeta2"])
-    diag1 = parseval_rhs(case.identity_id, case.m, case.k, sp, case.d)
-    diag2 = parseval_rhs(case.identity_id, case.m2, case.k2, sp, case.d)
-    scale = math.sqrt(diag1 * diag2)
-    val, nodes = _certified(
-        _PARSEVAL_LEVELS,
+    return _gram(
+        case, t0, column, lambda mk: parseval_rhs(case.identity_id, *mk, sp, case.d),
+        (case.m, case.k), (case.m2, case.k2), _PARSEVAL_LEVELS,
         lambda panels: _parseval_lhs(case.identity_id, case.m, case.k, case.m2, case.k2,
-                                     sp, case.d, panels),
-        case.tolerance, scale,
+                                     sp, case.d, panels, column),
     )
-    rhs = diag1 if (case.m, case.k) == (case.m2, case.k2) else 0.0
-    return _finish(case, val, rhs, scale, nodes, t0)
 
 
 # ---------------------------------------------------------------------------

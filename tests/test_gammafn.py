@@ -185,3 +185,17 @@ def test_pochhammer_scalar_matches_array_element():
                     assert type(got) is np.float64 and got == want
                 else:
                     assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_pochhammer_integer_argument_does_not_wrap():
+    # an int64 product of (10^6)_4 wraps; integer arguments multiply as float64
+    want = 1e6 * (1e6 + 1) * (1e6 + 2) * (1e6 + 3)
+    got = pochhammer(10**6, 4)
+    assert type(got) is np.float64
+    assert got == pytest.approx(want, rel=1e-15)
+    arr = pochhammer(np.array([10**6, 3, 2 * 10**6], dtype=np.int64), 4)
+    assert arr.dtype == np.float64
+    assert arr == pytest.approx([want, 3 * 4 * 5 * 6, 2e6 * (2e6 + 1) * (2e6 + 2) * (2e6 + 3)],
+                                rel=1e-15)
+    assert pochhammer(np.int64(10**6), 4) == got
+    assert pochhammer(3, 0) == 1 and pochhammer(3, 2) == 12

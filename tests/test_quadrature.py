@@ -71,6 +71,27 @@ def test_scaled_and_composite():
     assert np.sum(c.weights * np.exp(-c.nodes)) == pytest.approx(1 - math.exp(-3), rel=1e-13)
 
 
+@pytest.mark.parametrize("lo, hi, panels, n", [
+    (0.0, 3.0, 5, 8), (0, 1, 4, 10), (0, 2, 4, 10), (0, 1, 3, 8), (-40, 40, 90, 12),
+    (-30, 5, 50, 12), (-7.321, 7.321, 16, 12), (-2.5, 11.25, 1, 3),
+])
+def test_composite_equals_panelwise_scaled(lo, hi, panels, n):
+    # the vectorised construction is the per-panel affine map, bit for bit
+    base = gauss_legendre(n)
+    edges = np.linspace(lo, hi, panels + 1)
+    parts = [scaled(base, edges[i], edges[i + 1]) for i in range(panels)]
+    c = composite_legendre(lo, hi, panels, n)
+    assert np.array_equal(c.nodes, np.concatenate([r.nodes for r in parts]))
+    assert np.array_equal(c.weights, np.concatenate([r.weights for r in parts]))
+    assert c.interval == (lo, hi) and len(c) == panels * n
+    # cached and shared, so read-only
+    assert composite_legendre(lo, hi, panels, n).nodes is c.nodes
+    with pytest.raises(ValueError):
+        c.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        c.weights[0] = 0.0
+
+
 def test_line_gamma_decay():
     # |Gamma(1+is)|^2 = pi s / sinh(pi s) integrates to pi/2; it decays like
     # e^{-pi |s|}, so [-T, T] with e^{-pi T} ~ 1e-13 holds the whole integral

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from orthopara import verifier
 from orthopara.ball import ball_norm
 from orthopara.cli import SweepConfig
 from orthopara.errors import QuadratureNonConvergence
@@ -113,7 +114,7 @@ def test_separated_fourier_oracle_matches_full_tensor(fam, d):
         [t_rule, *x_rules],
         lambda t, *x: np.exp(-1j * (xi[d] * t + sum(v * xv for v, xv in zip(xi, x)))) * h(t, *x),
     )
-    separated, _ = _fourier_direct(fam, m, k, wp, d, xi, 0)
+    separated, _ = _fourier_direct(fam, m, k, wp, d, xi, 0, lambda key, compute: compute())
     assert separated == pytest.approx(full, rel=1e-12)
 
 
@@ -137,7 +138,8 @@ def test_separated_parseval_oracle_matches_full_tensor(fam, d):
 
     panels = _PARSEVAL_LEVELS[0]
     full = tensor_integrate([_parseval_rule(panels)] * (d + 1), f)
-    separated, _ = _parseval_lhs(fam, m, k, m, k, sp, d, panels)
+    separated, _ = _parseval_lhs(fam, m, k, m, k, sp, d, panels,
+                                 lambda key, compute: compute())
     assert separated == pytest.approx(full, rel=1e-12)
 
 
@@ -325,3 +327,112 @@ def test_series_layer_values_pinned():
         h.update(repr((c.identity_id, rep.passed, rep.lhs, rep.rhs)).encode() + b"\n")
     assert len(cases) == 200
     assert h.hexdigest() == "b950eec4076889ca5e049c2742d6008482b87171b9567ac0fc06d34bf9448f09"
+
+
+def test_quadrature_oracle_values_pinned():
+    # every value of a small seeded ORT + FOURIER + PARSEVAL sweep (d = 1 and
+    # 2) at full precision: evaluating columns, factor lines and rules once
+    # per draw must not move a single bit of it
+    cfg = SweepConfig(families=["ORT", "FOURIER", "PARSEVAL"], seed=0, dims=[1, 2],
+                      max_degree_1d=3, max_degree_multi=2, fourier_max_degree=1,
+                      parseval_max_degree=1, ort_param_draws=1, fourier_xi_draws=2)
+    cfg.validate()
+    cases = generate_cases(cfg)
+    h = hashlib.sha256()
+    for c in cases:
+        rep = run_case(c)
+        h.update(repr((c.identity_id, rep.passed, rep.lhs, rep.rhs)).encode() + b"\n")
+    assert len(cases) == 272
+    assert h.hexdigest() == "24affbcb31a0a295eb1d9651089487a91ded1ef6546c8714148038408d7ec07e"
+
+
+# small sweeps of two parameter draws each (ORT_PARA_J: d = 1 and d = 2)
+MEMO_SWEEPS = {
+    "ORT_GEGEN": dict(dims=[1], max_degree_1d=3, ort_param_draws=2),
+    "ORT_BALL": dict(dims=[2], max_degree_multi=2),
+    "ORT_PARA_J": dict(dims=[1, 2], max_degree_multi=2),
+    "FOURIER_L": dict(dims=[1, 2], fourier_max_degree=1),
+    "PARSEVAL_A": dict(dims=[1, 2], parseval_max_degree=1),
+}
+
+
+def _memo_sweep(fam):
+    return generate_cases(SweepConfig(families=[fam], seed=0, **MEMO_SWEEPS[fam]))
+
+
+def _values(rep):
+    return repr((rep.lhs, rep.rhs, rep.passed, rep.nodes))
+
+
+@pytest.mark.parametrize("fam", list(MEMO_SWEEPS))
+def test_draw_memo_order_independent(fam, monkeypatch):
+    # a case's values do not depend on which cases of its draw ran before it
+    cases = _memo_sweep(fam)
+    monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
+    in_order = [_values(run_case(c)) for c in cases]
+    reverse = [_values(run_case(c)) for c in reversed(cases)][::-1]
+    alone = []
+    for c in cases:
+        monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
+        alone.append(_values(run_case(c)))
+    assert in_order == reverse == alone
+
+
+@pytest.mark.parametrize("fam", list(MEMO_SWEEPS))
+def test_draw_memo_holds_one_draw_read_only(fam, monkeypatch):
+    cases = _memo_sweep(fam)
+    last = cases[-1]
+    first_draw = [c for c in cases if (c.d, c.params) == (cases[0].d, cases[0].params)]
+    assert (last.d, last.params) != (cases[0].d, cases[0].params)
+    memo = verifier._DrawMemo()
+    monkeypatch.setattr(verifier, "_memo", memo)
+    for c in first_draw + [last]:
+        run_case(c)
+    # the second draw's case emptied the memo: what is left is exactly what
+    # that case computes alone
+    alone = verifier._DrawMemo()
+    monkeypatch.setattr(verifier, "_memo", alone)
+    run_case(last)
+    (draw, columns), (alone_draw, alone_columns) = memo.current, alone.current
+    assert draw == alone_draw and columns
+    assert columns.keys() == alone_columns.keys()
+    arrays = 0
+    for key, col in columns.items():
+        assert np.array_equal(col, alone_columns[key])
+        if isinstance(col, np.ndarray):  # else an immutable scalar (a norm)
+            arrays += 1
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[...] = 0
+        else:
+            assert isinstance(col, (float, complex, np.number))
+    assert arrays
+
+
+def test_draw_memo_threads_do_not_mix_draws():
+    # threads alternating between two draws, switching every few bytecodes,
+    # get the serial values: a getter keeps its own draw's columns
+    import sys
+    import threading
+
+    cases = _memo_sweep("ORT_GEGEN")
+    want = [_values(run_case(c)) for c in cases]
+    got = {i: [] for i in range(6)}
+
+    def work(i):
+        for _ in range(5):
+            order = cases if i % 2 else cases[::-1]
+            got[i].append([_values(run_case(c)) for c in order][::1 if i % 2 else -1])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(rounds == [want] * 5 for rounds in got.values())
