@@ -34,7 +34,7 @@ from .transforms import (
     fourier_h_laguerre_closed, lambda_factor, phi_factor, theta_factor,
 )
 from .verifier import (
-    ALL_FAMILIES, FAMILIES, FAMILY_GROUPS, IdentityCase, generate_cases, run_case,
+    ALL_FAMILIES, FAMILIES, FAMILY_GROUPS, generate_cases, run_case,
 )
 
 # SweepConfig annotation -> accepted types (an int field rejects bools too)
@@ -75,13 +75,14 @@ class SweepConfig:
             if f.type == "int" and val < 0:
                 raise ConfigError(f"{f.name} must be nonnegative")
         self.families = expand_families(self.families)
-        if any(type(d) is not int or d not in (1, 2) for d in self.dims):
-            raise ConfigError("dims must be a subset of {1, 2}")
+        if not self.dims or any(type(d) is not int or d not in (1, 2) for d in self.dims):
+            raise ConfigError("dims must be a nonempty subset of {1, 2}")
         for fam, tol in self.tolerances.items():
             if fam not in ALL_FAMILIES:
                 raise ConfigError(f"tolerance for unknown family {fam!r}")
-            if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
-                raise ConfigError(f"tolerance for {fam} must be a positive number, got {tol!r}")
+            if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+                raise ConfigError(f"tolerance for {fam} must be a positive finite number, "
+                                  f"got {tol!r}")
         if self.out_format not in ("json", "csv"):
             raise ConfigError("out_format must be 'json' or 'csv'")
         return self
@@ -154,10 +155,6 @@ def _case_record(report, no_timestamp):
     if case.xi is not None:
         rec["params"] = dict(rec["params"], **{f"xi{i+1}": v for i, v in enumerate(case.xi)})
     return rec
-
-
-def _complex_str(z):
-    return f"{z.real!r}{z.imag:+}i" if isinstance(z, complex) else repr(z)
 
 
 def _write_csv(records, fh):
@@ -303,93 +300,83 @@ def _parse_complex_list(text, d, what):
     return vals
 
 
-def _need(params, *names):
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise ParseError(f"missing parameters: {', '.join(missing)}")
-    return [params[n] for n in names]
+def _axis(kv):
+    axis = kv.get("axis", 1.0)
+    if not axis.is_integer():
+        raise ParseError(f"axis must be an integer, got {axis!r}")
+    return int(axis)
+
+
+def _degree(args):
+    if args.m is None:
+        raise ParseError("--m is required")
+    return args.m
+
+
+# point kind -> its value, parsed from the eval arguments and --params values
+_POINT_KINDS = {
+    "m": lambda args, kv: _degree(args),
+    "axis": lambda args, kv: _axis(kv),
+    "t": lambda args, kv: _parse_complex_list(args.t, 1, "t")[0],
+    "real t": lambda args, kv: _parse_complex_list(args.t, 1, "t")[0].real,
+    "x": lambda args, kv: _parse_complex_list(args.x, args.d, "x"),
+    "real x": lambda args, kv: [v.real for v in _parse_complex_list(args.x, args.d, "x")],
+    "xi": lambda args, kv: _parse_complex_list(args.xi, 1, "xi")[0].real,
+    "xi vector": lambda args, kv: [v.real for v in _parse_complex_list(args.xi, args.d + 1, "xi")],
+}
+
+_WRAP_J = ("alpha", "zeta", "eta", "beta", "gamma", "mu")
+_WRAP_L = ("alpha", "zeta", "beta", "mu")
+_SPLIT = ("alpha1", "alpha2", "zeta1", "zeta2", "eta1", "eta2")
+
+# fn -> (evaluator, parameter names, point kinds), called as
+# evaluator(k, d, [the named --params values], *[the point values])
+EVAL_TABLE = {
+    "g": (lambda k, d, p, x: eval_g(k, *p, x), ("alpha", "mu"), ("x",)),
+    "ball": (lambda k, d, p, x: ball_eval(k, *p, x), ("mu",), ("real x",)),
+    "Q": (lambda k, d, p, m, t, x: jacobi_paraboloid(m, k, *p, t, x),
+          ("beta", "gamma", "mu"), ("m", "real t", "real x")),
+    "R": (lambda k, d, p, m, t, x: laguerre_paraboloid(m, k, *p, t, x),
+          ("beta", "mu"), ("m", "real t", "real x")),
+    "hJ": (lambda k, d, p, m, t, x: eval_h_jacobi(m, k, WrapParamsJacobi(*p), t, x),
+           _WRAP_J, ("m", "real t", "real x")),
+    "hL": (lambda k, d, p, m, t, x: eval_h_laguerre(m, k, WrapParamsLaguerre(*p), t, x),
+           _WRAP_L, ("m", "real t", "real x")),
+    "phi": (lambda k, d, p, axis, xi: phi_factor(axis, d, *p, k, xi),
+            ("alpha", "mu"), ("axis", "xi")),
+    "theta": (lambda k, d, p, m, xi: theta_factor(m, k, *p, d, xi),
+              ("zeta", "eta", "beta", "gamma", "mu"), ("m", "xi")),
+    "lambda": (lambda k, d, p, m, xi: lambda_factor(m, k, *p, d, xi),
+               ("zeta", "mu", "beta"), ("m", "xi")),
+    "fourierJ": (lambda k, d, p, m, xi: fourier_h_jacobi_closed(m, k, WrapParamsJacobi(*p), d, xi),
+                 _WRAP_J, ("m", "xi vector")),
+    "fourierL": (lambda k, d, p, m, xi: fourier_h_laguerre_closed(m, k, WrapParamsLaguerre(*p),
+                                                                   d, xi),
+                 _WRAP_L, ("m", "xi vector")),
+    "D": (lambda k, d, p, x: eval_D(k, *p, d, x), ("alpha1", "alpha2"), ("x",)),
+    "A": (lambda k, d, p, m, t, x: eval_A(m, k, SplitParams(*p), d, t, x), _SPLIT, ("m", "t", "x")),
+    "B": (lambda k, d, p, m, t, x: eval_B(m, k, SplitParams(*p), d, t, x), _SPLIT[:4],
+          ("m", "t", "x")),
+}
+EVAL_FUNCTIONS = tuple(EVAL_TABLE)
 
 
 def eval_point(args) -> complex:
-    """Evaluate one function at one point; exact dispatch for the CLI."""
-    d = args.d
-    p = _parse_kv(args.params)
-    k = _parse_multi_index(args.k, d)
-    fn = args.fn
-    if fn in ("g", "ball"):
-        x = _parse_complex_list(args.x, d, "x")
-        if fn == "g":
-            alpha, mu = _need(p, "alpha", "mu")
-            return complex(eval_g(k, alpha, mu, x))
-        mu, = _need(p, "mu")
-        return complex(ball_eval(k, mu, [v.real for v in x]))
-    if fn in ("Q", "R"):
-        x = [v.real for v in _parse_complex_list(args.x, d, "x")]
-        t = _parse_complex_list(args.t, 1, "t")[0].real
-        if args.m is None:
-            raise ParseError("--m is required")
-        if fn == "Q":
-            beta, gamma, mu = _need(p, "beta", "gamma", "mu")
-            return complex(jacobi_paraboloid(args.m, k, beta, gamma, mu, t, x))
-        beta, mu = _need(p, "beta", "mu")
-        return complex(laguerre_paraboloid(args.m, k, beta, mu, t, x))
-    if fn in ("hJ", "hL"):
-        x = [v.real for v in _parse_complex_list(args.x, d, "x")]
-        t = _parse_complex_list(args.t, 1, "t")[0].real
-        if args.m is None:
-            raise ParseError("--m is required")
-        if fn == "hJ":
-            alpha, zeta, eta, beta, gamma, mu = _need(p, "alpha", "zeta", "eta", "beta", "gamma", "mu")
-            return complex(eval_h_jacobi(args.m, k, WrapParamsJacobi(alpha, zeta, eta, beta, gamma, mu), t, x))
-        alpha, zeta, beta, mu = _need(p, "alpha", "zeta", "beta", "mu")
-        return complex(eval_h_laguerre(args.m, k, WrapParamsLaguerre(alpha, zeta, beta, mu), t, x))
-    if fn == "phi":
-        alpha, mu = _need(p, "alpha", "mu")
-        xi = _parse_complex_list(args.xi, 1, "xi")[0].real
-        axis = p.get("axis", 1.0)
-        if not axis.is_integer():
-            raise ParseError(f"axis must be an integer, got {axis!r}")
-        return complex(phi_factor(int(axis), d, alpha, mu, k, xi))
-    if fn == "theta":
-        zeta, eta, beta, gamma, mu = _need(p, "zeta", "eta", "beta", "gamma", "mu")
-        xi = _parse_complex_list(args.xi, 1, "xi")[0].real
-        if args.m is None:
-            raise ParseError("--m is required")
-        return complex(theta_factor(args.m, k, zeta, eta, beta, gamma, mu, d, xi))
-    if fn == "lambda":
-        zeta, mu, beta = _need(p, "zeta", "mu", "beta")
-        xi = _parse_complex_list(args.xi, 1, "xi")[0].real
-        if args.m is None:
-            raise ParseError("--m is required")
-        return complex(lambda_factor(args.m, k, zeta, mu, beta, d, xi))
-    if fn in ("fourierJ", "fourierL"):
-        xi = [v.real for v in _parse_complex_list(args.xi, d + 1, "xi")]
-        if args.m is None:
-            raise ParseError("--m is required")
-        if fn == "fourierJ":
-            alpha, zeta, eta, beta, gamma, mu = _need(p, "alpha", "zeta", "eta", "beta", "gamma", "mu")
-            return complex(fourier_h_jacobi_closed(args.m, k, WrapParamsJacobi(alpha, zeta, eta, beta, gamma, mu), d, xi))
-        alpha, zeta, beta, mu = _need(p, "alpha", "zeta", "beta", "mu")
-        return complex(fourier_h_laguerre_closed(args.m, k, WrapParamsLaguerre(alpha, zeta, beta, mu), d, xi))
-    if fn == "D":
-        alpha1, alpha2 = _need(p, "alpha1", "alpha2")
-        x = _parse_complex_list(args.x, d, "x")
-        return complex(eval_D(k, alpha1, alpha2, d, x))
-    if fn in ("A", "B"):
-        x = _parse_complex_list(args.x, d, "x")
-        t = _parse_complex_list(args.t, 1, "t")[0]
-        if args.m is None:
-            raise ParseError("--m is required")
-        if fn == "A":
-            a1, a2, z1, z2, e1, e2 = _need(p, "alpha1", "alpha2", "zeta1", "zeta2", "eta1", "eta2")
-            return complex(eval_A(args.m, k, SplitParams(a1, a2, z1, z2, e1, e2), d, t, x))
-        a1, a2, z1, z2 = _need(p, "alpha1", "alpha2", "zeta1", "zeta2")
-        return complex(eval_B(args.m, k, SplitParams(a1, a2, z1, z2), d, t, x))
-    raise ParseError(f"unknown function {fn!r}")
-
-
-EVAL_FUNCTIONS = ("g", "ball", "Q", "R", "hJ", "hL", "phi", "theta", "lambda",
-                  "fourierJ", "fourierL", "D", "A", "B")
+    """Evaluate ``EVAL_TABLE[args.fn]`` (``--fn`` choices are its keys) at
+    one point: parse what its entry names, then call its evaluator."""
+    evaluator, names, kinds = EVAL_TABLE[args.fn]
+    if args.d < 1:
+        raise ParseError(f"--d must be at least 1, got {args.d}")
+    kv = _parse_kv(args.params)
+    unknown = [n for n in kv if n not in names and not (n == "axis" and "axis" in kinds)]
+    if unknown:
+        raise ParseError(f"unknown parameters for {args.fn}: {', '.join(unknown)}")
+    missing = [n for n in names if n not in kv]
+    if missing:
+        raise ParseError(f"missing parameters: {', '.join(missing)}")
+    k = _parse_multi_index(args.k, args.d)
+    points = [_POINT_KINDS[kind](args, kv) for kind in kinds]
+    return complex(evaluator(k, args.d, [kv[n] for n in names], *points))
 
 
 def build_parser():
@@ -440,8 +427,6 @@ def main(argv=None):
             if args.seed is not None:
                 cfg.seed = args.seed
             if args.tol is not None:
-                if args.tol <= 0:
-                    raise ConfigError("--tol must be positive")
                 cfg.tolerances = {fam: args.tol for fam in ALL_FAMILIES}
             if args.d:
                 try:

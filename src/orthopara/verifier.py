@@ -38,17 +38,6 @@ from .transforms import (
 
 ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
-DEFAULT_TOLERANCES = {
-    "ORT_GEGEN": 1e-10, "ORT_JACOBI": 1e-10, "ORT_LAGUERRE": 1e-10,
-    "ORT_BALL": 1e-8, "ORT_PARA_J": 1e-8, "ORT_PARA_L": 1e-8,
-    "FOURIER_J": 1e-6, "FOURIER_L": 1e-6,
-    "PARSEVAL_A": 1e-6, "PARSEVAL_B": 1e-6,
-    "FORM_EQUIV_PHI": 1e-10, "FORM_EQUIV_D": 1e-10, "FORM_EQUIV_A": 1e-10,
-}
-for _r in ROMAN:
-    DEFAULT_TOLERANCES[f"CONTIG_A_{_r}"] = 1e-10
-    DEFAULT_TOLERANCES[f"CONTIG_B_{_r}"] = 1e-10
-
 
 @dataclass(frozen=True)
 class IdentityCase:
@@ -263,34 +252,26 @@ def _ort_para(case):
 _TRUNC_LOG = math.log(1e13)
 
 
-def _x_axis_rule(level, rate, panels_per_unit=1.0):
-    T = 1.15 * _TRUNC_LOG / rate
-    panels = max(6, int(math.ceil(2 * T * panels_per_unit))) * 2**level
-    return composite_legendre(-T, T, panels, 12)
-
-
-def _t_axis_rule_jacobi(level, rate_left, rate_right):
-    TL = 1.15 * _TRUNC_LOG / rate_left
-    TR = 1.15 * _TRUNC_LOG / rate_right
-    panels = max(6, int(math.ceil(TL + TR))) * 2**level
-    return composite_legendre(-TL, TR, panels, 12)
-
-
-def _t_axis_rule_laguerre(level, rate_left):
-    TL = 1.15 * _TRUNC_LOG / rate_left
-    TR = 4.8
-    panels = max(6, int(math.ceil(TL + TR))) * 2**level
-    return composite_legendre(-TL, TR, panels, 12)
+def _line_rule(left, right, level):
+    """The 12-point composite Gauss-Legendre rule on [-left, right]: about
+    one panel per unit length (at least 6) at level 0, doubled per level."""
+    panels = max(6, int(math.ceil(left + right))) * 2**level
+    return composite_legendre(-left, right, panels, 12)
 
 
 def _fourier_rules(fam, k, wp, d, level):
-    """The t rule and the d x rules of the direct transform at ``level``."""
+    """The t rule and the d x rules of the direct transform at ``level``:
+    each side is cut where its exp(-rate |s|) decay falls below 1e-13 (with
+    a 15% margin), except the right side of the Laguerre t-factor, which
+    decays like exp(-e^t / 2) and is cut at t = 4.8."""
+    cut = lambda rate: 1.15 * _TRUNC_LOG / rate
     n = tail_sum(k, 1)
     if fam == "FOURIER_J":
-        t_rule = _t_axis_rule_jacobi(level, 2 * (wp.zeta + 0.5 * n), 2 * wp.eta)
+        t_rule = _line_rule(cut(2 * (wp.zeta + 0.5 * n)), cut(2 * wp.eta), level)
     else:
-        t_rule = _t_axis_rule_laguerre(level, wp.zeta + 0.5 * n)
-    return t_rule, [_x_axis_rule(level, 2 * wp.alpha) for _ in range(d)]
+        t_rule = _line_rule(cut(wp.zeta + 0.5 * n), 4.8, level)
+    x = cut(2 * wp.alpha)
+    return t_rule, [_line_rule(x, x, level) for _ in range(d)]
 
 
 def _fourier_direct(fam, m, k, wp, d, xi, level, column):
@@ -472,37 +453,6 @@ def run_case(case: IdentityCase) -> VerificationReport:
     return fam.run(case)
 
 
-def _checked(case, ids):
-    if case.identity_id not in ids:
-        raise DomainError(f"case family {case.identity_id!r} not handled by this check")
-    return run_case(case)
-
-
-def check_orthogonality(case: IdentityCase) -> VerificationReport:
-    """Gram-matrix entry against the norm formulas (any ORT_* family)."""
-    return _checked(case, FAMILY_GROUPS["ORT"])
-
-
-def check_fourier(case: IdentityCase) -> VerificationReport:
-    """Closed-form transform against the direct numeric transform."""
-    return _checked(case, FAMILY_GROUPS["FOURIER"])
-
-
-def check_parseval_A(case: IdentityCase) -> VerificationReport:
-    """Height-1 Parseval integral against the printed constant."""
-    return _checked(case, ("PARSEVAL_A",))
-
-
-def check_parseval_B(case: IdentityCase) -> VerificationReport:
-    """Infinite-height Parseval integral against the printed constant."""
-    return _checked(case, ("PARSEVAL_B",))
-
-
-def check_contiguous(case: IdentityCase) -> VerificationReport:
-    """One lifted contiguous relation at the case's parameter/point draw."""
-    return _checked(case, FAMILY_GROUPS["CONTIG"])
-
-
 # ---------------------------------------------------------------------------
 # case generation: one generator per family kind, called as
 # gen(identity_id, cfg, rng, tolerance) in registry order
@@ -650,48 +600,46 @@ def generate_cases(cfg) -> list[IdentityCase]:
 
 @dataclass(frozen=True)
 class Family:
-    """One identity family: its group, the oracle that runs one of its
-    cases, the generator that draws its cases, and a one-line description."""
+    """One identity family: its group, its default tolerance, the oracle
+    that runs one of its cases, the generator that draws its cases, and a
+    one-line description."""
     id: str
     group: str
+    tolerance: float
     run: Callable[[IdentityCase], VerificationReport]
     cases: Callable  # (id, cfg, rng, tolerance) -> IdentityCases, drawing from rng
     description: str
 
-    @property
-    def tolerance(self):
-        return DEFAULT_TOLERANCES[self.id]
-
 
 FAMILIES = {fam.id: fam for fam in [
-    Family("ORT_GEGEN", "ORT", _ort_1d, _ort_1d_cases,
+    Family("ORT_GEGEN", "ORT", 1e-10, _ort_1d, _ort_1d_cases,
            "1-D Gegenbauer Gram matrix vs norm formula"),
-    Family("ORT_JACOBI", "ORT", _ort_1d, _ort_1d_cases,
+    Family("ORT_JACOBI", "ORT", 1e-10, _ort_1d, _ort_1d_cases,
            "1-D Jacobi Gram matrix vs norm formula"),
-    Family("ORT_LAGUERRE", "ORT", _ort_1d, _ort_1d_cases,
+    Family("ORT_LAGUERRE", "ORT", 1e-10, _ort_1d, _ort_1d_cases,
            "1-D Laguerre Gram matrix vs norm formula"),
-    Family("ORT_BALL", "ORT", _ort_ball, _ball_cases,
+    Family("ORT_BALL", "ORT", 1e-8, _ort_ball, _ball_cases,
            "unit-ball basis Gram matrix vs product norm formula"),
-    Family("ORT_PARA_J", "ORT", _ort_para, _para_cases,
+    Family("ORT_PARA_J", "ORT", 1e-8, _ort_para, _para_cases,
            "height-1 paraboloid basis Gram matrix vs product norms"),
-    Family("ORT_PARA_L", "ORT", _ort_para, _para_cases,
+    Family("ORT_PARA_L", "ORT", 1e-8, _ort_para, _para_cases,
            "infinite-height paraboloid basis Gram matrix vs product norms"),
-    Family("FOURIER_J", "FOURIER", _fourier, _fourier_cases,
+    Family("FOURIER_J", "FOURIER", 1e-6, _fourier, _fourier_cases,
            "closed-form height-1 Fourier transform vs direct quadrature"),
-    Family("FOURIER_L", "FOURIER", _fourier, _fourier_cases,
+    Family("FOURIER_L", "FOURIER", 1e-6, _fourier, _fourier_cases,
            "closed-form infinite-height Fourier transform vs direct quadrature"),
-    Family("PARSEVAL_A", "PARSEVAL", _parseval, _parseval_cases,
+    Family("PARSEVAL_A", "PARSEVAL", 1e-6, _parseval, _parseval_cases,
            "height-1 Parseval integral vs printed constant"),
-    Family("PARSEVAL_B", "PARSEVAL", _parseval, _parseval_cases,
+    Family("PARSEVAL_B", "PARSEVAL", 1e-6, _parseval, _parseval_cases,
            "infinite-height Parseval integral vs printed constant"),
-    *(Family(f"CONTIG_{side}_{r}", "CONTIG", _contiguous, _contig_cases,
+    *(Family(f"CONTIG_{side}_{r}", "CONTIG", 1e-10, _contiguous, _contig_cases,
              f"lifted contiguous relation ({r}) of the {height} family")
       for side, height in (("A", "height-1"), ("B", "infinite-height")) for r in ROMAN),
-    Family("FORM_EQUIV_PHI", "FORM_EQUIV", _form_equiv, _form_equiv_cases,
+    Family("FORM_EQUIV_PHI", "FORM_EQUIV", 1e-10, _form_equiv, _form_equiv_cases,
            "per-axis transform factor: series form vs Hahn form"),
-    Family("FORM_EQUIV_D", "FORM_EQUIV", _form_equiv, _form_equiv_cases,
+    Family("FORM_EQUIV_D", "FORM_EQUIV", 1e-10, _form_equiv, _form_equiv_cases,
            "Gamma-hypergeometric product: series form vs Hahn form"),
-    Family("FORM_EQUIV_A", "FORM_EQUIV", _form_equiv, _form_equiv_cases,
+    Family("FORM_EQUIV_A", "FORM_EQUIV", 1e-10, _form_equiv, _form_equiv_cases,
            "height-1 Parseval family: series form vs Hahn form"),
 ]}
 ALL_FAMILIES = list(FAMILIES)

@@ -7,10 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from orthopara.cli import SweepConfig, expand_families, load_config, main, run_sweep
+from orthopara.ball import ball_eval
+from orthopara.cli import EVAL_FUNCTIONS, SweepConfig, expand_families, load_config, main, run_sweep
 from orthopara.errors import ConfigError
 from orthopara.gammafn import beta as betafn
 from orthopara.gammafn import gamma
+from orthopara.paraboloid import jacobi_paraboloid, laguerre_paraboloid
+from orthopara.transforms import (
+    SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_B, eval_D, eval_g,
+    eval_h_jacobi, eval_h_laguerre, fourier_h_jacobi_closed, fourier_h_laguerre_closed,
+    lambda_factor, phi_factor, theta_factor,
+)
 
 
 def test_empty_family_list(tmp_path):
@@ -20,9 +27,10 @@ def test_empty_family_list(tmp_path):
 
 
 def test_zero_tolerance_rejected():
-    cfg = SweepConfig(tolerances={"ORT_GEGEN": 0.0})
-    with pytest.raises(ConfigError):
-        cfg.validate()
+    # zero, NaN and infinite tolerances pass nothing or everything
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            SweepConfig(tolerances={"ORT_GEGEN": tol}).validate()
 
 
 def test_unknown_family_rejected():
@@ -51,8 +59,9 @@ def test_config_file_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("raw", [
     {"max_degree_multi": "3"}, {"seed": "x"}, {"tolerances": {"ORT_GEGEN": "1e-3"}},
-    {"max_degree_1d": 2.5}, [1, 2],
-], ids=["str_degree", "str_seed", "str_tolerance", "float_degree", "not_an_object"])
+    {"max_degree_1d": 2.5}, [1, 2], {"dims": []}, {"tolerances": {"ORT_GEGEN": math.inf}},
+], ids=["str_degree", "str_seed", "str_tolerance", "float_degree", "not_an_object",
+        "empty_dims", "inf_tolerance"])
 def test_config_field_types_rejected(raw, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
@@ -163,6 +172,22 @@ def test_cli_eval_non_finite_rejected(params, x, capsys):
     assert captured.out == "" and "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--fn", "theta", "--d", "-1", "--m", "0",
+      "--params", "zeta=1.1,eta=0.9,beta=0.3,gamma=0.4,mu=0.7", "--xi", "0.6"], "at least 1"),
+    (["--fn", "g", "--d", "0", "--params", "alpha=0.8,mu=0.7", "--x", "0.1"], "at least 1"),
+    (["--fn", "phi", "--d", "2", "--k", "1,1", "--params", "alpha=1,mu=1,axs=2",
+      "--xi", "0.5"], "axs"),
+    (["--fn", "D", "--d", "1", "--k", "1", "--params", "alpha1=1,alpha2=1,axis=1",
+      "--x", "0.3"], "axis"),
+], ids=["d_negative", "d_zero", "unknown_name", "axis_not_a_parameter_of_D"])
+def test_cli_eval_bad_d_or_parameter_name(argv, message, capsys):
+    # no silent dimension-zero evaluation, no silently ignored parameter
+    assert main(["eval", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "parse error" in captured.err and message in captured.err
+
+
 @pytest.mark.parametrize("argv", [["--k", "a"], ["--d", "2", "--k", "1"]],
                          ids=["k_not_integer", "k_wrong_length"])
 def test_spot_check_script_rejects_bad_k(argv):
@@ -195,6 +220,8 @@ def test_cli_sweep_exit_codes(tmp_path):
     assert rc == 1
     rc = main(["sweep", "--families", "nope"])
     assert rc == 2
+    for tol in ("0", "inf", "nan"):  # every finite residual would pass at inf
+        assert main(["sweep", "--families", "ORT_LAGUERRE", "--tol", tol]) == 2
 
 
 def test_csv_projection(tmp_path):
@@ -223,3 +250,71 @@ def test_cli_subprocess_reproducibility(tmp_path):
         assert res.returncode == 0, res.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+J6 = dict(alpha=0.8, zeta=1.1, eta=0.9, beta=0.3, gamma=0.4, mu=0.7)
+L4 = dict(alpha=0.8, zeta=1.1, beta=0.3, mu=0.7)
+SPLIT = dict(alpha1=0.7, alpha2=0.9, zeta1=0.8, zeta2=1.2, eta1=0.6, eta2=1.1)
+
+
+def _kv(params):
+    return ",".join(f"{key}={val!r}" for key, val in params.items())
+
+
+# fn -> (CLI arguments after --fn, the same evaluation as a direct library call)
+EVAL_CASES = {
+    "g": (["--d", "2", "--k", "1,0", "--params", "alpha=0.8,mu=0.7", "--x", "0.3+0.1j,-0.2"],
+          lambda: eval_g((1, 0), 0.8, 0.7, [0.3 + 0.1j, -0.2 + 0j])),
+    "ball": (["--d", "2", "--k", "1,1", "--params", "mu=0.5", "--x", "0.25,0.1"],
+             lambda: ball_eval((1, 1), 0.5, [0.25, 0.1])),
+    "Q": (["--d", "1", "--m", "2", "--k", "1", "--params", "beta=0.3,gamma=0.4,mu=0.7",
+           "--t", "0.4", "--x", "0.2"],
+          lambda: jacobi_paraboloid(2, (1,), 0.3, 0.4, 0.7, 0.4, [0.2])),
+    "R": (["--d", "2", "--m", "2", "--k", "0,1", "--params", "beta=0.3,mu=0.7",
+           "--t", "1.3", "--x=0.5,-0.3"],
+          lambda: laguerre_paraboloid(2, (0, 1), 0.3, 0.7, 1.3, [0.5, -0.3])),
+    "hJ": (["--d", "1", "--m", "2", "--k", "1", "--params", _kv(J6), "--t", "0.3",
+            "--x=-0.4"],
+           lambda: eval_h_jacobi(2, (1,), WrapParamsJacobi(**J6), 0.3, [-0.4])),
+    "hL": (["--d", "2", "--m", "3", "--k", "1,1", "--params", _kv(L4), "--t=-0.6",
+            "--x", "0.2,0.5"],
+           lambda: eval_h_laguerre(3, (1, 1), WrapParamsLaguerre(**L4), -0.6, [0.2, 0.5])),
+    "phi": (["--d", "2", "--k", "1,1", "--params", "alpha=0.9,mu=0.6,axis=2", "--xi", "0.7"],
+            lambda: phi_factor(2, 2, 0.9, 0.6, (1, 1), 0.7)),
+    "theta": (["--d", "1", "--m", "2", "--k", "1",
+               "--params", "zeta=1.1,eta=0.9,beta=0.3,gamma=0.4,mu=0.7", "--xi", "0.6"],
+              lambda: theta_factor(2, (1,), 1.1, 0.9, 0.3, 0.4, 0.7, 1, 0.6)),
+    "lambda": (["--d", "2", "--m", "3", "--k", "1,0", "--params", "zeta=1.1,mu=0.7,beta=0.3",
+                "--xi=-0.5"],
+               lambda: lambda_factor(3, (1, 0), 1.1, 0.7, 0.3, 2, -0.5)),
+    "fourierJ": (["--d", "1", "--m", "2", "--k", "1", "--params", _kv(J6), "--xi", "0.3,-0.7"],
+                 lambda: fourier_h_jacobi_closed(2, (1,), WrapParamsJacobi(**J6), 1, [0.3, -0.7])),
+    "fourierL": (["--d", "2", "--m", "1", "--k", "0,1", "--params", _kv(L4),
+                  "--xi", "0.3,-0.7,1.2"],
+                 lambda: fourier_h_laguerre_closed(1, (0, 1), WrapParamsLaguerre(**L4), 2,
+                                                   [0.3, -0.7, 1.2])),
+    "D": (["--d", "2", "--k", "1,2", "--params", "alpha1=0.7,alpha2=0.9",
+           "--x", "0.3+0.2j,-0.1-0.4j"],
+          lambda: eval_D((1, 2), 0.7, 0.9, 2, [0.3 + 0.2j, -0.1 - 0.4j])),
+    "A": (["--d", "1", "--m", "2", "--k", "1", "--params", _kv(SPLIT), "--t", "0.3+0.2j",
+           "--x=-0.4+0.1j"],
+          lambda: eval_A(2, (1,), SplitParams(**SPLIT), 1, 0.3 + 0.2j, [-0.4 + 0.1j])),
+    "B": (["--d", "2", "--m", "3", "--k", "1,1",
+           "--params", "alpha1=0.7,alpha2=0.9,zeta1=0.8,zeta2=1.2", "--t", "0.1-0.3j",
+           "--x", "0.2+0.1j,0.5"],
+          lambda: eval_B(3, (1, 1), SplitParams(0.7, 0.9, 0.8, 1.2), 2, 0.1 - 0.3j,
+                         [0.2 + 0.1j, 0.5 + 0j])),
+}
+
+
+def test_eval_cases_cover_every_function():
+    assert sorted(EVAL_CASES) == sorted(EVAL_FUNCTIONS)
+
+
+@pytest.mark.parametrize("fn", list(EVAL_CASES))
+def test_cli_eval_matches_library_call(fn, capsys):
+    # every eval function prints exactly the value of the direct library call
+    argv, call = EVAL_CASES[fn]
+    assert main(["eval", "--fn", fn, *argv]) == 0
+    want = complex(call())
+    assert capsys.readouterr().out == f"{fn} = ({want.real!r}) + ({want.imag!r})j\n"

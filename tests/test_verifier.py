@@ -232,6 +232,12 @@ def test_report_invariants():
                          params={"alpha": 0.4, "beta": 1.3}, tolerance=1e-10))
     assert rep.passed == (rep.rel_residual <= rep.case.tolerance)
     assert rep.nodes > 0 and rep.seconds >= 0
+    # an off-diagonal Gram entry and a Parseval diagonal pass as well
+    assert run_case(_case("ORT_LAGUERRE", m=1, m2=2, params={"alpha": 0.3},
+                          tolerance=1e-10)).passed
+    assert run_case(_case("PARSEVAL_B", m=0, m2=0, k=(0,), k2=(0,),
+                          params={"alpha1": 1.0, "alpha2": 1.0, "zeta1": 1.0, "zeta2": 1.0},
+                          tolerance=1e-6)).passed
 
 
 def test_nonconvergence_raises():
@@ -262,25 +268,6 @@ def test_case_determinism():
     assert (r1.lhs, r1.rhs, r1.abs_residual, r1.rel_residual, r1.passed, r1.nodes) == (
         r2.lhs, r2.rhs, r2.abs_residual, r2.rel_residual, r2.passed, r2.nodes
     )
-
-
-def test_named_check_entry_points():
-    from orthopara.verifier import (
-        check_contiguous, check_fourier, check_orthogonality, check_parseval_A,
-        check_parseval_B,
-    )
-    rep = check_orthogonality(_case("ORT_LAGUERRE", m=1, m2=2,
-                                    params={"alpha": 0.3}, tolerance=1e-10))
-    assert rep.passed
-    with pytest.raises(Exception):
-        check_parseval_A(_case("PARSEVAL_B", m=0, m2=0, k=(0,), k2=(0,),
-                               params={"alpha1": 1, "alpha2": 1, "zeta1": 1, "zeta2": 1},
-                               tolerance=1e-6))
-    rep = check_parseval_B(_case("PARSEVAL_B", m=0, m2=0, k=(0,), k2=(0,),
-                                 params={"alpha1": 1.0, "alpha2": 1.0,
-                                         "zeta1": 1.0, "zeta2": 1.0}, tolerance=1e-6))
-    assert rep.passed
-    assert check_fourier is not None and check_contiguous is not None
 
 
 def test_generate_cases_deterministic():
