@@ -10,6 +10,8 @@ from orthopara.classical import (
     jacobi, jacobi_norm, laguerre, laguerre_norm,
 )
 from orthopara.errors import DomainError
+from orthopara.gammafn import pochhammer
+from orthopara.hyper import hyp_terminating
 from orthopara.quadrature import gauss_jacobi, gauss_laguerre
 
 
@@ -28,6 +30,61 @@ def test_gegenbauer_parity():
         lhs = gegenbauer(m, mu, -x)
         rhs = (-1.0) ** m * gegenbauer(m, mu, x)
         assert np.abs(lhs - rhs).max() <= 1e-13 * max(np.abs(rhs).max(), 1.0)
+
+
+# The hypergeometric definitions of the docstrings, summed as series: the
+# reference for scipy's recurrences at low degree.
+SERIES = {
+    "gegen": (gegenbauer, lambda m, mu, x: pochhammer(2.0 * mu, m) / math.factorial(m)
+              * hyp_terminating([-m, m + 2 * mu], [mu + 0.5], (1 - x) / 2)),
+    "jacobi": (jacobi, lambda m, a, b, t: pochhammer(a + 1.0, m) / math.factorial(m)
+               * hyp_terminating([-m, m + a + b + 1], [a + 1], (1 - t) / 2)),
+    "laguerre": (laguerre, lambda m, a, t: pochhammer(a + 1.0, m) / math.factorial(m)
+                 * hyp_terminating([-m], [a + 1], t)),
+}
+_BOX = np.linspace(-1, 1, 7)
+POINTS = {
+    # real points on both sides of 0 (for Laguerre, its half line and some
+    # negative points), and complex points in the unit box
+    "real": np.linspace(-1, 1, 41),
+    "real_laguerre": np.linspace(-3, 12, 46),
+    "complex": (_BOX[:, None] + 1j * _BOX[None, :]).ravel(),
+}
+
+
+# (family, params, relative tolerance): the series loses up to 2e-11 of the
+# largest value near t = -1, where its argument (1 - t)/2 nears 1 (scipy's
+# recurrence stays within 3e-15 of mpmath there)
+SERIES_ROWS = [
+    ("gegen", (-0.3,), 1e-10), ("gegen", (0.0,), 1e-10), ("gegen", (1e-9,), 1e-10),
+    ("gegen", (0.8,), 1e-10), ("gegen", (2.5,), 1e-10),
+    ("jacobi", (-0.6, 2.0), 1e-10), ("jacobi", (0.3, 1.7), 1e-10),
+    ("jacobi", (2.0, -0.6), 1e-10), ("jacobi", (-0.5, -0.5), 1e-10),
+    ("laguerre", (-0.6,), 1e-10), ("laguerre", (0.5,), 1e-10), ("laguerre", (2.5,), 1e-10),
+]
+
+
+@pytest.mark.parametrize("family,params,rel", SERIES_ROWS)
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_matches_hypergeometric_series(family, params, rel, kind):
+    evaluator, series = SERIES[family]
+    x = POINTS["real_laguerre" if (family, kind) == ("laguerre", "real") else kind]
+    zero_mu = family == "gegen" and params == (0.0,)
+    for m in range(9):
+        got, want = evaluator(m, *params, x), series(m, *params, x)
+        assert np.abs(got - want).max() <= rel * np.abs(want).max(), m
+        if zero_mu and m >= 1:
+            assert not np.any(got)  # C_m^(0) = 0 for m >= 1
+
+
+@pytest.mark.parametrize("z", [0.5, 0.5 + 0.1j])
+@pytest.mark.parametrize("m,mu", [(0, 0.0), (5, 90.0), (5, 200.0)])
+def test_gegenbauer_large_or_zero_mu(m, mu, z):
+    # C_0^(0) = 1, and mu with Gamma(2 mu) beyond float range: finite values
+    # that a Gamma(m + 2 mu) / Gamma(2 mu) prefactor would turn into nan
+    want = SERIES["gegen"][1](m, mu, z)
+    assert np.isfinite(want)
+    assert abs(gegenbauer(m, mu, z) - want) <= 1e-12 * abs(want)
 
 
 def test_gegenbauer_norm_values():

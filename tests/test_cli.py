@@ -129,6 +129,14 @@ def test_cli_eval_more_functions(capsys):
                  "--params", "alpha=0.5,mu=0.7", "--x", "0"]) == 0
     out = capsys.readouterr().out
     assert float(out.split("(")[1].split(")")[0]) == pytest.approx(1.0)
+    # mu = 0 on the last axis (k_2 = 0): g_2 = (1 - tanh^2 x_1)^(alpha + 1/4)
+    # C_1^(1/2)(tanh x_1) (1 - tanh^2 x_2)^alpha C_0^(0)(tanh x_2), with
+    # C_1^(1/2)(y) = y and C_0^(0) = 1; the CLI passes the points as complex
+    assert main(["eval", "--fn", "g", "--d", "2", "--k", "1,0",
+                 "--params", "alpha=0.8,mu=0", "--x", "0.3,0.1"]) == 0
+    out = capsys.readouterr().out
+    want = (math.cosh(0.3) ** -2) ** 1.05 * math.tanh(0.3) * (math.cosh(0.1) ** -2) ** 0.8
+    assert float(out.split("(")[1].split(")")[0]) == pytest.approx(want, rel=1e-14)
     assert main(["eval", "--fn", "ball", "--d", "2", "--k", "1,0",
                  "--params", "mu=0.5", "--x", "0.25,0.1"]) == 0
     out = capsys.readouterr().out

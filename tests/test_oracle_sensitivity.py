@@ -1,15 +1,18 @@
 """Every identity family must fail when a formula it checks is wrong.
 
 One table of (target, mutation, families that must fail).  Each row replaces
-one closed form or norm by a wrong version wherever the package binds it by
-name, runs a reduced sweep of the listed families on a fresh draw memo, and
-asserts that at least one case of each listed family fails.  A case that
-raises counts as failed, as in a sweep.
+one closed form, norm or polynomial by a wrong version wherever the package
+binds it by name, runs a reduced sweep of the listed families on a fresh draw
+memo, and asserts that at least one case of each listed family fails.  A case
+that raises counts as failed, as in a sweep.
 
 Blind spots, pinned by ``BLIND_SPOTS``: a contiguous relation is homogeneous
 and linear, so CONTIG cannot see a constant factor on A or B; a form
 equivalence compares two forms, so FORM_EQUIV cannot see a factor both forms
-share (the Beta part of phi).  No family checks ``eval_B_hahn``.
+share (the Beta part of phi); the Parseval integral is symmetric under
+swapping (a1, a2) in D, so PARSEVAL cannot see that swap.  No sweep family
+checks ``eval_B_hahn``, because a FORM_EQUIV_B family would change the
+default sweep; ``test_transforms.test_B_hahn_form_agrees`` checks it.
 """
 
 import sys
@@ -71,6 +74,17 @@ def zeta_shift(shift, eta_index=None):
     return mutate
 
 
+def swap(i, j):
+    # exchange the positional arguments i and j (0-based), e.g. two parameters
+    def mutate(f):
+        def swapped(*a):
+            a = list(a)
+            a[i], a[j] = a[j], a[i]
+            return f(*a)
+        return swapped
+    return mutate
+
+
 MUTATIONS = {
     "scale": scaled,
     "scale_value": scaled_first,
@@ -82,6 +96,8 @@ MUTATIONS = {
     "theta_zeta-1": zeta_shift(-1, eta_index=0),
     "lambda_zeta+1": zeta_shift(+1),
     "lambda_zeta-1": zeta_shift(-1),
+    "swap(1,2)": swap(1, 2),
+    "swap(2,3)": swap(2, 3),
 }
 
 PHI = ["FOURIER_J", "FOURIER_L", "FORM_EQUIV_PHI"]
@@ -94,9 +110,15 @@ SENSITIVITY = [
     ("classical", "gegenbauer_norm", "scale", ["ORT_GEGEN"]),
     ("classical", "jacobi_norm", "scale", ["ORT_JACOBI", "ORT_PARA_J"]),
     ("classical", "laguerre_norm", "scale", ["ORT_LAGUERRE", "ORT_PARA_L"]),
+    ("classical", "gegenbauer", "degree_scale", ["ORT_GEGEN", "FOURIER_J", "FOURIER_L"]),
+    ("classical", "jacobi", "degree_scale", ["ORT_JACOBI", "ORT_PARA_J", "FOURIER_J"]),
+    ("classical", "laguerre", "degree_scale", ["ORT_LAGUERRE", "ORT_PARA_L", "FOURIER_L"]),
+    # (alpha, beta); jacobi_norm is symmetric in them, so it has no swap row
+    ("classical", "jacobi", "swap(1,2)", ["ORT_JACOBI", "ORT_PARA_J", "FOURIER_J"]),
     ("ball", "ball_norm", "scale",
      ["ORT_BALL", "ORT_PARA_J", "ORT_PARA_L", "PARSEVAL_A", "PARSEVAL_B"]),
     ("paraboloid", "jacobi_paraboloid_norm", "scale", ["ORT_PARA_J"]),
+    ("paraboloid", "jacobi_paraboloid_norm", "swap(2,3)", ["ORT_PARA_J"]),  # (beta, gamma)
     ("paraboloid", "laguerre_paraboloid_norm", "scale", ["ORT_PARA_L"]),
     ("verifier", "parseval_rhs", "scale", ["PARSEVAL_A", "PARSEVAL_B"]),
     ("transforms", "fourier_h_jacobi_closed", "scale", ["FOURIER_J"]),
@@ -109,6 +131,7 @@ SENSITIVITY = [
     ("transforms", "theta_factor", "theta_zeta+1", ["FOURIER_J"]),
     ("transforms", "theta_factor", "theta_zeta-1", ["FOURIER_J"]),
     ("transforms", "theta_factor", "conj_xi", ["FOURIER_J"]),
+    ("transforms", "theta_factor", "swap(2,3)", ["FOURIER_J"]),  # (zeta, eta)
     ("transforms", "lambda_factor", "scale", ["FOURIER_L"]),
     ("transforms", "lambda_factor", "lambda_zeta+1", ["FOURIER_L"]),
     ("transforms", "lambda_factor", "lambda_zeta-1", ["FOURIER_L"]),
@@ -119,6 +142,7 @@ SENSITIVITY = [
     ("transforms", "B_t", "degree_scale", ["PARSEVAL_B"] + MIXED_B),
     ("transforms", "_D_axis", "scale",
      ["PARSEVAL_A", "PARSEVAL_B", "FORM_EQUIV_D", "FORM_EQUIV_A"]),
+    ("transforms", "_D_axis", "swap(2,3)", ["FORM_EQUIV_D", "FORM_EQUIV_A"]),  # (a1, a2)
     ("transforms", "phi_factor_hahn", "scale", ["FORM_EQUIV_PHI"]),
     ("transforms", "eval_D_hahn", "scale", ["FORM_EQUIV_D", "FORM_EQUIV_A"]),
     ("transforms", "eval_A_hahn", "scale", ["FORM_EQUIV_A"]),
@@ -132,6 +156,9 @@ BLIND_SPOTS = [
     ("transforms", "A_t", "scale", ["CONTIG_A_i", "CONTIG_A_iv"]),
     ("transforms", "B_t", "scale", ["CONTIG_B_i", "CONTIG_B_iv"]),
     ("transforms", "_phi_beta_part", "scale_value", ["FORM_EQUIV_PHI"]),
+    # the Parseval integral is symmetric under (a1, a2) -> (a2, a1) in D:
+    # s -> -s exchanges its two sides
+    ("transforms", "_D_axis", "swap(2,3)", ["PARSEVAL_A", "PARSEVAL_B"]),
 ]
 
 

@@ -449,6 +449,21 @@ def test_B_collapse_and_hahn_form():
     assert eval_B_hahn(m, (k1,), SPB, 1, t, x) == pytest.approx(comp, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_B_hahn_form_agrees(d):
+    # drawn as FORM_EQUIV_A draws its cases; there is no FORM_EQUIV_B family
+    rng = np.random.default_rng(11 + d)
+    for _ in range(100):
+        k = tuple(int(v) for v in rng.integers(0, 3, d))
+        m = sum(k) + int(rng.integers(0, 3))
+        sp = SplitParams(*rng.uniform(0.2, 3.0, 4))
+        t = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d)]
+        v1 = eval_B(m, k, sp, d, t, x)
+        v2 = eval_B_hahn(m, k, sp, d, t, x)
+        assert abs(v1 - v2) <= 1e-10 * abs(v1)
+
+
 def test_A_term_by_term_oracle():
     # d=1, m=1, k=0: Gamma(z1 - t/2) [1 + (-1)(1+|z|+|e|-1)(z1-t/2) /
     # ((|z|)(z1+e1))] D_0, assembled from scratch
