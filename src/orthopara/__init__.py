@@ -12,7 +12,7 @@ from .gammafn import beta, gamma, log_gamma, pochhammer
 from .hyper import hyp, hyp2f1_at_2, hyp_terminating
 from .paraboloid import (
     jacobi_paraboloid, jacobi_paraboloid_norm, laguerre_paraboloid,
-    laguerre_paraboloid_norm, paraboloid_inner_product,
+    laguerre_paraboloid_norm,
 )
 from .transforms import (
     SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_A_hahn,

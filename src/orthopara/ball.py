@@ -101,41 +101,22 @@ def ball_norm(k, mu):
     return float(val)
 
 
-def cube_to_ball(v):
-    """Iterated-slice coordinates: y_j = v_j prod_{i<j} sqrt(1 - v_i^2),
-    mapping (-1,1)^d onto B^d; broadcastable."""
-    y = []
-    scale = 1.0
-    for vj in v:
-        vj = np.asarray(vj)
-        y.append(vj * np.sqrt(scale))
-        scale = scale * (1.0 - vj * vj)
-    return y
+def ball_axis(j, mu, k, v):
+    """Factor j of P_k^mu in the slice coordinates y_j = v_j prod_{i<j}
+    sqrt(1 - v_i^2), which map (-1,1)^d onto B^d:
+
+        P_k^mu(y(v)) = prod_j C_{k_j}^(lam_j)(v_j) (1 - v_j^2)^{|k^{j+1}|/2}.
+    """
+    return (gegenbauer_homogeneous(k[j - 1], lambda_param(k, mu, j), v, 1.0)
+            * (1 - v * v) ** (tail_sum(k, j + 1) / 2))
 
 
 def ball_rules(d, mu, n):
     """Per-axis Gauss-Jacobi rules absorbing the mapped weight: axis j carries
-    (1 - v_j^2)^(mu - 1/2 + (d-j)/2) from the weight plus the slice Jacobian."""
+    (1 - v_j^2)^(mu - 1/2 + (d-j)/2) from the weight plus the slice Jacobian,
+    so <P_k, P_k2> is one ball_axis sum per axis."""
     rules = []
     for j in range(1, d + 1):
         e = mu - 0.5 + 0.5 * (d - j)
         rules.append(gauss_jacobi(n, e, e))
     return rules
-
-
-def ball_integral(F, d, mu, n):
-    """Tensor quadrature of F(y_1, ..., y_d) (1-|y|^2)^(mu-1/2) over B^d.
-
-    F must broadcast; summation order is fixed.
-    """
-    rules = ball_rules(d, mu, n)
-    grids = []
-    for j, r in enumerate(rules):
-        shape = [1] * d
-        shape[j] = len(r)
-        grids.append(r.nodes.reshape(shape))
-    y = cube_to_ball(grids)
-    w = rules[0].weights.reshape(grids[0].shape)
-    for j in range(1, d):
-        w = w * rules[j].weights.reshape(grids[j].shape)
-    return np.sum(w * F(*y))

@@ -75,8 +75,8 @@ class SweepConfig:
             if f.type == "int" and val < 0:
                 raise ConfigError(f"{f.name} must be nonnegative")
         self.families = expand_families(self.families)
-        if not self.dims or any(type(d) is not int or d not in (1, 2) for d in self.dims):
-            raise ConfigError("dims must be a nonempty subset of {1, 2}")
+        if not self.dims or any(type(d) is not int or d not in (1, 2, 3) for d in self.dims):
+            raise ConfigError("dims must be a nonempty subset of {1, 2, 3}")
         for fam, tol in self.tolerances.items():
             if fam not in ALL_FAMILIES:
                 raise ConfigError(f"tolerance for unknown family {fam!r}")
@@ -300,6 +300,13 @@ def _parse_complex_list(text, d, what):
     return vals
 
 
+def _parse_real_list(text, d, what):
+    vals = _parse_complex_list(text, d, what)
+    if any(v.imag for v in vals):
+        raise ParseError(f"--{what} must be real for this function, got {text!r}")
+    return [v.real for v in vals]
+
+
 def _axis(kv):
     axis = kv.get("axis", 1.0)
     if not axis.is_integer():
@@ -318,11 +325,11 @@ _POINT_KINDS = {
     "m": lambda args, kv: _degree(args),
     "axis": lambda args, kv: _axis(kv),
     "t": lambda args, kv: _parse_complex_list(args.t, 1, "t")[0],
-    "real t": lambda args, kv: _parse_complex_list(args.t, 1, "t")[0].real,
+    "real t": lambda args, kv: _parse_real_list(args.t, 1, "t")[0],
     "x": lambda args, kv: _parse_complex_list(args.x, args.d, "x"),
-    "real x": lambda args, kv: [v.real for v in _parse_complex_list(args.x, args.d, "x")],
-    "xi": lambda args, kv: _parse_complex_list(args.xi, 1, "xi")[0].real,
-    "xi vector": lambda args, kv: [v.real for v in _parse_complex_list(args.xi, args.d + 1, "xi")],
+    "real x": lambda args, kv: _parse_real_list(args.x, args.d, "x"),
+    "xi": lambda args, kv: _parse_real_list(args.xi, 1, "xi")[0],
+    "xi vector": lambda args, kv: _parse_real_list(args.xi, args.d + 1, "xi"),
 }
 
 _WRAP_J = ("alpha", "zeta", "eta", "beta", "gamma", "mu")
@@ -390,7 +397,7 @@ def build_parser():
     sw.add_argument("--config", help="flat JSON config file (CLI flags override)")
     sw.add_argument("--seed", type=int, help="PRNG seed for the case draws")
     sw.add_argument("--tol", type=float, help="override every family tolerance")
-    sw.add_argument("--d", help="comma-separated dimension list, e.g. 1,2")
+    sw.add_argument("--d", help="comma-separated dimension list, e.g. 1,2,3")
     sw.add_argument("--max-degree", type=int, help="multivariate total-degree cap")
     sw.add_argument("--families", help="comma-separated family ids or groups (ORT, FOURIER, PARSEVAL, CONTIG, FORM_EQUIV, all)")
     sw.add_argument("--format", choices=("json", "csv"), help="report format")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ball import ball_homogeneous, ball_integral, ball_norm, tail_sum, validate_multi_index
+from .ball import ball_homogeneous, ball_norm, tail_sum, validate_multi_index
 from .classical import jacobi, jacobi_norm, laguerre, laguerre_norm
 from .errors import DomainError
 from .quadrature import gauss_jacobi, gauss_laguerre
@@ -26,6 +26,16 @@ _DOMAIN_SLACK = 1e-12
 def radial_alpha(n, beta, mu, d):
     """Parameter alpha_n = n + mu + beta + (d-1)/2 of the radial factor."""
     return n + mu + beta + 0.5 * (d - 1)
+
+
+def radial_factor(kind, m, n, beta, gamma, mu, d, t):
+    """The radial factor of a degree-m basis function with |k| = n:
+    P_{m-n}^(alpha_n, gamma)(1-2t) of kind "jacobi", L_{m-n}^(alpha_n)(t) of
+    kind "laguerre"."""
+    a = radial_alpha(n, beta, mu, d)
+    if kind == "jacobi":
+        return jacobi(m - n, a, gamma, 1.0 - 2.0 * t)
+    return laguerre(m - n, a, t)
 
 
 def _validate(m, k, beta, mu, d, gamma=None):
@@ -61,8 +71,7 @@ def jacobi_paraboloid(m, k, beta, gamma, mu, t, x, check_domain=True):
     if check_domain:
         _check_point(t, x, 1.0)
     t = np.asarray(t)
-    rad = jacobi(m - n, radial_alpha(n, beta, mu, d), gamma, 1.0 - 2.0 * t)
-    return rad * ball_homogeneous(k, mu, x, t)
+    return radial_factor("jacobi", m, n, beta, gamma, mu, d, t) * ball_homogeneous(k, mu, x, t)
 
 
 def laguerre_paraboloid(m, k, beta, mu, t, x, check_domain=True):
@@ -73,8 +82,7 @@ def laguerre_paraboloid(m, k, beta, mu, t, x, check_domain=True):
     if check_domain:
         _check_point(t, x, np.inf)
     t = np.asarray(t)
-    rad = laguerre(m - n, radial_alpha(n, beta, mu, d), t)
-    return rad * ball_homogeneous(k, mu, x, t)
+    return radial_factor("laguerre", m, n, beta, 0.0, mu, d, t) * ball_homogeneous(k, mu, x, t)
 
 
 def jacobi_paraboloid_norm(m, k, beta, gamma, mu, d):
@@ -92,7 +100,12 @@ def laguerre_paraboloid_norm(m, k, beta, mu, d):
     return laguerre_norm(m - n, radial_alpha(n, beta, mu, d)) * ball_norm(k, mu)
 
 
-def _t_rule(kind, n_t, beta, gamma, mu, d):
+def t_rule(kind, n_t, beta, gamma, mu, d):
+    """The n_t-point radial rule (nodes, weights) of kind "jacobi" (b = 1,
+    against t^a (1-t)^gamma on (0, 1)) or "laguerre" (b = inf, against
+    t^a e^{-t}), a = beta + mu + (d-1)/2: the slice change of variable x =
+    sqrt(t) y turns the paraboloid weight into this t weight times the ball
+    weight of y."""
     a = beta + mu + 0.5 * (d - 1)
     if kind == "jacobi":
         rule = gauss_jacobi(n_t, gamma, a)
@@ -105,29 +118,3 @@ def _t_rule(kind, n_t, beta, gamma, mu, d):
     else:
         raise DomainError(f"unknown radial weight kind {kind!r}")
     return t, w
-
-
-def paraboloid_inner_product(f, g, d, mu, weight, n_axis=40):
-    """<f, g> over U^{d+1} against the requested weight.
-
-    ``weight`` is ("jacobi", beta, gamma) for b = 1 or ("laguerre", beta) for
-    b = inf.  Uses the slice change of variable
-    int_U f = int_0^b t^{d/2} int_{B^d} f(t, sqrt(t) y) dy dt with the
-    algebraic weights absorbed into Gauss rules of order n_axis on every
-    axis.  f(t, x) and g(t, x) are evaluated once, on the whole
-    (t, y_1..y_d) grid: they must broadcast over t as well as over x.
-    """
-    if weight[0] == "jacobi":
-        kind, beta, gamma = weight
-    else:
-        (kind, beta), gamma = weight, 0.0
-    t, w = _t_rule(kind, n_axis, beta, gamma, mu, d)
-    t = t.reshape((-1,) + (1,) * d)  # the t axis leads the ball axes
-    w = w.reshape(t.shape)
-    sq = np.sqrt(t)
-
-    def F(*y):
-        xs = [sq * yj for yj in y]
-        return w * f(t, xs) * g(t, xs)
-
-    return ball_integral(F, d, mu, n_axis)

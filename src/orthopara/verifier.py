@@ -18,17 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ball import ball_integral, ball_eval, ball_norm, tail_sum
+from .ball import ball_axis, ball_norm, ball_rules, tail_sum
 from .classical import (
     gegenbauer, gegenbauer_norm, jacobi, jacobi_norm, laguerre, laguerre_norm,
 )
 from .contiguous import a_relation_pair, b_relation_pair
 from .errors import DomainError, PoleError, QuadratureNonConvergence
 from .gammafn import log_gamma, pochhammer
-from .paraboloid import (
-    jacobi_paraboloid, jacobi_paraboloid_norm, laguerre_paraboloid,
-    laguerre_paraboloid_norm, paraboloid_inner_product,
-)
+from .paraboloid import jacobi_paraboloid_norm, laguerre_paraboloid_norm, radial_factor, t_rule
 from .quadrature import composite_legendre, gauss_jacobi, gauss_laguerre
 from .transforms import (
     A_t, B_t, D_axis, SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A,
@@ -202,48 +199,55 @@ def _ort_1d(case):
     return _gram(case, t0, column, norm, m, m2, (n0, 2 * n0), gram_entry)
 
 
+def _ball_gram(column, d, mu, k, k2, n):
+    """<P_k, P_k2> on the n-point ``ball_rules``: in the slice coordinates
+    both are products of ``ball_axis`` factors, so it is one sum per axis.
+    The axis lines come from ``column``."""
+    val = 1.0
+    for j, r in enumerate(ball_rules(d, mu, n), start=1):
+        axis = lambda kk: column(("axis", n, j, kk), lambda: ball_axis(j, mu, kk, r.nodes))
+        val = val * np.sum(r.weights * axis(k) * axis(k2))
+    return val
+
+
 def _ort_ball(case):
     t0 = time.perf_counter()
     column = _memo.open(case)
     mu = case.params["mu"]
     k, k2, d = case.k, case.k2, case.d
-
-    def gram_entry(n):
-        def F(*y):
-            return (column((n, k), lambda: ball_eval(k, mu, list(y), check_domain=False))
-                    * column((n, k2), lambda: ball_eval(k2, mu, list(y), check_domain=False)))
-        return ball_integral(F, d, mu, n), d * n
-
     n0 = max(12, tail_sum(k, 1) + tail_sum(k2, 1) + 4)
-    return _gram(case, t0, column, lambda kk: ball_norm(kk, mu), k, k2, (n0, 2 * n0), gram_entry)
+    return _gram(case, t0, column, lambda kk: ball_norm(kk, mu), k, k2, (n0, 2 * n0),
+                 lambda n: (_ball_gram(column, d, mu, k, k2, n), d * n))
+
+
+def _para_gram(column, kind, beta, gamma, mu, d, mk, mk2, n):
+    """<basis(m, k), basis(m2, k2)> on the n-point radial and ball rules: a
+    basis function is its ``radial_factor`` times t^{|k|/2} P_k(y) with
+    x = sqrt(t) y, so it is one ``t_rule`` sum times the ball Gram entry of
+    (k, k2).  The rule and the lines come from ``column``."""
+    (m, k), (m2, k2) = mk, mk2
+    t, w = column(("t", n), lambda: np.array(t_rule(kind, n, beta, gamma, mu, d)))
+    radial = lambda mm, kk: column(("rad", n, mm, kk), lambda: radial_factor(
+        kind, mm, tail_sum(kk, 1), beta, gamma, mu, d, t))
+    val = np.sum(w * radial(m, k) * radial(m2, k2) * t ** ((tail_sum(k, 1) + tail_sum(k2, 1)) / 2))
+    return val * _ball_gram(column, d, mu, k, k2, n)
 
 
 def _ort_para(case):
     t0 = time.perf_counter()
     column = _memo.open(case)
     p = case.params
-    d = case.d
-    mu = p["mu"]
+    d, mu, beta = case.d, p["mu"], p["beta"]
     if case.identity_id == "ORT_PARA_J":
-        weight = ("jacobi", p["beta"], p["gamma"])
-        basis = lambda m, k, t, x: jacobi_paraboloid(m, k, p["beta"], p["gamma"], mu, t, x,
-                                                     check_domain=False)
-        norm = lambda mk: jacobi_paraboloid_norm(*mk, p["beta"], p["gamma"], mu, d)
+        kind, gamma = "jacobi", p["gamma"]
+        norm = lambda mk: jacobi_paraboloid_norm(*mk, beta, gamma, mu, d)
     else:
-        weight = ("laguerre", p["beta"])
-        basis = lambda m, k, t, x: laguerre_paraboloid(m, k, p["beta"], mu, t, x,
-                                                       check_domain=False)
-        norm = lambda mk: laguerre_paraboloid_norm(*mk, p["beta"], mu, d)
-
-    def gram_entry(n):
-        def values(m, k):  # the basis function on the n-point (t, y) grid
-            return lambda t, x: column((n, m, k), lambda: basis(m, k, t, x))
-        f, g = values(case.m, case.k), values(case.m2, case.k2)
-        return paraboloid_inner_product(f, g, d, mu, weight, n_axis=n), (d + 1) * n
-
+        kind, gamma = "laguerre", 0.0
+        norm = lambda mk: laguerre_paraboloid_norm(*mk, beta, mu, d)
+    mk, mk2 = (case.m, case.k), (case.m2, case.k2)
     n0 = max(12, case.m + case.m2 + 4)
-    return _gram(case, t0, column, norm, (case.m, case.k), (case.m2, case.k2), (n0, 2 * n0),
-                 gram_entry)
+    return _gram(case, t0, column, norm, mk, mk2, (n0, 2 * n0),
+                 lambda n: (_para_gram(column, kind, beta, gamma, mu, d, mk, mk2, n), (d + 1) * n))
 
 
 # ---------------------------------------------------------------------------

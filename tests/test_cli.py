@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from orthopara.ball import ball_eval
-from orthopara.cli import EVAL_FUNCTIONS, SweepConfig, expand_families, load_config, main, run_sweep
+from orthopara.cli import (
+    EVAL_FUNCTIONS, EVAL_TABLE, SweepConfig, expand_families, load_config, main, run_sweep,
+)
 from orthopara.errors import ConfigError
 from orthopara.gammafn import beta as betafn
 from orthopara.gammafn import gamma
@@ -18,6 +20,7 @@ from orthopara.transforms import (
     eval_h_jacobi, eval_h_laguerre, fourier_h_jacobi_closed, fourier_h_laguerre_closed,
     lambda_factor, phi_factor, theta_factor,
 )
+from orthopara.verifier import ALL_FAMILIES
 
 
 def test_empty_family_list(tmp_path):
@@ -60,13 +63,29 @@ def test_config_file_roundtrip(tmp_path):
 @pytest.mark.parametrize("raw", [
     {"max_degree_multi": "3"}, {"seed": "x"}, {"tolerances": {"ORT_GEGEN": "1e-3"}},
     {"max_degree_1d": 2.5}, [1, 2], {"dims": []}, {"tolerances": {"ORT_GEGEN": math.inf}},
+    {"dims": [4]},
 ], ids=["str_degree", "str_seed", "str_tolerance", "float_degree", "not_an_object",
-        "empty_dims", "inf_tolerance"])
+        "empty_dims", "inf_tolerance", "dims_4"])
 def test_config_field_types_rejected(raw, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     assert main(["sweep", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_dims_3_sweep_passes_every_family(tmp_path):
+    # d = 3 reaches the paraboloid Gram, Fourier, contiguous and form
+    # families; ORT_BALL stays at d = 2 and Parseval at d = 1
+    cfg = SweepConfig(dims=[3], max_degree_1d=2, max_degree_multi=2, fourier_max_degree=1,
+                      parseval_max_degree=1, ort_param_draws=1, fourier_xi_draws=1,
+                      contig_draws=28, form_draws=12, seed=3, out_path=str(tmp_path / "r.json"))
+    summary = run_sweep(cfg)
+    assert summary.total > 0 and summary.failed == 0
+    cases = json.loads((tmp_path / "r.json").read_text())["cases"]
+    assert {c["identity_id"] for c in cases} == set(ALL_FAMILIES)
+    d3 = {c["identity_id"] for c in cases if c["d"] == 3}
+    assert d3 == set(ALL_FAMILIES) - {"ORT_GEGEN", "ORT_JACOBI", "ORT_LAGUERRE", "ORT_BALL",
+                                       "PARSEVAL_A", "PARSEVAL_B"}
 
 
 def test_raised_case_reports_error_not_skip(tmp_path):
@@ -326,3 +345,22 @@ def test_cli_eval_matches_library_call(fn, capsys):
     assert main(["eval", "--fn", fn, *argv]) == 0
     want = complex(call())
     assert capsys.readouterr().out == f"{fn} = ({want.real!r}) + ({want.imag!r})j\n"
+
+
+# (fn, flag) of every eval argument that is a real point
+REAL_POINTS = [(fn, flag) for fn, (_, _, kinds) in EVAL_TABLE.items()
+               for kind, flag in (("real t", "--t"), ("real x", "--x"), ("xi", "--xi"),
+                                  ("xi vector", "--xi")) if kind in kinds]
+
+
+@pytest.mark.parametrize("fn, flag", REAL_POINTS, ids=[f"{fn}{flag}" for fn, flag in REAL_POINTS])
+def test_cli_eval_imaginary_real_point_rejected(fn, flag, capsys):
+    # a real point with a nonzero imaginary part is a parse error (exit 2),
+    # never an evaluation at its real part
+    real = EVAL_CASES[fn][0]
+    argv = [arg + "+0.5j" if arg.startswith(flag + "=") or (i and real[i - 1] == flag) else arg
+            for i, arg in enumerate(real)]
+    assert argv != real
+    assert main(["eval", "--fn", fn, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be real" in captured.err

@@ -101,6 +101,7 @@ MUTATIONS = {
 }
 
 PHI = ["FOURIER_J", "FOURIER_L", "FORM_EQUIV_PHI"]
+GRAM = ["ORT_BALL", "ORT_PARA_J", "ORT_PARA_L"]
 # the lifted relations that mix degrees m and m +- 1
 MIXED_A = [f"CONTIG_A_{r}" for r in ("i", "iii", "iv", "v", "vi", "vii")]
 MIXED_B = [f"CONTIG_B_{r}" for r in ("i", "iii", "iv", "vi", "vii")]
@@ -117,6 +118,10 @@ SENSITIVITY = [
     ("classical", "jacobi", "swap(1,2)", ["ORT_JACOBI", "ORT_PARA_J", "FOURIER_J"]),
     ("ball", "ball_norm", "scale",
      ["ORT_BALL", "ORT_PARA_J", "ORT_PARA_L", "PARSEVAL_A", "PARSEVAL_B"]),
+    # the axis factors of the separated ball and paraboloid Gram entries
+    ("ball", "ball_axis", "scale", GRAM),
+    ("classical", "gegenbauer_homogeneous", "scale", GRAM),
+    ("ball", "lambda_param", "scale", GRAM),
     ("paraboloid", "jacobi_paraboloid_norm", "scale", ["ORT_PARA_J"]),
     ("paraboloid", "jacobi_paraboloid_norm", "swap(2,3)", ["ORT_PARA_J"]),  # (beta, gamma)
     ("paraboloid", "laguerre_paraboloid_norm", "scale", ["ORT_PARA_L"]),

@@ -9,9 +9,10 @@ from orthopara.classical import jacobi, laguerre
 from orthopara.errors import DomainError
 from orthopara.paraboloid import (
     jacobi_paraboloid, jacobi_paraboloid_norm, laguerre_paraboloid,
-    laguerre_paraboloid_norm, paraboloid_inner_product, radial_alpha,
+    laguerre_paraboloid_norm, radial_alpha,
 )
 from orthopara.verifier import degree_index_pairs
+from slice_tensor import slice_tensor
 
 
 def test_degenerate_radial_degree():
@@ -59,7 +60,7 @@ def test_domain_checks():
 def test_unit_inner_product_closed_beta():
     # <1,1> with d=1, b=1, beta=gamma=0, mu=1/2 is 2 * int_0^1 t^{1/2} dt = 4/3
     one = lambda t, x: np.ones(np.broadcast_shapes(np.shape(t), *(np.shape(v) for v in x)))
-    got = paraboloid_inner_product(one, one, 1, 0.5, ("jacobi", 0.0, 0.0), n_axis=16)
+    got = slice_tensor(lambda t, x: one(t, x) ** 2, 1, 0.5, 16, ("jacobi", 0.0, 0.0))
     assert got == pytest.approx(4 / 3, rel=1e-13)
 
 
@@ -67,9 +68,9 @@ def test_laguerre_inner_products_inline_computation():
     beta, mu = 0.0, 0.5
     f0 = lambda t, x: laguerre_paraboloid(0, (0,), beta, mu, t, x, check_domain=False)
     f1 = lambda t, x: laguerre_paraboloid(1, (0,), beta, mu, t, x, check_domain=False)
-    off = paraboloid_inner_product(f0, f1, 1, mu, ("laguerre", beta), n_axis=20)
+    off = slice_tensor(lambda t, x: f0(t, x) * f1(t, x), 1, mu, 20, ("laguerre", beta, 0.0))
     assert abs(off) < 1e-10
-    diag = paraboloid_inner_product(f1, f1, 1, mu, ("laguerre", beta), n_axis=20)
+    diag = slice_tensor(lambda t, x: f1(t, x) ** 2, 1, mu, 20, ("laguerre", beta, 0.0))
     # Gamma(alpha_0 + 2)/1! * ball norm with alpha_0 = 1/2
     want = math.gamma(2.5) * 2.0
     assert diag == pytest.approx(want, rel=1e-12)
@@ -83,7 +84,7 @@ def test_jacobi_gram(d):
     for (m, k), (m2, k2) in itertools.combinations_with_replacement(pairs, 2):
         f = lambda t, x: jacobi_paraboloid(m, k, beta, gamma, mu, t, x, check_domain=False)
         g = lambda t, x: jacobi_paraboloid(m2, k2, beta, gamma, mu, t, x, check_domain=False)
-        entry = paraboloid_inner_product(f, g, d, mu, ("jacobi", beta, gamma), n_axis=16)
+        entry = slice_tensor(lambda t, x: f(t, x) * g(t, x), d, mu, 16, ("jacobi", beta, gamma))
         d1 = jacobi_paraboloid_norm(m, k, beta, gamma, mu, d)
         d2 = jacobi_paraboloid_norm(m2, k2, beta, gamma, mu, d)
         if (m, k) == (m2, k2):
@@ -99,7 +100,7 @@ def test_laguerre_gram(d):
     for (m, k), (m2, k2) in itertools.combinations_with_replacement(pairs, 2):
         f = lambda t, x: laguerre_paraboloid(m, k, beta, mu, t, x, check_domain=False)
         g = lambda t, x: laguerre_paraboloid(m2, k2, beta, mu, t, x, check_domain=False)
-        entry = paraboloid_inner_product(f, g, d, mu, ("laguerre", beta), n_axis=16)
+        entry = slice_tensor(lambda t, x: f(t, x) * g(t, x), d, mu, 16, ("laguerre", beta, 0.0))
         d1 = laguerre_paraboloid_norm(m, k, beta, mu, d)
         d2 = laguerre_paraboloid_norm(m2, k2, beta, mu, d)
         if (m, k) == (m2, k2):

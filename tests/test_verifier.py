@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -6,10 +7,13 @@ import numpy as np
 import pytest
 
 from orthopara import verifier
-from orthopara.ball import ball_norm
+from orthopara.ball import ball_eval, ball_norm
 from orthopara.cli import SweepConfig
 from orthopara.errors import QuadratureNonConvergence
 from orthopara.gammafn import gamma, log_gamma
+from orthopara.paraboloid import (
+    jacobi_paraboloid, jacobi_paraboloid_norm, laguerre_paraboloid, laguerre_paraboloid_norm,
+)
 from orthopara.quadrature import tensor_integrate
 from orthopara.transforms import (
     SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_B,
@@ -20,6 +24,7 @@ from orthopara.verifier import (
     _parseval_lhs, _parseval_rule, degree_index_pairs, generate_cases,
     multi_indices, parseval_rhs, run_case,
 )
+from slice_tensor import slice_tensor
 
 
 def _case(fam, **kw):
@@ -141,6 +146,48 @@ def test_separated_parseval_oracle_matches_full_tensor(fam, d):
     separated, _ = _parseval_lhs(fam, m, k, m, k, sp, d, panels,
                                  lambda key, compute: compute())
     assert separated == pytest.approx(full, rel=1e-12)
+
+
+@pytest.mark.parametrize("fam, d", [("ORT_BALL", 2), ("ORT_BALL", 3), ("ORT_PARA_J", 1),
+                                    ("ORT_PARA_J", 2), ("ORT_PARA_L", 1), ("ORT_PARA_L", 2)])
+def test_separated_gram_oracle_matches_full_tensor(fam, d):
+    # every Gram entry of |k| <= 3 (m <= 3), relative to sqrt(norm norm2) as
+    # in the verifier; the 2-point rules are exact only to degree 3, so there
+    # off-diagonal entries are far from 0 too
+    mu, beta, gamma_ = 0.7, 0.3, 0.4
+    no_memo = lambda key, compute: compute()
+    if fam == "ORT_BALL":
+        index = multi_indices(d, 3)
+        norm = lambda k: ball_norm(k, mu)
+
+        def entries(k, k2, n):
+            f = lambda y: (ball_eval(k, mu, y, check_domain=False)
+                           * ball_eval(k2, mu, y, check_domain=False))
+            return verifier._ball_gram(no_memo, d, mu, k, k2, n), slice_tensor(f, d, mu, n)
+    else:
+        index = degree_index_pairs(d, 3)
+        if fam == "ORT_PARA_J":
+            kind, g = "jacobi", gamma_
+            norm = lambda mk: jacobi_paraboloid_norm(*mk, beta, g, mu, d)
+            basis = lambda m, k, t, x: jacobi_paraboloid(m, k, beta, g, mu, t, x,
+                                                         check_domain=False)
+        else:
+            kind, g = "laguerre", 0.0
+            norm = lambda mk: laguerre_paraboloid_norm(*mk, beta, mu, d)
+            basis = lambda m, k, t, x: laguerre_paraboloid(m, k, beta, mu, t, x,
+                                                           check_domain=False)
+
+        def entries(mk, mk2, n):
+            f = lambda t, x: basis(*mk, t, x) * basis(*mk2, t, x)
+            return (verifier._para_gram(no_memo, kind, beta, g, mu, d, mk, mk2, n),
+                    slice_tensor(f, d, mu, n, (kind, beta, g)))
+    pairs = list(itertools.combinations_with_replacement(index, 2))
+    scale = np.array([math.sqrt(norm(i) * norm(i2)) for i, i2 in pairs])
+    off = np.array([i != i2 for i, i2 in pairs])
+    for n in (2, 12):
+        separated, full = np.array([entries(i, i2, n) for i, i2 in pairs]).T
+        assert np.all(np.abs(separated - full) <= 1e-12 * scale)
+        assert np.any(np.abs(full[off]) > 1e-3 * scale[off]) == (n == 2)
 
 
 def test_D_family_line_integral_d2():
@@ -332,7 +379,7 @@ def test_quadrature_oracle_values_pinned():
         values.update(repr((c.identity_id, rep.passed, rep.lhs, rep.rhs)).encode() + b"\n")
     assert len(cases) == 272
     assert verdicts.hexdigest() == "0a1d1a6f408000b96d635af8e442869748dbbb7808a5f827a3032a7d4461cc5a"
-    assert values.hexdigest() == "263a69c1b875d3eabf62a1258f917695e5c9e1cd83dfab9929d50ead258eb953"
+    assert values.hexdigest() == "0756537ca775743cce42c0571fc89bf86f9bd0bdae2354c2e30862d1b1d865a1"
 
 
 # small sweeps of two parameter draws each (ORT_PARA_J: d = 1 and d = 2)
