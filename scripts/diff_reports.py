@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Compare two JSON sweep reports, e.g. the `--no-timestamp` reports of one
+config before and after a change.
+
+Usage: python scripts/diff_reports.py A.json B.json
+
+Prints whether the two files are byte-identical, whether their case lists
+match (identity, d, degrees, indices and parameters of every record, in
+order), every record whose verdict fields (`passed`, `error`,
+`skipped_reason`, `nodes`) changed, and the largest |change of
+rel_residual| per family.  Exits 0 when the case lists and every verdict
+field match, 1 when they do not, 2 when a file cannot be read.
+"""
+
+import argparse
+import json
+import math
+import sys
+from pathlib import Path
+
+CASE_FIELDS = ("identity_id", "d", "m", "m2", "k", "k2", "params")
+VERDICT_FIELDS = ("passed", "error", "skipped_reason", "nodes")
+
+
+def residual_change(a, b):
+    """|a - b|, 0 when both are NaN (a raised case), inf when only one is."""
+    if math.isnan(a) and math.isnan(b):
+        return 0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
+    return abs(a - b)
+
+
+def compare(raw_a, raw_b):
+    """Lines of the comparison and whether the reports agree on every case
+    and verdict."""
+    if raw_a == raw_b:
+        return ["byte-identical: yes"], True
+    lines = ["byte-identical: no"]
+    cases_a, cases_b = json.loads(raw_a)["cases"], json.loads(raw_b)["cases"]
+    keys_a = [[c.get(f) for f in CASE_FIELDS] for c in cases_a]
+    keys_b = [[c.get(f) for f in CASE_FIELDS] for c in cases_b]
+    if keys_a != keys_b:
+        lines.append(f"case list: differs ({len(cases_a)} vs {len(cases_b)} cases)")
+        return lines, False
+    lines.append(f"case list: same ({len(cases_a)} cases)")
+    changed = 0
+    worst = {}
+    for i, (a, b) in enumerate(zip(cases_a, cases_b)):
+        for f in VERDICT_FIELDS:
+            if a.get(f) != b.get(f):
+                changed += 1
+                lines.append(f"  case {i} {a['identity_id']}: {f} {a.get(f)!r} -> {b.get(f)!r}")
+        fam = a["identity_id"]
+        worst[fam] = max(worst.get(fam, 0.0),
+                         residual_change(a["rel_residual"], b["rel_residual"]))
+    lines.append(f"verdict changes: {changed}")
+    lines.append("largest |change of rel_residual| per family:")
+    lines += [f"  {fam:16s} {worst[fam]:.3g}" for fam in sorted(worst)]
+    return lines, changed == 0
+
+
+def main():
+    ap = argparse.ArgumentParser(description="compare two JSON sweep reports")
+    ap.add_argument("a")
+    ap.add_argument("b")
+    args = ap.parse_args()
+    try:
+        raw = [Path(p).read_bytes() for p in (args.a, args.b)]
+        lines, same = compare(*raw)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        ap.error(f"cannot compare the reports: {exc}")
+    print("\n".join(lines))
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

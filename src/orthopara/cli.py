@@ -370,7 +370,8 @@ EVAL_FUNCTIONS = tuple(EVAL_TABLE)
 
 def eval_point(args) -> complex:
     """Evaluate ``EVAL_TABLE[args.fn]`` (``--fn`` choices are its keys) at
-    one point: parse what its entry names, then call its evaluator."""
+    one point: parse what its entry names, then call its evaluator.  A
+    result that overflowed to inf or nan is a DomainError."""
     evaluator, names, kinds = EVAL_TABLE[args.fn]
     if args.d < 1:
         raise ParseError(f"--d must be at least 1, got {args.d}")
@@ -383,7 +384,11 @@ def eval_point(args) -> complex:
         raise ParseError(f"missing parameters: {', '.join(missing)}")
     k = _parse_multi_index(args.k, args.d)
     points = [_POINT_KINDS[kind](args, kv) for kind in kinds]
-    return complex(evaluator(k, args.d, [kv[n] for n in names], *points))
+    with np.errstate(all="ignore"):
+        value = complex(evaluator(k, args.d, [kv[n] for n in names], *points))
+    if not cmath.isfinite(value):
+        raise DomainError(f"{args.fn} is not finite at this point: {value}")
+    return value
 
 
 def build_parser():

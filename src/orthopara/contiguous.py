@@ -9,6 +9,10 @@ Four families of parameter-shift identities, each returning (lhs, rhs):
   * b_relation_pair:  the seven lifted relations of the infinite-height
     family (degree, zeta and argument shifts).
 
+The lifted relations shift only the degree, zeta/eta and t, so every term
+of one relation shares D_k(x; a1, a2): it is evaluated once, and each term
+is its t-factor (A_t or B_t) times it, the product eval_A / eval_B form.
+
 Terms whose printed coefficient is exactly zero are never evaluated, so the
 degenerate degree m = |k| works wherever the relation allows it.
 """
@@ -16,7 +20,7 @@ degenerate degree m = |k| works wherever the relation allows it.
 from __future__ import annotations
 
 from .ball import tail_sum, validate_multi_index
-from .transforms import SplitParams, eval_A, eval_B
+from .transforms import A_t, B_t, SplitParams, eval_D
 
 N_RELATIONS = 7
 
@@ -83,16 +87,17 @@ A_NEEDS_LOWER_DEGREE = frozenset({4})
 B_NEEDS_LOWER_DEGREE = frozenset({7})
 
 
-def a_relation_pair(i, m, k, sp: SplitParams, d, t, x, eval_fn=eval_A):
+def a_relation_pair(i, m, k, sp: SplitParams, d, t, x):
     """Relation i (1-based) of the height-1 family at fixed (t, x)."""
     k = validate_multi_index(k)
     n = tail_sum(k, 1)
     Z = sp.abs_zeta
     E = sp.abs_eta
+    D = eval_D(k, sp.alpha1, sp.alpha2, d, x)
 
     def A(mm, dz1=0, dz2=0, de1=0, de2=0, dt=0):
         p = sp.shifted(zeta1=dz1, zeta2=dz2, eta1=de1, eta2=de2)
-        return eval_fn(mm, k, p, d, t + dt, x)
+        return A_t(mm, k, p, t + dt) * D
 
     if i == 1:
         lhs = _t(m + Z + E - 1, lambda: A(m, de2=1)) + _t(m - n, lambda: A(m - 1, de2=1))
@@ -130,15 +135,16 @@ def a_relation_pair(i, m, k, sp: SplitParams, d, t, x, eval_fn=eval_A):
     raise ValueError(f"A relation index {i} not in 1..7")
 
 
-def b_relation_pair(i, m, k, sp: SplitParams, d, t, x, eval_fn=eval_B):
+def b_relation_pair(i, m, k, sp: SplitParams, d, t, x):
     """Relation i (1-based) of the infinite-height family at fixed (t, x)."""
     k = validate_multi_index(k)
     n = tail_sum(k, 1)
     Z = sp.abs_zeta
+    D = eval_D(k, sp.alpha1, sp.alpha2, d, x)
 
     def B(mm, dz1=0, dz2=0, dt=0):
         p = sp.shifted(zeta1=dz1, zeta2=dz2)
-        return eval_fn(mm, k, p, d, t + dt, x)
+        return B_t(mm, k, p, t + dt) * D
 
     if i == 1:
         lhs = (n + 2 * sp.zeta2 + 2 * t) * B(m, dz1=1, dt=1)

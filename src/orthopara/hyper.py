@@ -9,6 +9,10 @@ Terminating series are summed with the running-ratio recurrence
 which is exact up to rounding for the N+1 terms of a series whose
 certificate parameter has been snapped to its integer value.
 
+The bookkeeping before the sum is one pass over each parameter list, which
+yields each parameter's snap (termination degree or denominator pole), its
+place in the canonical order and its share of the result dtype.
+
 When z and every parameter are scalars (Python numbers, numpy float64,
 complex128 or integer scalars) the same recurrence runs on numpy scalars of
 the result dtype, skipping the shape and dtype bookkeeping of arrays.  A real
@@ -33,51 +37,29 @@ MAX_TERMS = 10000
 _SCALARS = (int, float, complex, np.integer)
 
 
-def _is_scalar(a):
-    return isinstance(a, _SCALARS) or np.ndim(a) == 0
+def _scan(params, tol):
+    """One pass over a parameter list, each scalar converted to complex once.
 
-
-def _snap_nonpositive_int(a, tol=SNAP_TOL):
-    """Integer n <= 0 with |a - n| <= tol, or None.  Scalars only; NaN and
-    infinities are not integers."""
-    if not _is_scalar(a):
-        return None
-    a = complex(a)
-    if not cmath.isfinite(a):
-        return None
-    n = round(a.real)
-    if n <= 0 and abs(a - n) <= tol:
-        return n
-    return None
-
-
-def _termination_degree(numerator, tol=SNAP_TOL):
-    """(index, N): position of the snapped parameter and the term count bound."""
-    best = None
-    for i, a in enumerate(numerator):
-        n = _snap_nonpositive_int(a, tol)
-        if n is not None and (best is None or -n < best[1]):
-            best = (i, -n)
-    return best
-
-
-def _check_denominator(denominator, n_terms):
-    # a denominator parameter -j poles the factor (b + m) at m = j, which the
-    # sum touches only while m <= n_terms - 2; later poles are harmless
-    for b in denominator:
-        nb = _snap_nonpositive_int(b)
-        if nb is not None and -nb <= n_terms - 2:
-            raise DenominatorPoleError(
-                f"denominator parameter {b} hits a pole before termination"
-            )
-
-
-def _order_key(p):
-    """Scalars first, by (re, im); arrays after, in their given order."""
-    if _is_scalar(p):
-        p = complex(p)
-        return 0, p.real, p.imag
-    return (1,)
+    Returns the sort entries (0, re, im, index, p) of scalars (0-d arrays
+    too) and (1, 0, 0, index, p) of arrays, whose tuple order is canonical;
+    the (N, index) of each scalar within ``tol`` of an integer -N <= 0 (never
+    NaN or inf); and per parameter 0 for a real, 1 for a complex
+    ``_SCALARS`` value, 2 for anything else (numpy then sets the dtype)."""
+    entries, snaps, kinds = [], [], []
+    for i, p in enumerate(params):
+        plain = isinstance(p, _SCALARS)
+        if plain or np.ndim(p) == 0:
+            c = complex(p)
+            entries.append((0, c.real, c.imag, i, p))
+            # round(re) <= 0 exactly when re <= 1/2 (ties go to even)
+            if c.real <= 0.5 and cmath.isfinite(c):
+                n = round(c.real)
+                if abs(c - n) <= tol:
+                    snaps.append((-n, i))
+        else:
+            entries.append((1, 0, 0, i, p))
+        kinds.append((1 if isinstance(p, complex) else 0) if plain else 2)
+    return entries, snaps, kinds
 
 
 def _sum_terms(numerator, denominator, z, degree, total):
@@ -103,23 +85,32 @@ def hyp_terminating(numerator, denominator, z, snap_tol=SNAP_TOL):
     non-positive integer; it is snapped to that integer and the finite sum of
     N+1 terms is returned.  Parameters and z may be broadcastable arrays.
     """
-    numerator = list(numerator)
-    denominator = list(denominator)
-    cert = _termination_degree(numerator, snap_tol)
-    if cert is None:
+    num, snaps, kinds = _scan(numerator, snap_tol)
+    if not snaps:
         raise NonTerminatingError("no terminating numerator parameter found")
-    idx, degree = cert
-    numerator[idx] = float(-degree)
-    _check_denominator(denominator, degree + 1)
-    # canonical parameter order: scalar parameters sorted by (re, im), arrays
-    # after in given order, so permuted parameter lists produce identical floats
-    numerator.sort(key=_order_key)
-    denominator.sort(key=_order_key)
+    degree, idx = min(snaps)  # the shortest sum; the first such parameter
+    num[idx] = (0, float(-degree), 0.0, idx, float(-degree))
+    kinds[idx] = 0
+    den, poles, den_kinds = _scan(denominator, SNAP_TOL)
+    # a denominator parameter -j poles the factor (b + m) at m = j, which the
+    # sum touches only while m < degree; later poles are harmless
+    for j, i in poles:
+        if j < degree:
+            raise DenominatorPoleError(
+                f"denominator parameter {den[i][4]} hits a pole before termination"
+            )
+    # canonical parameter order, so permuted parameter lists produce
+    # identical floats
+    num.sort()
+    den.sort()
+    numerator = [e[4] for e in num]
+    denominator = [e[4] for e in den]
 
-    vals = (z, *numerator, *denominator)
-    if all(isinstance(v, _SCALARS) for v in vals):
-        dtype = np.complex128 if any(isinstance(v, complex) for v in vals) else np.float64
+    kind = max(kinds + den_kinds)
+    if kind < 2 and isinstance(z, _SCALARS):
+        dtype = np.complex128 if kind or isinstance(z, complex) else np.float64
         return _sum_terms(numerator, denominator, dtype(z), degree, dtype(1))
+    vals = (z, *numerator, *denominator)
     dtype = np.result_type(np.float64, *(np.asarray(v) for v in vals))
     shape = np.broadcast_shapes(*(np.shape(v) for v in vals))
     total = _sum_terms(numerator, denominator, np.asarray(z, dtype=dtype), degree,
@@ -141,9 +132,9 @@ def hyp_nonterminating(numerator, denominator, z, rel_tol=TAIL_RTOL, max_terms=M
         raise NonTerminatingError(
             f"{p}F{q} at |z| = {abs(z):g} has no termination certificate and diverges"
         )
-    for b in denominator:
-        if _snap_nonpositive_int(b) is not None:
-            raise DenominatorPoleError(f"denominator parameter {b} is a pole")
+    _, poles, _ = _scan(denominator, SNAP_TOL)
+    if poles:
+        raise DenominatorPoleError(f"denominator parameter {denominator[poles[0][1]]} is a pole")
     term = 1.0 + 0.0j
     total = term
     for m in range(max_terms):
@@ -161,7 +152,7 @@ def hyp_nonterminating(numerator, denominator, z, rel_tol=TAIL_RTOL, max_terms=M
 
 def hyp(numerator, denominator, z):
     """Terminating sum when a certificate exists, direct summation otherwise."""
-    if _termination_degree(list(numerator)) is not None:
+    if _scan(numerator, SNAP_TOL)[1]:
         return hyp_terminating(numerator, denominator, z)
     return hyp_nonterminating(numerator, denominator, z)
 
@@ -169,6 +160,6 @@ def hyp(numerator, denominator, z):
 def hyp2f1_at_2(a, b, c):
     """2F1(a, b; c; 2): only meaningful terminating, so ``a`` must be a
     non-positive integer (within the snap tolerance)."""
-    if _snap_nonpositive_int(a) is None:
+    if not _scan([a], SNAP_TOL)[1]:
         raise NonTerminatingError("2F1 at z = 2 requires a non-positive integer first parameter")
     return hyp_terminating([a, b], [c], 2.0)

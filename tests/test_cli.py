@@ -199,6 +199,21 @@ def test_cli_eval_non_finite_rejected(params, x, capsys):
     assert captured.out == "" and "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--fn", "D", "--d", "1", "--k", "1", "--params", "alpha1=1e308,alpha2=1e308", "--x", "0.2"],
+    ["--fn", "A", "--d", "1", "--k", "1", "--m", "100000",
+     "--params", "alpha1=0.7,alpha2=0.9,zeta1=0.8,zeta2=1.2,eta1=0.6,eta2=1.1",
+     "--t", "0.3", "--x", "0.2"],
+], ids=["D_huge_alpha", "A_huge_degree"])
+def test_cli_eval_non_finite_result_is_evaluation_error(argv, capsys):
+    # finite input whose value overflows to nan: exit 4, no numpy warning text
+    assert main(["eval", *argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("evaluation error:") and "not finite" in captured.err
+    assert "Warning" not in captured.err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--fn", "theta", "--d", "-1", "--m", "0",
       "--params", "zeta=1.1,eta=0.9,beta=0.3,gamma=0.4,mu=0.7", "--xi", "0.6"], "at least 1"),
@@ -222,6 +237,30 @@ def test_spot_check_script_rejects_bad_k(argv):
     res = subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True)
     assert res.returncode == 2 and "--k needs" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_diff_reports_script_flags_a_changed_verdict(tmp_path):
+    # two runs of one config are byte-identical (exit 0); one tampered
+    # `passed` is a verdict change (exit 1)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "diff_reports.py"
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        run_sweep(SweepConfig(families=["ORT_LAGUERRE", "CONTIG_B_i"], max_degree_1d=2,
+                              ort_param_draws=1, contig_draws=2, out_path=str(path),
+                              no_timestamp=True))
+
+    def diff():
+        return subprocess.run([sys.executable, str(script), *map(str, paths)],
+                              capture_output=True, text=True)
+
+    res = diff()
+    assert res.returncode == 0 and "byte-identical: yes" in res.stdout
+    report = json.loads(paths[1].read_text())
+    report["cases"][0]["passed"] = not report["cases"][0]["passed"]
+    paths[1].write_text(json.dumps(report, indent=2))
+    res = diff()
+    assert res.returncode == 1
+    assert "case list: same" in res.stdout and "verdict changes: 1" in res.stdout
 
 
 def test_cli_eval_malformed_multi_index(capsys):

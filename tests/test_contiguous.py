@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from orthopara import contiguous
 from orthopara.contiguous import (
     A_NEEDS_LOWER_DEGREE, B_NEEDS_LOWER_DEGREE, N_RELATIONS, a_relation_pair,
     b_relation_pair, rec1_pair, rec2_pair,
 )
 from orthopara.errors import DomainError
 from orthopara.hyper import hyp_nonterminating, hyp_terminating
-from orthopara.transforms import SplitParams, eval_A, eval_B
+from orthopara.transforms import SplitParams, eval_A, eval_B, eval_D
 
 
 def F32(a, b, c, d, e, z):
@@ -132,3 +133,32 @@ def test_b_relations_reference_higher_degree():
     for i in (1, 6):
         lhs, rhs = b_relation_pair(i, 2, (2,), sp, 1, t, x)
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("i", range(1, N_RELATIONS + 1))
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_relation_evaluates_its_x_factor_once(side, i, monkeypatch):
+    # every term of a lifted relation shares D_k(x): one eval_D per relation
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eval_D(*args)
+
+    monkeypatch.setattr(contiguous, "eval_D", counted)
+    sp = SplitParams(0.7, 0.9, 0.8, 1.2, *((0.6, 1.1) if side == "A" else ()), check=False)
+    pair = a_relation_pair if side == "A" else b_relation_pair
+    lhs, rhs = pair(i, 3, (1, 0), sp, 2, 0.3 + 0.2j, [0.1 - 0.4j, 0.5 + 0.1j])
+    assert len(calls) == 1
+    assert _rel(lhs, rhs) <= 1e-12
+
+
+def test_relation_terms_keep_the_bits_of_the_family_evaluators():
+    # a term is its t-factor times the shared D, the product eval_A and
+    # eval_B form, so single-term sides equal the evaluators bit for bit
+    spa = SplitParams(0.7, 0.9, 0.8, 1.2, 0.6, 1.1)
+    spb = SplitParams(0.7, 0.9, 0.8, 1.2)
+    m, k, d, t, x = 3, (1, 0), 2, 0.3 + 0.2j, [0.1 - 0.4j, 0.5 + 0.1j]
+    assert a_relation_pair(7, m, k, spa, d, t, x)[0] == eval_A(m, k, spa, d, t - 2, x)
+    lhs = b_relation_pair(1, m, k, spb, d, t, x)[0]
+    assert lhs == (1 + 2 * spb.zeta2 + 2 * t) * eval_B(m, k, spb.shifted(zeta1=1), d, t + 1, x)

@@ -94,10 +94,15 @@ def test_snap_tolerance():
 
 
 def test_denominator_pole_rules():
-    with pytest.raises(DenominatorPoleError):
-        hyp_terminating([-3, 1.0], [-1.0], 1.0)
+    # degree 3 sums the factors (b + m) for m = 0, 1, 2
+    for b in (-1.0, -2.0, -2.0 + 1e-10, 0, np.array(-1.0)):
+        with pytest.raises(DenominatorPoleError):
+            hyp_terminating([-3, 1.0], [b], 1.0)
     # pole at or after the termination index is harmless
     assert hyp_terminating([-2, 1.0], [-2.0], 1.0) == pytest.approx(3.0, rel=1e-12)
+    for b in (-3.0, -3.0 + 1e-10, -4):
+        want = naive_sum([-3, 1.0], [b], 1.0, 3)
+        assert hyp_terminating([-3, 1.0], [b], 1.0) == pytest.approx(want, rel=1e-14)
 
 
 def test_nonterminating_2f1():
@@ -179,5 +184,57 @@ def test_nan_parameter_propagates():
     assert np.isnan(hyp_terminating([-2, float("nan")], [1.5], 0.5))
     assert np.isnan(hyp_terminating([float("nan"), -1, 0.3 + 1j], [1.5], 0.5))
     assert np.isnan(hyp_terminating([-2, 0.7], [float("inf") * 1j], 0.5))
-    with pytest.raises(NonTerminatingError):
-        hyp_terminating([float("nan"), 0.7], [1.5], 0.5)
+    for bad in (float("nan"), complex(-2.0, float("nan")), complex(float("nan"), 0.0),
+                -float("inf")):
+        with pytest.raises(NonTerminatingError):
+            hyp_terminating([bad, 0.7], [1.5], 0.5)
+        # nor is it a denominator pole (-inf turns every term after the
+        # leading 1 into 0)
+        val = hyp_terminating([-2, 0.7], [bad], 0.5)
+        assert np.isnan(val) or val == 1.0
+
+
+# the certificate -N as each scalar type a caller may pass; after the snap it
+# is the float -N whatever it came as
+CERTIFICATES = [int, float, np.int64, np.float64, complex, np.array]
+
+
+@given(st.sampled_from(SERIES_SHAPES), st.integers(min_value=0, max_value=8), st.data())
+@settings(max_examples=150, deadline=None)
+def test_real_scalar_call_is_its_one_element_array_call(shape, N, data):
+    # the module docstring's contract: a real scalar call sums on float64
+    # numpy scalars, bit for bit the element of the array call
+    p, q = shape
+
+    def real():
+        kind = data.draw(st.sampled_from([float, np.float64]))
+        return kind(data.draw(st.floats(0.2, 3.0)))
+
+    num = [real() for _ in range(p - 1)]
+    num.insert(data.draw(st.integers(0, p - 1)), data.draw(st.sampled_from(CERTIFICATES))(-N))
+    den = [real() for _ in range(q)]
+    z = data.draw(st.floats(-2.0, 2.0))
+    val = hyp_terminating(num, den, z)
+    arr = hyp_terminating(num, den, np.array([z]))
+    assert type(val) is np.float64 and arr.shape == (1,)
+    assert val == arr[0]
+
+
+@pytest.mark.parametrize("num", [[-3.0, 1.2, -1.0 + 1e-10], [-1.0 + 1e-10, 1.2, -3.0],
+                                 [1.2, -3.0, -1]])
+def test_smaller_snapped_degree_wins(num):
+    # -1 ends the sum after two terms wherever it stands; the -3 is then an
+    # ordinary parameter of those terms
+    want = 1 + 3 * 1.2 / 0.8 * 0.9
+    assert hyp_terminating(num, [0.8], 0.9) == pytest.approx(want, rel=1e-15)
+
+
+def test_zero_dimensional_array_parameter_snaps_like_a_scalar():
+    want = hyp_terminating([-2.0, 1.3], [0.8], 0.9)
+    for cert in (np.array(-2.0), np.array(-2), np.array(-2.0 + 1e-10)):
+        val = hyp_terminating([cert, 1.3], [0.8], 0.9)
+        assert type(val) is np.float64 and val == want
+    # a 0-d non-certificate parameter keeps its canonical place among the
+    # scalars, so the array path sums the same operands in the same order
+    assert hyp_terminating([1.3, np.array(-2.0), np.array(0.4)], [0.8], 0.9) \
+        == hyp_terminating([-2.0, 0.4, 1.3], [0.8], 0.9)
