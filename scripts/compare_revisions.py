@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Check that the source tree of this checkout keeps every sweep verdict of a
+base revision.
+
+Usage: python scripts/compare_revisions.py [--base REV|DIR] [--seeds 42,1,7]
+                                           [--config PATH]
+
+For each config and seed, runs `orthopara sweep --no-timestamp` on the base
+tree and on this checkout's `src/`, and compares the two reports with
+`diff_reports.compare`.  The base is a git revision (default HEAD), whose
+`src/` is extracted with `git archive`, or a directory holding a `src/` tree.
+The configs are the default sweep and perfbench's series-scalar and
+gram-highdeg workloads (read from `perfbench/workloads.py`), or the one JSON
+config given with --config.
+
+Exits 0 when every pair of reports has the same case list and verdicts, 1 when
+any pair differs, 2 when the base or a config cannot be read or a sweep writes
+no report.
+"""
+
+import argparse
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from diff_reports import compare  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("series-scalar", "gram-highdeg")
+
+
+def workload_configs():
+    """The perfbench workload configs, loaded from their file as it stands."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: module.WORKLOADS[name] for name in WORKLOADS}
+
+
+def base_tree(base, scratch):
+    """The `src/` directory of a base directory or git revision."""
+    if Path(base).is_dir():
+        src = Path(base).resolve() / "src"
+        if not src.is_dir():
+            raise ValueError(f"{base} holds no src/ directory")
+        return src
+    res = subprocess.run(["git", "-C", str(ROOT), "archive", base, "src"],
+                         capture_output=True)
+    if res.returncode != 0:
+        raise ValueError(f"git archive {base}: {res.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(res.stdout)) as archive:
+        archive.extractall(scratch, filter="data")
+    return scratch / "src"
+
+
+def sweep(src, config, seed, out):
+    """The `--no-timestamp` report of one sweep on the tree ``src``."""
+    cmd = [sys.executable, "-m", "orthopara", "sweep", "--no-timestamp",
+           "--seed", str(seed), "--out", str(out)]
+    if config is not None:
+        cmd += ["--config", str(config)]
+    res = subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=str(src)), cwd=out.parent,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    if res.returncode not in (0, 1) or not out.exists():
+        raise ValueError(f"sweep on {src} exited {res.returncode}: {res.stderr.strip()}")
+    raw = out.read_bytes()
+    out.unlink()
+    return raw
+
+
+def main():
+    ap = argparse.ArgumentParser(description="compare the sweep reports of two source trees")
+    ap.add_argument("--base", default="HEAD", help="git revision or directory (default HEAD)")
+    ap.add_argument("--seeds", default="42,1,7", help="comma-separated seeds (default 42,1,7)")
+    ap.add_argument("--config", help="one JSON sweep config instead of the default three")
+    args = ap.parse_args()
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        ap.error(f"--seeds needs comma-separated integers, got {args.seeds!r}")
+
+    same = True
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        try:
+            if args.config:
+                configs = {args.config: Path(args.config).resolve()}
+            else:
+                configs = {"default": None}
+                for name, cfg in workload_configs().items():
+                    configs[name] = tmp / f"{name}.json"
+                    configs[name].write_text(json.dumps(cfg))
+            trees = (base_tree(args.base, tmp / "base"), ROOT / "src")
+            for name, config in configs.items():
+                for seed in seeds:
+                    lines, ok = compare(*(sweep(src, config, seed, tmp / "report.json")
+                                          for src in trees))
+                    print(f"{name} seed {seed}: {'same' if ok else 'DIFFERS'}")
+                    print("\n".join(f"  {line}" for line in lines))
+                    same = same and ok
+        except (OSError, ValueError, KeyError) as exc:
+            print(f"compare_revisions: {exc}", file=sys.stderr)
+            return 2
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,6 @@
-"""Generalized hypergeometric series pFq, specialized to the terminating
-2F1 / 3F2 / 1F1 instances used throughout (including argument z = 2 and
-complex parameters).
+"""Terminating generalized hypergeometric series pFq: the 2F1 / 3F2 / 1F1
+instances of the closed forms (including argument z = 2 and complex
+parameters).
 
 Terminating series are summed with the running-ratio recurrence
 
@@ -30,8 +30,6 @@ import numpy as np
 from .errors import DenominatorPoleError, NonTerminatingError
 
 SNAP_TOL = 1e-9
-TAIL_RTOL = 1e-15
-MAX_TERMS = 10000
 
 # scalars whose result dtype is float64, or complex128 for a complex
 _SCALARS = (int, float, complex, np.integer)
@@ -118,43 +116,6 @@ def hyp_terminating(numerator, denominator, z, snap_tol=SNAP_TOL):
     if total.ndim == 0:
         return total[()]
     return total
-
-
-def hyp_nonterminating(numerator, denominator, z, rel_tol=TAIL_RTOL, max_terms=MAX_TERMS):
-    """Convergent non-terminating pFq by direct summation.
-
-    Supported when p <= q (all z) or p == q+1 with |z| < 1.  Scalars only;
-    this path exists for oracles, not for the closed forms.
-    """
-    p, q = len(numerator), len(denominator)
-    z = complex(z)
-    if not (p <= q or (p == q + 1 and abs(z) < 1) or z == 0):
-        raise NonTerminatingError(
-            f"{p}F{q} at |z| = {abs(z):g} has no termination certificate and diverges"
-        )
-    _, poles, _ = _scan(denominator, SNAP_TOL)
-    if poles:
-        raise DenominatorPoleError(f"denominator parameter {denominator[poles[0][1]]} is a pole")
-    term = 1.0 + 0.0j
-    total = term
-    for m in range(max_terms):
-        ratio = z / (m + 1)
-        for a in numerator:
-            ratio *= a + m
-        for b in denominator:
-            ratio /= b + m
-        term *= ratio
-        total += term
-        if abs(term) <= rel_tol * abs(total) and m > 2:
-            return total
-    raise NonTerminatingError(f"series did not converge within {max_terms} terms")
-
-
-def hyp(numerator, denominator, z):
-    """Terminating sum when a certificate exists, direct summation otherwise."""
-    if _scan(numerator, SNAP_TOL)[1]:
-        return hyp_terminating(numerator, denominator, z)
-    return hyp_nonterminating(numerator, denominator, z)
 
 
 def hyp2f1_at_2(a, b, c):

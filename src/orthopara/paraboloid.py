@@ -103,10 +103,10 @@ def laguerre_paraboloid_norm(m, k, beta, mu, d):
 def t_rule(kind, n_t, beta, gamma, mu, d):
     """The n_t-point radial rule (nodes, weights) of kind "jacobi" (b = 1,
     against t^a (1-t)^gamma on (0, 1)) or "laguerre" (b = inf, against
-    t^a e^{-t}), a = beta + mu + (d-1)/2: the slice change of variable x =
-    sqrt(t) y turns the paraboloid weight into this t weight times the ball
-    weight of y."""
-    a = beta + mu + 0.5 * (d - 1)
+    t^a e^{-t}), a = alpha_0 = mu + beta + (d-1)/2: the slice change of
+    variable x = sqrt(t) y turns the paraboloid weight into this t weight
+    times the ball weight of y."""
+    a = radial_alpha(0, beta, mu, d)
     if kind == "jacobi":
         rule = gauss_jacobi(n_t, gamma, a)
         t = 0.5 * (1.0 + rule.nodes)

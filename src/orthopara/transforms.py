@@ -16,11 +16,12 @@ import math
 
 import numpy as np
 
-from .ball import tail_sum, validate_multi_index
+from .ball import lambda_param, tail_sum, validate_multi_index
 from .classical import continuous_hahn, gegenbauer, jacobi, laguerre
 from .errors import DomainError
 from .gammafn import log_gamma, pochhammer
 from .hyper import hyp2f1_at_2, hyp_terminating
+from .paraboloid import radial_alpha
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,10 @@ class SplitParams:
         )
 
     def shifted(self, **deltas):
-        """New SplitParams with the named entries shifted additively."""
+        """New SplitParams with the named entries shifted additively; a shift
+        may leave an entry non-positive, so the result is unchecked."""
         changes = {name: getattr(self, name) + dv for name, dv in deltas.items()}
-        return replace(self, **changes)
+        return replace(self, check=False, **changes)
 
 
 def _sech2(x):
@@ -164,7 +166,7 @@ def _g_axis(j, d, alpha, mu, k, K, x_j):
     # g_axis body for an already validated k and its tail K
     x_j = np.asarray(x_j)
     return _sech2(x_j) ** (alpha + 0.25 * (d - j) + 0.5 * K) * gegenbauer(
-        k[j - 1], mu + K + 0.5 * (d - j), np.tanh(x_j)
+        k[j - 1], lambda_param(k, mu, j), np.tanh(x_j)
     )
 
 
@@ -181,7 +183,7 @@ def h_jacobi_t(m, k, params: WrapParamsJacobi, t):
     """
     k, n = _degree_split(m, k)
     th = np.tanh(np.asarray(t, dtype=float))
-    a = n + params.mu + params.beta + 0.5 * (len(k) - 1)
+    a = radial_alpha(n, params.beta, params.mu, len(k))
     return (
         2.0 ** (-0.5 * n)
         * (1.0 + th) ** (params.zeta + 0.5 * n)
@@ -203,7 +205,7 @@ def h_laguerre_t(m, k, params: WrapParamsLaguerre, t):
     k, n = _degree_split(m, k)
     t = np.asarray(t, dtype=float)
     et = np.exp(t)
-    a = n + params.mu + params.beta + 0.5 * (len(k) - 1)
+    a = radial_alpha(n, params.beta, params.mu, len(k))
     return np.exp(-0.5 * et + (params.zeta + 0.5 * n) * t) * laguerre(m - n, a, et)
 
 

@@ -319,7 +319,9 @@ _PARSEVAL_LEVELS = (16, 24, 36)  # panels per (two-sided) axis, 1.5x refinement
 
 
 def parseval_rhs(fam, m, k, sp, d):
-    """The printed Parseval constant (diagonal value) in log space."""
+    """The Parseval constant (diagonal value) in log space.  Its power of 2
+    carries -(d-1)(d-2)/2, which is 0 at d <= 2; without that term the value
+    is 2^((d-1)(d-2)/2) times too large at every d >= 3."""
     n = tail_sum(k, 1)
     M = m - n
     absa, absz = sp.abs_alpha, sp.abs_zeta
@@ -327,7 +329,7 @@ def parseval_rhs(fam, m, k, sp, d):
         abse = sp.abs_eta
         lg = (
             (d + 1) * math.log(math.pi)
-            + (-2 * d * absa + 2 * d + 3) * math.log(2)
+            + (-2 * d * absa + 2 * d + 3 - (d - 1) * (d - 2) // 2) * math.log(2)
             + log_gamma(m + absz) + log_gamma(M + abse)
             + log_gamma(0.5 * n + sp.zeta1 + sp.eta1)
             + log_gamma(0.5 * n + sp.zeta2 + sp.eta2)
@@ -338,7 +340,7 @@ def parseval_rhs(fam, m, k, sp, d):
     else:
         lg = (
             (d + 1) * math.log(2 * math.pi)
-            + (-2 * d * absa - n - absz + d + 1) * math.log(2)
+            + (-2 * d * absa - n - absz + d + 1 - (d - 1) * (d - 2) // 2) * math.log(2)
             + log_gamma(absz + m)
         )
         val = np.exp(lg).real * math.factorial(M) * ball_norm(k, sp.mu)

@@ -1,0 +1,125 @@
+"""Reference routines the tests check the package against, kept off the
+package path: a tanh-sinh rule for endpoint singularities, tensor-product
+quadrature over up to three axes, and the non-terminating pFq by direct
+summation.
+
+None of them shares code with what it checks: the Gram and transform
+oracles are products of 1-D sums, and the closed forms sum terminating
+series only.
+"""
+
+import cmath
+from functools import lru_cache
+
+import numpy as np
+
+from orthopara.errors import DenominatorPoleError, DomainError, NonTerminatingError
+from orthopara.quadrature import QuadratureRule
+
+POLE_TOL = 1e-9
+TAIL_RTOL = 1e-15
+MAX_TERMS = 10000
+
+
+@lru_cache(maxsize=64)
+def _tanh_sinh_nodes(level):
+    # nodes on (0, 1), generated directly through the logistic form
+    # u = 1 / (1 + e^{-pi sinh(kh)}) so the left endpoint keeps full
+    # relative precision for algebraic singularities at 0
+    h = 0.5 / 2**level
+    s_cap = 250.0
+    k_max = int(np.ceil(np.arcsinh(s_cap / np.pi) / h))
+    k = np.arange(-k_max, k_max + 1)
+    s = np.pi * np.sinh(k * h)
+    keep = np.abs(s) <= s_cap
+    s = s[keep]
+    kh = k[keep] * h
+    sig = 1.0 / (1.0 + np.exp(-s))
+    u = sig
+    w = h * np.pi * np.cosh(kh) * sig * (1.0 - sig)
+    return u, w
+
+
+def tanh_sinh(level=3):
+    """Tanh-sinh rule on (0, 1); integrates u^{a-1} endpoint singularities
+    (a > 0) at double-exponential convergence.  Doubling ``level`` halves h."""
+    u, w = _tanh_sinh_nodes(int(level))
+    return QuadratureRule(u, w)
+
+
+_CHUNK_LIMIT = 2**22
+
+
+def tensor_integrate(rules, f):
+    """Tensor-product quadrature of f(x_1, ..., x_n) for up to 3 axes.
+
+    f must broadcast over its array arguments.  Axis order and summation
+    order are fixed, so results are deterministic.
+    """
+    rules = list(rules)
+    n = len(rules)
+    if not 1 <= n <= 3:
+        raise DomainError("tensor_integrate supports 1 to 3 axes")
+    if n == 1:
+        return np.sum(rules[0].weights * f(rules[0].nodes))
+    sizes = [len(r) for r in rules]
+    grids = []
+    for i, r in enumerate(rules):
+        shape = [1] * (n - 1)
+        shape.insert(i, sizes[i])
+        grids.append(r.nodes.reshape(shape))
+    if int(np.prod(sizes)) <= _CHUNK_LIMIT:
+        vals = f(*grids)
+        w = rules[0].weights.reshape(grids[0].shape)
+        for i in range(1, n):
+            w = w * rules[i].weights.reshape(grids[i].shape)
+        return np.sum(w * vals)
+    # chunk along the first axis to bound memory
+    inner_w = rules[1].weights.reshape(grids[1].shape[1:])
+    for i in range(2, n):
+        inner_w = inner_w * rules[i].weights.reshape(grids[i].shape[1:])
+    total = 0.0 + 0.0j
+    w0 = rules[0].weights
+    x0 = rules[0].nodes
+    for j in range(sizes[0]):
+        vals = f(x0[j], *(g[0] for g in grids[1:]))
+        total += w0[j] * np.sum(inner_w * vals)
+    return total
+
+
+def _is_pole(b):
+    """Whether b lies within POLE_TOL of a non-positive integer."""
+    b = complex(b)
+    if not cmath.isfinite(b):
+        return False
+    n = round(b.real)
+    return n <= 0 and abs(b - n) <= POLE_TOL
+
+
+def hyp_nonterminating(numerator, denominator, z, rel_tol=TAIL_RTOL, max_terms=MAX_TERMS):
+    """Convergent non-terminating pFq by direct summation.
+
+    Supported when p <= q (all z) or p == q+1 with |z| < 1.  Scalars only.
+    """
+    p, q = len(numerator), len(denominator)
+    z = complex(z)
+    if not (p <= q or (p == q + 1 and abs(z) < 1) or z == 0):
+        raise NonTerminatingError(
+            f"{p}F{q} at |z| = {abs(z):g} has no termination certificate and diverges"
+        )
+    for b in denominator:
+        if _is_pole(b):
+            raise DenominatorPoleError(f"denominator parameter {b} is a pole")
+    term = 1.0 + 0.0j
+    total = term
+    for m in range(max_terms):
+        ratio = z / (m + 1)
+        for a in numerator:
+            ratio *= a + m
+        for b in denominator:
+            ratio /= b + m
+        term *= ratio
+        total += term
+        if abs(term) <= rel_tol * abs(total) and m > 2:
+            return total
+    raise NonTerminatingError(f"series did not converge within {max_terms} terms")

@@ -10,7 +10,8 @@ import numpy as np
 
 from orthopara.ball import ball_rules
 from orthopara.paraboloid import t_rule
-from orthopara.quadrature import QuadratureRule, tensor_integrate
+from orthopara.quadrature import QuadratureRule
+from references import tensor_integrate
 
 
 def _slice_map(v):
@@ -33,7 +34,6 @@ def slice_tensor(f, d, mu, n, radial=None):
     if radial is None:
         return tensor_integrate(rules, lambda *v: f(_slice_map(v)))
     kind, beta, gamma = radial
-    t, w = t_rule(kind, n, beta, gamma, mu, d)
-    t_axis = QuadratureRule(t, w, (0.0, 1.0 if kind == "jacobi" else np.inf), kind)
+    t_axis = QuadratureRule(*t_rule(kind, n, beta, gamma, mu, d))
     return tensor_integrate(
         [t_axis, *rules], lambda t, *v: f(t, [np.sqrt(t) * y for y in _slice_map(v)]))

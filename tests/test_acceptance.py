@@ -20,10 +20,10 @@ from orthopara.contiguous import (
 )
 from orthopara.gammafn import beta as betafn
 from orthopara.gammafn import gamma
-from orthopara.hyper import hyp_nonterminating, hyp_terminating
-from orthopara.quadrature import tanh_sinh
+from orthopara.hyper import hyp_terminating
 from orthopara.transforms import SplitParams
 from orthopara.verifier import IdentityCase, degree_index_pairs, multi_indices, run_case
+from references import hyp_nonterminating, tanh_sinh
 
 
 def _announce(n, label, ok, worst=None, elapsed=None):

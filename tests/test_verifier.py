@@ -14,7 +14,6 @@ from orthopara.gammafn import gamma, log_gamma
 from orthopara.paraboloid import (
     jacobi_paraboloid, jacobi_paraboloid_norm, laguerre_paraboloid, laguerre_paraboloid_norm,
 )
-from orthopara.quadrature import tensor_integrate
 from orthopara.transforms import (
     SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_B,
     eval_h_jacobi, eval_h_laguerre,
@@ -24,6 +23,7 @@ from orthopara.verifier import (
     _parseval_lhs, _parseval_rule, degree_index_pairs, generate_cases,
     multi_indices, parseval_rhs, run_case,
 )
+from references import tensor_integrate
 from slice_tensor import slice_tensor
 
 
@@ -97,6 +97,22 @@ def test_parseval_d2_nonzero_index_diagonals():
     repb = run_case(_case("PARSEVAL_B", d=2, m=1, m2=1, k=(1, 0), k2=(1, 0),
                           params=pb, tolerance=1e-6))
     assert repb.passed
+
+
+@pytest.mark.parametrize("fam", ["PARSEVAL_A", "PARSEVAL_B"])
+@pytest.mark.parametrize("d", [3, 4])
+def test_parseval_every_index_pair_at_d3_and_d4(fam, d):
+    # the constant's power of 2 carries -(d-1)(d-2)/2, which vanishes at the
+    # d <= 2 of the sweep; without it every diagonal entry here reads
+    # lhs/rhs = 2^(-(d-1)(d-2)/2)
+    names = ["alpha1", "alpha2", "zeta1", "zeta2"] + (["eta1", "eta2"] if fam == "PARSEVAL_A"
+                                                      else [])
+    params = {name: PARSEVAL_PARAMS[name] for name in names}
+    pairs = degree_index_pairs(d, 2)
+    failed = [(m, k, m2, k2) for (m, k) in pairs for (m2, k2) in pairs
+              if not run_case(_case(fam, d=d, m=m, m2=m2, k=k, k2=k2, params=params,
+                                    tolerance=1e-6)).passed]
+    assert failed == []
 
 
 # The oracles sum per-axis factors; these full tensors sum the composed
@@ -193,7 +209,7 @@ def test_separated_gram_oracle_matches_full_tensor(fam, d):
 def test_D_family_line_integral_d2():
     # the x-part backbone of both Parseval identities: the D product
     # integrates along imaginary-argument lines to the same block constant
-    from orthopara.quadrature import composite_legendre, tensor_integrate
+    from orthopara.quadrature import composite_legendre
     from orthopara.transforms import eval_D
     from orthopara.ball import tail_sum
     from orthopara.gammafn import log_gamma, pochhammer
