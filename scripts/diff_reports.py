@@ -4,7 +4,8 @@ config before and after a change.
 
 Usage: python scripts/diff_reports.py A.json B.json
 
-Prints whether the two files are byte-identical, whether their case lists
+Prints whether the two files are byte-identical, whether they hold the same
+JSON document (equal after parsing, NaN equal to NaN), whether their case lists
 match (identity, d, degrees, indices and parameters of every record, in
 order), every record whose verdict fields (`passed`, `error`,
 `skipped_reason`, `nodes`) changed, and the largest |change of
@@ -35,9 +36,12 @@ def compare(raw_a, raw_b):
     """Lines of the comparison and whether the reports agree on every case
     and verdict."""
     if raw_a == raw_b:
-        return ["byte-identical: yes"], True
-    lines = ["byte-identical: no"]
-    cases_a, cases_b = json.loads(raw_a)["cases"], json.loads(raw_b)["cases"]
+        return ["byte-identical: yes", "same document: yes"], True
+    # json parses every NaN to one shared object, and == tries identity
+    # first, so the NaN residuals of two raised cases compare equal
+    doc_a, doc_b = json.loads(raw_a), json.loads(raw_b)
+    lines = ["byte-identical: no", f"same document: {'yes' if doc_a == doc_b else 'no'}"]
+    cases_a, cases_b = doc_a["cases"], doc_b["cases"]
     keys_a = [[c.get(f) for f in CASE_FIELDS] for c in cases_a]
     keys_b = [[c.get(f) for f in CASE_FIELDS] for c in cases_b]
     if keys_a != keys_b:

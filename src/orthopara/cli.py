@@ -6,6 +6,10 @@ Subcommands:
   eval             print one evaluation at full precision
   list-identities  show every identity family and its default tolerance
 
+A JSON sweep report is one document: "config" and "summary" indented, then
+"cases", one compact case record per line, then "timestamp" (absent under
+--no-timestamp).
+
 Sweep reproducibility contract: a fixed SweepConfig (seed included) yields a
 byte-identical JSON report when --no-timestamp is set (which also zeroes the
 per-case wall-time fields, the only other run-dependent data).
@@ -75,8 +79,10 @@ class SweepConfig:
             if f.type == "int" and val < 0:
                 raise ConfigError(f"{f.name} must be nonnegative")
         self.families = expand_families(self.families)
-        if not self.dims or any(type(d) is not int or d not in (1, 2, 3) for d in self.dims):
-            raise ConfigError("dims must be a nonempty subset of {1, 2, 3}")
+        if (not self.dims or any(type(d) is not int or d not in (1, 2, 3) for d in self.dims)
+                or len(set(self.dims)) != len(self.dims)):
+            raise ConfigError(f"dims must be a nonempty subset of {{1, 2, 3}} without repeats, "
+                              f"got {self.dims!r}")
         for fam, tol in self.tolerances.items():
             if fam not in ALL_FAMILIES:
                 raise ConfigError(f"tolerance for unknown family {fam!r}")
@@ -157,6 +163,26 @@ def _case_record(report, no_timestamp):
     return rec
 
 
+def _write_json(header, records, timestamp, fh):
+    """One JSON document {header..., "cases": [...], "timestamp"?}: the
+    header indented, then each case record on a line of its own, written
+    one at a time by ``json.dumps`` (the C encoder; ``json.dump`` and any
+    ``indent`` run the pure-Python one)."""
+    fh.write("{\n")
+    for key, value in header.items():
+        body = json.dumps(value, indent=1).replace("\n", "\n ")  # one level deeper
+        fh.write(f" {json.dumps(key)}: {body},\n")
+    fh.write(' "cases": [')
+    sep = "\n"
+    for rec in records:
+        fh.write(sep + json.dumps(rec))
+        sep = ",\n"
+    fh.write("\n ]")
+    if timestamp is not None:
+        fh.write(f',\n "timestamp": {json.dumps(timestamp)}')
+    fh.write("\n}\n")
+
+
 def _write_csv(records, fh):
     cols = ["identity_id", "d", "m", "m2", "k", "k2", "lhs", "rhs",
             "abs_residual", "rel_residual", "passed", "skipped_reason", "error",
@@ -208,8 +234,7 @@ def run_sweep(cfg: SweepConfig, stream=None) -> RunSummary:
     summary = RunSummary(len(reports), passed, failed, skipped,
                          {key: worst[key] for key in sorted(worst)}, wall)
 
-    records = [_case_record(r, cfg.no_timestamp) for r in reports]
-    doc = {
+    header = {
         "config": {
             "families": cfg.families, "dims": cfg.dims, "seed": cfg.seed,
             "max_degree_1d": cfg.max_degree_1d, "max_degree_multi": cfg.max_degree_multi,
@@ -226,17 +251,15 @@ def run_sweep(cfg: SweepConfig, stream=None) -> RunSummary:
             "worst_residual": summary.worst_residual,
             "wall_time": 0.0 if cfg.no_timestamp else summary.wall_time,
         },
-        "cases": records,
     }
-    if not cfg.no_timestamp:
-        doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    timestamp = None if cfg.no_timestamp else time.strftime("%Y-%m-%dT%H:%M:%S")
+    records = (_case_record(r, cfg.no_timestamp) for r in reports)
 
     if cfg.out_path:
         try:
             with open(cfg.out_path, "w") as fh:
                 if cfg.out_format == "json":
-                    json.dump(doc, fh, indent=1)
-                    fh.write("\n")
+                    _write_json(header, records, timestamp, fh)
                 else:
                     _write_csv(records, fh)
         except OSError as exc:

@@ -110,7 +110,7 @@ class SplitParams:
         """New SplitParams with the named entries shifted additively; a shift
         may leave an entry non-positive, so the result is unchecked."""
         changes = {name: getattr(self, name) + dv for name, dv in deltas.items()}
-        return replace(self, check=False, **changes)
+        return SplitParams(**{**self.__dict__, "check": False, **changes})
 
 
 def _sech2(x):

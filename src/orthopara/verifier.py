@@ -535,7 +535,7 @@ def _parseval_cases(fam, cfg, rng, tol):
     names = ["alpha1", "alpha2", "zeta1", "zeta2"]
     if fam == "PARSEVAL_A":
         names += ["eta1", "eta2"]
-    params = {name: float(rng.uniform(0.4, 1.6)) for name in names}
+    params = _uniforms(rng, names, 0.4, 1.6)
     pairs = degree_index_pairs(1, cfg.parseval_max_degree)
     for (m, k) in pairs:
         for (m2, k2) in pairs:
@@ -544,12 +544,21 @@ def _parseval_cases(fam, cfg, rng, tol):
         yield IdentityCase(fam, 2, tol, m=0, m2=0, k=(0, 0), k2=(0, 0), params=params)
 
 
+def _uniforms(rng, names, low, high):
+    """One uniform draw per name, in order, from one call: PCG64 gives the
+    same values as one scalar call per name."""
+    return dict(zip(names, rng.uniform(low, high, len(names)).tolist()))
+
+
 def _draw_point(rng, d, params):
-    params["t_re"] = float(rng.uniform(-1, 1))
-    params["t_im"] = float(rng.uniform(-1, 1))
-    for j in range(1, d + 1):
-        params[f"x{j}_re"] = float(rng.uniform(-1, 1))
-        params[f"x{j}_im"] = float(rng.uniform(-1, 1))
+    names = ["t_re", "t_im"] + [f"x{j}_{part}" for j in range(1, d + 1) for part in ("re", "im")]
+    params.update(_uniforms(rng, names, -1, 1))
+
+
+def _draw_d_k(rng, dims):
+    """A dimension from ``dims`` and a multi-index with entries in {0, 1, 2}."""
+    d = dims[int(rng.integers(len(dims)))]
+    return d, tuple(rng.integers(0, 3, d).tolist())
 
 
 def _contig_cases(fam, cfg, rng, tol):
@@ -557,33 +566,30 @@ def _contig_cases(fam, cfg, rng, tol):
     if fam.startswith("CONTIG_A"):
         names += ["eta1", "eta2"]
     for _ in range(cfg.contig_draws):
-        d = int(rng.choice(cfg.dims))
-        k = tuple(int(v) for v in rng.integers(0, 3, d))
+        d, k = _draw_d_k(rng, cfg.dims)
         # m >= |k|+1 keeps the lower-degree terms well defined and the
         # two sides generically nonzero
         m = sum(k) + int(rng.integers(1, 3))
-        params = {name: float(rng.uniform(0.3, 2.5)) for name in names}
+        params = _uniforms(rng, names, 0.3, 2.5)
         _draw_point(rng, d, params)
         yield IdentityCase(fam, d, tol, m=m, k=k, params=params)
 
 
 def _form_equiv_cases(fam, cfg, rng, tol):
     for _ in range(cfg.form_draws):
-        d = int(rng.choice(cfg.dims))
-        k = tuple(int(v) for v in rng.integers(0, 3, d))
-        params = {}
+        d, k = _draw_d_k(rng, cfg.dims)
         m = None
         if fam == "FORM_EQUIV_PHI":
-            params["alpha"] = float(rng.uniform(0.2, 3.0))
-            params["mu"] = float(rng.uniform(0.2, 3.0))
-            params["xi"] = float(rng.uniform(-3.0, 3.0))
-            params["axis"] = float(rng.integers(1, d + 1))
+            params = {"alpha": float(rng.uniform(0.2, 3.0)),
+                      "mu": float(rng.uniform(0.2, 3.0)),
+                      "xi": float(rng.uniform(-3.0, 3.0)),
+                      "axis": float(rng.integers(1, d + 1))}
         else:
-            params["alpha1"] = float(rng.uniform(0.2, 3.0))
-            params["alpha2"] = float(rng.uniform(0.2, 3.0))
+            names = ["alpha1", "alpha2"]
             if fam == "FORM_EQUIV_A":
-                for name in ("zeta1", "zeta2", "eta1", "eta2"):
-                    params[name] = float(rng.uniform(0.2, 3.0))
+                names += ["zeta1", "zeta2", "eta1", "eta2"]
+            params = _uniforms(rng, names, 0.2, 3.0)
+            if fam == "FORM_EQUIV_A":
                 m = sum(k) + int(rng.integers(0, 3))
             _draw_point(rng, d, params)
         yield IdentityCase(fam, d, tol, m=m, k=k, params=params)

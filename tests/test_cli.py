@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from orthopara import cli
 from orthopara.ball import ball_eval
 from orthopara.cli import (
     EVAL_FUNCTIONS, EVAL_TABLE, SweepConfig, expand_families, load_config, main, run_sweep,
@@ -21,7 +22,7 @@ from orthopara.transforms import (
     eval_h_jacobi, eval_h_laguerre, fourier_h_jacobi_closed, fourier_h_laguerre_closed,
     lambda_factor, phi_factor, theta_factor,
 )
-from orthopara.verifier import ALL_FAMILIES
+from orthopara.verifier import ALL_FAMILIES, IdentityCase
 
 
 def test_empty_family_list(tmp_path):
@@ -64,14 +65,24 @@ def test_config_file_roundtrip(tmp_path):
 @pytest.mark.parametrize("raw", [
     {"max_degree_multi": "3"}, {"seed": "x"}, {"tolerances": {"ORT_GEGEN": "1e-3"}},
     {"max_degree_1d": 2.5}, [1, 2], {"dims": []}, {"tolerances": {"ORT_GEGEN": math.inf}},
-    {"dims": [4]},
+    {"dims": [4]}, {"dims": [2, 2]},
 ], ids=["str_degree", "str_seed", "str_tolerance", "float_degree", "not_an_object",
-        "empty_dims", "inf_tolerance", "dims_4"])
+        "empty_dims", "inf_tolerance", "dims_4", "dims_repeated"])
 def test_config_field_types_rejected(raw, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     assert main(["sweep", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_repeated_dims_rejected(capsys):
+    # a repeated dimension would draw and run its cases twice
+    for dims in ([2, 2], [1, 2, 1]):
+        with pytest.raises(ConfigError, match="repeats"):
+            SweepConfig(dims=dims).validate()
+    assert main(["sweep", "--d", "2,2", "--families", "ORT_PARA_L"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
 
 
 def test_dims_3_sweep_passes_every_family(tmp_path):
@@ -231,15 +242,6 @@ def test_cli_eval_bad_d_or_parameter_name(argv, message, capsys):
     assert captured.out == "" and "parse error" in captured.err and message in captured.err
 
 
-@pytest.mark.parametrize("argv", [["--k", "a"], ["--d", "2", "--k", "1"]],
-                         ids=["k_not_integer", "k_wrong_length"])
-def test_spot_check_script_rejects_bad_k(argv):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "fourier_spot_check.py"
-    res = subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True)
-    assert res.returncode == 2 and "--k needs" in res.stderr
-    assert "Traceback" not in res.stderr
-
-
 def test_diff_reports_script_flags_a_changed_verdict(tmp_path):
     # two runs of one config are byte-identical (exit 0); one tampered
     # `passed` is a verdict change (exit 1)
@@ -260,8 +262,25 @@ def test_diff_reports_script_flags_a_changed_verdict(tmp_path):
     report["cases"][0]["passed"] = not report["cases"][0]["passed"]
     paths[1].write_text(json.dumps(report, indent=2))
     res = diff()
-    assert res.returncode == 1
+    assert res.returncode == 1 and "same document: no" in res.stdout
     assert "case list: same" in res.stdout and "verdict changes: 1" in res.stdout
+
+
+def test_diff_reports_script_sees_a_reindented_report_as_the_same_document(tmp_path):
+    # the same document written with another layout, NaN residuals of
+    # errored cases included: bytes differ, document, cases and verdicts do not
+    script = Path(__file__).resolve().parents[1] / "scripts" / "diff_reports.py"
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run_sweep(SweepConfig(families=["ORT_GEGEN", "CONTIG_B_i"], max_degree_1d=2,
+                          ort_param_draws=1, contig_draws=2, tolerances={"ORT_GEGEN": 1e-30},
+                          out_path=str(a), no_timestamp=True))
+    assert "NaN" in a.read_text()
+    b.write_text(json.dumps(json.loads(a.read_text()), indent=1) + "\n")
+    res = subprocess.run([sys.executable, str(script), str(a), str(b)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0
+    assert "byte-identical: no" in res.stdout and "same document: yes" in res.stdout
+    assert "verdict changes: 0" in res.stdout
 
 
 def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
@@ -295,6 +314,50 @@ def test_cli_eval_malformed_multi_index(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "usage" in err
+
+
+def test_json_report_writes_one_record_per_line(tmp_path, monkeypatch):
+    # a passing, a skipped (gamma pole), an errored (no two refinement levels
+    # agree at 1e-30) and a Fourier case: each record is one line of the one
+    # JSON document, and lhs, rhs and the NaN residuals read back exactly
+    contig = {"alpha1": 0.7, "alpha2": 0.9, "zeta1": 0.8, "zeta2": 1.2,
+              "t_re": 0.3, "t_im": 0.2, "x1_re": -0.4, "x1_im": 0.1}
+    cases = [
+        IdentityCase("CONTIG_A_iv", 1, 1e-10, m=2, k=(0,),
+                     params=dict(contig, eta1=0.6, eta2=1.1)),
+        IdentityCase("CONTIG_B_ii", 1, 1e-10, m=2, k=(1,),
+                     params=dict(contig, t_re=contig["zeta1"] + 0.5, t_im=0.0)),
+        IdentityCase("ORT_GEGEN", 1, 1e-30, m=1, m2=2, params={"mu": 0.8}),
+        IdentityCase("FOURIER_L", 1, 1e-6, m=1, k=(1,),
+                     params={"alpha": 0.8, "zeta": 1.1, "beta": 0.3, "mu": 0.7},
+                     xi=(0.3, -0.7)),
+    ]
+    monkeypatch.setattr(cli, "generate_cases", lambda cfg: cases)
+    out = tmp_path / "rep.json"
+    summary = run_sweep(SweepConfig(out_path=str(out), no_timestamp=True))
+    assert (summary.passed, summary.skipped, summary.failed) == (2, 1, 1)
+    text = out.read_text()
+    doc = json.loads(text)
+    assert list(doc) == ["config", "summary", "cases"] and len(doc["cases"]) == len(cases)
+    lines = text.splitlines()
+    first = lines.index(' "cases": [') + 1
+    assert lines[first + len(cases)] == " ]"
+    for line, rec in zip(lines[first:first + len(cases)], doc["cases"]):
+        assert line.removesuffix(",") == json.dumps(rec)
+
+    def bits(*zs):
+        return [v.hex() for z in zs for v in (complex(z).real, complex(z).imag)]
+
+    passed, skipped, errored, fourier = doc["cases"]
+    assert "skipped_reason" in skipped and "error" not in skipped
+    assert errored["error"].startswith("QuadratureNonConvergence: ")
+    assert math.isnan(errored["abs_residual"]) and math.isnan(errored["rel_residual"])
+    assert fourier["params"]["xi1"] == 0.3 and fourier["params"]["xi2"] == -0.7
+    for case, rec in zip(cases[:2] + cases[3:], (passed, skipped, fourier)):
+        rep = cli.run_case(case)
+        assert bits(complex(rec["lhs"]["re"], rec["lhs"]["im"]),
+                    complex(rec["rhs"]["re"], rec["rhs"]["im"])) == bits(rep.lhs, rep.rhs)
+        assert rec["rel_residual"] == rep.rel_residual
 
 
 def test_cli_list_identities(capsys):

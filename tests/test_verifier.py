@@ -351,16 +351,33 @@ def test_generated_cases_respect_preconditions():
         assert case.tolerance > 0
 
 
-def test_default_case_list_pinned():
-    # the default sweep's case list, every draw at full precision; a change
-    # here changes what the default sweep verifies
-    cases = generate_cases(SweepConfig())
+def _case_list_digest(cases):
     h = hashlib.sha256()
     for c in cases:
         h.update(json.dumps([c.identity_id, c.d, c.tolerance, c.m, c.m2, c.k, c.k2,
                              sorted(c.params.items()), c.xi]).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_default_case_list_pinned():
+    # the default sweep's case list, every draw at full precision; a change
+    # here changes what the default sweep verifies
+    cases = generate_cases(SweepConfig())
     assert len(cases) == 3030
-    assert h.hexdigest() == "8b745704077edcd2e426b9db44fac0a90d58b5c0e4388eab135daa40ee1235f7"
+    assert _case_list_digest(cases) == (
+        "8b745704077edcd2e426b9db44fac0a90d58b5c0e4388eab135daa40ee1235f7")
+
+
+@pytest.mark.parametrize("dims, count, digest", [
+    ([3], 3754, "8bbb2a56f3ad323ccb1b84ecddffcba051614b17c979f0a9198232839f8a56f2"),
+    ([1, 2, 3], 4350, "a7fe4eba69a397125d4e4e43615304c698a521234f313f8feadb31c1c4a4eb9e"),
+], ids=["dims_3", "dims_1_2_3"])
+def test_dims_case_lists_pinned(dims, count, digest):
+    # default-size sweeps at seed 42 that draw d = 3 points and indices; a
+    # change of how the draws are made must not move one of them
+    cases = generate_cases(SweepConfig(dims=dims))
+    assert len(cases) == count
+    assert _case_list_digest(cases) == digest
 
 
 def test_series_layer_values_pinned():
