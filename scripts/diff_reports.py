@@ -8,9 +8,10 @@ Prints whether the two files are byte-identical, whether they hold the same
 JSON document (equal after parsing, NaN equal to NaN), whether their case lists
 match (identity, d, degrees, indices and parameters of every record, in
 order), every record whose verdict fields (`passed`, `error`,
-`skipped_reason`, `nodes`) changed, and the largest |change of
-rel_residual| per family.  Exits 0 when the case lists and every verdict
-field match, 1 when they do not, 2 when a file cannot be read.
+`skipped_reason`, `nodes`) changed, the number of changes of each of those
+fields, and the largest |change of rel_residual| per family.  Exits 0 when
+the case lists and every verdict field match, 1 when they do not, 2 when a
+file cannot be read.
 """
 
 import argparse
@@ -48,20 +49,22 @@ def compare(raw_a, raw_b):
         lines.append(f"case list: differs ({len(cases_a)} vs {len(cases_b)} cases)")
         return lines, False
     lines.append(f"case list: same ({len(cases_a)} cases)")
-    changed = 0
+    changed = dict.fromkeys(VERDICT_FIELDS, 0)
     worst = {}
     for i, (a, b) in enumerate(zip(cases_a, cases_b)):
         for f in VERDICT_FIELDS:
             if a.get(f) != b.get(f):
-                changed += 1
+                changed[f] += 1
                 lines.append(f"  case {i} {a['identity_id']}: {f} {a.get(f)!r} -> {b.get(f)!r}")
         fam = a["identity_id"]
         worst[fam] = max(worst.get(fam, 0.0),
                          residual_change(a["rel_residual"], b["rel_residual"]))
-    lines.append(f"verdict changes: {changed}")
+    total = sum(changed.values())
+    lines.append(f"verdict changes: {total}")
+    lines += [f"  {f}: {n}" for f, n in changed.items()]
     lines.append("largest |change of rel_residual| per family:")
     lines += [f"  {fam:16s} {worst[fam]:.3g}" for fam in sorted(worst)]
-    return lines, changed == 0
+    return lines, total == 0
 
 
 def main():

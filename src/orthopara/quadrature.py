@@ -3,11 +3,15 @@ and paraboloid Gram entries, composite Gauss-Legendre panels on the
 truncated lines of the Fourier and Parseval integrals.
 
 Rule construction is cached, and the oracles sum in fixed node order, so
-repeated runs produce bit-identical results.
+repeated runs produce bit-identical results.  Every rule size is checked
+before a rule is built: a node or panel count is an integer from 1 to
+MAX_NODES_PER_AXIS, and a composite rule has at most MAX_NODES_PER_AXIS
+nodes in all; anything else raises DomainError.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +33,14 @@ class QuadratureRule:
         return len(self.nodes)
 
 
+def _check_size(what, n):
+    """``n`` as an int, or DomainError unless it is an integer in
+    [1, MAX_NODES_PER_AXIS]."""
+    if not (isinstance(n, numbers.Integral) and 1 <= n <= MAX_NODES_PER_AXIS):
+        raise DomainError(f"{what} = {n!r}; needs an integer from 1 to {MAX_NODES_PER_AXIS}")
+    return int(n)
+
+
 @lru_cache(maxsize=256)
 def _laguerre_nodes(n, alpha):
     x, w = roots_genlaguerre(n, alpha)
@@ -37,6 +49,7 @@ def _laguerre_nodes(n, alpha):
 
 def gauss_laguerre(n, alpha=0.0):
     """n-point rule for integrals against t^alpha e^{-t} on (0, inf)."""
+    n = _check_size("gauss_laguerre: n", n)
     if alpha <= -1:
         raise DomainError("gauss_laguerre: alpha must be > -1")
     x, w = _laguerre_nodes(n, float(alpha))
@@ -51,6 +64,7 @@ def _jacobi_nodes(n, a, b):
 
 def gauss_jacobi(n, a, b):
     """n-point rule for integrals against (1-x)^a (1+x)^b on [-1, 1]."""
+    n = _check_size("gauss_jacobi: n", n)
     if a <= -1 or b <= -1:
         raise DomainError("gauss_jacobi: exponents must be > -1")
     x, w = _jacobi_nodes(n, float(a), float(b))
@@ -77,8 +91,10 @@ def composite_legendre(lo, hi, panels, n=12):
 
     Cached on (lo, hi, panels, n); the nodes and weights are read-only.
     """
-    if n < 1 or panels < 1 or panels * n > MAX_NODES_PER_AXIS:
+    n = _check_size("composite_legendre: n", n)
+    panels = _check_size("composite_legendre: panels", panels)
+    if panels * n > MAX_NODES_PER_AXIS:
         raise DomainError(f"composite_legendre: {panels} panels of {n} nodes; "
-                          f"needs n >= 1, panels >= 1 and at most {MAX_NODES_PER_AXIS} nodes")
+                          f"needs at most {MAX_NODES_PER_AXIS} nodes")
     nodes, weights = _composite_nodes(lo, hi, panels, n)
     return QuadratureRule(nodes, weights)

@@ -95,6 +95,8 @@ def _certified(levels, integral, tol, scale):
     max(tol |value|, 0.1 tol scale) is the convergence certificate behind the
     verdict; returns the finer value and the nodes of every level used.
     """
+    if len(levels) < 2:
+        raise ValueError(f"_certified: a certificate needs at least two levels, got {levels!r}")
     prev = None
     nodes = 0
     for level in levels:
@@ -110,6 +112,18 @@ def _certified(levels, integral, tol, scale):
         f"refinement levels {levels} did not agree: "
         f"last delta {delta:.3e} > threshold {threshold:.3e}"
     )
+
+
+def _gram_levels(floor, degree):
+    """The two Gauss levels (n0, 2 n0) of a Gram entry of polynomial degree
+    ``degree``: n0 = floor 2^j, the smallest such value >= degree + 4, so
+    both rules are exact for the entry.  On one power-of-two ladder the
+    entries of a draw need a few rule sizes, and share their rules and
+    columns."""
+    n0 = floor
+    while n0 < degree + 4:
+        n0 *= 2
+    return n0, 2 * n0
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +209,7 @@ def _ort_1d(case):
         values = lambda mm: column((n, mm), lambda: poly(r.nodes, mm))  # P_mm on the rule
         return np.sum(r.weights * values(m) * values(m2)), n
 
-    n0 = max(16, m + m2 + 4)
-    return _gram(case, t0, column, norm, m, m2, (n0, 2 * n0), gram_entry)
+    return _gram(case, t0, column, norm, m, m2, _gram_levels(16, m + m2), gram_entry)
 
 
 def _ball_gram(column, d, mu, k, k2, n):
@@ -215,8 +228,8 @@ def _ort_ball(case):
     column = _memo.open(case)
     mu = case.params["mu"]
     k, k2, d = case.k, case.k2, case.d
-    n0 = max(12, tail_sum(k, 1) + tail_sum(k2, 1) + 4)
-    return _gram(case, t0, column, lambda kk: ball_norm(kk, mu), k, k2, (n0, 2 * n0),
+    levels = _gram_levels(12, tail_sum(k, 1) + tail_sum(k2, 1))
+    return _gram(case, t0, column, lambda kk: ball_norm(kk, mu), k, k2, levels,
                  lambda n: (_ball_gram(column, d, mu, k, k2, n), d * n))
 
 
@@ -245,8 +258,7 @@ def _ort_para(case):
         kind, gamma = "laguerre", 0.0
         norm = lambda mk: laguerre_paraboloid_norm(*mk, beta, mu, d)
     mk, mk2 = (case.m, case.k), (case.m2, case.k2)
-    n0 = max(12, case.m + case.m2 + 4)
-    return _gram(case, t0, column, norm, mk, mk2, (n0, 2 * n0),
+    return _gram(case, t0, column, norm, mk, mk2, _gram_levels(12, case.m + case.m2),
                  lambda n: (_para_gram(column, kind, beta, gamma, mu, d, mk, mk2, n), (d + 1) * n))
 
 

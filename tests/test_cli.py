@@ -266,6 +266,30 @@ def test_diff_reports_script_flags_a_changed_verdict(tmp_path):
     assert "case list: same" in res.stdout and "verdict changes: 1" in res.stdout
 
 
+def test_diff_reports_script_counts_changes_per_verdict_field(tmp_path):
+    # two rule-size changes and one flipped verdict: the total counts all
+    # three, and each field's count says which kind they were
+    script = Path(__file__).resolve().parents[1] / "scripts" / "diff_reports.py"
+    case = {"identity_id": "ORT_JACOBI", "d": 1, "m": 0, "m2": 0, "k": None, "k2": None,
+            "params": {"alpha": 0.5, "beta": 0.5}, "rel_residual": 1e-15, "passed": True,
+            "error": None, "skipped_reason": None, "nodes": 48}
+    a = {"cases": [dict(case, m=m) for m in range(3)]}
+    b = json.loads(json.dumps(a))
+    b["cases"][0]["nodes"] = b["cases"][1]["nodes"] = 96
+    b["cases"][2]["passed"] = False
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, doc in zip(paths, (a, b)):
+        path.write_text(json.dumps(doc))
+    res = subprocess.run([sys.executable, str(script), *map(str, paths)],
+                         capture_output=True, text=True)
+    assert res.returncode == 1
+    lines = res.stdout.splitlines()
+    i = lines.index("verdict changes: 3")
+    assert lines[i + 1:i + 5] == ["  passed: 1", "  error: 0", "  skipped_reason: 0",
+                                  "  nodes: 2"]
+    assert "  case 0 ORT_JACOBI: nodes 48 -> 96" in lines
+
+
 def test_diff_reports_script_sees_a_reindented_report_as_the_same_document(tmp_path):
     # the same document written with another layout, NaN residuals of
     # errored cases included: bytes differ, document, cases and verdicts do not

@@ -6,7 +6,9 @@ from numpy.polynomial.legendre import leggauss
 
 from orthopara.errors import DomainError
 from orthopara.gammafn import gamma
-from orthopara.quadrature import composite_legendre, gauss_jacobi, gauss_laguerre
+from orthopara.quadrature import (
+    MAX_NODES_PER_AXIS, composite_legendre, gauss_jacobi, gauss_laguerre,
+)
 from references import tanh_sinh, tensor_integrate
 
 
@@ -18,7 +20,7 @@ def test_gauss_legendre_basics():
     assert np.sum(r5.weights * r5.nodes**8) == pytest.approx(2 / 9, abs=1e-14)
     assert np.sum(r5.weights) == pytest.approx(2.0, abs=1e-12)
     assert (r5.weights > 0).all()
-    for panels, n in ((1, 0), (0, 5), (1, 20000), (2000, 12)):
+    for panels, n in ((1, 0), (0, 5), (1, 20000), (2000, 12), (2.0, 12), (2, 12.0)):
         with pytest.raises(DomainError):
             composite_legendre(-1.0, 1.0, panels, n)
 
@@ -54,6 +56,18 @@ def test_gauss_jacobi_beta_moment():
     r = gauss_jacobi(12, 0.5, 0.5)
     val = np.sum(r.weights * r.nodes**2)
     assert val == pytest.approx(math.pi / 8, rel=1e-10)
+
+
+@pytest.mark.parametrize("build", [lambda n: gauss_jacobi(n, 0.5, 0.5),
+                                   lambda n: gauss_laguerre(n, 0.5)], ids=["jacobi", "laguerre"])
+def test_gauss_rule_sizes_checked(build):
+    # a size that is not an integer in [1, MAX_NODES_PER_AXIS] is a
+    # DomainError before scipy sees it, and a float size is no second cache key
+    for n in (0, -3, 2.0, 2.5, "2", MAX_NODES_PER_AXIS + 1):
+        with pytest.raises(DomainError):
+            build(n)
+    assert len(build(1)) == 1
+    assert build(np.int64(5)).nodes is build(5).nodes
 
 
 def test_tanh_sinh_endpoint_singularity():

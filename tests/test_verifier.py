@@ -320,6 +320,9 @@ def test_certificate_needs_two_agreeing_levels():
         _certified((0, 1), level, 1e-8, 1.0)
     with pytest.raises(QuadratureNonConvergence):  # a NaN delta never certifies
         _certified((0, 1), lambda lv: (float("nan"), 10), 1e-8, 1.0)
+    for levels in ((), (0,)):  # one level has nothing to agree with
+        with pytest.raises(ValueError, match="at least two levels"):
+            _certified(levels, level, 1e-8, 1.0)
 
 
 def test_case_determinism():
@@ -505,3 +508,51 @@ def test_draw_memo_threads_do_not_mix_draws():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(rounds == [want] * 5 for rounds in got.values())
+
+
+def _ladder_n0(floor, degree):
+    # the smallest floor 2^j >= degree + 4
+    return floor * 2 ** max(0, math.ceil(math.log2((degree + 4) / floor)))
+
+
+def test_gram_1d_rules_on_one_ladder(monkeypatch):
+    # a reduced gram-highdeg (one draw per family, degree 20): each draw
+    # builds at most the four rules 16, 32, 64 and 128 and every entry
+    # certifies on the ladder size of its degree
+    from orthopara import quadrature
+
+    cfg = SweepConfig(families=["ORT_GEGEN", "ORT_JACOBI", "ORT_LAGUERRE"], max_degree_1d=20,
+                      ort_param_draws=1)
+    cfg.validate()
+    monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
+    draws = itertools.groupby(generate_cases(cfg), lambda c: (c.identity_id, c.params))
+    n_draws = 0
+    for _, cases in draws:
+        n_draws += 1
+        quadrature._jacobi_nodes.cache_clear()
+        quadrature._laguerre_nodes.cache_clear()
+        for c in cases:
+            rep = run_case(c)
+            assert rep.passed and rep.error is None, c
+            assert rep.nodes == 3 * _ladder_n0(16, c.m + c.m2), c
+            assert rep.nodes // 3 in (16, 32, 64)
+        builds = (quadrature._jacobi_nodes.cache_info().misses
+                  + quadrature._laguerre_nodes.cache_info().misses)
+        assert 0 < builds <= 4
+    assert n_draws == 3
+
+
+@pytest.mark.parametrize("fam, per_level", [
+    ("ORT_BALL", 2), ("ORT_PARA_J", 3), ("ORT_PARA_L", 3),
+])
+def test_gram_multi_rules_on_one_ladder(fam, per_level):
+    # d = 2 to degree 5: every entry passes on the 12 2^j ladder size of its
+    # degree (|k| + |k2| on the ball, m + m2 on the paraboloid); a level of
+    # n points costs per_level n nodes (one axis each, plus the radial one)
+    cases = generate_cases(SweepConfig(families=[fam], dims=[2], max_degree_multi=5))
+    assert cases
+    for c in cases:
+        rep = run_case(c)
+        degree = sum(c.k) + sum(c.k2) if fam == "ORT_BALL" else c.m + c.m2
+        assert rep.passed and rep.error is None, c
+        assert rep.nodes == 3 * per_level * _ladder_n0(12, degree), c
