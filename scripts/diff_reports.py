@@ -7,11 +7,11 @@ Usage: python scripts/diff_reports.py A.json B.json
 Prints whether the two files are byte-identical, whether they hold the same
 JSON document (equal after parsing, NaN equal to NaN), whether their case lists
 match (identity, d, degrees, indices and parameters of every record, in
-order), every record whose verdict fields (`passed`, `error`,
-`skipped_reason`, `nodes`) changed, the number of changes of each of those
-fields, and the largest |change of rel_residual| per family.  Exits 0 when
-the case lists and every verdict field match, 1 when they do not, 2 when a
-file cannot be read.
+order), the first 20 records whose verdict fields (`passed`, `error`,
+`skipped_reason`, `nodes`) changed and how many more did, the number of
+changes of each of those fields, and the largest |change of rel_residual| per
+family.  Exits 0 when the case lists and every verdict field match, 1 when
+they do not, 2 when a file cannot be read.
 """
 
 import argparse
@@ -22,6 +22,7 @@ from pathlib import Path
 
 CASE_FIELDS = ("identity_id", "d", "m", "m2", "k", "k2", "params")
 VERDICT_FIELDS = ("passed", "error", "skipped_reason", "nodes")
+LISTED_CASES = 20  # changed cases listed one by one; the rest are counted
 
 
 def residual_change(a, b):
@@ -50,15 +51,22 @@ def compare(raw_a, raw_b):
         return lines, False
     lines.append(f"case list: same ({len(cases_a)} cases)")
     changed = dict.fromkeys(VERDICT_FIELDS, 0)
+    changed_cases = 0
     worst = {}
     for i, (a, b) in enumerate(zip(cases_a, cases_b)):
-        for f in VERDICT_FIELDS:
-            if a.get(f) != b.get(f):
-                changed[f] += 1
-                lines.append(f"  case {i} {a['identity_id']}: {f} {a.get(f)!r} -> {b.get(f)!r}")
+        fields = [f for f in VERDICT_FIELDS if a.get(f) != b.get(f)]
+        for f in fields:
+            changed[f] += 1
+        if fields:
+            changed_cases += 1
+            if changed_cases <= LISTED_CASES:
+                lines += [f"  case {i} {a['identity_id']}: {f} {a.get(f)!r} -> {b.get(f)!r}"
+                          for f in fields]
         fam = a["identity_id"]
         worst[fam] = max(worst.get(fam, 0.0),
                          residual_change(a["rel_residual"], b["rel_residual"]))
+    if changed_cases > LISTED_CASES:
+        lines.append(f"  … and {changed_cases - LISTED_CASES} more changed cases")
     total = sum(changed.values())
     lines.append(f"verdict changes: {total}")
     lines += [f"  {f}: {n}" for f, n in changed.items()]

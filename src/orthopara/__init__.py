@@ -9,7 +9,7 @@ from .classical import (
     laguerre, laguerre_norm,
 )
 from .gammafn import beta, gamma, log_gamma, pochhammer
-from .hyper import hyp2f1_at_2, hyp_terminating
+from .hyper import hyp_terminating
 from .paraboloid import (
     jacobi_paraboloid, jacobi_paraboloid_norm, laguerre_paraboloid,
     laguerre_paraboloid_norm,

@@ -115,8 +115,5 @@ def ball_rules(d, mu, n):
     """Per-axis Gauss-Jacobi rules absorbing the mapped weight: axis j carries
     (1 - v_j^2)^(mu - 1/2 + (d-j)/2) from the weight plus the slice Jacobian,
     so <P_k, P_k2> is one ball_axis sum per axis."""
-    rules = []
-    for j in range(1, d + 1):
-        e = mu - 0.5 + 0.5 * (d - j)
-        rules.append(gauss_jacobi(n, e, e))
-    return rules
+    exponents = (mu - 0.5 + 0.5 * (d - j) for j in range(1, d + 1))
+    return tuple(gauss_jacobi(n, e, e) for e in exponents)

@@ -4,9 +4,10 @@ Everything here is vectorized over numpy arrays and safe for concurrent use
 (pure functions, no mutable state).  log_gamma is scipy's loggamma behind a
 pole check; exp(log_gamma(z)) matches Gamma(z) to ~1e-13 relative on the
 strip 0.5 <= Re z <= 10, |Im z| <= 40, which covers every argument the higher
-modules produce.  Scalar arguments skip the array bookkeeping: log_gamma
-checks the pole in Python and calls loggamma once, bit for bit the array
-result, and pochhammer multiplies numpy scalars, not 0-d arrays.
+modules produce.  pochhammer is the exact product at every order.  Scalar
+arguments skip the array bookkeeping: log_gamma checks the pole in Python and
+calls loggamma once, bit for bit the array result, and pochhammer multiplies
+numpy scalars, not 0-d arrays.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ def beta(a, b):
 def pochhammer(a, m):
     """Rising factorial (a)_m for integer m >= 0.
 
-    Exact product for m <= 64, log-gamma ratio beyond; (a)_0 == 1 exactly.
-    Integer ``a`` is taken as float64.
+    The product a (a+1) ... (a+m-1) at every order, so it is 0 when a is a
+    non-positive integer > -m and keeps the dtype of ``a``; (a)_0 == 1
+    exactly.  Integer ``a`` is taken as float64.
     """
     if m < 0:
         raise DomainError("pochhammer: order must be >= 0")
@@ -98,9 +100,7 @@ def pochhammer(a, m):
     if m == 0:
         out = np.ones(a.shape, dtype=np.result_type(a, np.float64))
         return out if a.ndim else out[()]
-    if m <= 64:
-        out = a + 0
-        for i in range(1, m):
-            out = out * (a + i)
-        return out
-    return np.exp(log_gamma(_as_complex(a) + m) - log_gamma(a))
+    out = a + 0
+    for i in range(1, m):
+        out = out * (a + i)
+    return out

@@ -76,14 +76,14 @@ def _sum_terms(numerator, denominator, z, degree, total):
     return total
 
 
-def hyp_terminating(numerator, denominator, z, snap_tol=SNAP_TOL):
+def hyp_terminating(numerator, denominator, z):
     """Terminating pFq(numerator; denominator; z).
 
-    At least one numerator parameter must be a scalar within ``snap_tol`` of a
+    At least one numerator parameter must be a scalar within SNAP_TOL of a
     non-positive integer; it is snapped to that integer and the finite sum of
     N+1 terms is returned.  Parameters and z may be broadcastable arrays.
     """
-    num, snaps, kinds = _scan(numerator, snap_tol)
+    num, snaps, kinds = _scan(numerator, SNAP_TOL)
     if not snaps:
         raise NonTerminatingError("no terminating numerator parameter found")
     degree, idx = min(snaps)  # the shortest sum; the first such parameter
@@ -116,11 +116,3 @@ def hyp_terminating(numerator, denominator, z, snap_tol=SNAP_TOL):
     if total.ndim == 0:
         return total[()]
     return total
-
-
-def hyp2f1_at_2(a, b, c):
-    """2F1(a, b; c; 2): only meaningful terminating, so ``a`` must be a
-    non-positive integer (within the snap tolerance)."""
-    if not _scan([a], SNAP_TOL)[1]:
-        raise NonTerminatingError("2F1 at z = 2 requires a non-positive integer first parameter")
-    return hyp_terminating([a, b], [c], 2.0)

@@ -17,11 +17,11 @@ import math
 import numpy as np
 
 from .ball import lambda_param, tail_sum, validate_multi_index
-from .classical import continuous_hahn, gegenbauer, jacobi, laguerre
+from .classical import continuous_hahn, gegenbauer
 from .errors import DomainError
 from .gammafn import log_gamma, pochhammer
-from .hyper import hyp2f1_at_2, hyp_terminating
-from .paraboloid import radial_alpha
+from .hyper import hyp_terminating
+from .paraboloid import radial_factor
 
 
 @dataclass(frozen=True)
@@ -179,16 +179,19 @@ def h_jacobi_t(m, k, params: WrapParamsJacobi, t):
     """t-factor of the height-1 wrapped function, d = len(k):
 
         2^{-|k|/2} (1+tanh t)^(zeta+|k|/2) (1-tanh t)^eta
-        * P_{m-|k|}^(|k|+mu+beta+(d-1)/2, gamma)(-tanh t).
+        * P_{m-|k|}^(|k|+mu+beta+(d-1)/2, gamma)(-tanh t),
+
+    the Jacobi polynomial being the paraboloid's ``radial_factor`` at
+    (1 + tanh t)/2.
     """
     k, n = _degree_split(m, k)
     th = np.tanh(np.asarray(t, dtype=float))
-    a = radial_alpha(n, params.beta, params.mu, len(k))
     return (
         2.0 ** (-0.5 * n)
         * (1.0 + th) ** (params.zeta + 0.5 * n)
         * (1.0 - th) ** params.eta
-        * jacobi(m - n, a, params.gamma, -th)
+        * radial_factor("jacobi", m, n, params.beta, params.gamma, params.mu, len(k),
+                        0.5 * (1.0 + th))
     )
 
 
@@ -200,13 +203,15 @@ def eval_h_laguerre(m, k, params: WrapParamsLaguerre, t, x):
 def h_laguerre_t(m, k, params: WrapParamsLaguerre, t):
     """t-factor of the infinite-height wrapped function, d = len(k):
 
-        e^{-e^t/2 + (zeta+|k|/2) t} L_{m-|k|}^(|k|+mu+beta+(d-1)/2)(e^t).
+        e^{-e^t/2 + (zeta+|k|/2) t} L_{m-|k|}^(|k|+mu+beta+(d-1)/2)(e^t),
+
+    the Laguerre polynomial being the paraboloid's ``radial_factor`` at e^t.
     """
     k, n = _degree_split(m, k)
     t = np.asarray(t, dtype=float)
     et = np.exp(t)
-    a = radial_alpha(n, params.beta, params.mu, len(k))
-    return np.exp(-0.5 * et + (params.zeta + 0.5 * n) * t) * laguerre(m - n, a, et)
+    return np.exp(-0.5 * et + (params.zeta + 0.5 * n) * t) * radial_factor(
+        "laguerre", m, n, params.beta, 0.0, params.mu, len(k), et)
 
 
 def _phi_beta_part(j, d, alpha, K, xi_j):
@@ -327,10 +332,10 @@ def lambda_factor(m, k, zeta, mu, beta, d, xi_last):
         2F1(-m+|k|, zeta+|k|/2-i xi; |k|+mu+beta+(d+1)/2; 2).
     """
     k, n = _degree_split(m, k)
-    return hyp2f1_at_2(
-        -(m - n),
-        zeta + 0.5 * n - 1j * np.asarray(xi_last),
-        n + mu + beta + 0.5 * (d + 1),
+    return hyp_terminating(
+        [-(m - n), zeta + 0.5 * n - 1j * np.asarray(xi_last)],
+        [n + mu + beta + 0.5 * (d + 1)],
+        2.0,
     )
 
 
@@ -475,7 +480,7 @@ def B_t(m, k, sp: SplitParams, t):
     """
     k, n = _degree_split(m, k)
     arg = sp.zeta1 + 0.5 * n - np.asarray(t)
-    return np.exp(log_gamma(arg)) * hyp2f1_at_2(-(m - n), arg, n + sp.abs_zeta)
+    return np.exp(log_gamma(arg)) * hyp_terminating([-(m - n), arg], [n + sp.abs_zeta], 2.0)
 
 
 def eval_B_hahn(m, k, sp: SplitParams, d, t, x):

@@ -131,15 +131,18 @@ def _gram_levels(floor, degree):
 
 
 class _DrawMemo:
-    """The columns (basis values on a grid, factor lines on a rule, line
+    """The columns (Gauss rules, basis values on a rule, factor lines, line
     weights, norms) of the current parameter draw only: identity id, d and
-    params.
+    params.  It is the verifier's only cache of draw-dependent data: the
+    quadrature functions build a rule on each call, and a draw's cases fetch
+    their rules here.
 
     ``open(case)`` drops the held columns when ``case`` belongs to another
     draw and returns the getter ``column(key, compute)`` of the case's draw,
     which evaluates ``compute()`` once per key; an array comes back as a
-    read-only view.  The key names the column within the draw, so an entry
-    is the same arithmetic over cached arrays.  A getter keeps its own draw's
+    read-only view, and a rule (or a tuple of rules) has read-only arrays
+    already.  The key names the column within the draw, so an entry is the
+    same arithmetic over cached arrays.  A getter keeps its own draw's
     columns, so callers on other threads cannot mix draws.
     """
 
@@ -205,7 +208,7 @@ def _ort_1d(case):
         norm = lambda mm: laguerre_norm(mm, a)
 
     def gram_entry(n):
-        r = rule_of(n)
+        r = column(("rule", n), lambda: rule_of(n))
         values = lambda mm: column((n, mm), lambda: poly(r.nodes, mm))  # P_mm on the rule
         return np.sum(r.weights * values(m) * values(m2)), n
 
@@ -215,9 +218,9 @@ def _ort_1d(case):
 def _ball_gram(column, d, mu, k, k2, n):
     """<P_k, P_k2> on the n-point ``ball_rules``: in the slice coordinates
     both are products of ``ball_axis`` factors, so it is one sum per axis.
-    The axis lines come from ``column``."""
+    The rules and the axis lines come from ``column``."""
     val = 1.0
-    for j, r in enumerate(ball_rules(d, mu, n), start=1):
+    for j, r in enumerate(column(("ball_rules", n), lambda: ball_rules(d, mu, n)), start=1):
         axis = lambda kk: column(("axis", n, j, kk), lambda: ball_axis(j, mu, kk, r.nodes))
         val = val * np.sum(r.weights * axis(k) * axis(k2))
     return val
@@ -287,14 +290,15 @@ def _fourier_rules(fam, k, wp, d, level):
     else:
         t_rule = _line_rule(cut(wp.zeta + 0.5 * n), 4.8, level)
     x = cut(2 * wp.alpha)
-    return t_rule, [_line_rule(x, x, level) for _ in range(d)]
+    return t_rule, tuple(_line_rule(x, x, level) for _ in range(d))
 
 
 def _fourier_direct(fam, m, k, wp, d, xi, level, column):
     """Direct numeric transform of h = h_t(t) prod_j g_axis(x_j): the 1-D
-    transform of the t-factor times one 1-D transform per x axis.  The factor
-    lines do not depend on xi and come from ``column``."""
-    t_rule, x_rules = _fourier_rules(fam, k, wp, d, level)
+    transform of the t-factor times one 1-D transform per x axis.  The rules
+    and the factor lines do not depend on xi and come from ``column``."""
+    t_rule, x_rules = column(("rules", tail_sum(k, 1), level),
+                             lambda: _fourier_rules(fam, k, wp, d, level))
     h_t = h_jacobi_t if fam == "FOURIER_J" else h_laguerre_t
     t = t_rule.nodes
     ht = column(("h", m, k, level), lambda: h_t(m, k, wp, t))
@@ -378,8 +382,9 @@ def _parseval_lhs(fam, m, k, m2, k2, sp, d, panels, column):
     """The Parseval integral of F(it, ix) G(-it, -ix), F and G the A (with
     its Gamma weight in t) or B family: a t-factor times prod_j D_axis, so the
     integral is the weighted t-sum times one D-line sum per x axis.  The
-    factor lines (side +1 for F, -1 for G) and the weight come from ``column``."""
-    rule = _parseval_rule(panels)
+    rule, the factor lines (side +1 for F, -1 for G) and the weight come from
+    ``column``."""
+    rule = column(("rule", panels), lambda: _parseval_rule(panels))
     s, w = rule.nodes, rule.weights
     if fam == "PARSEVAL_A":
         w = column(("w", panels), lambda: rule.weights * np.exp(
@@ -418,9 +423,9 @@ def _parseval(case):
 # contiguous relations and form equivalences
 
 
-def _complex_point(params, prefix, d):
-    t = complex(params[f"{prefix}t_re"], params[f"{prefix}t_im"])
-    x = [complex(params[f"{prefix}x{j}_re"], params[f"{prefix}x{j}_im"]) for j in range(1, d + 1)]
+def _complex_point(params, d):
+    t = complex(params["t_re"], params["t_im"])
+    x = [complex(params[f"x{j}_re"], params[f"x{j}_im"]) for j in range(1, d + 1)]
     return t, x
 
 
@@ -429,7 +434,7 @@ def _contiguous(case):
     p = case.params
     fam, roman = case.identity_id.rsplit("_", 1)
     idx = ROMAN.index(roman) + 1
-    t, x = _complex_point(p, "", case.d)
+    t, x = _complex_point(p, case.d)
     try:
         if fam == "CONTIG_A":
             sp = SplitParams(p["alpha1"], p["alpha2"], p["zeta1"], p["zeta2"],
@@ -452,12 +457,12 @@ def _form_equiv(case):
         lhs = phi_factor(j, case.d, p["alpha"], p["mu"], case.k, p["xi"])
         rhs = phi_factor_hahn(j, case.d, p["alpha"], p["mu"], case.k, p["xi"])
     elif case.identity_id == "FORM_EQUIV_D":
-        t, x = _complex_point(p, "", case.d)
+        t, x = _complex_point(p, case.d)
         lhs = eval_D(case.k, p["alpha1"], p["alpha2"], case.d, x)
         rhs = eval_D_hahn(case.k, p["alpha1"], p["alpha2"], case.d, x)
     else:
         sp = SplitParams(p["alpha1"], p["alpha2"], p["zeta1"], p["zeta2"], p["eta1"], p["eta2"])
-        t, x = _complex_point(p, "", case.d)
+        t, x = _complex_point(p, case.d)
         lhs = eval_A(case.m, case.k, sp, case.d, t, x)
         rhs = eval_A_hahn(case.m, case.k, sp, case.d, t, x)
     scale = max(abs(lhs), abs(rhs))

@@ -290,6 +290,36 @@ def test_diff_reports_script_counts_changes_per_verdict_field(tmp_path):
     assert "  case 0 ORT_JACOBI: nodes 48 -> 96" in lines
 
 
+def test_diff_reports_script_lists_the_first_20_changed_cases(tmp_path):
+    # 30 changed cases (one with two changed fields): 20 are listed and 10
+    # counted; the per-field counts, residual table and exit status are whole
+    script = Path(__file__).resolve().parents[1] / "scripts" / "diff_reports.py"
+    case = {"identity_id": "ORT_JACOBI", "d": 1, "m": 0, "m2": 0, "k": None, "k2": None,
+            "params": {"alpha": 0.5, "beta": 0.5}, "rel_residual": 1e-15, "passed": True,
+            "error": None, "skipped_reason": None, "nodes": 48}
+    a = {"cases": [dict(case, m=m) for m in range(35)]}
+    b = json.loads(json.dumps(a))
+    for c in b["cases"][5:]:
+        c["nodes"] = 96
+    b["cases"][34]["passed"] = False
+    b["cases"][34]["rel_residual"] = 1e-3
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, doc in zip(paths, (a, b)):
+        path.write_text(json.dumps(doc))
+    res = subprocess.run([sys.executable, str(script), *map(str, paths)],
+                         capture_output=True, text=True)
+    assert res.returncode == 1
+    lines = res.stdout.splitlines()
+    listed = [line for line in lines if line.startswith("  case ")]
+    assert listed == [f"  case {i} ORT_JACOBI: nodes 48 -> 96" for i in range(5, 25)]
+    i = lines.index("verdict changes: 31")
+    assert lines[i - 1] == "  … and 10 more changed cases"
+    assert lines[i + 1:i + 5] == ["  passed: 1", "  error: 0", "  skipped_reason: 0",
+                                  "  nodes: 30"]
+    assert lines[-2:] == ["largest |change of rel_residual| per family:",
+                          "  ORT_JACOBI       0.001"]
+
+
 def test_diff_reports_script_sees_a_reindented_report_as_the_same_document(tmp_path):
     # the same document written with another layout, NaN residuals of
     # errored cases included: bytes differ, document, cases and verdicts do not

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ def test_pochhammer_basics():
     assert pochhammer(3.7 + 2j, 0) == 1
     assert pochhammer(3.0, 2) == 12
     assert pochhammer(-2.0, 4) == 0
-    # long orders go through the log-gamma ratio
+    # a long order is the same product, which matches the log-gamma ratio
     import scipy.special as sp
 
     want = np.exp(sp.gammaln(81.3) - sp.gammaln(1.3))
@@ -181,10 +182,27 @@ def test_pochhammer_scalar_matches_array_element():
             for v, want in zip(a.tolist(), arr):
                 got = pochhammer(v, m)
                 assert got == pochhammer(kind(v), m)
-                if kind is np.float64 and m <= 64:
+                if kind is np.float64:
                     assert type(got) is np.float64 and got == want
                 else:
                     assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_pochhammer_long_orders_keep_the_product():
+    # past order 64 the product still meets a zero factor and keeps the real
+    # dtype, so the norms built on it stay real
+    from orthopara.ball import ball_norm
+
+    for a in (0.0, -3.0, -64.0):
+        assert pochhammer(a, 65) == 0 and pochhammer(a, 200) == 0
+    got = pochhammer(2.5, 65)
+    assert type(got) is np.float64
+    assert got == pytest.approx(math.prod(2.5 + i for i in range(65)), rel=1e-13)
+    assert pochhammer(np.array([2.5, -3.0]), 65).dtype == np.float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = ball_norm((65,), 0.5)
+    assert type(norm) is float and norm > 0
 
 
 def test_pochhammer_integer_argument_does_not_wrap():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from orthopara.errors import DenominatorPoleError, NonTerminatingError
 from orthopara.gammafn import pochhammer
-from orthopara.hyper import hyp2f1_at_2, hyp_terminating
+from orthopara.hyper import hyp_terminating
 from references import hyp_nonterminating
 
 
@@ -122,14 +122,16 @@ def test_nonterminating_2f1():
 
 
 def test_2f1_at_2():
-    assert hyp2f1_at_2(0, 1.3 + 0.2j, 0.9) == 1.0
+    assert hyp_terminating([0, 1.3 + 0.2j], [0.9], 2.0) == 1.0
     b, c = 0.8 + 0.3j, 1.7
-    assert hyp2f1_at_2(-1, b, c) == pytest.approx(1 - 2 * b / c, rel=1e-14)
-    got = hyp2f1_at_2(-3, 1.1 + 0.4j, 2.5)
+    assert hyp_terminating([-1, b], [c], 2.0) == pytest.approx(1 - 2 * b / c, rel=1e-14)
+    got = hyp_terminating([-3, 1.1 + 0.4j], [2.5], 2.0)
     want = naive_sum([-3, 1.1 + 0.4j], [2.5], 2.0, 3)
     assert got == pytest.approx(want, rel=1e-13)
+    # 2F1 is symmetric in its numerator: either parameter may terminate it
+    assert hyp_terminating([1.1 + 0.4j, -3], [2.5], 2.0) == got
     with pytest.raises(NonTerminatingError):
-        hyp2f1_at_2(0.5, 1.0, 2.0)
+        hyp_terminating([0.5, 1.0], [2.0], 2.0)
 
 
 def test_array_broadcast():

@@ -128,6 +128,9 @@ SENSITIVITY = [
     # alpha_n of the radial factor, its norm, the t rule and the wrapped h
     ("paraboloid", "radial_alpha", "scale",
      ["ORT_PARA_J", "ORT_PARA_L", "FOURIER_J", "FOURIER_L"]),
+    # the radial factor itself: the Gram oracles' radial line and the wrapped h
+    ("paraboloid", "radial_factor", "scale",
+     ["ORT_PARA_J", "ORT_PARA_L", "FOURIER_J", "FOURIER_L"]),
     ("verifier", "parseval_rhs", "scale", ["PARSEVAL_A", "PARSEVAL_B"]),
     ("transforms", "fourier_h_jacobi_closed", "scale", ["FOURIER_J"]),
     ("transforms", "fourier_h_laguerre_closed", "scale", ["FOURIER_L"]),

@@ -62,12 +62,33 @@ def test_gauss_jacobi_beta_moment():
                                    lambda n: gauss_laguerre(n, 0.5)], ids=["jacobi", "laguerre"])
 def test_gauss_rule_sizes_checked(build):
     # a size that is not an integer in [1, MAX_NODES_PER_AXIS] is a
-    # DomainError before scipy sees it, and a float size is no second cache key
+    # DomainError before scipy sees it, and a numpy integer size is the int
     for n in (0, -3, 2.0, 2.5, "2", MAX_NODES_PER_AXIS + 1):
         with pytest.raises(DomainError):
             build(n)
     assert len(build(1)) == 1
-    assert build(np.int64(5)).nodes is build(5).nodes
+    r64, r = build(np.int64(5)), build(5)
+    assert np.array_equal(r64.nodes, r.nodes) and np.array_equal(r64.weights, r.weights)
+
+
+@pytest.mark.parametrize("build", [lambda: gauss_jacobi(8, 0.5, 0.5),
+                                   lambda: gauss_laguerre(8, 0.5),
+                                   lambda: composite_legendre(-2.0, 3.0, 4, 12)],
+                         ids=["jacobi", "laguerre", "composite"])
+def test_rules_are_read_only(build):
+    # no caller can change a rule that another call returns
+    r = build()
+    nodes, weights = r.nodes.copy(), r.weights.copy()
+    x, w = r.nodes, r.weights
+    with pytest.raises(ValueError):
+        x *= 2
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    with pytest.raises(ValueError):
+        x.sort()
+    again = build()
+    assert np.array_equal(again.nodes, nodes) and np.array_equal(again.weights, weights)
+    assert not again.nodes.flags.writeable and not again.weights.flags.writeable
 
 
 def test_tanh_sinh_endpoint_singularity():
@@ -98,8 +119,7 @@ def test_composite_equals_panelwise_scaled(lo, hi, panels, n):
         [edges[i] + (x + 1.0) * slopes[i] for i in range(panels)]))
     assert np.array_equal(c.weights, np.concatenate([w * s for s in slopes]))
     assert len(c) == panels * n
-    # cached and shared, so read-only
-    assert composite_legendre(lo, hi, panels, n).nodes is c.nodes
+    # read-only, as every rule
     with pytest.raises(ValueError):
         c.nodes[0] = 0.0
     with pytest.raises(ValueError):

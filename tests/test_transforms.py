@@ -8,7 +8,7 @@ from orthopara.classical import continuous_hahn, gegenbauer
 from orthopara.errors import DomainError
 from orthopara.gammafn import beta as betafn
 from orthopara.gammafn import gamma, pochhammer
-from orthopara.hyper import hyp2f1_at_2, hyp_terminating
+from orthopara.hyper import hyp_terminating
 from orthopara.ball import ball_eval
 from orthopara.paraboloid import jacobi_paraboloid, laguerre_paraboloid
 from orthopara.quadrature import composite_legendre
@@ -352,7 +352,7 @@ def test_fourier_h_worked_d1_displays():
     assert closed == pytest.approx(disp_hahn, rel=1e-13)
 
     closedL = fourier_h_laguerre_closed(m, (k1,), PL, 1, (xi1, xi2))
-    lam = hyp2f1_at_2(-m + k1, ze + 0.5 * k1 - 1j * xi2, k1 + mu + be + 1)
+    lam = hyp_terminating([-m + k1, ze + 0.5 * k1 - 1j * xi2], [k1 + mu + be + 1], 2.0)
     dispL = (
         2 ** (2 * al + ze + 0.5 * k1 - 1j * xi2 - 1)
         * pochhammer(k1 + mu + be + 1, M) * pochhammer(2 * mu, k1)
@@ -444,7 +444,7 @@ def test_B_collapse_and_hahn_form():
     comp = (
         gamma(SPB.zeta1 + 0.5 * k1 - t)
         * eval_D((k1,), SPB.alpha1, SPB.alpha2, 1, x)
-        * hyp2f1_at_2(-m + k1, SPB.zeta1 + 0.5 * k1 - t, k1 + SPB.abs_zeta)
+        * hyp_terminating([-m + k1, SPB.zeta1 + 0.5 * k1 - t], [k1 + SPB.abs_zeta], 2.0)
     )
     assert eval_B(m, (k1,), SPB, 1, t, x) == pytest.approx(comp, rel=1e-13)
     assert eval_B_hahn(m, (k1,), SPB, 1, t, x) == pytest.approx(comp, rel=1e-12)

@@ -14,6 +14,7 @@ from orthopara.gammafn import gamma, log_gamma
 from orthopara.paraboloid import (
     jacobi_paraboloid, jacobi_paraboloid_norm, laguerre_paraboloid, laguerre_paraboloid_norm,
 )
+from orthopara.quadrature import QuadratureRule
 from orthopara.transforms import (
     SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_B,
     eval_h_jacobi, eval_h_laguerre,
@@ -450,6 +451,18 @@ def test_draw_memo_order_independent(fam, monkeypatch):
     assert in_order == reverse == alone
 
 
+def _rule_arrays(col):
+    """The node and weight arrays of a rule-valued column (a rule, or a tuple
+    of rules and tuples of rules), or None for any other column."""
+    if isinstance(col, QuadratureRule):
+        return [col.nodes, col.weights]
+    if isinstance(col, tuple) and col:
+        parts = [_rule_arrays(c) for c in col]
+        if None not in parts:
+            return [a for part in parts for a in part]
+    return None
+
+
 @pytest.mark.parametrize("fam", list(MEMO_SWEEPS))
 def test_draw_memo_holds_one_draw_read_only(fam, monkeypatch):
     cases = _memo_sweep(fam)
@@ -468,8 +481,18 @@ def test_draw_memo_holds_one_draw_read_only(fam, monkeypatch):
     (draw, columns), (alone_draw, alone_columns) = memo.current, alone.current
     assert draw == alone_draw and columns
     assert columns.keys() == alone_columns.keys()
-    arrays = 0
+    arrays = rules = 0
     for key, col in columns.items():
+        rule_arrays = _rule_arrays(col)
+        if rule_arrays is not None:  # the draw's Gauss rules
+            rules += 1
+            alone_arrays = _rule_arrays(alone_columns[key])
+            assert len(rule_arrays) == len(alone_arrays)
+            for a, b in zip(rule_arrays, alone_arrays):
+                assert np.array_equal(a, b) and not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0
+            continue
         assert np.array_equal(col, alone_columns[key])
         if isinstance(col, np.ndarray):  # else an immutable scalar (a norm)
             arrays += 1
@@ -478,7 +501,7 @@ def test_draw_memo_holds_one_draw_read_only(fam, monkeypatch):
                 col[...] = 0
         else:
             assert isinstance(col, (float, complex, np.number))
-    assert arrays
+    assert arrays and rules
 
 
 def test_draw_memo_threads_do_not_mix_draws():
@@ -521,6 +544,17 @@ def test_gram_1d_rules_on_one_ladder(monkeypatch):
     # certifies on the ladder size of its degree
     from orthopara import quadrature
 
+    builds = 0
+
+    def counted(roots):
+        def build(*args):
+            nonlocal builds
+            builds += 1
+            return roots(*args)
+        return build
+
+    for name in ("roots_jacobi", "roots_genlaguerre"):
+        monkeypatch.setattr(quadrature, name, counted(getattr(quadrature, name)))
     cfg = SweepConfig(families=["ORT_GEGEN", "ORT_JACOBI", "ORT_LAGUERRE"], max_degree_1d=20,
                       ort_param_draws=1)
     cfg.validate()
@@ -529,15 +563,12 @@ def test_gram_1d_rules_on_one_ladder(monkeypatch):
     n_draws = 0
     for _, cases in draws:
         n_draws += 1
-        quadrature._jacobi_nodes.cache_clear()
-        quadrature._laguerre_nodes.cache_clear()
+        builds = 0
         for c in cases:
             rep = run_case(c)
             assert rep.passed and rep.error is None, c
             assert rep.nodes == 3 * _ladder_n0(16, c.m + c.m2), c
             assert rep.nodes // 3 in (16, 32, 64)
-        builds = (quadrature._jacobi_nodes.cache_info().misses
-                  + quadrature._laguerre_nodes.cache_info().misses)
         assert 0 < builds <= 4
     assert n_draws == 3
 
