@@ -7,6 +7,11 @@ Jacobi and Laguerre polynomials are scipy's ``eval_jacobi`` and
 Pochhammer symbols.  The tests compare all three with the hypergeometric
 definitions quoted in each docstring.
 Continuous Hahn polynomials are summed as their terminating 3F2 series.
+The 3F2 at 1 and the 2F1 at 2 of the closed-form transform factors run the
+three-term recurrences in the degree of the continuous Hahn and the
+Meixner-Pollaczek polynomials (``hahn_3f2``, ``meixner_pollaczek_2f1``), so
+the series and the recurrence are two independent computations of one
+polynomial.
 Norms go through log space so Gamma ratios cannot overflow.
 """
 
@@ -19,7 +24,7 @@ from scipy import special
 
 from .errors import DomainError
 from .gammafn import log_gamma, pochhammer
-from .hyper import hyp_terminating
+from .hyper import _check_poles, _snap, hyp_terminating
 
 
 def _check_degree(m):
@@ -105,6 +110,78 @@ def continuous_hahn(m, a, b, c, d, x):
     return pref * hyp_terminating(
         [-m, m + a + b + c + d - 1, a + 1j * x], [a + c, a + d], 1.0
     )
+
+
+def _points(z):
+    # a scalar point (0-d arrays and numpy scalars too) as a Python number,
+    # whose arithmetic is the fastest; an array of points as it is
+    if type(z) in (int, float, complex):
+        return z
+    z = np.asarray(z)
+    return z if z.ndim else z.item()
+
+
+def _degree_zero(z):
+    # the degree-0 value 1, one per point
+    return np.ones(z.shape) if isinstance(z, np.ndarray) else 1.0
+
+
+def hahn_3f2(n, sigma, z, e, f):
+    """3F2(-n, n+sigma-1, z; e, f; 1) by the three-term recurrence in the
+    degree of the continuous Hahn polynomials (Koekoek-Lesky-Swarttouw
+    9.4.4, with sigma = a+b+c+d, z = a+ix, e = a+c, f = a+d):
+
+        p_0 = 1,  p_{k+1} = ((A_k + C_k + z) p_k - C_k p_{k-1}) / A_k,
+        A_k = -(k+sigma-1)(k+e)(k+f) / ((2k+sigma-1)(2k+sigma)),  A_0 = -ef/sigma,
+        C_k = k(k+sigma-f-1)(k+sigma-e-1) / ((2k+sigma-2)(2k+sigma-1)),  C_0 = 0.
+
+    z may be an array of points; n, sigma, e and f are scalars.  An e or f
+    within SNAP_TOL of -j, j < n, raises DenominatorPoleError, as the series
+    does.  A sigma within SNAP_TOL of an integer in [2 - 2n, 0], where a
+    recurrence denominator vanishes, raises DomainError.
+    """
+    _check_degree(n)
+    _check_poles((e, f), n)
+    j = _snap(sigma)
+    if j is not None and j >= 2 - 2 * n:
+        raise DomainError(f"hahn_3f2: the degree-{n} recurrence is singular at sigma = {sigma}")
+    z = _points(z)
+    if n == 0:
+        return _degree_zero(z)
+    a, c = -e * f / sigma, 0.0
+    prev, p = 0.0, 1.0
+    s1, sf, se = sigma - 1, sigma - f - 1, sigma - e - 1
+    for k in range(n):
+        if k:
+            s = 2 * k + sigma
+            a = -(k + s1) * (k + e) * (k + f) / ((s - 1) * s)
+            c = k * (k + sf) * (k + se) / ((s - 2) * (s - 1))
+        if a == 0:  # only by under- or overflow once the checks above pass
+            raise DomainError(f"hahn_3f2: recurrence coefficient A_{k} vanishes")
+        prev, p = p, ((a + c + z) * p - c * prev) / a
+    return p
+
+
+def meixner_pollaczek_2f1(n, z, e):
+    """2F1(-n, z; e; 2) by the three-term recurrence in the degree of the
+    Meixner-Pollaczek polynomials at phi = pi/2 (Koekoek-Lesky-Swarttouw
+    9.7.3, with z = lambda+ix, e = 2 lambda; DLMF 15.5.11 for any z, e):
+
+        F_0 = 1,  F_{k+1} = ((e - 2z) F_k + k F_{k-1}) / (e + k).
+
+    z may be an array of points; n and e are scalars.  An e within SNAP_TOL
+    of -j, j < n, raises DenominatorPoleError, as the series does.
+    """
+    _check_degree(n)
+    _check_poles((e,), n)
+    z = _points(z)
+    if n == 0:
+        return _degree_zero(z)
+    w = e - 2 * z
+    prev, p = 0.0, 1.0
+    for k in range(n):
+        prev, p = p, (w * p + k * prev) / (e + k)
+    return p
 
 
 def gegenbauer_homogeneous(m, lam, u, s):

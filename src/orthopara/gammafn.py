@@ -33,8 +33,10 @@ def _as_complex(z):
 
 
 def is_nonpositive_integer(z, tol=POLE_TOL):
-    """Elementwise test: within ``tol`` of an integer <= 0."""
+    """Elementwise test: within ``tol`` of an integer <= 0.  A NaN or
+    infinite entry is no pole, as in log_gamma's scalar path."""
     z = _as_complex(z)
+    z = np.where(np.isfinite(z), z, 1.0)
     n = np.round(z.real)
     return (n <= 0) & (np.abs(z - n) <= tol)
 

@@ -1,6 +1,10 @@
-"""Terminating generalized hypergeometric series pFq: the 2F1 / 3F2 / 1F1
-instances of the closed forms (including argument z = 2 and complex
-parameters).
+"""Terminating generalized hypergeometric series pFq, with complex
+parameters and any argument.  The package sums one series with it, the
+3F2 at 1 of ``classical.continuous_hahn`` (and so the Hahn forms of the
+form equivalences); the transform factors evaluate their 3F2 at 1 and 2F1
+at 2 by three-term recurrences in the degree (``classical.hahn_3f2``,
+``classical.meixner_pollaczek_2f1``), which raise the series'
+DenominatorPoleError on the same denominator poles (``_check_poles``).
 
 Terminating series are summed with the running-ratio recurrence
 
@@ -35,25 +39,36 @@ SNAP_TOL = 1e-9
 _SCALARS = (int, float, complex, np.integer)
 
 
-def _scan(params, tol):
+def _snap(p):
+    """The integer j <= 0 within SNAP_TOL of the scalar p, else None (also
+    for NaN and inf)."""
+    # round(re) <= 0 exactly when re <= 1/2 (ties go to even)
+    if p.real > 0.5:  # the usual case, decided without a conversion
+        return None
+    c = complex(p)
+    if not cmath.isfinite(c):
+        return None
+    j = round(c.real)
+    return j if abs(c - j) <= SNAP_TOL else None
+
+
+def _scan(params):
     """One pass over a parameter list, each scalar converted to complex once.
 
     Returns the sort entries (0, re, im, index, p) of scalars (0-d arrays
     too) and (1, 0, 0, index, p) of arrays, whose tuple order is canonical;
-    the (N, index) of each scalar within ``tol`` of an integer -N <= 0 (never
-    NaN or inf); and per parameter 0 for a real, 1 for a complex
-    ``_SCALARS`` value, 2 for anything else (numpy then sets the dtype)."""
+    the (N, index) of each scalar that snaps to an integer -N <= 0; and per
+    parameter 0 for a real, 1 for a complex ``_SCALARS`` value, 2 for
+    anything else (numpy then sets the dtype)."""
     entries, snaps, kinds = [], [], []
     for i, p in enumerate(params):
         plain = isinstance(p, _SCALARS)
         if plain or np.ndim(p) == 0:
             c = complex(p)
             entries.append((0, c.real, c.imag, i, p))
-            # round(re) <= 0 exactly when re <= 1/2 (ties go to even)
-            if c.real <= 0.5 and cmath.isfinite(c):
-                n = round(c.real)
-                if abs(c - n) <= tol:
-                    snaps.append((-n, i))
+            j = _snap(c)
+            if j is not None:
+                snaps.append((-j, i))
         else:
             entries.append((1, 0, 0, i, p))
         kinds.append((1 if isinstance(p, complex) else 0) if plain else 2)
@@ -76,6 +91,22 @@ def _sum_terms(numerator, denominator, z, degree, total):
     return total
 
 
+def _pole_error(p):
+    return DenominatorPoleError(f"denominator parameter {p} hits a pole before termination")
+
+
+def _check_poles(denominator, degree):
+    """Raise hyp_terminating's DenominatorPoleError if a scalar denominator
+    parameter is within SNAP_TOL of -j with j < degree.
+
+    A parameter -j poles the factor (b + m) at m = j, which a sum of degree
+    N touches only while m < N; later poles are harmless."""
+    for p in denominator:
+        j = _snap(p)
+        if j is not None and -j < degree:
+            raise _pole_error(p)
+
+
 def hyp_terminating(numerator, denominator, z):
     """Terminating pFq(numerator; denominator; z).
 
@@ -83,20 +114,16 @@ def hyp_terminating(numerator, denominator, z):
     non-positive integer; it is snapped to that integer and the finite sum of
     N+1 terms is returned.  Parameters and z may be broadcastable arrays.
     """
-    num, snaps, kinds = _scan(numerator, SNAP_TOL)
+    num, snaps, kinds = _scan(numerator)
     if not snaps:
         raise NonTerminatingError("no terminating numerator parameter found")
     degree, idx = min(snaps)  # the shortest sum; the first such parameter
     num[idx] = (0, float(-degree), 0.0, idx, float(-degree))
     kinds[idx] = 0
-    den, poles, den_kinds = _scan(denominator, SNAP_TOL)
-    # a denominator parameter -j poles the factor (b + m) at m = j, which the
-    # sum touches only while m < degree; later poles are harmless
-    for j, i in poles:
+    den, poles, den_kinds = _scan(denominator)
+    for j, i in poles:  # the rule of _check_poles
         if j < degree:
-            raise DenominatorPoleError(
-                f"denominator parameter {den[i][4]} hits a pole before termination"
-            )
+            raise _pole_error(den[i][4])
     # canonical parameter order, so permuted parameter lists produce
     # identical floats
     num.sort()

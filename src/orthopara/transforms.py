@@ -3,9 +3,15 @@ transforms, and the Gamma-hypergeometric families they generate.
 
 Everything accepts numpy-broadcastable arguments for points and frequencies
 (indices and parameters stay scalar), so frequency grids evaluate in one
-vectorized pass.  Complex powers of the strictly positive bases that occur
-here (2, 1 +- tanh) are principal-branch exp(w log base), which is
-unambiguous.
+vectorized pass.  The 3F2 at 1 of phi, theta, D and A and the 2F1 at 2 of
+lambda and B are continuous Hahn and Meixner-Pollaczek polynomials in the
+degree and run their three-term recurrences (``classical.hahn_3f2``,
+``classical.meixner_pollaczek_2f1``); the Hahn forms (``phi_factor_hahn``,
+``eval_D_hahn``, ``eval_A_hahn``) sum the series of
+``classical.continuous_hahn``, so each form equivalence compares two
+independent computations.  Complex powers of the strictly positive bases
+that occur here (2, 1 +- tanh) are principal-branch exp(w log base), which
+is unambiguous.
 """
 
 from __future__ import annotations
@@ -17,10 +23,9 @@ import math
 import numpy as np
 
 from .ball import lambda_param, tail_sum, validate_multi_index
-from .classical import continuous_hahn, gegenbauer
+from .classical import continuous_hahn, gegenbauer, hahn_3f2, meixner_pollaczek_2f1
 from .errors import DomainError
 from .gammafn import log_gamma, pochhammer
-from .hyper import hyp_terminating
 from .paraboloid import radial_factor
 
 
@@ -231,12 +236,8 @@ def phi_factor(j, d, alpha, mu, k, xi_j):
     if alpha + 0.5 * K + 0.25 * (d - j) <= 0:
         raise DomainError("phi_factor: requires alpha + |k^{j+1}|/2 + (d-j)/4 > 0")
     bpart, ap = _phi_beta_part(j, d, alpha, K, np.asarray(xi_j))
-    kj = k[j - 1]
-    f = hyp_terminating(
-        [-kj, kj + 2 * (K + mu + 0.5 * (d - j)), ap],
-        [K + mu + 0.5 * (d - j + 1), K + 2 * alpha + 0.5 * (d - j)],
-        1.0,
-    )
+    f = hahn_3f2(k[j - 1], 2 * (K + mu) + d - j + 1, ap,
+                 K + mu + 0.5 * (d - j + 1), K + 2 * alpha + 0.5 * (d - j))
     return bpart * f
 
 
@@ -287,15 +288,9 @@ def theta_factor(m, k, zeta, eta, beta, gamma, mu, d, xi_last):
              |k|+mu+beta+(d+1)/2, |k|/2+zeta+eta; 1).
     """
     k, n = _degree_split(m, k)
-    return hyp_terminating(
-        [
-            -(m - n),
-            m + mu + beta + gamma + 0.5 * (d + 1),
-            0.5 * n + zeta - 0.5j * np.asarray(xi_last),
-        ],
-        [n + mu + beta + 0.5 * (d + 1), 0.5 * n + zeta + eta],
-        1.0,
-    )
+    return hahn_3f2(m - n, n + mu + beta + gamma + 0.5 * (d + 3),
+                    0.5 * n + zeta - 0.5j * np.asarray(xi_last),
+                    n + mu + beta + 0.5 * (d + 1), 0.5 * n + zeta + eta)
 
 
 def fourier_h_jacobi_closed(m, k, params: WrapParamsJacobi, d, xi):
@@ -332,11 +327,8 @@ def lambda_factor(m, k, zeta, mu, beta, d, xi_last):
         2F1(-m+|k|, zeta+|k|/2-i xi; |k|+mu+beta+(d+1)/2; 2).
     """
     k, n = _degree_split(m, k)
-    return hyp_terminating(
-        [-(m - n), zeta + 0.5 * n - 1j * np.asarray(xi_last)],
-        [n + mu + beta + 0.5 * (d + 1)],
-        2.0,
-    )
+    return meixner_pollaczek_2f1(m - n, zeta + 0.5 * n - 1j * np.asarray(xi_last),
+                                 n + mu + beta + 0.5 * (d + 1))
 
 
 def fourier_h_laguerre_closed(m, k, params: WrapParamsLaguerre, d, xi):
@@ -387,11 +379,9 @@ def _D_axis(j, d, alpha1, alpha2, k, K, x_j):
     x_j = np.asarray(x_j)
     gp = alpha1 + 0.5 * (K + x_j) + 0.25 * (d - j)
     gm = alpha1 + 0.5 * (K - x_j) + 0.25 * (d - j)
-    return np.exp(log_gamma(gp) + log_gamma(gm)) * hyp_terminating(
-        [-kj, kj + 2 * (K + absa + 0.5 * (d - j - 1)), gp],
-        [K + absa + 0.5 * (d - j), K + 2 * alpha1 + 0.5 * (d - j)],
-        1.0,
-    )
+    return np.exp(log_gamma(gp) + log_gamma(gm)) * hahn_3f2(
+        kj, 2 * (K + absa) + d - j, gp, K + absa + 0.5 * (d - j),
+        K + 2 * alpha1 + 0.5 * (d - j))
 
 
 def eval_D_hahn(k, alpha1, alpha2, d, x):
@@ -441,11 +431,8 @@ def A_t(m, k, sp: SplitParams, t):
         raise DomainError("the height-1 family requires the eta parameter pair")
     k, n = _degree_split(m, k)
     arg = 0.5 * n + sp.zeta1 - 0.5 * np.asarray(t)
-    f = hyp_terminating(
-        [-(m - n), m + sp.abs_zeta + sp.abs_eta - 1, arg],
-        [n + sp.abs_zeta, 0.5 * n + sp.zeta1 + sp.eta1],
-        1.0,
-    )
+    f = hahn_3f2(m - n, n + sp.abs_zeta + sp.abs_eta, arg,
+                 n + sp.abs_zeta, 0.5 * n + sp.zeta1 + sp.eta1)
     return np.exp(log_gamma(arg)) * f
 
 
@@ -480,7 +467,7 @@ def B_t(m, k, sp: SplitParams, t):
     """
     k, n = _degree_split(m, k)
     arg = sp.zeta1 + 0.5 * n - np.asarray(t)
-    return np.exp(log_gamma(arg)) * hyp_terminating([-(m - n), arg], [n + sp.abs_zeta], 2.0)
+    return np.exp(log_gamma(arg)) * meixner_pollaczek_2f1(m - n, arg, n + sp.abs_zeta)
 
 
 def eval_B_hahn(m, k, sp: SplitParams, d, t, x):

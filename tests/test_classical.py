@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthopara.classical import (
-    continuous_hahn, gegenbauer, gegenbauer_homogeneous, gegenbauer_norm,
-    jacobi, jacobi_norm, laguerre, laguerre_norm,
+    continuous_hahn, gegenbauer, gegenbauer_homogeneous, gegenbauer_norm, hahn_3f2,
+    jacobi, jacobi_norm, laguerre, laguerre_norm, meixner_pollaczek_2f1,
 )
-from orthopara.errors import DomainError
+from orthopara.errors import DenominatorPoleError, DomainError
 from orthopara.gammafn import pochhammer
 from orthopara.hyper import hyp_terminating
 from orthopara.quadrature import gauss_jacobi, gauss_laguerre
@@ -203,6 +203,81 @@ def test_continuous_hahn_direct_summation():
         want = pref * total
         got = continuous_hahn(m, a, b, c, d, x)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1e-10)
+
+
+def _largest_term(numerator, denominator, z, n):
+    # the largest |term| of the terminating series: its rounding scale
+    term, big = 1.0, 1.0
+    for m in range(n):
+        term *= z / (m + 1)
+        for a in numerator:
+            term *= a + m
+        for b in denominator:
+            term /= b + m
+        big = max(big, abs(term))
+    return big
+
+
+def test_recurrences_match_the_series():
+    # the two recurrences against hyp_terminating, degrees 0-8, at scalar
+    # points and on arrays of points, real and complex; tolerance 1e-13 of
+    # the series' largest term (the series' own rounding scale)
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        sigma, e, f = rng.uniform(0.2, 4.0, 3).tolist()
+        z = rng.uniform(-3, 3, 6)
+        if rng.integers(2):
+            z = z + 1j * rng.uniform(-4, 4, 6)
+        for n in range(9):
+            for zz in (z, *z.tolist()):
+                got = hahn_3f2(n, sigma, zz, e, f)
+                want = hyp_terminating([-n, n + sigma - 1, zz], [e, f], 1.0)
+                big = max(_largest_term([-n, n + sigma - 1, w], [e, f], 1.0, n)
+                          for w in np.atleast_1d(zz))
+                assert np.shape(got) == np.shape(zz)
+                assert np.abs(got - want).max() <= 1e-13 * big, (n, sigma, e, f)
+                got = meixner_pollaczek_2f1(n, zz, e)
+                want = hyp_terminating([-n, zz], [e], 2.0)
+                big = max(_largest_term([-n, w], [e], 2.0, n) for w in np.atleast_1d(zz))
+                assert np.shape(got) == np.shape(zz)
+                assert np.abs(got - want).max() <= 1e-13 * big, (n, e)
+
+
+def test_recurrence_poles_and_singular_sigma():
+    z = np.array([0.3 + 1j, -0.7])
+    # a denominator parameter -j, j < n, is the series' pole, with its message
+    for e in (-1.0, -2.0, -2 + 1e-10, 0.0):
+        for evaluate in (lambda: hahn_3f2(3, 2.5, z, e, 1.3), lambda: hahn_3f2(3, 2.5, z, 1.3, e),
+                         lambda: meixner_pollaczek_2f1(3, z, e)):
+            with pytest.raises(DenominatorPoleError) as got:
+                evaluate()
+            with pytest.raises(DenominatorPoleError) as want:
+                hyp_terminating([-3, z], [e], 2.0)
+            assert str(got.value) == str(want.value)
+    # a pole at or past the degree is never reached
+    for e in (-3.0, -3 + 1e-10, -4.0):
+        assert np.all(np.isfinite(hahn_3f2(3, 2.5, z, e, 1.3)))
+        assert np.all(np.isfinite(meixner_pollaczek_2f1(3, z, e)))
+    # sigma on an integer in [2 - 2n, 0] zeroes a recurrence denominator
+    for n in (1, 2, 4):
+        for sigma in range(2 - 2 * n, 1):
+            for s in (float(sigma), sigma + 1e-10):
+                with pytest.raises(DomainError, match="singular at sigma"):
+                    hahn_3f2(n, s, z, 1.2, 1.7)
+        for s in (1 - 2 * n, 1.0, 0.5, -0.5):
+            want = hyp_terminating([-n, n + s - 1, z], [1.2, 1.7], 1.0)
+            assert np.allclose(hahn_3f2(n, s, z, 1.2, 1.7), want, rtol=1e-12)
+    # a coefficient lost to overflow ((2k+sigma)^2 = inf) is a DomainError,
+    # not a ZeroDivisionError; the true value overflows too
+    with pytest.raises(DomainError, match="vanishes"):
+        hahn_3f2(3, 1e200, 0.5 + 1j, 1.3, 2.0)
+    with pytest.raises(DomainError):
+        hahn_3f2(1.0, 2.5, z, 1.2, 1.7)
+    with pytest.raises(DomainError):
+        meixner_pollaczek_2f1(-1, z, 1.2)
+    # NaN flows through, as in the series
+    assert np.isnan(hahn_3f2(2, math.nan, 0.3, 1.2, 1.7))
+    assert np.isnan(meixner_pollaczek_2f1(2, 0.3, math.nan))
 
 
 @given(st.integers(0, 6), st.floats(0.3, 2.5), st.floats(-0.9, 0.9), st.floats(0.05, 0.95))

@@ -215,10 +215,11 @@ def test_cli_eval_non_finite_rejected(params, x, capsys):
     ["--fn", "D", "--d", "1", "--k", "1", "--params", "alpha1=1e308,alpha2=1e308", "--x", "0.2"],
     ["--fn", "A", "--d", "1", "--k", "1", "--m", "100000",
      "--params", "alpha1=0.7,alpha2=0.9,zeta1=0.8,zeta2=1.2,eta1=0.6,eta2=1.1",
-     "--t", "0.3", "--x", "0.2"],
+     "--t", "-3000", "--x", "0.2"],
 ], ids=["D_huge_alpha", "A_huge_degree"])
 def test_cli_eval_non_finite_result_is_evaluation_error(argv, capsys):
-    # finite input whose value overflows to nan: exit 4, no numpy warning text
+    # finite input whose true value overflows (A: about -7.8e10872 times D at
+    # t = -3000, from a 40-digit recurrence): exit 4, no numpy warning text
     assert main(["eval", *argv]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -6,13 +6,20 @@ binds it by name, runs a reduced sweep of the listed families on a fresh draw
 memo, and asserts that at least one case of each listed family fails.  A case
 that raises counts as failed, as in a sweep.
 
+A form equivalence compares two independent computations of one
+polynomial: the closed-form side runs the three-term recurrence in the
+degree (``classical.hahn_3f2``), the Hahn side sums the terminating series
+(``classical.continuous_hahn``), so a wrong recurrence and a wrong series
+each fail FORM_EQUIV.
+
 Blind spots, pinned by ``BLIND_SPOTS``: a contiguous relation is homogeneous
 and linear, so CONTIG cannot see a constant factor on A or B; a form
-equivalence compares two forms, so FORM_EQUIV cannot see a factor both forms
-share (the Beta part of phi); the Parseval integral is symmetric under
-swapping (a1, a2) in D, so PARSEVAL cannot see that swap.  No sweep family
-checks ``eval_B_hahn``, because a FORM_EQUIV_B family would change the
-default sweep; ``test_transforms.test_B_hahn_form_agrees`` checks it.
+equivalence cannot see a factor both forms share, which is now only a
+Gamma or Beta prefactor (the Beta part of phi); the Parseval integral is
+symmetric under swapping (a1, a2) in D, so PARSEVAL cannot see that swap.  No
+sweep family checks ``eval_B_hahn``, because a FORM_EQUIV_B family would
+change the default sweep; ``test_transforms.test_B_hahn_form_agrees`` checks
+it.
 """
 
 import sys
@@ -111,6 +118,18 @@ SENSITIVITY = [
     ("classical", "gegenbauer_norm", "scale", ["ORT_GEGEN"]),
     ("classical", "jacobi_norm", "scale", ["ORT_JACOBI", "ORT_PARA_J"]),
     ("classical", "laguerre_norm", "scale", ["ORT_LAGUERRE", "ORT_PARA_L"]),
+    # the recurrences of the transform factors: hahn_3f2 runs phi, theta,
+    # D and A, meixner_pollaczek_2f1 runs lambda and B; the series side of
+    # every form equivalence
+    ("classical", "hahn_3f2", "scale",
+     PHI + ["PARSEVAL_A", "PARSEVAL_B", "FORM_EQUIV_D", "FORM_EQUIV_A"]),
+    ("classical", "hahn_3f2", "degree_scale",
+     PHI + ["PARSEVAL_A", "PARSEVAL_B", "FORM_EQUIV_D", "FORM_EQUIV_A"] + MIXED_A),
+    ("classical", "meixner_pollaczek_2f1", "scale", ["FOURIER_L", "PARSEVAL_B"]),
+    ("classical", "meixner_pollaczek_2f1", "degree_scale",
+     ["FOURIER_L", "PARSEVAL_B"] + MIXED_B),
+    ("classical", "continuous_hahn", "scale",
+     ["FORM_EQUIV_PHI", "FORM_EQUIV_D", "FORM_EQUIV_A"]),
     ("classical", "gegenbauer", "degree_scale", ["ORT_GEGEN", "FOURIER_J", "FOURIER_L"]),
     ("classical", "jacobi", "degree_scale", ["ORT_JACOBI", "ORT_PARA_J", "FOURIER_J"]),
     ("classical", "laguerre", "degree_scale", ["ORT_LAGUERRE", "ORT_PARA_L", "FOURIER_L"]),

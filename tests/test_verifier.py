@@ -385,19 +385,32 @@ def test_dims_case_lists_pinned(dims, count, digest):
 
 
 def test_series_layer_values_pinned():
-    # every value of a small seeded CONTIG + FORM_EQUIV sweep (d = 1 and 2)
-    # at full precision: a faster path through hyp_terminating, log_gamma or
-    # pochhammer must not move a single bit of it
+    # a small seeded CONTIG + FORM_EQUIV sweep (d = 1 and 2), pinned twice:
+    # the verdicts, which a rounding-level change must not move, and every
+    # value at full precision, which a faster path through the transform
+    # factors, log_gamma or pochhammer must not move unless it means to
     cfg = SweepConfig(families=["CONTIG", "FORM_EQUIV"], contig_draws=10, form_draws=20,
                       seed=0, dims=[1, 2])
     cfg.validate()
     cases = generate_cases(cfg)
-    h = hashlib.sha256()
+    verdicts, values = hashlib.sha256(), hashlib.sha256()
     for c in cases:
         rep = run_case(c)
-        h.update(repr((c.identity_id, rep.passed, rep.lhs, rep.rhs)).encode() + b"\n")
+        verdicts.update(repr((c.identity_id, rep.passed)).encode() + b"\n")
+        values.update(repr((c.identity_id, rep.passed, rep.lhs, rep.rhs)).encode() + b"\n")
     assert len(cases) == 200
-    assert h.hexdigest() == "b950eec4076889ca5e049c2742d6008482b87171b9567ac0fc06d34bf9448f09"
+    assert verdicts.hexdigest() == "263c44e57a69118d96662d5fdb54e60a8a4e0449d214fbcd756a58bbc8c60657"
+    assert values.hexdigest() == "3d42ae58ad871300f735b2946c4026e6f73b40e07fcc9344bc84530af9f3fae5"
+
+
+def test_high_degree_fourier_j_passes_every_case():
+    # FOURIER_J to degree 14 at d = 1 (seed 1): the terminating series of
+    # theta_factor lost up to 3.6e-6 at m = 14 and failed 5 of these cases
+    cfg = SweepConfig(families=["FOURIER_J"], dims=[1], fourier_max_degree=14, seed=1)
+    cfg.validate()
+    cases = generate_cases(cfg)
+    assert len(cases) == 84 and max(c.m for c in cases) == 14
+    assert [(c.m, c.k) for c in cases if not run_case(c).passed] == []
 
 
 def test_quadrature_oracle_values_pinned():
@@ -416,7 +429,7 @@ def test_quadrature_oracle_values_pinned():
         values.update(repr((c.identity_id, rep.passed, rep.lhs, rep.rhs)).encode() + b"\n")
     assert len(cases) == 272
     assert verdicts.hexdigest() == "0a1d1a6f408000b96d635af8e442869748dbbb7808a5f827a3032a7d4461cc5a"
-    assert values.hexdigest() == "0756537ca775743cce42c0571fc89bf86f9bd0bdae2354c2e30862d1b1d865a1"
+    assert values.hexdigest() == "71f8d9f93b4db53958a2ed8c74e3f1c0b355c9c46292cf5610a568aa2fae1517"
 
 
 # small sweeps of two parameter draws each (ORT_PARA_J: d = 1 and d = 2)
