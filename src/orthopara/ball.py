@@ -25,10 +25,13 @@ _DOMAIN_SLACK = 1e-12
 
 
 def validate_multi_index(k):
-    k = tuple(int(v) for v in k)
-    if any(v < 0 for v in k):
-        raise DomainError(f"multi-index entries must be >= 0, got {k}")
-    return k
+    """k as a tuple of Python ints; raises DomainError unless every entry is
+    a nonnegative integer (int or numpy integer: 1.5 is not truncated)."""
+    k = tuple(k)
+    for v in k:
+        if not (isinstance(v, (int, np.integer)) and v >= 0):
+            raise DomainError(f"multi-index entries must be nonnegative integers, got {k}")
+    return tuple(map(int, k))
 
 
 def tail_sum(k, j):

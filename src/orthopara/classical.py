@@ -105,7 +105,7 @@ def continuous_hahn(m, a, b, c, d, x):
                       3F2(-m, m+a+b+c+d-1, a+ix; a+c, a+d; 1).
     """
     _check_degree(m)
-    x = np.asarray(x)
+    x = _points(x)
     pref = (1j**m) * pochhammer(complex(a + c), m) * pochhammer(complex(a + d), m) / math.factorial(m)
     return pref * hyp_terminating(
         [-m, m + a + b + c + d - 1, a + 1j * x], [a + c, a + d], 1.0

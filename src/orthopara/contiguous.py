@@ -11,7 +11,13 @@ Four families of parameter-shift identities, each returning (lhs, rhs):
 
 The lifted relations shift only the degree, zeta/eta and t, so every term
 of one relation shares D_k(x; a1, a2): it is evaluated once, and each term
-is its t-factor (A_t or B_t) times it, the product eval_A / eval_B form.
+is its t-factor times it, the product eval_A / eval_B form.  The multi-index
+is validated once per relation, by that eval_D; each term then runs the
+t-factor's body (``transforms._A_t`` / ``_B_t``) on its shifted parameters,
+summed in the order of ``SplitParams.shifted`` and ``abs_zeta`` /
+``abs_eta``, so a term equals A_t / B_t of the shifted SplitParams bit for
+bit without building one.  A term of degree below |k| raises DomainError,
+as A_t and B_t do.
 
 Terms whose printed coefficient is exactly zero are never evaluated, so the
 degenerate degree m = |k| works wherever the relation allows it.
@@ -19,14 +25,22 @@ degenerate degree m = |k| works wherever the relation allows it.
 
 from __future__ import annotations
 
-from .ball import tail_sum, validate_multi_index
-from .transforms import A_t, B_t, SplitParams, eval_D
+from .ball import tail_sum
+from .errors import DomainError
+from .transforms import SplitParams, _A_t, _B_t, eval_D
 
 N_RELATIONS = 7
 
 
 def _t(coef, fn):
     return 0.0 if coef == 0 else coef * fn()
+
+
+def _degree_above(mm, n):
+    """M = mm - |k| of a term of degree mm, which must be at least |k| = n."""
+    if mm < n:
+        raise DomainError("requires |k| <= m")
+    return mm - n
 
 
 def rec2_pair(i, F, a, b, c, d, e, z):
@@ -89,15 +103,15 @@ B_NEEDS_LOWER_DEGREE = frozenset({7})
 
 def a_relation_pair(i, m, k, sp: SplitParams, d, t, x):
     """Relation i (1-based) of the height-1 family at fixed (t, x)."""
-    k = validate_multi_index(k)
+    D = eval_D(k, sp.alpha1, sp.alpha2, d, x)  # validates k
     n = tail_sum(k, 1)
     Z = sp.abs_zeta
     E = sp.abs_eta
-    D = eval_D(k, sp.alpha1, sp.alpha2, d, x)
 
     def A(mm, dz1=0, dz2=0, de1=0, de2=0, dt=0):
-        p = sp.shifted(zeta1=dz1, zeta2=dz2, eta1=de1, eta2=de2)
-        return A_t(mm, k, p, t + dt) * D
+        z1, e1 = sp.zeta1 + dz1, sp.eta1 + de1
+        return _A_t(_degree_above(mm, n), n, z1, z1 + (sp.zeta2 + dz2),
+                    e1, e1 + (sp.eta2 + de2), t + dt) * D
 
     if i == 1:
         lhs = _t(m + Z + E - 1, lambda: A(m, de2=1)) + _t(m - n, lambda: A(m - 1, de2=1))
@@ -137,14 +151,13 @@ def a_relation_pair(i, m, k, sp: SplitParams, d, t, x):
 
 def b_relation_pair(i, m, k, sp: SplitParams, d, t, x):
     """Relation i (1-based) of the infinite-height family at fixed (t, x)."""
-    k = validate_multi_index(k)
+    D = eval_D(k, sp.alpha1, sp.alpha2, d, x)  # validates k
     n = tail_sum(k, 1)
     Z = sp.abs_zeta
-    D = eval_D(k, sp.alpha1, sp.alpha2, d, x)
 
     def B(mm, dz1=0, dz2=0, dt=0):
-        p = sp.shifted(zeta1=dz1, zeta2=dz2)
-        return B_t(mm, k, p, t + dt) * D
+        z1 = sp.zeta1 + dz1
+        return _B_t(_degree_above(mm, n), n, z1, z1 + (sp.zeta2 + dz2), t + dt) * D
 
     if i == 1:
         lhs = (n + 2 * sp.zeta2 + 2 * t) * B(m, dz1=1, dt=1)

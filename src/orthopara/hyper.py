@@ -57,10 +57,12 @@ def _scan(params):
 
     Returns the sort entries (0, re, im, index, p) of scalars (0-d arrays
     too) and (1, 0, 0, index, p) of arrays, whose tuple order is canonical;
-    the (N, index) of each scalar that snaps to an integer -N <= 0; and per
+    the (N, index) of each scalar that snaps to an integer -N <= 0; per
     parameter 0 for a real, 1 for a complex ``_SCALARS`` value, 2 for
-    anything else (numpy then sets the dtype)."""
+    anything else (numpy then sets the dtype); and whether every scalar is
+    finite."""
     entries, snaps, kinds = [], [], []
+    finite = True
     for i, p in enumerate(params):
         plain = isinstance(p, _SCALARS)
         if plain or np.ndim(p) == 0:
@@ -69,10 +71,11 @@ def _scan(params):
             j = _snap(c)
             if j is not None:
                 snaps.append((-j, i))
+            finite = finite and cmath.isfinite(c)
         else:
             entries.append((1, 0, 0, i, p))
         kinds.append((1 if isinstance(p, complex) else 0) if plain else 2)
-    return entries, snaps, kinds
+    return entries, snaps, kinds, finite
 
 
 def _sum_terms(numerator, denominator, z, degree, total):
@@ -89,6 +92,13 @@ def _sum_terms(numerator, denominator, z, degree, total):
         term = term * ratio
         total = total + term
     return total
+
+
+def _sum_nonfinite(numerator, denominator, z, degree, total):
+    # _sum_terms with a NaN or infinite scalar parameter, which flows through
+    # the sum as NaN; numpy would warn at each invalid operation it meets
+    with np.errstate(invalid="ignore"):
+        return _sum_terms(numerator, denominator, z, degree, total)
 
 
 def _pole_error(p):
@@ -114,13 +124,13 @@ def hyp_terminating(numerator, denominator, z):
     non-positive integer; it is snapped to that integer and the finite sum of
     N+1 terms is returned.  Parameters and z may be broadcastable arrays.
     """
-    num, snaps, kinds = _scan(numerator)
+    num, snaps, kinds, num_finite = _scan(numerator)
     if not snaps:
         raise NonTerminatingError("no terminating numerator parameter found")
     degree, idx = min(snaps)  # the shortest sum; the first such parameter
     num[idx] = (0, float(-degree), 0.0, idx, float(-degree))
     kinds[idx] = 0
-    den, poles, den_kinds = _scan(denominator)
+    den, poles, den_kinds, den_finite = _scan(denominator)
     for j, i in poles:  # the rule of _check_poles
         if j < degree:
             raise _pole_error(den[i][4])
@@ -131,15 +141,16 @@ def hyp_terminating(numerator, denominator, z):
     numerator = [e[4] for e in num]
     denominator = [e[4] for e in den]
 
+    sum_terms = _sum_terms if num_finite and den_finite else _sum_nonfinite
     kind = max(kinds + den_kinds)
     if kind < 2 and isinstance(z, _SCALARS):
         dtype = np.complex128 if kind or isinstance(z, complex) else np.float64
-        return _sum_terms(numerator, denominator, dtype(z), degree, dtype(1))
+        return sum_terms(numerator, denominator, dtype(z), degree, dtype(1))
     vals = (z, *numerator, *denominator)
     dtype = np.result_type(np.float64, *(np.asarray(v) for v in vals))
     shape = np.broadcast_shapes(*(np.shape(v) for v in vals))
-    total = _sum_terms(numerator, denominator, np.asarray(z, dtype=dtype), degree,
-                       np.ones(shape, dtype=dtype))
+    total = sum_terms(numerator, denominator, np.asarray(z, dtype=dtype), degree,
+                      np.ones(shape, dtype=dtype))
     if total.ndim == 0:
         return total[()]
     return total

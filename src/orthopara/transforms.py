@@ -3,13 +3,16 @@ transforms, and the Gamma-hypergeometric families they generate.
 
 Everything accepts numpy-broadcastable arguments for points and frequencies
 (indices and parameters stay scalar), so frequency grids evaluate in one
-vectorized pass.  The 3F2 at 1 of phi, theta, D and A and the 2F1 at 2 of
-lambda and B are continuous Hahn and Meixner-Pollaczek polynomials in the
-degree and run their three-term recurrences (``classical.hahn_3f2``,
-``classical.meixner_pollaczek_2f1``); the Hahn forms (``phi_factor_hahn``,
-``eval_D_hahn``, ``eval_A_hahn``) sum the series of
-``classical.continuous_hahn``, so each form equivalence compares two
-independent computations.  Complex powers of the strictly positive bases
+vectorized pass.  A scalar point (a Python number, a numpy scalar or a 0-d
+array) stays a Python number (``classical._points``), so a single point runs
+on Python arithmetic and returns a scalar, not a 0-d array; an array of
+points passes through unchanged and broadcasts.  The 3F2 at 1 of phi,
+theta, D and A and the 2F1 at 2 of lambda and B are continuous Hahn and
+Meixner-Pollaczek polynomials in the degree and run their three-term
+recurrences (``classical.hahn_3f2``, ``classical.meixner_pollaczek_2f1``);
+the Hahn forms (``phi_factor_hahn``, ``eval_D_hahn``, ``eval_A_hahn``) sum
+the series of ``classical.continuous_hahn``, so each form equivalence
+compares two independent computations.  Complex powers of the strictly positive bases
 that occur here (2, 1 +- tanh) are principal-branch exp(w log base), which
 is unambiguous.
 """
@@ -23,7 +26,7 @@ import math
 import numpy as np
 
 from .ball import lambda_param, tail_sum, validate_multi_index
-from .classical import continuous_hahn, gegenbauer, hahn_3f2, meixner_pollaczek_2f1
+from .classical import _points, continuous_hahn, gegenbauer, hahn_3f2, meixner_pollaczek_2f1
 from .errors import DomainError
 from .gammafn import log_gamma, pochhammer
 from .paraboloid import radial_factor
@@ -235,7 +238,7 @@ def phi_factor(j, d, alpha, mu, k, xi_j):
     k, K = _axis_tail(j, d, k)
     if alpha + 0.5 * K + 0.25 * (d - j) <= 0:
         raise DomainError("phi_factor: requires alpha + |k^{j+1}|/2 + (d-j)/4 > 0")
-    bpart, ap = _phi_beta_part(j, d, alpha, K, np.asarray(xi_j))
+    bpart, ap = _phi_beta_part(j, d, alpha, K, _points(xi_j))
     f = hahn_3f2(k[j - 1], 2 * (K + mu) + d - j + 1, ap,
                  K + mu + 0.5 * (d - j + 1), K + 2 * alpha + 0.5 * (d - j))
     return bpart * f
@@ -257,8 +260,9 @@ def phi_factor_hahn(j, d, alpha, mu, k, xi_j):
     )
     if denom == 0:
         raise DomainError("phi_factor_hahn: vanishing Pochhammer denominator")
-    bpart, _ = _phi_beta_part(j, d, alpha, K, np.asarray(xi_j))
-    p = continuous_hahn(kj, A, Bp, Bp, A, np.asarray(xi_j) / 2.0)
+    xi_j = _points(xi_j)
+    bpart, _ = _phi_beta_part(j, d, alpha, K, xi_j)
+    p = continuous_hahn(kj, A, Bp, Bp, A, xi_j / 2.0)
     return math.factorial(kj) / denom * bpart * p
 
 
@@ -289,7 +293,7 @@ def theta_factor(m, k, zeta, eta, beta, gamma, mu, d, xi_last):
     """
     k, n = _degree_split(m, k)
     return hahn_3f2(m - n, n + mu + beta + gamma + 0.5 * (d + 3),
-                    0.5 * n + zeta - 0.5j * np.asarray(xi_last),
+                    0.5 * n + zeta - 0.5j * _points(xi_last),
                     n + mu + beta + 0.5 * (d + 1), 0.5 * n + zeta + eta)
 
 
@@ -303,7 +307,7 @@ def fourier_h_jacobi_closed(m, k, params: WrapParamsJacobi, d, xi):
         raise DomainError("requires zeta + |k|/2 > 0 and eta > 0")
     if len(xi) != d + 1:
         raise DomainError("xi must have length d+1")
-    xl = np.asarray(xi[d])
+    xl = _points(xi[d])
     lg = (
         log_gamma(params.zeta + 0.5 * n - 0.5j * xl)
         + log_gamma(params.eta + 0.5j * xl)
@@ -327,7 +331,7 @@ def lambda_factor(m, k, zeta, mu, beta, d, xi_last):
         2F1(-m+|k|, zeta+|k|/2-i xi; |k|+mu+beta+(d+1)/2; 2).
     """
     k, n = _degree_split(m, k)
-    return meixner_pollaczek_2f1(m - n, zeta + 0.5 * n - 1j * np.asarray(xi_last),
+    return meixner_pollaczek_2f1(m - n, zeta + 0.5 * n - 1j * _points(xi_last),
                                  n + mu + beta + 0.5 * (d + 1))
 
 
@@ -341,7 +345,7 @@ def fourier_h_laguerre_closed(m, k, params: WrapParamsLaguerre, d, xi):
         raise DomainError("requires zeta + |k|/2 > 0")
     if len(xi) != d + 1:
         raise DomainError("xi must have length d+1")
-    xl = np.asarray(xi[d])
+    xl = _points(xi[d])
     c = params.zeta + 0.5 * n - 1j * xl
     pref = (
         np.exp(c * math.log(2.0) + log_gamma(c))
@@ -376,7 +380,7 @@ def _D_axis(j, d, alpha1, alpha2, k, K, x_j):
     # D_axis body for an already validated k and its tail K
     absa = alpha1 + alpha2
     kj = k[j - 1]
-    x_j = np.asarray(x_j)
+    x_j = _points(x_j)
     gp = alpha1 + 0.5 * (K + x_j) + 0.25 * (d - j)
     gm = alpha1 + 0.5 * (K - x_j) + 0.25 * (d - j)
     return np.exp(log_gamma(gp) + log_gamma(gm)) * hahn_3f2(
@@ -395,7 +399,7 @@ def eval_D_hahn(k, alpha1, alpha2, d, x):
     for j in range(1, d + 1):
         K = tail_sum(k, j + 1)
         kj = k[j - 1]
-        xj = np.asarray(x[j - 1])
+        xj = _points(x[j - 1])
         gp = alpha1 + 0.5 * (K + xj) + 0.25 * (d - j)
         gm = alpha1 + 0.5 * (K - xj) + 0.25 * (d - j)
         lg = lg + log_gamma(gp) + log_gamma(gm)
@@ -430,9 +434,14 @@ def A_t(m, k, sp: SplitParams, t):
     if sp.eta1 is None:
         raise DomainError("the height-1 family requires the eta parameter pair")
     k, n = _degree_split(m, k)
-    arg = 0.5 * n + sp.zeta1 - 0.5 * np.asarray(t)
-    f = hahn_3f2(m - n, n + sp.abs_zeta + sp.abs_eta, arg,
-                 n + sp.abs_zeta, 0.5 * n + sp.zeta1 + sp.eta1)
+    return _A_t(m - n, n, sp.zeta1, sp.abs_zeta, sp.eta1, sp.abs_eta, t)
+
+
+def _A_t(M, n, zeta1, Z, eta1, E, t):
+    # A_t body for an already validated degree split M = m - |k| >= 0,
+    # n = |k|, and the sums Z = |z|, E = |e|
+    arg = 0.5 * n + zeta1 - 0.5 * _points(t)
+    f = hahn_3f2(M, n + Z + E, arg, n + Z, 0.5 * n + zeta1 + eta1)
     return np.exp(log_gamma(arg)) * f
 
 
@@ -442,11 +451,11 @@ def eval_A_hahn(m, k, sp: SplitParams, d, t, x):
         raise DomainError("eval_A_hahn requires the eta parameter pair")
     k, n = _degree_split(m, k)
     M = m - n
-    arg = 0.5 * n + sp.zeta1 - 0.5 * np.asarray(t)
+    t = _points(t)
+    arg = 0.5 * n + sp.zeta1 - 0.5 * t
     denom = pochhammer(n + sp.abs_zeta, M) * pochhammer(0.5 * n + sp.zeta1 + sp.eta1, M)
     p = continuous_hahn(
-        M, 0.5 * n + sp.zeta1, sp.eta2, 0.5 * n + sp.zeta2, sp.eta1,
-        0.5j * np.asarray(t),
+        M, 0.5 * n + sp.zeta1, sp.eta2, 0.5 * n + sp.zeta2, sp.eta1, 0.5j * t,
     )
     return (
         math.factorial(M) * 1j ** (n - m) / denom
@@ -466,8 +475,14 @@ def B_t(m, k, sp: SplitParams, t):
         Gamma(z1+|k|/2-t) 2F1(-m+|k|, z1+|k|/2-t; |k|+|z|; 2).
     """
     k, n = _degree_split(m, k)
-    arg = sp.zeta1 + 0.5 * n - np.asarray(t)
-    return np.exp(log_gamma(arg)) * meixner_pollaczek_2f1(m - n, arg, n + sp.abs_zeta)
+    return _B_t(m - n, n, sp.zeta1, sp.abs_zeta, t)
+
+
+def _B_t(M, n, zeta1, Z, t):
+    # B_t body for an already validated degree split M = m - |k| >= 0,
+    # n = |k|, and the sum Z = |z|
+    arg = zeta1 + 0.5 * n - _points(t)
+    return np.exp(log_gamma(arg)) * meixner_pollaczek_2f1(M, arg, n + Z)
 
 
 def eval_B_hahn(m, k, sp: SplitParams, d, t, x):

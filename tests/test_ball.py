@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from orthopara.ball import ball_eval, ball_homogeneous, ball_norm, lambda_param, tail_sum
+from orthopara.ball import (
+    ball_eval, ball_homogeneous, ball_norm, lambda_param, tail_sum, validate_multi_index,
+)
 from orthopara.classical import gegenbauer, gegenbauer_norm
 from orthopara.errors import DomainError
+from orthopara.transforms import eval_D
 from slice_tensor import slice_tensor
 
 
@@ -120,3 +123,14 @@ def test_gram_orthogonality_d2(mu):
 def test_ball_integral_volume():
     got = slice_tensor(lambda y: np.ones(np.broadcast_shapes(y[0].shape, y[1].shape)), 2, 0.5, 20)
     assert got == pytest.approx(math.pi, rel=1e-12)
+
+
+def test_multi_index_entries_must_be_integers():
+    # a non-integer entry is refused, not truncated: (1.5, -0.5) once became (1, 0)
+    assert validate_multi_index([np.int64(2), 0]) == (2, 0)
+    assert all(type(v) is int for v in validate_multi_index(np.array([1, 2])))
+    for k in [(1.5, -0.5), (1.0,), (2, 0.0), (-1,), ("1",)]:
+        with pytest.raises(DomainError):
+            validate_multi_index(k)
+    with pytest.raises(DomainError):
+        eval_D((1.7,), 0.7, 0.9, 1, [0.3 + 0.1j])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthopara import contiguous
 from orthopara.contiguous import (
@@ -8,7 +10,7 @@ from orthopara.contiguous import (
 )
 from orthopara.errors import DomainError
 from orthopara.hyper import hyp_terminating
-from orthopara.transforms import SplitParams, eval_A, eval_B, eval_D
+from orthopara.transforms import A_t, B_t, SplitParams, eval_A, eval_B, eval_D
 from references import hyp_nonterminating
 
 
@@ -175,3 +177,72 @@ def test_relation_terms_keep_the_bits_of_the_family_evaluators():
     assert a_relation_pair(7, m, k, spa, d, t, x)[0] == eval_A(m, k, spa, d, t - 2, x)
     lhs = b_relation_pair(1, m, k, spb, d, t, x)[0]
     assert lhs == (1 + 2 * spb.zeta2 + 2 * t) * eval_B(m, k, spb.shifted(zeta1=1), d, t + 1, x)
+
+
+@st.composite
+def contig_draws(draw):
+    # a CONTIG draw as the sweep makes it, but with m >= |k| (the sweep draws
+    # m >= |k| + 1), so the degenerate degree is reached too; the parameters
+    # and the point come from a drawn seed, so they carry full mantissas,
+    # whose sums round differently in another order
+    d = draw(st.integers(1, 2))
+    k = tuple(draw(st.lists(st.integers(0, 2), min_size=d, max_size=d)))
+    m = sum(k) + draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sp = SplitParams(*rng.uniform(0.3, 2.5, 6).tolist(), check=False)
+    t, *x = (complex(*xy) for xy in rng.uniform(-1, 1, (d + 1, 2)).tolist())
+    return m, k, sp, d, t, x
+
+
+def _relation_terms(side, i, m, k, sp, d, t, x):
+    """(arguments, value) of each t-factor body the relation runs."""
+    body = contiguous._A_t if side == "A" else contiguous._B_t
+    pair = a_relation_pair if side == "A" else b_relation_pair
+    terms = []
+
+    def spy(*args):
+        terms.append((args, body(*args)))
+        return terms[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contiguous, body.__name__, spy)
+        pair(i, m, k, sp, d, t, x)
+    return terms
+
+
+@given(contig_draws())
+@settings(max_examples=40, deadline=None)
+def test_relation_terms_are_the_shifted_t_factors(draw):
+    # every term a relation evaluates is A_t (B_t) of the shifted SplitParams
+    # at t + dt, times D, bit for bit.  The relation never builds the shifted
+    # SplitParams, so each term's shifts are read back from the arguments of
+    # the body it runs: the shifts are integers, the parameters in [0.3, 2.5]
+    m, k, sp_a, d, t, x = draw
+    n = sum(k)
+    D = eval_D(k, sp_a.alpha1, sp_a.alpha2, d, x)
+    sp_b = SplitParams(sp_a.alpha1, sp_a.alpha2, sp_a.zeta1, sp_a.zeta2, check=False)
+    for side, sp, needs_lower in (("A", sp_a, A_NEEDS_LOWER_DEGREE),
+                                  ("B", sp_b, B_NEEDS_LOWER_DEGREE)):
+        for i in range(1, N_RELATIONS + 1):
+            if m == n and i in needs_lower:
+                # a term of degree m - 1 < |k| whose coefficient does not vanish
+                with pytest.raises(DomainError):
+                    _relation_terms(side, i, m, k, sp, d, t, x)
+                continue
+            terms = _relation_terms(side, i, m, k, sp, d, t, x)
+            assert terms
+            for args, value in terms:
+                M, tt = args[0], args[-1]
+                assert args[1] == n and M >= 0
+                dz1 = round(args[2] - sp.zeta1)
+                dz2 = round(args[3] - args[2] - sp.zeta2)
+                dt = round((tt - t).real)
+                assert tt == t + dt
+                if side == "A":
+                    de1 = round(args[4] - sp.eta1)
+                    de2 = round(args[5] - args[4] - sp.eta2)
+                    shifted = sp.shifted(zeta1=dz1, zeta2=dz2, eta1=de1, eta2=de2)
+                    want = A_t(M + n, k, shifted, t + dt) * D
+                else:
+                    want = B_t(M + n, k, sp.shifted(zeta1=dz1, zeta2=dz2), t + dt) * D
+                assert value * D == want

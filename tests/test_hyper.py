@@ -179,9 +179,11 @@ def test_scalar_call_matches_array_element(shape, N, complex_params, data):
             assert abs(val - want) <= 1e-14 * max(largest_term(num, den, z, N), 1.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_nan_parameter_propagates():
     # NaN is not a terminating certificate: the other parameter terminates
-    # the sum, and the NaN flows through it instead of raising
+    # the sum, and the NaN flows through it instead of raising, and without
+    # numpy's invalid-value warning on the scalar or the array path
     assert np.isnan(hyp_terminating([-2, float("nan")], [1.5], 0.5))
     assert np.isnan(hyp_terminating([float("nan"), -1, 0.3 + 1j], [1.5], 0.5))
     assert np.isnan(hyp_terminating([-2, 0.7], [float("inf") * 1j], 0.5))
@@ -193,6 +195,11 @@ def test_nan_parameter_propagates():
         # leading 1 into 0)
         val = hyp_terminating([-2, 0.7], [bad], 0.5)
         assert np.isnan(val) or val == 1.0
+        vals = hyp_terminating([-2, 0.7], [bad], np.array([0.5, 0.25]))
+        assert np.all(np.isnan(vals) | (vals == 1.0))
+    nan_inf = complex(float("nan"), float("inf"))
+    assert np.isnan(hyp_terminating([-2, 0.7], [nan_inf], 0.5))
+    assert np.isnan(hyp_terminating([-2, nan_inf], [1.5], 0.5))
 
 
 # the certificate -N as each scalar type a caller may pass; after the snap it

@@ -166,10 +166,17 @@ SENSITIVITY = [
     ("transforms", "lambda_factor", "lambda_zeta+1", ["FOURIER_L"]),
     ("transforms", "lambda_factor", "lambda_zeta-1", ["FOURIER_L"]),
     ("transforms", "lambda_factor", "conj_xi", ["FOURIER_L"]),
+    # the public t-factors, which the Parseval oracles and eval_A call
     ("transforms", "A_t", "scale", ["PARSEVAL_A", "FORM_EQUIV_A"]),
-    ("transforms", "A_t", "degree_scale", ["PARSEVAL_A", "FORM_EQUIV_A"] + MIXED_A),
+    ("transforms", "A_t", "degree_scale", ["PARSEVAL_A", "FORM_EQUIV_A"]),
     ("transforms", "B_t", "scale", ["PARSEVAL_B"]),
-    ("transforms", "B_t", "degree_scale", ["PARSEVAL_B"] + MIXED_B),
+    ("transforms", "B_t", "degree_scale", ["PARSEVAL_B"]),
+    # their bodies, which the contiguous relations call directly; the degree
+    # of degree_scale is then M = m - |k|, which the mixed relations still mix
+    ("transforms", "_A_t", "scale", ["PARSEVAL_A", "FORM_EQUIV_A"]),
+    ("transforms", "_A_t", "degree_scale", ["PARSEVAL_A", "FORM_EQUIV_A"] + MIXED_A),
+    ("transforms", "_B_t", "scale", ["PARSEVAL_B"]),
+    ("transforms", "_B_t", "degree_scale", ["PARSEVAL_B"] + MIXED_B),
     ("transforms", "_D_axis", "scale",
      ["PARSEVAL_A", "PARSEVAL_B", "FORM_EQUIV_D", "FORM_EQUIV_A"]),
     ("transforms", "_D_axis", "swap(2,3)", ["FORM_EQUIV_D", "FORM_EQUIV_A"]),  # (a1, a2)
@@ -183,8 +190,8 @@ SENSITIVITY = [
 
 # (module, name, mutation, families that still pass every case)
 BLIND_SPOTS = [
-    ("transforms", "A_t", "scale", ["CONTIG_A_i", "CONTIG_A_iv"]),
-    ("transforms", "B_t", "scale", ["CONTIG_B_i", "CONTIG_B_iv"]),
+    ("transforms", "_A_t", "scale", ["CONTIG_A_i", "CONTIG_A_iv"]),
+    ("transforms", "_B_t", "scale", ["CONTIG_B_i", "CONTIG_B_iv"]),
     ("transforms", "_phi_beta_part", "scale_value", ["FORM_EQUIV_PHI"]),
     # the Parseval integral is symmetric under (a1, a2) -> (a2, a1) in D:
     # s -> -s exchanges its two sides

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from orthopara.ball import ball_eval
 from orthopara.paraboloid import jacobi_paraboloid, laguerre_paraboloid
 from orthopara.quadrature import composite_legendre
 from orthopara.transforms import (
-    SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_A_hahn,
+    A_t, B_t, SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_A_hahn,
     eval_B, eval_B_hahn, eval_D, eval_D_hahn, eval_g, eval_h_jacobi,
     eval_h_laguerre, fourier_g_closed, fourier_h_jacobi_closed,
     fourier_h_laguerre_closed, lambda_factor, phi_factor, phi_factor_hahn,
@@ -507,3 +508,38 @@ def test_A_worked_d1_hahn_display():
         * continuous_hahn(M, SP.zeta1 + 0.5 * k1, SP.eta2, SP.zeta2 + 0.5 * k1, SP.eta1, 0.5j * t)
     )
     assert av == pytest.approx(disp, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the scalar path: a scalar point stays a Python number, an array broadcasts
+
+SP_A = SplitParams(0.7, 0.9, 0.8, 1.2, 0.6, 1.1)
+SP_B = SplitParams(0.7, 0.9, 0.8, 1.2)
+# each evaluator at a point p (and a second point q where it takes d = 2)
+POINT_CALLS = {
+    "eval_D": lambda p, q: eval_D((1, 2), 0.7, 0.9, 2, [p, q]),
+    "eval_D_hahn": lambda p, q: eval_D_hahn((1, 2), 0.7, 0.9, 2, [p, q]),
+    "A_t": lambda p, q: A_t(5, (1, 2), SP_A, p),
+    "B_t": lambda p, q: B_t(5, (1, 2), SP_B, p),
+    "eval_A_hahn": lambda p, q: eval_A_hahn(5, (1, 2), SP_A, 2, p, [q, p]),
+    "phi_factor": lambda p, q: phi_factor(1, 2, 0.8, 0.7, (2, 1), p),
+    "continuous_hahn": lambda p, q: continuous_hahn(3, 0.7, 0.9, 0.8, 1.2, p),
+}
+
+
+def test_scalar_points_give_scalars_and_arrays_broadcast():
+    P = np.array([0.3 + 0.2j, -0.45 + 0.1j, 0.05 - 0.35j])
+    Q = np.array([0.1 - 0.4j, 0.5 + 0.1j, -0.2 - 0.3j])
+    digest = hashlib.sha256()
+    for name, f in POINT_CALLS.items():
+        values = f(P, Q)
+        assert np.shape(values) == (3,), name
+        digest.update(name.encode() + np.asarray(values).tobytes())
+        for p, q, want in zip(P, Q, values):
+            got = f(complex(p), complex(q))
+            assert not isinstance(got, np.ndarray) and np.ndim(got) == 0, name
+            # a series may round differently on scalars and on arrays
+            assert abs(got - want) <= 1e-13 * abs(want), name
+    # the array values, bit for bit those of the evaluators before the
+    # scalar path kept Python numbers
+    assert digest.hexdigest() == "0cd7ccc73c6eea6c8f9249ef8d5771395135597b2b83dbf9aca65d3eb6aa62cb"
