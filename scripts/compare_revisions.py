@@ -11,7 +11,15 @@ tree and on this checkout's `src/`, and compares the two reports with
 `src/` is extracted with `git archive`, or a directory holding a `src/` tree.
 The configs are the default sweep and perfbench's series-scalar and
 gram-highdeg workloads (read from `perfbench/workloads.py`), or the one JSON
-config given with --config.
+config given with --config.  After the comparison of each seed it prints each
+tree's row of the high-degree table in ROADMAP.md's Baseline: the case count,
+the failing cases, how many of them raised, and the sweep's process wall
+time.  `scripts/configs/` holds that table's configs (hdt-8, hdt-14, hdt-20,
+hdf-30 and ball-28), so
+
+    python scripts/compare_revisions.py --config scripts/configs/ball-28.json --seeds 1
+
+reproduces the BALL-28 row for the base and for this checkout.
 
 Exits 0 when every pair of reports has the same case list and verdicts, 1 when
 any pair differs, 2 when the base or a config cannot be read or a sweep writes
@@ -27,6 +35,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -62,18 +71,31 @@ def base_tree(base, scratch):
 
 
 def sweep(src, config, seed, out):
-    """The `--no-timestamp` report of one sweep on the tree ``src``."""
+    """The `--no-timestamp` report of one sweep on the tree ``src``, and the
+    sweep's process wall time in seconds."""
     cmd = [sys.executable, "-m", "orthopara", "sweep", "--no-timestamp",
            "--seed", str(seed), "--out", str(out)]
     if config is not None:
         cmd += ["--config", str(config)]
+    t0 = time.perf_counter()
     res = subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=str(src)), cwd=out.parent,
                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    seconds = time.perf_counter() - t0
     if res.returncode not in (0, 1) or not out.exists():
         raise ValueError(f"sweep on {src} exited {res.returncode}: {res.stderr.strip()}")
     raw = out.read_bytes()
     out.unlink()
-    return raw
+    return raw, seconds
+
+
+def baseline_row(raw, seconds):
+    """Cases, failing cases, how many of them raised, and the wall time of
+    one report, as in the Baseline's high-degree table."""
+    doc = json.loads(raw)
+    raised = sum(case.get("error") is not None for case in doc["cases"])
+    summary = doc["summary"]
+    return (f"{summary['total']} cases, {summary['failed']} failing ({raised} raise), "
+            f"{seconds:.1f} s")
 
 
 def main():
@@ -101,8 +123,10 @@ def main():
             trees = (base_tree(args.base, tmp / "base"), ROOT / "src")
             for name, config in configs.items():
                 for seed in seeds:
-                    lines, ok = compare(*(sweep(src, config, seed, tmp / "report.json")
-                                          for src in trees))
+                    runs = [sweep(src, config, seed, tmp / "report.json") for src in trees]
+                    lines, ok = compare(*(raw for raw, _ in runs))
+                    lines += [f"{tree}: {baseline_row(*run)}"
+                              for tree, run in zip(("base", "this checkout"), runs)]
                     print(f"{name} seed {seed}: {'same' if ok else 'DIFFERS'}")
                     print("\n".join(f"  {line}" for line in lines))
                     same = same and ok

@@ -6,7 +6,8 @@ The basis is the nested-Gegenbauer product: factor j contributes
     lam_j = mu + |k^{j+1}| + (d-j)/2,
 
 evaluated here in homogenized form (a polynomial in x_j and the running
-radicand), so boundary points never divide by a vanishing square root.
+radicand, by its three-term recurrence in the degree), so boundary points
+never divide by a vanishing square root.
 |k^j| denotes the tail sum k_j + ... + k_d.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .classical import gegenbauer_homogeneous
 from .errors import DomainError
-from .gammafn import log_gamma, pochhammer
+from .gammafn import is_index, log_gamma, pochhammer
 from .quadrature import gauss_jacobi
 
 _DOMAIN_SLACK = 1e-12
@@ -26,10 +27,10 @@ _DOMAIN_SLACK = 1e-12
 
 def validate_multi_index(k):
     """k as a tuple of Python ints; raises DomainError unless every entry is
-    a nonnegative integer (int or numpy integer: 1.5 is not truncated)."""
+    an index (``gammafn.is_index``: 1.5 is not truncated, True is not 1)."""
     k = tuple(k)
     for v in k:
-        if not (isinstance(v, (int, np.integer)) and v >= 0):
+        if not is_index(v):
             raise DomainError(f"multi-index entries must be nonnegative integers, got {k}")
     return tuple(map(int, k))
 
@@ -57,7 +58,7 @@ def ball_homogeneous(k, mu, x, t):
         raise DomainError(f"expected {d} coordinates, got {len(x)}")
     if mu <= -0.5:
         raise DomainError("ball polynomial requires mu > -1/2")
-    r = np.asarray(t) + 0.0
+    r = t
     out = 1.0
     for j in range(1, d + 1):
         xj = np.asarray(x[j - 1])

@@ -5,7 +5,9 @@ Jacobi and Laguerre polynomials are scipy's ``eval_jacobi`` and
 ``eval_genlaguerre``, which run the three-term recurrences in the degree
 (DLMF 18.9); Gegenbauer polynomials are Jacobi polynomials times a ratio of
 Pochhammer symbols.  The tests compare all three with the hypergeometric
-definitions quoted in each docstring.
+definitions quoted in each docstring.  The homogenized Gegenbauer factor of
+the ball and paraboloid bases runs the Gegenbauer recurrence (DLMF 18.9.1)
+times s^{(k+1)/2}.
 Continuous Hahn polynomials are summed as their terminating 3F2 series.
 The 3F2 at 1 and the 2F1 at 2 of the closed-form transform factors run the
 three-term recurrences in the degree of the continuous Hahn and the
@@ -23,12 +25,12 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .gammafn import log_gamma, pochhammer
+from .gammafn import is_index, log_gamma, pochhammer
 from .hyper import _check_poles, _snap, hyp_terminating
 
 
 def _check_degree(m):
-    if not (isinstance(m, (int, np.integer)) and m >= 0):
+    if not is_index(m):
         raise DomainError(f"degree must be a nonnegative integer, got {m!r}")
 
 
@@ -185,23 +187,17 @@ def meixner_pollaczek_2f1(n, z, e):
 
 
 def gegenbauer_homogeneous(m, lam, u, s):
-    """Homogenized Gegenbauer s^{m/2} C_m^(lam)(u / sqrt(s)), expanded as the
-    terminating polynomial in (u, s):
+    """Homogenized Gegenbauer H_m = s^{m/2} C_m^(lam)(u / sqrt(s)), a
+    polynomial in (u, s), by DLMF 18.9.1 times s^{(k+1)/2} (H_{-1} = 0):
 
-        sum_i (-1)^i (lam)_{m-i} / (i! (m-2i)!) (2u)^{m-2i} s^i
+        H_0 = 1,  (k+1) H_{k+1} = 2(k+lam) u H_k - (k-1+2lam) s H_{k-1},
 
-    Polynomial in both arguments, so s = 0 needs no special casing.
+    so nothing divides by sqrt(s).  u and s broadcast; scalars give a scalar.
     """
     _check_degree(m)
-    u = np.asarray(u)
-    s = np.asarray(s)
-    total = np.zeros(np.broadcast_shapes(u.shape, s.shape),
-                     dtype=np.result_type(u, s, np.float64))
-    for i in range(m // 2 + 1):
-        coef = (-1) ** i * pochhammer(float(lam), m - i) / (
-            math.factorial(i) * math.factorial(m - 2 * i)
-        )
-        total = total + coef * (2 * u) ** (m - 2 * i) * s**i
-    if total.ndim == 0:
-        return total[()]
-    return total
+    u, s = _points(u), _points(s)
+    shape = np.broadcast_shapes(np.shape(u), np.shape(s))
+    prev, h = 0.0, np.ones(shape) if shape else 1.0
+    for k in range(m):
+        prev, h = h, (2 * (k + lam) * u * h - (k - 1 + 2 * lam) * s * prev) / (k + 1)
+    return h

@@ -26,6 +26,7 @@ degenerate degree m = |k| works wherever the relation allows it.
 from __future__ import annotations
 
 from .ball import tail_sum
+from .classical import _check_degree
 from .errors import DomainError
 from .transforms import SplitParams, _A_t, _B_t, eval_D
 
@@ -103,6 +104,7 @@ B_NEEDS_LOWER_DEGREE = frozenset({7})
 
 def a_relation_pair(i, m, k, sp: SplitParams, d, t, x):
     """Relation i (1-based) of the height-1 family at fixed (t, x)."""
+    _check_degree(m)
     D = eval_D(k, sp.alpha1, sp.alpha2, d, x)  # validates k
     n = tail_sum(k, 1)
     Z = sp.abs_zeta
@@ -151,6 +153,7 @@ def a_relation_pair(i, m, k, sp: SplitParams, d, t, x):
 
 def b_relation_pair(i, m, k, sp: SplitParams, d, t, x):
     """Relation i (1-based) of the infinite-height family at fixed (t, x)."""
+    _check_degree(m)
     D = eval_D(k, sp.alpha1, sp.alpha2, d, x)  # validates k
     n = tail_sum(k, 1)
     Z = sp.abs_zeta

@@ -85,15 +85,20 @@ def beta(a, b):
     return np.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
 
 
+def is_index(m):
+    """Whether m is a degree, order or multi-index entry: an int (not a bool) or np.integer >= 0."""
+    return (type(m) is int or isinstance(m, np.integer)) and m >= 0
+
+
 def pochhammer(a, m):
-    """Rising factorial (a)_m for integer m >= 0.
+    """Rising factorial (a)_m for an index m (``is_index``).
 
     The product a (a+1) ... (a+m-1) at every order, so it is 0 when a is a
     non-positive integer > -m and keeps the dtype of ``a``; (a)_0 == 1
     exactly.  Integer ``a`` is taken as float64.
     """
-    if m < 0:
-        raise DomainError("pochhammer: order must be >= 0")
+    if not is_index(m):
+        raise DomainError(f"pochhammer: order must be a nonnegative integer, got {m!r}")
     a = np.asarray(a)
     if a.dtype.kind in "biu":  # an integer product would wrap silently
         a = a.astype(np.float64)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ball import ball_homogeneous, ball_norm, tail_sum, validate_multi_index
-from .classical import jacobi, jacobi_norm, laguerre, laguerre_norm
+from .classical import _check_degree, jacobi, jacobi_norm, laguerre, laguerre_norm
 from .errors import DomainError
 from .quadrature import gauss_jacobi, gauss_laguerre
 
@@ -38,13 +38,20 @@ def radial_factor(kind, m, n, beta, gamma, mu, d, t):
     return laguerre(m - n, a, t)
 
 
-def _validate(m, k, beta, mu, d, gamma=None):
+def _degree_split(m, k):
+    """Validated k and n = |k| of a degree-m, index-k function (|k| <= m)."""
+    _check_degree(m)
     k = validate_multi_index(k)
-    if len(k) != d:
-        raise DomainError(f"multi-index length {len(k)} != dimension {d}")
     n = tail_sum(k, 1)
     if n > m:
         raise DomainError(f"|k| = {n} exceeds total degree m = {m}")
+    return k, n
+
+
+def _validate(m, k, beta, mu, d, gamma=None):
+    k, n = _degree_split(m, k)
+    if len(k) != d:
+        raise DomainError(f"multi-index length {len(k)} != dimension {d}")
     if beta <= -0.5 * (d + 1):
         raise DomainError("requires beta > -(d+1)/2")
     if mu <= -0.5:

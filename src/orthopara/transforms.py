@@ -29,7 +29,7 @@ from .ball import lambda_param, tail_sum, validate_multi_index
 from .classical import _points, continuous_hahn, gegenbauer, hahn_3f2, meixner_pollaczek_2f1
 from .errors import DomainError
 from .gammafn import log_gamma, pochhammer
-from .paraboloid import radial_factor
+from .paraboloid import _degree_split, radial_factor
 
 
 @dataclass(frozen=True)
@@ -125,15 +125,6 @@ def _sech2(x):
     # 1 - tanh^2 x, stable for large |x|
     c = np.cosh(np.asarray(x))
     return 1.0 / (c * c)
-
-
-def _degree_split(m, k):
-    """Validated k and n = |k| of a degree-m, index-k function (|k| <= m)."""
-    k = validate_multi_index(k)
-    n = tail_sum(k, 1)
-    if n > m:
-        raise DomainError("requires |k| <= m")
-    return k, n
 
 
 def _axis_tail(j, d, k):

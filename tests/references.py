@@ -1,14 +1,15 @@
 """Reference routines the tests check the package against, kept off the
 package path: a tanh-sinh rule for endpoint singularities, tensor-product
-quadrature over up to three axes, and the non-terminating pFq by direct
-summation.
+quadrature over up to three axes, the non-terminating pFq by direct
+summation, and the homogenized Gegenbauer polynomial as its explicit sum.
 
 None of them shares code with what it checks: the Gram and transform
-oracles are products of 1-D sums, and the closed forms sum terminating
-series only.
+oracles are products of 1-D sums, the closed forms sum terminating
+series only, and the homogenized Gegenbauer factor runs a recurrence.
 """
 
 import cmath
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -123,3 +124,21 @@ def hyp_nonterminating(numerator, denominator, z, rel_tol=TAIL_RTOL, max_terms=M
         if abs(term) <= rel_tol * abs(total) and m > 2:
             return total
     raise NonTerminatingError(f"series did not converge within {max_terms} terms")
+
+
+def gegenbauer_homogeneous_sum(m, lam, u, s):
+    """s^{m/2} C_m^(lam)(u / sqrt(s)) as the explicit alternating sum
+
+        sum_i (-1)^i (lam)_{m-i} / (i! (m-2i)!) (2u)^{m-2i} s^i,
+
+    which needs no sqrt(s): the one reference at s = 0 and at |u| > sqrt(s),
+    where C_m(u / sqrt(s)) is out of reach.  With |u| and -s (lam >= 0) it
+    is the sum of the terms' absolute values, the scale of its rounding.
+    """
+    u, s = np.asarray(u), np.asarray(s)
+    total = 0.0
+    for i in range(m // 2 + 1):
+        coef = (-1) ** i * math.prod(lam + j for j in range(m - i)) / (
+            math.factorial(i) * math.factorial(m - 2 * i))
+        total = total + coef * (2 * u) ** (m - 2 * i) * s**i
+    return total

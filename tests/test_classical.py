@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthopara.classical import (
@@ -13,6 +13,7 @@ from orthopara.errors import DenominatorPoleError, DomainError
 from orthopara.gammafn import pochhammer
 from orthopara.hyper import hyp_terminating
 from orthopara.quadrature import gauss_jacobi, gauss_laguerre
+from references import gegenbauer_homogeneous_sum
 
 
 def test_gegenbauer_values():
@@ -286,6 +287,35 @@ def test_homogeneous_gegenbauer(m, lam, u, s):
     got = gegenbauer_homogeneous(m, lam, u, s)
     want = s ** (m / 2) * gegenbauer(m, lam, u / math.sqrt(s))
     assert abs(got - complex(want).real) <= 1e-11 * max(abs(want), 1.0)
+
+
+@given(st.integers(0, 8), st.floats(0.0, 3.0), st.floats(-1.0, 1.0), st.floats(0.0, 1.0))
+@example(8, 1.3, 0.7, 0.0)
+@example(7, 0.0, 0.4, 0.6)
+@example(2, 1e-110, 0.0, 1.0)
+@settings(max_examples=200, deadline=None)
+def test_homogeneous_recurrence_matches_explicit_sum(m, lam, u, s):
+    # the whole square [-1, 1] x [0, 1], s = 0 and |u| > sqrt(s) included,
+    # against the sum, to its rounding scale (the sum of its terms' sizes)
+    # above the underflow floor; a lam as small as 1e-110 must survive the
+    # recurrence coefficient k - 1 + 2 lam at k = 1
+    got = gegenbauer_homogeneous(m, lam, u, s)
+    want = gegenbauer_homogeneous_sum(m, lam, u, s)
+    assert abs(got - want) <= 1e-13 * gegenbauer_homogeneous_sum(m, lam, abs(u), -s) + 1e-300
+
+
+def test_homogeneous_broadcasts_and_keeps_scalars():
+    u, s = np.linspace(-1, 1, 5), np.linspace(0, 1, 3)[:, None]
+    for m in range(6):
+        got = gegenbauer_homogeneous(m, 1.3, u, s)
+        assert got.shape == (3, 5)
+        assert np.all(np.abs(got - gegenbauer_homogeneous_sum(m, 1.3, u, s))
+                      <= 1e-14 * gegenbauer_homogeneous_sum(m, 1.3, abs(u), -s))
+        # lam = 0: every degree >= 1 vanishes, as in the sum
+        assert np.all(gegenbauer_homogeneous(m, 0.0, u, s) == (m == 0))
+    assert np.isscalar(gegenbauer_homogeneous(3, 1.3, 0.2, 0.5))
+    # |u| > sqrt(s), out of reach of C_m(u / sqrt(s)) on [-1, 1]: U_2(2) = 15
+    assert gegenbauer_homogeneous(2, 1.0, 2.0, 1.0) == 15.0
 
 
 def test_homogeneous_at_zero_radicand():

@@ -22,7 +22,7 @@ from orthopara.transforms import (
     eval_h_jacobi, eval_h_laguerre, fourier_h_jacobi_closed, fourier_h_laguerre_closed,
     lambda_factor, phi_factor, theta_factor,
 )
-from orthopara.verifier import ALL_FAMILIES, IdentityCase
+from orthopara.verifier import ALL_FAMILIES, IdentityCase, generate_cases
 
 
 def test_empty_family_list(tmp_path):
@@ -361,6 +361,20 @@ def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
     verifier_py.write_text(source.replace("    return float(val)\n", "    return 2 * float(val)\n"))
     res = compare(copy)
     assert res.returncode == 1 and "DIFFERS" in res.stdout and "verdict changes: 3" in res.stdout
+
+
+def test_high_degree_configs_hold_the_baseline_case_lists():
+    # scripts/configs/ holds the high-degree configs of ROADMAP.md's
+    # Baseline; each must load as a valid config and give that table's
+    # case count
+    counts = {"hdt-8": 4146, "hdt-14": 28968, "hdt-20": 106962, "hdf-30": 360,
+              "ball-28": 189660}
+    configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    assert sorted(p.stem for p in configs.glob("*.json")) == sorted(counts)
+    for name, count in counts.items():
+        cfg = load_config(configs / f"{name}.json")
+        cfg.validate()
+        assert len(generate_cases(cfg)) == count, name
 
 
 def test_cli_eval_malformed_multi_index(capsys):

@@ -8,8 +8,15 @@ import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthopara.ball import validate_multi_index
+from orthopara.classical import gegenbauer
+from orthopara.contiguous import a_relation_pair
 from orthopara.errors import DomainError, PoleError
-from orthopara.gammafn import beta, gamma, is_nonpositive_integer, log_gamma, pochhammer
+from orthopara.gammafn import (
+    beta, gamma, is_index, is_nonpositive_integer, log_gamma, pochhammer,
+)
+from orthopara.paraboloid import jacobi_paraboloid, laguerre_paraboloid
+from orthopara.transforms import A_t, SplitParams
 
 SQRT_PI = 1.7724538509055160273
 LOG_SQRT_PI = 0.57236494292470008707
@@ -112,6 +119,39 @@ def test_pochhammer_basics():
 
     want = np.exp(sp.gammaln(81.3) - sp.gammaln(1.3))
     assert complex(pochhammer(1.3, 80)) == pytest.approx(want, rel=1e-12)
+
+
+# every taker of an index, called with the index m
+INDEX_TAKERS = {
+    "pochhammer": lambda m: pochhammer(1.5, m),
+    "gegenbauer": lambda m: gegenbauer(m, 0.8, 0.3),
+    "validate_multi_index": lambda m: validate_multi_index((m, 0)),
+    # the total degree of a paraboloid basis function and of a transform factor
+    "jacobi_paraboloid": lambda m: jacobi_paraboloid(m, (0,), 0.5, 0.5, 0.5, 0.4, (0.1,)),
+    "laguerre_paraboloid": lambda m: laguerre_paraboloid(m, (0,), 0.5, 0.5, 0.4, (0.1,)),
+    "A_t": lambda m: A_t(m, (0,), SplitParams(0.7, 0.9, 0.8, 1.2, 0.6, 1.1), 0.3),
+    "a_relation_pair": lambda m: a_relation_pair(
+        1, m, (0,), SplitParams(0.7, 0.9, 0.8, 1.2, 0.6, 1.1), 1, 0.3, [0.2]),
+}
+
+
+@pytest.mark.parametrize("taker", list(INDEX_TAKERS))
+@pytest.mark.parametrize("m", [True, False, np.bool_(True), 2.0, 2.5, -1, np.int64(-2), "1", None],
+                         ids=repr)
+def test_non_index_is_a_domain_error(taker, m):
+    # one rule (gammafn.is_index) for every degree, order and multi-index
+    # entry: a bool, a float or a negative number is refused with the
+    # documented error, never read as an index and never a TypeError
+    assert not is_index(m)
+    with pytest.raises(DomainError):
+        INDEX_TAKERS[taker](m)
+
+
+@pytest.mark.parametrize("m", [0, 3, np.int64(2), np.uint8(1)], ids=repr)
+def test_index_is_accepted(m):
+    assert is_index(m)
+    assert pochhammer(1.5, m) == math.prod(1.5 + j for j in range(int(m)))
+    assert validate_multi_index((m, 0)) == (int(m), 0)
 
 
 @given(

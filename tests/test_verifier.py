@@ -413,6 +413,18 @@ def test_high_degree_fourier_j_passes_every_case():
     assert [(c.m, c.k) for c in cases if not run_case(c).passed] == []
 
 
+def test_high_degree_ball_diagonal_passes_every_case():
+    # every diagonal ORT_BALL entry k = k2 with |k| <= 28 at d = 2, the
+    # diagonal of the BALL-28 config (scripts/configs/ball-28.json): the
+    # explicit sum of the homogenized Gegenbauer factor failed 12 of these
+    # cases, 11 of them by raising QuadratureNonConvergence
+    tol = verifier.FAMILIES["ORT_BALL"].tolerance
+    cases = [IdentityCase("ORT_BALL", 2, tol, k=k, k2=k, params={"mu": mu})
+             for mu in (0.5, 1.5) for k in multi_indices(2, 28)]
+    assert len(cases) == 870
+    assert [(c.params["mu"], c.k) for c in cases if not run_case(c).passed] == []
+
+
 def test_quadrature_oracle_values_pinned():
     # a small seeded ORT + FOURIER + PARSEVAL sweep (d = 1 and 2), pinned
     # twice: the verdicts, which a rounding-level change must not move, and
@@ -429,7 +441,7 @@ def test_quadrature_oracle_values_pinned():
         values.update(repr((c.identity_id, rep.passed, rep.lhs, rep.rhs)).encode() + b"\n")
     assert len(cases) == 272
     assert verdicts.hexdigest() == "0a1d1a6f408000b96d635af8e442869748dbbb7808a5f827a3032a7d4461cc5a"
-    assert values.hexdigest() == "71f8d9f93b4db53958a2ed8c74e3f1c0b355c9c46292cf5610a568aa2fae1517"
+    assert values.hexdigest() == "fe6afffb101b06b21aa93f48102d9bb1268a3f216386c36c3cb94893e66cc59a"
 
 
 # small sweeps of two parameter draws each (ORT_PARA_J: d = 1 and d = 2)
