@@ -76,6 +76,11 @@ def jacobi_norm(m, alpha, beta):
     _check_degree(m)
     if alpha <= -1 or beta <= -1:
         raise DomainError("jacobi_norm: requires alpha, beta > -1")
+    if m == 0:
+        # 2^{a+b+1} B(a+1, b+1): the general form below is 0/0 at a + b = -1
+        lg = ((alpha + beta + 1) * math.log(2) + log_gamma(alpha + 1.0) + log_gamma(beta + 1.0)
+              - log_gamma(alpha + beta + 2.0))
+        return float(np.exp(lg).real)
     lg = (
         (alpha + beta + 1) * math.log(2)
         + log_gamma(m + alpha + 1.0) + log_gamma(m + beta + 1.0)

@@ -210,7 +210,7 @@ def _ort_1d(case):
     def gram_entry(n):
         r = column(("rule", n), lambda: rule_of(n))
         values = lambda mm: column((n, mm), lambda: poly(r.nodes, mm))  # P_mm on the rule
-        return np.sum(r.weights * values(m) * values(m2)), n
+        return (r.weights * values(m) * values(m2)).sum(), n
 
     return _gram(case, t0, column, norm, m, m2, _gram_levels(16, m + m2), gram_entry)
 
@@ -222,7 +222,7 @@ def _ball_gram(column, d, mu, k, k2, n):
     val = 1.0
     for j, r in enumerate(column(("ball_rules", n), lambda: ball_rules(d, mu, n)), start=1):
         axis = lambda kk: column(("axis", n, j, kk), lambda: ball_axis(j, mu, kk, r.nodes))
-        val = val * np.sum(r.weights * axis(k) * axis(k2))
+        val = val * (r.weights * axis(k) * axis(k2)).sum()
     return val
 
 
@@ -245,7 +245,7 @@ def _para_gram(column, kind, beta, gamma, mu, d, mk, mk2, n):
     t, w = column(("t", n), lambda: np.array(t_rule(kind, n, beta, gamma, mu, d)))
     radial = lambda mm, kk: column(("rad", n, mm, kk), lambda: radial_factor(
         kind, mm, tail_sum(kk, 1), beta, gamma, mu, d, t))
-    val = np.sum(w * radial(m, k) * radial(m2, k2) * t ** ((tail_sum(k, 1) + tail_sum(k2, 1)) / 2))
+    val = (w * radial(m, k) * radial(m2, k2) * t ** ((tail_sum(k, 1) + tail_sum(k2, 1)) / 2)).sum()
     return val * _ball_gram(column, d, mu, k, k2, n)
 
 
@@ -302,10 +302,10 @@ def _fourier_direct(fam, m, k, wp, d, xi, level, column):
     h_t = h_jacobi_t if fam == "FOURIER_J" else h_laguerre_t
     t = t_rule.nodes
     ht = column(("h", m, k, level), lambda: h_t(m, k, wp, t))
-    val = np.sum(t_rule.weights * np.exp(-1j * xi[d] * t) * ht)
+    val = (t_rule.weights * np.exp(-1j * xi[d] * t) * ht).sum()
     for j, r in enumerate(x_rules, start=1):
         fx = column(("g", j, k, level), lambda: g_axis(j, d, wp.alpha, wp.mu, k, r.nodes))
-        val = val * np.sum(r.weights * np.exp(-1j * xi[j - 1] * r.nodes) * fx)
+        val = val * (r.weights * np.exp(-1j * xi[j - 1] * r.nodes) * fx).sum()
     return val, len(t_rule) + sum(len(r) for r in x_rules)
 
 
@@ -394,12 +394,12 @@ def _parseval_lhs(fam, m, k, m2, k2, sp, d, panels, column):
         f_t = B_t
     f = column(("t", m, k, panels, 1), lambda: f_t(m, k, sp, 1j * s))
     g = column(("t", m2, k2, panels, -1), lambda: f_t(m2, k2, sp.swapped(), -1j * s))
-    val = np.sum(w * f * g)
+    val = (w * f * g).sum()
     for j in range(1, d + 1):
         f = column(("D", j, k, panels, 1), lambda: D_axis(j, d, sp.alpha1, sp.alpha2, k, 1j * s))
         g = column(("D", j, k2, panels, -1),
                    lambda: D_axis(j, d, sp.alpha2, sp.alpha1, k2, -1j * s))
-        val = val * np.sum(rule.weights * f * g)
+        val = val * (rule.weights * f * g).sum()
     return val, (d + 1) * len(rule)
 
 

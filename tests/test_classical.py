@@ -113,6 +113,8 @@ def test_jacobi_values():
 def test_jacobi_norm():
     assert jacobi_norm(0, 0.0, 0.0) == pytest.approx(2.0, rel=1e-14)
     assert jacobi_norm(1, 0.0, 0.0) == pytest.approx(2 / 3, rel=1e-14)
+    # a + b = -1: h_0 = 2^{a+b+1} B(a+1, b+1), where the general form is 0/0
+    assert jacobi_norm(0, -0.5, -0.5) == pytest.approx(math.pi, rel=1e-14)
     rule = gauss_jacobi(30, 0.0, 0.0)
     val = np.sum(rule.weights * jacobi(1, 0.0, 0.0, rule.nodes) ** 2)
     assert val == pytest.approx(2 / 3, rel=1e-12)

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_genlaguerre, roots_jacobi
 
+import orthopara
+from orthopara.classical import jacobi, jacobi_norm, laguerre, laguerre_norm
 from orthopara.errors import DomainError
 from orthopara.gammafn import gamma
 from orthopara.quadrature import (
@@ -58,11 +65,103 @@ def test_gauss_jacobi_beta_moment():
     assert val == pytest.approx(math.pi / 8, rel=1e-10)
 
 
+RULE_SIZES = (1, 2, 3, 16, 17, 64, 128)
+JACOBI_EXPONENTS = [(0.0, 0.0), (0.5, 0.5), (-0.6, -0.6), (-0.5, -0.5), (2.5, 2.5),
+                    (0.5, -0.5), (0.3, 0.7), (-0.6, 2.0)]
+LAGUERRE_ALPHAS = (-0.6, 0.0, 2.5)
+
+
+def _orthonormality_error(rule, poly, norm):
+    # max over j, k <= min(n - 1, 40) of |sum w P_j P_k - delta_jk h_j| / sqrt(h_j h_k):
+    # an n-point Gauss rule is exact for degree 2n - 1
+    degrees = range(min(len(rule) - 1, 40) + 1)
+    values = np.array([poly(j, rule.nodes) for j in degrees])
+    h = np.array([norm(j) for j in degrees])
+    gram = (values * rule.weights) @ values.T
+    return np.max(np.abs(gram - np.diag(h)) / np.sqrt(np.outer(h, h)))
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+@pytest.mark.parametrize("a, b", JACOBI_EXPONENTS)
+def test_gauss_jacobi_orthonormality(n, a, b):
+    # odd and even n, symmetric (a == b) and not
+    rule = gauss_jacobi(n, a, b)
+    assert np.all(np.diff(rule.nodes) > 0) and np.all(rule.weights > 0)
+    err = _orthonormality_error(rule, lambda j, x: jacobi(j, a, b, x),
+                                lambda j: jacobi_norm(j, a, b))
+    assert err < 1e-11
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+@pytest.mark.parametrize("alpha", LAGUERRE_ALPHAS)
+def test_gauss_laguerre_orthonormality(n, alpha):
+    rule = gauss_laguerre(n, alpha)
+    assert np.all(np.diff(rule.nodes) > 0) and np.all(rule.weights > 0)
+    err = _orthonormality_error(rule, lambda j, x: laguerre(j, alpha, x),
+                                lambda j: laguerre_norm(j, alpha))
+    assert err < 1e-11
+
+
+@pytest.mark.parametrize("a, b", [(-0.3, -0.7), (0.5, -0.5)], ids=["a+b=-1", "a+b=0"])
+def test_gauss_jacobi_exponent_sums_minus_one_and_zero(a, b):
+    # the recurrence coefficients' general terms are 0/0 here: no warning
+    # (every warning fails a test) and exact rules
+    for n in (2, 3, 16, 17):
+        err = _orthonormality_error(gauss_jacobi(n, a, b), lambda j, x: jacobi(j, a, b, x),
+                                    lambda j: jacobi_norm(j, a, b))
+        assert err < 1e-11
+
+
+def _assert_close_to(rule, x, w):
+    assert np.all(np.abs(rule.nodes - x) <= 1e-15 * np.maximum(1.0, np.abs(x)))
+    assert np.all(np.abs(rule.weights - w) <= 1e-9 * w)
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+@pytest.mark.parametrize("a, b", JACOBI_EXPONENTS + [(300.0, 300.0), (600.0, 700.0)])
+def test_gauss_jacobi_matches_scipy(n, a, b):
+    # scipy's roots_jacobi as an independent reference
+    _assert_close_to(gauss_jacobi(n, a, b), *roots_jacobi(n, a, b))
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+@pytest.mark.parametrize("alpha", LAGUERRE_ALPHAS)
+def test_gauss_laguerre_matches_scipy(n, alpha):
+    _assert_close_to(gauss_laguerre(n, alpha), *roots_genlaguerre(n, alpha))
+
+
+def test_rule_families_leave_scipy_linalg_unimported():
+    # a reduced sweep of every family that builds a Gauss rule, in a fresh
+    # interpreter: the rules need numpy's eigvalsh, not scipy.linalg
+    families = ["ORT_GEGEN", "ORT_JACOBI", "ORT_LAGUERRE", "ORT_BALL", "ORT_PARA_J", "ORT_PARA_L"]
+    code = (
+        "import sys\n"
+        "from orthopara.cli import SweepConfig\n"
+        "from orthopara.verifier import generate_cases, run_case\n"
+        f"cfg = SweepConfig(families={families!r}, dims=[1, 2], max_degree_1d=2,\n"
+        "                  max_degree_multi=1, ort_param_draws=1)\n"
+        "cfg.validate()\n"
+        "cases = generate_cases(cfg)\n"
+        "assert all(run_case(c).passed for c in cases)\n"
+        "ran = sorted({c.identity_id for c in cases})\n"
+        "print(ran, 'scipy.linalg' in sys.modules)\n"
+    )
+    src = str(Path(orthopara.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == f"{sorted(families)!r} False"
+    package = Path(orthopara.__file__).parent
+    assert not any(name in path.read_text() for path in package.glob("*.py")
+                   for name in ("roots_jacobi", "roots_genlaguerre"))
+
+
 @pytest.mark.parametrize("build", [lambda n: gauss_jacobi(n, 0.5, 0.5),
                                    lambda n: gauss_laguerre(n, 0.5)], ids=["jacobi", "laguerre"])
 def test_gauss_rule_sizes_checked(build):
     # a size that is not an integer in [1, MAX_NODES_PER_AXIS] is a
-    # DomainError before scipy sees it, and a numpy integer size is the int
+    # DomainError before a rule is built, and a numpy integer size is the int
     for n in (0, -3, 2.0, 2.5, "2", MAX_NODES_PER_AXIS + 1):
         with pytest.raises(DomainError):
             build(n)
