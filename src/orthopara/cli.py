@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import csv
 import dataclasses
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -136,46 +138,125 @@ def load_config(path):
     return cfg
 
 
-def _case_record(report, no_timestamp):
-    case = report.case
-    rec = {
-        "identity_id": case.identity_id,
-        "d": case.d,
-        "m": case.m,
-        "m2": case.m2,
-        "k": list(case.k) if case.k is not None else None,
-        "k2": list(case.k2) if case.k2 is not None else None,
-        "params": {key: case.params[key] for key in sorted(case.params)},
-        "lhs": {"re": report.lhs.real, "im": report.lhs.imag},
-        "rhs": {"re": report.rhs.real, "im": report.rhs.imag},
-        "abs_residual": report.abs_residual,
-        "rel_residual": report.rel_residual,
-        "passed": report.passed,
-        "nodes": report.nodes,
-        "seconds": 0.0 if no_timestamp else report.seconds,
-    }
-    if report.skipped_reason is not None:
-        rec["skipped_reason"] = report.skipped_reason
-    if report.error is not None:
-        rec["error"] = report.error
-    if case.xi is not None:
-        rec["params"] = dict(rec["params"], **{f"xi{i+1}": v for i, v in enumerate(case.xi)})
-    return rec
+_CSV_COLUMNS = ("identity_id", "d", "m", "m2", "k", "k2", "lhs", "rhs", "abs_residual",
+                "rel_residual", "passed", "skipped_reason", "error", "nodes", "seconds", "params")
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _write_json(header, records, timestamp, fh):
+def _json_list(values):
+    return f"[{', '.join(map(_json_value, values))}]"
+
+
+# exact type -> the text json.dumps gives a value of that type; a string
+# goes through json's own ASCII escaper
+_JSON_TEXT = {
+    str: encode_basestring_ascii, int: int.__repr__,
+    bool: lambda value: "true" if value else "false", type(None): lambda value: "null",
+    tuple: _json_list,
+}
+
+
+def _json_value(value):
+    """``json.dumps(value)``, without the call for a float (its
+    ``float.__repr__``, NaN and the infinities spelled as json spells them)
+    or a value of a type in ``_JSON_TEXT``."""
+    if type(value) is float:
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    return _JSON_TEXT.get(type(value), json.dumps)(value)
+
+
+def _params_texts(cases, items, sep):
+    """Each case's params as the ``sep``-joined texts ``items(mapping, names)``
+    gives for its params by name, then xi1, xi2, ... from ``case.xi`` (a
+    name already there keeps its place).  A draw's texts are formatted once
+    and reused while consecutive cases share its params dict."""
+    params = names = texts = text = None
+    for case in cases:
+        if case.params is not params:
+            params = case.params
+            names = sorted(params)
+            texts = items(params, names)
+            text = sep.join(texts)
+        if case.xi is None:
+            yield text
+        else:
+            xi = {f"xi{i}": v for i, v in enumerate(case.xi, 1)}
+            merged = dict(zip(names, texts))
+            merged.update(zip(xi, items(xi, xi)))
+            yield sep.join(merged.values())
+
+
+def _json_items(mapping, names):
+    return [f"{encode_basestring_ascii(name)}: {_json_value(mapping[name])}" for name in names]
+
+
+def _csv_items(mapping, names):
+    return [f"{name}={mapping[name]!r}" for name in names]
+
+
+def _json_records(reports, no_timestamp):
+    """Each report's case record as one line of compact JSON, written value
+    by value with no dict: the bytes ``json.dumps`` gives for the record as
+    a dict with its fields in the order below, skipped_reason and error last
+    when set."""
+    params = _params_texts((r.case for r in reports), _json_items, ", ")
+    for report, params_text in zip(reports, params):
+        case, lhs, rhs = report.case, report.lhs, report.rhs
+        line = (
+            f'{{"identity_id": {_json_value(case.identity_id)}, "d": {_json_value(case.d)}, '
+            f'"m": {_json_value(case.m)}, "m2": {_json_value(case.m2)}, '
+            f'"k": {_json_value(case.k)}, "k2": {_json_value(case.k2)}, '
+            f'"params": {{{params_text}}}, '
+            f'"lhs": {{"re": {_json_value(lhs.real)}, "im": {_json_value(lhs.imag)}}}, '
+            f'"rhs": {{"re": {_json_value(rhs.real)}, "im": {_json_value(rhs.imag)}}}, '
+            f'"abs_residual": {_json_value(report.abs_residual)}, '
+            f'"rel_residual": {_json_value(report.rel_residual)}, '
+            f'"passed": {_json_value(report.passed)}, "nodes": {_json_value(report.nodes)}, '
+            f'"seconds": {_json_value(0.0 if no_timestamp else report.seconds)}'
+        )
+        if report.skipped_reason is not None:
+            line += f', "skipped_reason": {_json_value(report.skipped_reason)}'
+        if report.error is not None:
+            line += f', "error": {_json_value(report.error)}'
+        yield line + "}"
+
+
+def _csv_rows(reports, no_timestamp):
+    """Each report's CSV row, one text per column of ``_CSV_COLUMNS``: a
+    complex value as re+imi, a multi-index joined by "|", params as
+    name=value joined by ";", a float by its repr."""
+    params = _params_texts((r.case for r in reports), _csv_items, ";")
+    for report, params_text in zip(reports, params):
+        case, lhs, rhs = report.case, report.lhs, report.rhs
+        yield (
+            case.identity_id, str(case.d), str(case.m), str(case.m2),
+            "|".join(map(str, case.k)) if case.k else "",
+            "|".join(map(str, case.k2)) if case.k2 else "",
+            f"{lhs.real!r}{lhs.imag:+}i", f"{rhs.real!r}{rhs.imag:+}i",
+            repr(report.abs_residual), repr(report.rel_residual),
+            str(report.passed).lower(), report.skipped_reason or "", report.error or "",
+            str(report.nodes), repr(0.0 if no_timestamp else report.seconds), params_text,
+        )
+
+
+def _write_json(header, lines, timestamp, fh):
     """One JSON document {header..., "cases": [...], "timestamp"?}: the
-    header indented, then each case record on a line of its own, written
-    one at a time by ``json.dumps`` (the C encoder; ``json.dump`` and any
-    ``indent`` run the pure-Python one)."""
+    header indented by ``json.dumps``, then each line of ``lines`` (the case
+    records of ``_json_records``) on a line of its own.  In
+    tests/test_cli.py, ``test_report_lines_match_json_dumps_of_the_record_dict``
+    holds each record line, and ``test_json_report_writes_one_record_per_line``
+    the JSON and CSV files ``run_sweep`` writes, to the bytes of
+    ``json.dumps`` over the record dicts of tests/references.py."""
     fh.write("{\n")
     for key, value in header.items():
         body = json.dumps(value, indent=1).replace("\n", "\n ")  # one level deeper
         fh.write(f" {json.dumps(key)}: {body},\n")
     fh.write(' "cases": [')
     sep = "\n"
-    for rec in records:
-        fh.write(sep + json.dumps(rec))
+    for line in lines:
+        fh.write(sep + line)
         sep = ",\n"
     fh.write("\n ]")
     if timestamp is not None:
@@ -183,24 +264,13 @@ def _write_json(header, records, timestamp, fh):
     fh.write("\n}\n")
 
 
-def _write_csv(records, fh):
-    cols = ["identity_id", "d", "m", "m2", "k", "k2", "lhs", "rhs",
-            "abs_residual", "rel_residual", "passed", "skipped_reason", "error",
-            "nodes", "seconds", "params"]
-    fh.write(",".join(cols) + "\n")
-    for rec in records:
-        row = [
-            rec["identity_id"], str(rec["d"]), str(rec["m"]), str(rec["m2"]),
-            "|".join(map(str, rec["k"])) if rec["k"] else "",
-            "|".join(map(str, rec["k2"])) if rec["k2"] else "",
-            f"{rec['lhs']['re']!r}{rec['lhs']['im']:+}i",
-            f"{rec['rhs']['re']!r}{rec['rhs']['im']:+}i",
-            repr(rec["abs_residual"]), repr(rec["rel_residual"]),
-            str(rec["passed"]).lower(), rec.get("skipped_reason", ""), rec.get("error", ""),
-            str(rec["nodes"]), repr(rec["seconds"]),
-            ";".join(f"{key}={val!r}" for key, val in rec["params"].items()),
-        ]
-        fh.write(",".join('"' + c + '"' if "," in c else c for c in row) + "\n")
+def _write_csv(rows, fh):
+    """A header line of ``_CSV_COLUMNS``, then one line per row, quoted as
+    RFC 4180 says: a field holding a comma, a quote or a line feed in
+    quotes, each quote in it doubled."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(_CSV_COLUMNS)
+    writer.writerows(rows)
 
 
 def run_sweep(cfg: SweepConfig, stream=None) -> RunSummary:
@@ -223,13 +293,16 @@ def run_sweep(cfg: SweepConfig, stream=None) -> RunSummary:
                     seconds=0.0, error=f"{type(exc).__name__}: {exc}",
                 )
             )
-    skipped = sum(1 for r in reports if r.skipped_reason is not None)
-    failed = sum(1 for r in reports if not r.passed)
-    passed = len(reports) - failed - skipped
+    failed = skipped = 0
     worst = {}
     for r in reports:
-        if r.skipped_reason is None and np.isfinite(r.rel_residual):
-            worst[r.case.identity_id] = max(worst.get(r.case.identity_id, 0.0), r.rel_residual)
+        failed += not r.passed
+        if r.skipped_reason is not None:
+            skipped += 1
+        elif math.isfinite(r.rel_residual):
+            fam = r.case.identity_id
+            worst[fam] = max(worst.get(fam, 0.0), r.rel_residual)
+    passed = len(reports) - failed - skipped
     wall = time.perf_counter() - t_start
     summary = RunSummary(len(reports), passed, failed, skipped,
                          {key: worst[key] for key in sorted(worst)}, wall)
@@ -253,15 +326,14 @@ def run_sweep(cfg: SweepConfig, stream=None) -> RunSummary:
         },
     }
     timestamp = None if cfg.no_timestamp else time.strftime("%Y-%m-%dT%H:%M:%S")
-    records = (_case_record(r, cfg.no_timestamp) for r in reports)
 
     if cfg.out_path:
         try:
-            with open(cfg.out_path, "w") as fh:
+            with open(cfg.out_path, "w", newline="") as fh:
                 if cfg.out_format == "json":
-                    _write_json(header, records, timestamp, fh)
+                    _write_json(header, _json_records(reports, cfg.no_timestamp), timestamp, fh)
                 else:
-                    _write_csv(records, fh)
+                    _write_csv(_csv_rows(reports, cfg.no_timestamp), fh)
         except OSError as exc:
             raise IOError(f"cannot write report to {cfg.out_path}: {exc}") from exc
     if stream is not None:

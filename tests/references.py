@@ -1,14 +1,18 @@
 """Reference routines the tests check the package against, kept off the
 package path: a tanh-sinh rule for endpoint singularities, tensor-product
 quadrature over up to three axes, the non-terminating pFq by direct
-summation, and the homogenized Gegenbauer polynomial as its explicit sum.
+summation, the homogenized Gegenbauer polynomial as its explicit sum, and
+the sweep report written through a dict and ``json.dumps`` per case record.
 
 None of them shares code with what it checks: the Gram and transform
 oracles are products of 1-D sums, the closed forms sum terminating
-series only, and the homogenized Gegenbauer factor runs a recurrence.
+series only, the homogenized Gegenbauer factor runs a recurrence, and the
+report writer formats each record value by value.
 """
 
 import cmath
+import csv
+import json
 import math
 from functools import lru_cache
 
@@ -142,3 +146,73 @@ def gegenbauer_homogeneous_sum(m, lam, u, s):
             math.factorial(i) * math.factorial(m - 2 * i))
         total = total + coef * (2 * u) ** (m - 2 * i) * s**i
     return total
+
+
+CSV_COLUMNS = ["identity_id", "d", "m", "m2", "k", "k2", "lhs", "rhs",
+               "abs_residual", "rel_residual", "passed", "skipped_reason", "error",
+               "nodes", "seconds", "params"]
+
+
+def case_record(report, no_timestamp):
+    """A report's case record as a dict, fields in report order."""
+    case = report.case
+    rec = {
+        "identity_id": case.identity_id,
+        "d": case.d,
+        "m": case.m,
+        "m2": case.m2,
+        "k": list(case.k) if case.k is not None else None,
+        "k2": list(case.k2) if case.k2 is not None else None,
+        "params": {key: case.params[key] for key in sorted(case.params)},
+        "lhs": {"re": report.lhs.real, "im": report.lhs.imag},
+        "rhs": {"re": report.rhs.real, "im": report.rhs.imag},
+        "abs_residual": report.abs_residual,
+        "rel_residual": report.rel_residual,
+        "passed": report.passed,
+        "nodes": report.nodes,
+        "seconds": 0.0 if no_timestamp else report.seconds,
+    }
+    if report.skipped_reason is not None:
+        rec["skipped_reason"] = report.skipped_reason
+    if report.error is not None:
+        rec["error"] = report.error
+    if case.xi is not None:
+        rec["params"] = dict(rec["params"], **{f"xi{i+1}": v for i, v in enumerate(case.xi)})
+    return rec
+
+
+def csv_row(rec):
+    """The CSV columns of a ``case_record``, each as its text."""
+    return [
+        rec["identity_id"], str(rec["d"]), str(rec["m"]), str(rec["m2"]),
+        "|".join(map(str, rec["k"])) if rec["k"] else "",
+        "|".join(map(str, rec["k2"])) if rec["k2"] else "",
+        f"{rec['lhs']['re']!r}{rec['lhs']['im']:+}i",
+        f"{rec['rhs']['re']!r}{rec['rhs']['im']:+}i",
+        repr(rec["abs_residual"]), repr(rec["rel_residual"]),
+        str(rec["passed"]).lower(), rec.get("skipped_reason", ""), rec.get("error", ""),
+        str(rec["nodes"]), repr(rec["seconds"]),
+        ";".join(f"{key}={val!r}" for key, val in rec["params"].items()),
+    ]
+
+
+def write_json_report(header, records, timestamp, fh):
+    """The JSON report of ``header`` and ``case_record`` dicts: the header
+    indented, then ``json.dumps`` of each record on a line of its own."""
+    fh.write("{\n")
+    for key, value in header.items():
+        body = json.dumps(value, indent=1).replace("\n", "\n ")
+        fh.write(f" {json.dumps(key)}: {body},\n")
+    fh.write(' "cases": [')
+    fh.write(",".join("\n" + json.dumps(rec) for rec in records))
+    fh.write("\n ]")
+    if timestamp is not None:
+        fh.write(f',\n "timestamp": {json.dumps(timestamp)}')
+    fh.write("\n}\n")
+
+
+def write_csv_report(records, fh):
+    """The CSV report of ``case_record`` dicts, one ``csv_row`` a line."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(csv_row(rec) for rec in records)

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import shutil
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orthopara import cli
 from orthopara.ball import ball_eval
@@ -22,7 +26,8 @@ from orthopara.transforms import (
     eval_h_jacobi, eval_h_laguerre, fourier_h_jacobi_closed, fourier_h_laguerre_closed,
     lambda_factor, phi_factor, theta_factor,
 )
-from orthopara.verifier import ALL_FAMILIES, IdentityCase, generate_cases
+from orthopara.verifier import ALL_FAMILIES, IdentityCase, VerificationReport, generate_cases
+from references import case_record, csv_row, write_csv_report, write_json_report
 
 
 def test_empty_family_list(tmp_path):
@@ -427,6 +432,139 @@ def test_json_report_writes_one_record_per_line(tmp_path, monkeypatch):
         assert bits(complex(rec["lhs"]["re"], rec["lhs"]["im"]),
                     complex(rec["rhs"]["re"], rec["rhs"]["im"])) == bits(rep.lhs, rep.rhs)
         assert rec["rel_residual"] == rep.rel_residual
+
+    # the JSON and CSV files equal the reference writer's documents, which
+    # write json.dumps of each record dict, byte for byte
+    reports = [cli.run_case(case) for case in cases[:2] + cases[3:]]
+    reports.insert(2, VerificationReport(
+        case=cases[2], lhs=0j, rhs=0j, abs_residual=math.nan, rel_residual=math.nan,
+        passed=False, nodes=0, seconds=0.0, error=errored["error"]))
+    records = [case_record(rep, True) for rep in reports]
+    expected = io.StringIO()
+    write_json_report({key: doc[key] for key in ("config", "summary")}, records, None, expected)
+    assert out.read_bytes() == expected.getvalue().encode()
+    run_sweep(SweepConfig(out_path=str(tmp_path / "rep.csv"), out_format="csv",
+                          no_timestamp=True))
+    expected = io.StringIO()
+    write_csv_report(records, expected)
+    assert (tmp_path / "rep.csv").read_bytes() == expected.getvalue().encode()
+
+
+# floats json and repr write in every form: NaN, the infinities, -0.0, the
+# smallest subnormal, the largest double and its neighbourhood
+_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308,
+                                  -1.7976931348623157e308, 2.2250738585072014e-308]))
+# names that collide with the xi1, xi2, ... appended for a Fourier case, too
+_NAMES = st.one_of(st.sampled_from(["alpha", "mu", "xi", "xi1", "xi2", "zeta"]),
+                   st.text(max_size=4))
+# quotes, backslashes, control characters and non-ASCII text
+_TEXTS = st.one_of(st.text(max_size=12),
+                   st.sampled_from(['bad "x", y\n\\z\t\x00', "é€😀\u2028"]))
+_PARAMS = st.dictionaries(
+    _NAMES, st.one_of(_FLOATS, st.integers(), st.booleans(), st.none()), max_size=5)
+_INDEX = st.one_of(st.none(), st.tuples(), st.lists(st.integers(0, 40), max_size=3).map(tuple))
+
+
+def _report(case, floats, passed=False, nodes=0, skipped_reason=None, error=None):
+    lhs_re, lhs_im, rhs_re, rhs_im, abs_res, rel_res, seconds = floats
+    return VerificationReport(
+        case=case, lhs=complex(lhs_re, lhs_im), rhs=complex(rhs_re, rhs_im),
+        abs_residual=abs_res, rel_residual=rel_res, passed=passed, nodes=nodes,
+        seconds=seconds, skipped_reason=skipped_reason, error=error)
+
+
+@st.composite
+def _reports(draw):
+    """Runs of reports: each run shares one params dict, as a draw does."""
+    reports = []
+    for _ in range(draw(st.integers(1, 2))):
+        params = draw(_PARAMS)
+        for _ in range(draw(st.integers(1, 3))):
+            case = IdentityCase(
+                draw(st.sampled_from(ALL_FAMILIES)), draw(st.integers(1, 3)), 1e-10,
+                m=draw(st.one_of(st.none(), st.integers(0, 40))),
+                m2=draw(st.one_of(st.none(), st.integers(0, 40))),
+                k=draw(_INDEX), k2=draw(_INDEX), params=params,
+                xi=draw(st.one_of(st.none(), st.lists(_FLOATS, min_size=1, max_size=4).map(tuple))))
+            reports.append(_report(
+                case, draw(st.lists(_FLOATS, min_size=7, max_size=7)), draw(st.booleans()),
+                draw(st.integers(0, 10**6)), draw(st.one_of(st.none(), _TEXTS)),
+                draw(st.one_of(st.none(), _TEXTS))))
+    return reports
+
+
+# every special float in every float field, params of every value type, a
+# Fourier case whose xi1 takes the place of a param, a skipped and an
+# errored report
+_SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1]
+_SHARED = {"zeta": 1.5, "xi1": 7, "alpha": math.nan, "flag": True, "none": None, "é": -0.0}
+_EDGES = [
+    _report(IdentityCase("FOURIER_J", 2, 1e-10, m=1, k=(1, 0), params=_SHARED,
+                         xi=(0.3, -2.0, 1e308)),
+            _SPECIALS[i:] + _SPECIALS[:i], passed=True, nodes=i)
+    for i in range(7)
+] + [
+    _report(IdentityCase("ORT_BALL", 2, 1e-10, k=(), k2=(2, 1), params=_SHARED), [0.0] * 7,
+            passed=True, skipped_reason='pole at "b" \\ \x01'),
+    _report(IdentityCase("CONTIG_A_i", 1, 1e-10, m=0, k=(0,)), [math.nan] * 7,
+            error='ValueError: bad "x", y\né\U0001f600'),
+]
+
+
+@given(_reports(), st.booleans())
+@example(_EDGES, True)
+@example(_EDGES, False)
+@settings(max_examples=25, deadline=None)
+def test_report_lines_match_json_dumps_of_the_record_dict(reports, no_timestamp):
+    records = [case_record(rep, no_timestamp) for rep in reports]
+    assert list(cli._json_records(reports, no_timestamp)) == list(map(json.dumps, records))
+    assert list(map(list, cli._csv_rows(reports, no_timestamp))) == list(map(csv_row, records))
+
+
+def test_csv_report_quotes_commas_quotes_and_newlines(tmp_path, monkeypatch):
+    # an error message with a quote, a comma and a newline reads back through
+    # csv.reader as one field of a 16-column row
+    message = 'bad "x", y\nz'
+
+    def raises(case):
+        raise ValueError(message)
+
+    monkeypatch.setattr(cli, "generate_cases",
+                        lambda cfg: [IdentityCase("ORT_GEGEN", 1, 1e-10, m=1, m2=2,
+                                                  params={"mu": 0.8})])
+    monkeypatch.setattr(cli, "run_case", raises)
+    out = tmp_path / "rep.csv"
+    run_sweep(SweepConfig(out_path=str(out), out_format="csv", no_timestamp=True))
+    with open(out, newline="") as fh:
+        header, row = csv.reader(fh)
+    assert len(header) == len(row) == 16
+    assert row[header.index("error")] == f"ValueError: {message}"
+    assert row[header.index("params")] == "mu=0.8"
+
+
+def test_summary_leaves_non_finite_residuals_out_of_the_worst(monkeypatch):
+    # NaN and infinite residuals (a raised case, an overflow) count as failed
+    # and never become a family's worst residual; skipped cases count as
+    # skipped and stay out of it too
+    cases = [IdentityCase("ORT_GEGEN", 1, 1e-10, m=m, params={"mu": 0.8}) for m in range(7)]
+    outcomes = [(1e-12, True, None), (math.nan, False, None), (math.inf, False, None),
+                (3e-11, True, None), (0.5, True, "gamma pole"), (None, False, None),
+                (-math.inf, True, None)]
+
+    def run_case(case):
+        rel, passed, skipped = outcomes[case.m]
+        if rel is None:
+            raise ValueError("no verdict")
+        return VerificationReport(case=case, lhs=1j, rhs=1j, abs_residual=rel,
+                                  rel_residual=rel, passed=passed, nodes=1, seconds=0.0,
+                                  skipped_reason=skipped)
+
+    monkeypatch.setattr(cli, "generate_cases", lambda cfg: cases)
+    monkeypatch.setattr(cli, "run_case", run_case)
+    summary = run_sweep(SweepConfig(no_timestamp=True))
+    assert (summary.total, summary.passed, summary.failed, summary.skipped) == (7, 3, 3, 1)
+    assert summary.worst_residual == {"ORT_GEGEN": 3e-11}
 
 
 def test_cli_list_identities(capsys):
