@@ -11,11 +11,13 @@ tree and on this checkout's `src/`, and compares the two reports with
 `src/` is extracted with `git archive`, or a directory holding a `src/` tree.
 The configs are the default sweep and perfbench's series-scalar and
 gram-highdeg workloads (read from `perfbench/workloads.py`), or the one JSON
-config given with --config.  After the comparison of each seed it prints each
-tree's row of the high-degree table in ROADMAP.md's Baseline: the case count,
-the failing cases, how many of them raised, and the sweep's process wall
-time.  `scripts/configs/` holds that table's configs (hdt-8, hdt-14, hdt-20,
-hdf-30 and ball-28), so
+config given with --config.  It first prints the non-blank line count of
+`src/orthopara/*.py` in the base and in this checkout, and their difference
+(the net lines a change reports).  After the comparison of each seed it
+prints each tree's row of the high-degree table in ROADMAP.md's Baseline:
+the case count, the failing cases, how many of them raised, and the sweep's
+process wall time.  `scripts/configs/` holds that table's configs (hdt-8,
+hdt-14, hdt-20, hdf-30 and ball-28), so
 
     python scripts/compare_revisions.py --config scripts/configs/ball-28.json --seeds 1
 
@@ -70,6 +72,12 @@ def base_tree(base, scratch):
     return scratch / "src"
 
 
+def source_lines(src):
+    """The non-blank lines of the package modules `orthopara/*.py` under ``src``."""
+    return sum(bool(line.strip()) for path in (src / "orthopara").glob("*.py")
+               for line in path.read_text().splitlines())
+
+
 def sweep(src, config, seed, out):
     """The `--no-timestamp` report of one sweep on the tree ``src``, and the
     sweep's process wall time in seconds."""
@@ -121,6 +129,9 @@ def main():
                     configs[name] = tmp / f"{name}.json"
                     configs[name].write_text(json.dumps(cfg))
             trees = (base_tree(args.base, tmp / "base"), ROOT / "src")
+            base_lines, lines = map(source_lines, trees)
+            print(f"non-blank lines of src/orthopara/*.py: base {base_lines}, "
+                  f"this checkout {lines}, difference {lines - base_lines:+d}")
             for name, config in configs.items():
                 for seed in seeds:
                     runs = [sweep(src, config, seed, tmp / "report.json") for src in trees]

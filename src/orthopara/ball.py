@@ -22,7 +22,7 @@ from .errors import DomainError
 from .gammafn import is_index, log_gamma, pochhammer
 from .quadrature import gauss_jacobi
 
-_DOMAIN_SLACK = 1e-12
+_DOMAIN_SLACK = 1e-12  # rounding allowed past a domain's boundary, here and in paraboloid
 
 
 def validate_multi_index(k):
@@ -67,13 +67,12 @@ def ball_homogeneous(k, mu, x, t):
     return out
 
 
-def ball_eval(k, mu, x, check_domain=True):
+def ball_eval(k, mu, x):
     """P_k^mu at a point (or broadcastable arrays of points) of B^d."""
     k = validate_multi_index(k)
-    if check_domain:
-        norm2 = sum(np.asarray(xj) ** 2 for xj in x)
-        if np.any(norm2 > 1.0 + _DOMAIN_SLACK):
-            raise DomainError("ball_eval: point outside the closed unit ball")
+    norm2 = sum(np.asarray(xj) ** 2 for xj in x)
+    if np.any(norm2 > 1.0 + _DOMAIN_SLACK):
+        raise DomainError("ball_eval: point outside the closed unit ball")
     return ball_homogeneous(k, mu, x, 1.0)
 
 

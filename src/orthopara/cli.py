@@ -27,6 +27,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .ball import ball_eval
 from .errors import ConfigError, DomainError, ParseError, PoleError
 from .paraboloid import jacobi_paraboloid, laguerre_paraboloid
 from .transforms import (
-    SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_B, eval_D,
+    SPLIT_NAMES, SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_B, eval_D,
     eval_g, eval_h_jacobi, eval_h_laguerre, fourier_h_jacobi_closed,
     fourier_h_laguerre_closed, lambda_factor, phi_factor, theta_factor,
 )
@@ -53,9 +54,11 @@ class SweepConfig:
     """Flat sweep configuration; JSON config files carry the same field names
     and CLI flags override file values.  Draws come from a PCG64 generator
     (numpy default_rng) seeded with ``seed``, so the case list is a pure
-    function of this object."""
+    function of this object.  A report's "config" block holds every field
+    but the ``_OUTPUT_FIELDS``, in field order."""
     families: list = field(default_factory=lambda: list(ALL_FAMILIES))
     dims: list = field(default_factory=lambda: [1, 2])
+    seed: int = 42
     max_degree_1d: int = 6
     max_degree_multi: int = 3
     fourier_max_degree: int = 2
@@ -64,15 +67,14 @@ class SweepConfig:
     fourier_xi_draws: int = 2
     contig_draws: int = 100
     form_draws: int = 200
-    seed: int = 42
     tolerances: dict = field(default_factory=dict)
     out_format: str = "json"
     out_path: str | None = None
     no_timestamp: bool = False
 
     def validate(self):
-        """Check every field, expanding family groups in place; ConfigError
-        on the first bad one."""
+        """Check every field, expanding family groups and sorting the
+        tolerances by family in place; ConfigError on the first bad one."""
         for f in dataclasses.fields(self):
             val = getattr(self, f.name)
             if not isinstance(val, _FIELD_TYPES[f.type]) or (
@@ -91,9 +93,13 @@ class SweepConfig:
             if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
                 raise ConfigError(f"tolerance for {fam} must be a positive finite number, "
                                   f"got {tol!r}")
+        self.tolerances = dict(sorted(self.tolerances.items()))
         if self.out_format not in ("json", "csv"):
             raise ConfigError("out_format must be 'json' or 'csv'")
         return self
+
+
+_OUTPUT_FIELDS = ("out_format", "out_path", "no_timestamp")
 
 
 @dataclass
@@ -266,9 +272,12 @@ def _write_json(header, lines, timestamp, fh):
 
 def _write_csv(rows, fh):
     """A header line of ``_CSV_COLUMNS``, then one line per row, quoted as
-    RFC 4180 says: a field holding a comma, a quote or a line feed in
-    quotes, each quote in it doubled."""
-    writer = csv.writer(fh, lineterminator="\n")
+    RFC 4180 says: a field holding a comma, a quote, a carriage return or a
+    line feed in quotes, each quote in it doubled.  ``csv.writer`` quotes a
+    field holding a character of its line terminator, so it ends each row
+    in "\\r\\n", which the write below turns into "\\n"."""
+    writer = csv.writer(SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n")),
+                        lineterminator="\r\n")
     writer.writerow(_CSV_COLUMNS)
     writer.writerows(rows)
 
@@ -308,22 +317,10 @@ def run_sweep(cfg: SweepConfig, stream=None) -> RunSummary:
                          {key: worst[key] for key in sorted(worst)}, wall)
 
     header = {
-        "config": {
-            "families": cfg.families, "dims": cfg.dims, "seed": cfg.seed,
-            "max_degree_1d": cfg.max_degree_1d, "max_degree_multi": cfg.max_degree_multi,
-            "fourier_max_degree": cfg.fourier_max_degree,
-            "parseval_max_degree": cfg.parseval_max_degree,
-            "ort_param_draws": cfg.ort_param_draws,
-            "fourier_xi_draws": cfg.fourier_xi_draws,
-            "contig_draws": cfg.contig_draws, "form_draws": cfg.form_draws,
-            "tolerances": {key: cfg.tolerances[key] for key in sorted(cfg.tolerances)},
-        },
-        "summary": {
-            "total": summary.total, "passed": summary.passed,
-            "failed": summary.failed, "skipped": summary.skipped,
-            "worst_residual": summary.worst_residual,
-            "wall_time": 0.0 if cfg.no_timestamp else summary.wall_time,
-        },
+        "config": {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+                   if f.name not in _OUTPUT_FIELDS},
+        "summary": dataclasses.asdict(
+            dataclasses.replace(summary, wall_time=0.0) if cfg.no_timestamp else summary),
     }
     timestamp = None if cfg.no_timestamp else time.strftime("%Y-%m-%dT%H:%M:%S")
 
@@ -427,9 +424,8 @@ _POINT_KINDS = {
     "xi vector": lambda args, kv: _parse_real_list(args.xi, args.d + 1, "xi"),
 }
 
-_WRAP_J = ("alpha", "zeta", "eta", "beta", "gamma", "mu")
-_WRAP_L = ("alpha", "zeta", "beta", "mu")
-_SPLIT = ("alpha1", "alpha2", "zeta1", "zeta2", "eta1", "eta2")
+_WRAP_J, _WRAP_L = (tuple(f.name for f in dataclasses.fields(cls))
+                    for cls in (WrapParamsJacobi, WrapParamsLaguerre))
 
 # fn -> (evaluator, parameter names, point kinds), called as
 # evaluator(k, d, [the named --params values], *[the point values])
@@ -455,9 +451,10 @@ EVAL_TABLE = {
     "fourierL": (lambda k, d, p, m, xi: fourier_h_laguerre_closed(m, k, WrapParamsLaguerre(*p),
                                                                    d, xi),
                  _WRAP_L, ("m", "xi vector")),
-    "D": (lambda k, d, p, x: eval_D(k, *p, d, x), ("alpha1", "alpha2"), ("x",)),
-    "A": (lambda k, d, p, m, t, x: eval_A(m, k, SplitParams(*p), d, t, x), _SPLIT, ("m", "t", "x")),
-    "B": (lambda k, d, p, m, t, x: eval_B(m, k, SplitParams(*p), d, t, x), _SPLIT[:4],
+    "D": (lambda k, d, p, x: eval_D(k, *p, d, x), SPLIT_NAMES[:2], ("x",)),
+    "A": (lambda k, d, p, m, t, x: eval_A(m, k, SplitParams(*p), d, t, x), SPLIT_NAMES,
+          ("m", "t", "x")),
+    "B": (lambda k, d, p, m, t, x: eval_B(m, k, SplitParams(*p), d, t, x), SPLIT_NAMES[:4],
           ("m", "t", "x")),
 }
 EVAL_FUNCTIONS = tuple(EVAL_TABLE)

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ball import ball_homogeneous, ball_norm, tail_sum, validate_multi_index
+from .ball import _DOMAIN_SLACK, ball_homogeneous, ball_norm, tail_sum, validate_multi_index
 from .classical import _check_degree, jacobi, jacobi_norm, laguerre, laguerre_norm
 from .errors import DomainError
 from .quadrature import gauss_jacobi, gauss_laguerre
-
-_DOMAIN_SLACK = 1e-12
 
 
 def radial_alpha(n, beta, mu, d):
@@ -70,24 +68,22 @@ def _check_point(t, x, b):
         raise DomainError("point violates |x|^2 <= t")
 
 
-def jacobi_paraboloid(m, k, beta, gamma, mu, t, x, check_domain=True):
+def jacobi_paraboloid(m, k, beta, gamma, mu, t, x):
     """Q^n_{k,m}(t, x) = P_{m-n}^(alpha_n, gamma)(1-2t) t^{n/2} P_k(x/sqrt(t)),
     the height-1 family."""
     d = len(x)
     k, n = _validate(m, k, beta, mu, d, gamma)
-    if check_domain:
-        _check_point(t, x, 1.0)
+    _check_point(t, x, 1.0)
     t = np.asarray(t)
     return radial_factor("jacobi", m, n, beta, gamma, mu, d, t) * ball_homogeneous(k, mu, x, t)
 
 
-def laguerre_paraboloid(m, k, beta, mu, t, x, check_domain=True):
+def laguerre_paraboloid(m, k, beta, mu, t, x):
     """R^n_{k,m}(t, x) = L_{m-n}^(alpha_n)(t) t^{n/2} P_k(x/sqrt(t)),
     the infinite-height family."""
     d = len(x)
     k, n = _validate(m, k, beta, mu, d)
-    if check_domain:
-        _check_point(t, x, np.inf)
+    _check_point(t, x, np.inf)
     t = np.asarray(t)
     return radial_factor("laguerre", m, n, beta, 0.0, mu, d, t) * ball_homogeneous(k, mu, x, t)
 

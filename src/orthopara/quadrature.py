@@ -14,9 +14,15 @@ constant kept for the process is the n-point Gauss-Legendre rule on
 [-1, 1], built once per n.  A rule's nodes and weights are read-only, so no
 caller can change a rule that another reads, and the oracles sum in fixed
 node order, so repeated runs produce bit-identical results.  Every rule size
-is checked before a rule is built: a node or panel count is an integer from
-1 to MAX_NODES_PER_AXIS, and a composite rule has at most MAX_NODES_PER_AXIS
-nodes in all; anything else raises DomainError.
+is checked before anything is allocated: a node or panel count is an integer
+from 1 to MAX_NODES_PER_AXIS, and a composite rule has at most
+MAX_NODES_PER_AXIS nodes in all; anything else raises DomainError.  A
+Gauss-Jacobi or Gauss-Laguerre rule has at most MAX_GAUSS_NODES nodes, as
+its dense n x n Jacobi matrix is 8 n^2 bytes (8 MB at the limit).  The
+largest rules the shipped configs build are 32 nodes in the default sweep,
+128 in perfbench's gram-highdeg and 192 on BALL-28's ball axes
+(scripts/configs/ball-28.json: |k| + |k2| <= 56 puts n0 at 96 on the
+12 2^j ladder); the Fourier and Parseval configs build none.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from scipy.special import betaln, eval_genlaguerre, eval_jacobi, gamma
 from .errors import DomainError
 
 MAX_NODES_PER_AXIS = 2**14
+MAX_GAUSS_NODES = 2**10
 
 
 @dataclass(frozen=True)
@@ -47,11 +54,11 @@ class QuadratureRule:
         return len(self.nodes)
 
 
-def _check_size(what, n):
+def _check_size(what, n, limit=MAX_NODES_PER_AXIS):
     """``n`` as an int, or DomainError unless it is an integer in
-    [1, MAX_NODES_PER_AXIS]."""
-    if not (isinstance(n, numbers.Integral) and 1 <= n <= MAX_NODES_PER_AXIS):
-        raise DomainError(f"{what} = {n!r}; needs an integer from 1 to {MAX_NODES_PER_AXIS}")
+    [1, limit]."""
+    if not (isinstance(n, numbers.Integral) and 1 <= n <= limit):
+        raise DomainError(f"{what} = {n!r}; needs an integer from 1 to {limit}")
     return int(n)
 
 
@@ -101,7 +108,7 @@ def _golub_welsch(diag, off, mu0, p, dp):
 
 def gauss_laguerre(n, alpha=0.0):
     """n-point rule for integrals against t^alpha e^{-t} on (0, inf)."""
-    n = _check_size("gauss_laguerre: n", n)
+    n = _check_size("gauss_laguerre: n", n, MAX_GAUSS_NODES)
     if alpha <= -1:
         raise DomainError("gauss_laguerre: alpha must be > -1")
     a = float(alpha)
@@ -114,7 +121,7 @@ def gauss_laguerre(n, alpha=0.0):
 
 def gauss_jacobi(n, a, b):
     """n-point rule for integrals against (1-x)^a (1+x)^b on [-1, 1]."""
-    n = _check_size("gauss_jacobi: n", n)
+    n = _check_size("gauss_jacobi: n", n, MAX_GAUSS_NODES)
     if a <= -1 or b <= -1:
         raise DomainError("gauss_jacobi: exponents must be > -1")
     a, b = float(a), float(b)

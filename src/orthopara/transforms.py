@@ -19,7 +19,7 @@ is unambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import math
 
@@ -119,6 +119,11 @@ class SplitParams:
         may leave an entry non-positive, so the result is unchecked."""
         changes = {name: getattr(self, name) + dv for name, dv in deltas.items()}
         return SplitParams(**{**self.__dict__, "check": False, **changes})
+
+
+# the split parameter names in field order: the B family takes the first
+# four, the D factor the first two
+SPLIT_NAMES = tuple(f.name for f in fields(SplitParams) if f.name != "check")
 
 
 def _sech2(x):

@@ -28,7 +28,7 @@ from .gammafn import log_gamma, pochhammer
 from .paraboloid import jacobi_paraboloid_norm, laguerre_paraboloid_norm, radial_factor, t_rule
 from .quadrature import composite_legendre, gauss_jacobi, gauss_laguerre
 from .transforms import (
-    A_t, B_t, D_axis, SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A,
+    SPLIT_NAMES, A_t, B_t, D_axis, SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A,
     eval_A_hahn, eval_D, eval_D_hahn, fourier_h_jacobi_closed, fourier_h_laguerre_closed,
     g_axis, h_jacobi_t, h_laguerre_t, phi_factor, phi_factor_hahn,
 )
@@ -312,12 +312,11 @@ def _fourier_direct(fam, m, k, wp, d, xi, level, column):
 def _fourier(case):
     t0 = time.perf_counter()
     column = _memo.open(case)
-    p = case.params
     if case.identity_id == "FOURIER_J":
-        wp = WrapParamsJacobi(p["alpha"], p["zeta"], p["eta"], p["beta"], p["gamma"], p["mu"])
+        wp = WrapParamsJacobi(**case.params)
         closed = fourier_h_jacobi_closed(case.m, case.k, wp, case.d, case.xi)
     else:
-        wp = WrapParamsLaguerre(p["alpha"], p["zeta"], p["beta"], p["mu"])
+        wp = WrapParamsLaguerre(**case.params)
         closed = fourier_h_laguerre_closed(case.m, case.k, wp, case.d, case.xi)
     val, nodes = _certified(
         (0, 1),
@@ -406,11 +405,7 @@ def _parseval_lhs(fam, m, k, m2, k2, sp, d, panels, column):
 def _parseval(case):
     t0 = time.perf_counter()
     column = _memo.open(case)
-    p = case.params
-    if case.identity_id == "PARSEVAL_A":
-        sp = SplitParams(p["alpha1"], p["alpha2"], p["zeta1"], p["zeta2"], p["eta1"], p["eta2"])
-    else:
-        sp = SplitParams(p["alpha1"], p["alpha2"], p["zeta1"], p["zeta2"])
+    sp = SplitParams(**case.params)
     return _gram(
         case, t0, column, lambda mk: parseval_rhs(case.identity_id, *mk, sp, case.d),
         (case.m, case.k), (case.m2, case.k2), _PARSEVAL_LEVELS,
@@ -549,10 +544,7 @@ def _fourier_cases(fam, cfg, rng, tol):
 
 
 def _parseval_cases(fam, cfg, rng, tol):
-    names = ["alpha1", "alpha2", "zeta1", "zeta2"]
-    if fam == "PARSEVAL_A":
-        names += ["eta1", "eta2"]
-    params = _uniforms(rng, names, 0.4, 1.6)
+    params = _uniforms(rng, SPLIT_NAMES if fam == "PARSEVAL_A" else SPLIT_NAMES[:4], 0.4, 1.6)
     pairs = degree_index_pairs(1, cfg.parseval_max_degree)
     for (m, k) in pairs:
         for (m2, k2) in pairs:
@@ -579,9 +571,7 @@ def _draw_d_k(rng, dims):
 
 
 def _contig_cases(fam, cfg, rng, tol):
-    names = ["alpha1", "alpha2", "zeta1", "zeta2"]
-    if fam.startswith("CONTIG_A"):
-        names += ["eta1", "eta2"]
+    names = SPLIT_NAMES if fam.startswith("CONTIG_A") else SPLIT_NAMES[:4]
     for _ in range(cfg.contig_draws):
         d, k = _draw_d_k(rng, cfg.dims)
         # m >= |k|+1 keeps the lower-degree terms well defined and the
@@ -602,10 +592,8 @@ def _form_equiv_cases(fam, cfg, rng, tol):
                       "xi": float(rng.uniform(-3.0, 3.0)),
                       "axis": float(rng.integers(1, d + 1))}
         else:
-            names = ["alpha1", "alpha2"]
-            if fam == "FORM_EQUIV_A":
-                names += ["zeta1", "zeta2", "eta1", "eta2"]
-            params = _uniforms(rng, names, 0.2, 3.0)
+            params = _uniforms(rng, SPLIT_NAMES if fam == "FORM_EQUIV_A" else SPLIT_NAMES[:2],
+                               0.2, 3.0)
             if fam == "FORM_EQUIV_A":
                 m = sum(k) + int(rng.integers(0, 3))
             _draw_point(rng, d, params)

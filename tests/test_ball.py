@@ -110,9 +110,7 @@ def test_gram_orthogonality_d2(mu):
     for i, k in enumerate(ks):
         nk = ball_norm(k, mu)
         for k2 in ks[i:]:
-            F = lambda y: ball_eval(k, mu, y, check_domain=False) * ball_eval(
-                k2, mu, y, check_domain=False
-            )
+            F = lambda y: ball_eval(k, mu, y) * ball_eval(k2, mu, y)
             entry = slice_tensor(F, 2, mu, 24)
             if k == k2:
                 assert entry == pytest.approx(nk, rel=1e-8)

@@ -141,6 +141,26 @@ def test_sweep_writes_report_and_summary(tmp_path):
     assert "timestamp" not in doc
 
 
+def test_report_config_block_is_the_sweep_config_and_reruns_byte_for_byte(tmp_path):
+    # the config block holds every SweepConfig field but the three output
+    # ones, in field order, the tolerances by family; loaded back as a config
+    # file it reproduces the report byte for byte
+    first, second, config = (tmp_path / name for name in ("a.json", "b.json", "cfg.json"))
+    run_sweep(SweepConfig(families=["PARSEVAL_B", "ORT_GEGEN", "CONTIG_B_i"], dims=[1, 3],
+                          seed=5, max_degree_1d=2, ort_param_draws=1, parseval_max_degree=1,
+                          contig_draws=3, tolerances={"ORT_GEGEN": 1e-9, "CONTIG_B_i": 1e-11},
+                          out_path=str(first), no_timestamp=True))
+    block = json.loads(first.read_text())["config"]
+    assert list(block) == [f.name for f in dataclasses.fields(SweepConfig)
+                           if f.name not in ("out_format", "out_path", "no_timestamp")]
+    assert block["dims"] == [1, 3] and list(block["tolerances"]) == ["CONTIG_B_i", "ORT_GEGEN"]
+    config.write_text(json.dumps(block))
+    cfg = load_config(str(config))
+    cfg.out_path, cfg.no_timestamp = str(second), True
+    run_sweep(cfg)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_cli_eval_base_point(capsys):
     # the closed transform at the base point is 2^zeta Gamma(zeta) 2^{2a-1} B(a,a)
     rc = main(["eval", "--fn", "fourierL", "--d", "1", "--m", "0", "--k", "0",
@@ -345,7 +365,8 @@ def test_diff_reports_script_sees_a_reindented_report_as_the_same_document(tmp_p
 
 def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
     # the checkout against itself keeps every verdict (exit 0); a base copy
-    # whose Parseval constant is doubled fails its three diagonal cases (exit 1)
+    # whose Parseval constant is doubled fails its three diagonal cases (exit 1);
+    # neither differs from the checkout in its count of non-blank lines
     root = Path(__file__).resolve().parents[1]
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps({"families": ["PARSEVAL_A"], "dims": [1],
@@ -358,6 +379,7 @@ def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
 
     res = compare(root)
     assert res.returncode == 0 and "byte-identical: yes" in res.stdout
+    assert "difference +0\n" in res.stdout
     copy = tmp_path / "base"
     shutil.copytree(root / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
     verifier_py = copy / "src" / "orthopara" / "verifier.py"
@@ -366,6 +388,7 @@ def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
     verifier_py.write_text(source.replace("    return float(val)\n", "    return 2 * float(val)\n"))
     res = compare(copy)
     assert res.returncode == 1 and "DIFFERS" in res.stdout and "verdict changes: 3" in res.stdout
+    assert "difference +0\n" in res.stdout
 
 
 def test_high_degree_configs_hold_the_baseline_case_lists():
@@ -523,24 +546,24 @@ def test_report_lines_match_json_dumps_of_the_record_dict(reports, no_timestamp)
 
 
 def test_csv_report_quotes_commas_quotes_and_newlines(tmp_path, monkeypatch):
-    # an error message with a quote, a comma and a newline reads back through
-    # csv.reader as one field of a 16-column row
-    message = 'bad "x", y\nz'
-
-    def raises(case):
-        raise ValueError(message)
-
+    # an error message with a quote, a comma and a newline, a bare carriage
+    # return, or a CRLF reads back through csv.reader as one field of a
+    # 16-column row
     monkeypatch.setattr(cli, "generate_cases",
                         lambda cfg: [IdentityCase("ORT_GEGEN", 1, 1e-10, m=1, m2=2,
                                                   params={"mu": 0.8})])
-    monkeypatch.setattr(cli, "run_case", raises)
     out = tmp_path / "rep.csv"
-    run_sweep(SweepConfig(out_path=str(out), out_format="csv", no_timestamp=True))
-    with open(out, newline="") as fh:
-        header, row = csv.reader(fh)
-    assert len(header) == len(row) == 16
-    assert row[header.index("error")] == f"ValueError: {message}"
-    assert row[header.index("params")] == "mu=0.8"
+    for message in ('bad "x", y\nz', "a\rb", "a\r\nb"):
+        def raises(case):
+            raise ValueError(message)
+
+        monkeypatch.setattr(cli, "run_case", raises)
+        run_sweep(SweepConfig(out_path=str(out), out_format="csv", no_timestamp=True))
+        with open(out, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert len(header) == len(row) == 16
+        assert row[header.index("error")] == f"ValueError: {message}"
+        assert row[header.index("params")] == "mu=0.8"
 
 
 def test_summary_leaves_non_finite_residuals_out_of_the_worst(monkeypatch):

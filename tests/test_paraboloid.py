@@ -66,8 +66,8 @@ def test_unit_inner_product_closed_beta():
 
 def test_laguerre_inner_products_inline_computation():
     beta, mu = 0.0, 0.5
-    f0 = lambda t, x: laguerre_paraboloid(0, (0,), beta, mu, t, x, check_domain=False)
-    f1 = lambda t, x: laguerre_paraboloid(1, (0,), beta, mu, t, x, check_domain=False)
+    f0 = lambda t, x: laguerre_paraboloid(0, (0,), beta, mu, t, x)
+    f1 = lambda t, x: laguerre_paraboloid(1, (0,), beta, mu, t, x)
     off = slice_tensor(lambda t, x: f0(t, x) * f1(t, x), 1, mu, 20, ("laguerre", beta, 0.0))
     assert abs(off) < 1e-10
     diag = slice_tensor(lambda t, x: f1(t, x) ** 2, 1, mu, 20, ("laguerre", beta, 0.0))
@@ -82,8 +82,8 @@ def test_jacobi_gram(d):
     beta, gamma, mu = 0.3, 0.4, 0.6
     pairs = degree_index_pairs(d, 3)
     for (m, k), (m2, k2) in itertools.combinations_with_replacement(pairs, 2):
-        f = lambda t, x: jacobi_paraboloid(m, k, beta, gamma, mu, t, x, check_domain=False)
-        g = lambda t, x: jacobi_paraboloid(m2, k2, beta, gamma, mu, t, x, check_domain=False)
+        f = lambda t, x: jacobi_paraboloid(m, k, beta, gamma, mu, t, x)
+        g = lambda t, x: jacobi_paraboloid(m2, k2, beta, gamma, mu, t, x)
         entry = slice_tensor(lambda t, x: f(t, x) * g(t, x), d, mu, 16, ("jacobi", beta, gamma))
         d1 = jacobi_paraboloid_norm(m, k, beta, gamma, mu, d)
         d2 = jacobi_paraboloid_norm(m2, k2, beta, gamma, mu, d)
@@ -98,8 +98,8 @@ def test_laguerre_gram(d):
     beta, mu = 0.2, 0.7
     pairs = degree_index_pairs(d, 3)
     for (m, k), (m2, k2) in itertools.combinations_with_replacement(pairs, 2):
-        f = lambda t, x: laguerre_paraboloid(m, k, beta, mu, t, x, check_domain=False)
-        g = lambda t, x: laguerre_paraboloid(m2, k2, beta, mu, t, x, check_domain=False)
+        f = lambda t, x: laguerre_paraboloid(m, k, beta, mu, t, x)
+        g = lambda t, x: laguerre_paraboloid(m2, k2, beta, mu, t, x)
         entry = slice_tensor(lambda t, x: f(t, x) * g(t, x), d, mu, 16, ("laguerre", beta, 0.0))
         d1 = laguerre_paraboloid_norm(m, k, beta, mu, d)
         d2 = laguerre_paraboloid_norm(m2, k2, beta, mu, d)
@@ -131,9 +131,9 @@ def test_total_degree_by_interpolation(family, d, m, k):
     # the basis function at fresh points
     beta, gamma, mu = 0.3, 0.4, 0.6
     if family == "jacobi":
-        f = lambda t, x: jacobi_paraboloid(m, k, beta, gamma, mu, t, x, check_domain=False)
+        f = lambda t, x: jacobi_paraboloid(m, k, beta, gamma, mu, t, x)
     else:
-        f = lambda t, x: laguerre_paraboloid(m, k, beta, mu, t, x, check_domain=False)
+        f = lambda t, x: laguerre_paraboloid(m, k, beta, mu, t, x)
     rng = np.random.default_rng(12)
     monos = _monomials(d, m)
     n_fit = 4 * len(monos)

@@ -14,7 +14,7 @@ from orthopara.classical import jacobi, jacobi_norm, laguerre, laguerre_norm
 from orthopara.errors import DomainError
 from orthopara.gammafn import gamma
 from orthopara.quadrature import (
-    MAX_NODES_PER_AXIS, composite_legendre, gauss_jacobi, gauss_laguerre,
+    MAX_GAUSS_NODES, MAX_NODES_PER_AXIS, composite_legendre, gauss_jacobi, gauss_laguerre,
 )
 from references import tanh_sinh, tensor_integrate
 
@@ -160,9 +160,9 @@ def test_rule_families_leave_scipy_linalg_unimported():
 @pytest.mark.parametrize("build", [lambda n: gauss_jacobi(n, 0.5, 0.5),
                                    lambda n: gauss_laguerre(n, 0.5)], ids=["jacobi", "laguerre"])
 def test_gauss_rule_sizes_checked(build):
-    # a size that is not an integer in [1, MAX_NODES_PER_AXIS] is a
-    # DomainError before a rule is built, and a numpy integer size is the int
-    for n in (0, -3, 2.0, 2.5, "2", MAX_NODES_PER_AXIS + 1):
+    # a size that is not an integer in [1, MAX_GAUSS_NODES] is a DomainError
+    # before a rule is built, and a numpy integer size is the int
+    for n in (0, -3, 2.0, 2.5, "2", MAX_GAUSS_NODES + 1, MAX_NODES_PER_AXIS + 1):
         with pytest.raises(DomainError):
             build(n)
     assert len(build(1)) == 1

@@ -178,21 +178,18 @@ def test_separated_gram_oracle_matches_full_tensor(fam, d):
         norm = lambda k: ball_norm(k, mu)
 
         def entries(k, k2, n):
-            f = lambda y: (ball_eval(k, mu, y, check_domain=False)
-                           * ball_eval(k2, mu, y, check_domain=False))
+            f = lambda y: ball_eval(k, mu, y) * ball_eval(k2, mu, y)
             return verifier._ball_gram(no_memo, d, mu, k, k2, n), slice_tensor(f, d, mu, n)
     else:
         index = degree_index_pairs(d, 3)
         if fam == "ORT_PARA_J":
             kind, g = "jacobi", gamma_
             norm = lambda mk: jacobi_paraboloid_norm(*mk, beta, g, mu, d)
-            basis = lambda m, k, t, x: jacobi_paraboloid(m, k, beta, g, mu, t, x,
-                                                         check_domain=False)
+            basis = lambda m, k, t, x: jacobi_paraboloid(m, k, beta, g, mu, t, x)
         else:
             kind, g = "laguerre", 0.0
             norm = lambda mk: laguerre_paraboloid_norm(*mk, beta, mu, d)
-            basis = lambda m, k, t, x: laguerre_paraboloid(m, k, beta, mu, t, x,
-                                                           check_domain=False)
+            basis = lambda m, k, t, x: laguerre_paraboloid(m, k, beta, mu, t, x)
 
         def entries(mk, mk2, n):
             f = lambda t, x: basis(*mk, t, x) * basis(*mk2, t, x)
