@@ -69,7 +69,6 @@ def ball_homogeneous(k, mu, x, t):
 
 def ball_eval(k, mu, x):
     """P_k^mu at a point (or broadcastable arrays of points) of B^d."""
-    k = validate_multi_index(k)
     norm2 = sum(np.asarray(xj) ** 2 for xj in x)
     if np.any(norm2 > 1.0 + _DOMAIN_SLACK):
         raise DomainError("ball_eval: point outside the closed unit ball")

@@ -25,8 +25,8 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .gammafn import is_index, log_gamma, pochhammer
-from .hyper import _check_poles, _snap, hyp_terminating
+from .gammafn import _nonpositive_integer, is_index, log_gamma, pochhammer
+from .hyper import SNAP_TOL, _check_poles, hyp_terminating
 
 
 def _check_degree(m):
@@ -149,7 +149,7 @@ def hahn_3f2(n, sigma, z, e, f):
     """
     _check_degree(n)
     _check_poles((e, f), n)
-    j = _snap(sigma)
+    j = _nonpositive_integer(sigma, SNAP_TOL)
     if j is not None and j >= 2 - 2 * n:
         raise DomainError(f"hahn_3f2: the degree-{n} recurrence is singular at sigma = {sigma}")
     z = _points(z)

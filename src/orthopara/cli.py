@@ -96,6 +96,8 @@ class SweepConfig:
         self.tolerances = dict(sorted(self.tolerances.items()))
         if self.out_format not in ("json", "csv"):
             raise ConfigError("out_format must be 'json' or 'csv'")
+        if self.out_path == "":
+            raise ConfigError("out_path must be a path or null, got ''")
         return self
 
 
@@ -356,13 +358,16 @@ def _parse_kv(text):
         if "=" not in piece:
             raise ParseError(f"expected name=value, got {piece!r}")
         key, val = piece.split("=", 1)
+        key = key.strip()
+        if key in out:
+            raise ParseError(f"parameter {key!r} given twice")
         try:
             value = float(val)
         except ValueError as exc:
             raise ParseError(f"bad numeric value in {piece!r}") from exc
         if not math.isfinite(value):
             raise ParseError(f"non-finite value in {piece!r}")
-        out[key.strip()] = value
+        out[key] = value
     return out
 
 
@@ -494,12 +499,13 @@ def build_parser():
     sw.add_argument("--config", help="flat JSON config file (CLI flags override)")
     sw.add_argument("--seed", type=int, help="PRNG seed for the case draws")
     sw.add_argument("--tol", type=float, help="override every family tolerance")
-    sw.add_argument("--d", help="comma-separated dimension list, e.g. 1,2,3")
-    sw.add_argument("--max-degree", type=int, help="multivariate total-degree cap")
+    sw.add_argument("--d", dest="dims", help="comma-separated dimension list, e.g. 1,2,3")
+    sw.add_argument("--max-degree", dest="max_degree_multi", type=int,
+                    help="multivariate total-degree cap")
     sw.add_argument("--families", help="comma-separated family ids or groups (ORT, FOURIER, PARSEVAL, CONTIG, FORM_EQUIV, all)")
-    sw.add_argument("--format", choices=("json", "csv"), help="report format")
-    sw.add_argument("--out", help="report output path")
-    sw.add_argument("--no-timestamp", action="store_true",
+    sw.add_argument("--format", dest="out_format", choices=("json", "csv"), help="report format")
+    sw.add_argument("--out", dest="out_path", help="report output path")
+    sw.add_argument("--no-timestamp", action="store_true", default=None,
                     help="omit timestamps and wall times for byte-identical reruns")
 
     ev = sub.add_parser("eval", help="evaluate one function at one point")
@@ -528,25 +534,20 @@ def main(argv=None):
     if args.command == "sweep":
         try:
             cfg = load_config(args.config) if args.config else SweepConfig()
-            if args.seed is not None:
-                cfg.seed = args.seed
             if args.tol is not None:
                 cfg.tolerances = {fam: args.tol for fam in ALL_FAMILIES}
-            if args.d:
+            if args.dims is not None:
                 try:
-                    cfg.dims = [int(v) for v in args.d.split(",")]
+                    args.dims = [int(v) for v in args.dims.split(",")]
                 except ValueError as exc:
-                    raise ConfigError(f"bad dimension list {args.d!r}") from exc
-            if args.max_degree is not None:
-                cfg.max_degree_multi = args.max_degree
-            if args.families:
-                cfg.families = args.families.split(",")
-            if args.format:
-                cfg.out_format = args.format
-            if args.out:
-                cfg.out_path = args.out
-            if args.no_timestamp:
-                cfg.no_timestamp = True
+                    raise ConfigError(f"bad dimension list {args.dims!r}") from exc
+            if args.families is not None:
+                args.families = args.families.split(",")
+            # a flag's dest is the SweepConfig field it sets (--config and --tol aside)
+            for f in dataclasses.fields(cfg):
+                value = getattr(args, f.name, None)
+                if value is not None:
+                    setattr(cfg, f.name, value)
             summary = run_sweep(cfg, stream=sys.stdout)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)

@@ -8,6 +8,11 @@ modules produce.  pochhammer is the exact product at every order.  Scalar
 arguments skip the array bookkeeping: log_gamma checks the pole in Python and
 calls loggamma once, bit for bit the array result, and pochhammer multiplies
 numpy scalars, not 0-d arrays.
+
+One rule says when a point is an integer j <= 0: within a tolerance of it,
+and never when NaN or infinite.  ``_nonpositive_integer`` is its scalar form,
+``is_nonpositive_integer`` its array form; log_gamma's poles use POLE_TOL
+(1e-12), the series snaps of ``hyper`` and ``classical`` its SNAP_TOL (1e-9).
 """
 
 from __future__ import annotations
@@ -27,15 +32,25 @@ _EXP_OVERFLOW = 709.0
 _POLE_MESSAGE = "log_gamma: argument within 1e-12 of a non-positive integer pole"
 
 
-def _as_complex(z):
-    z = np.asarray(z, dtype=np.complex128)
-    return z
+def _nonpositive_integer(z, tol):
+    """The integer j <= 0 within ``tol`` of the scalar z, else None (also
+    for NaN and inf): the scalar form of ``is_nonpositive_integer``."""
+    # round(re) <= 0 exactly when re <= 1/2 (ties go to even)
+    if z.real > 0.5:  # the usual case, decided without a conversion
+        return None
+    c = complex(z)
+    if not cmath.isfinite(c):
+        return None
+    # np.round / np.abs of the array form are round-half-even and hypot, as
+    # round / abs are
+    j = round(c.real)
+    return j if abs(c - j) <= tol else None
 
 
 def is_nonpositive_integer(z, tol=POLE_TOL):
     """Elementwise test: within ``tol`` of an integer <= 0.  A NaN or
-    infinite entry is no pole, as in log_gamma's scalar path."""
-    z = _as_complex(z)
+    infinite entry is no pole, as in ``_nonpositive_integer``."""
+    z = np.asarray(z, dtype=np.complex128)
     z = np.where(np.isfinite(z), z, 1.0)
     n = np.round(z.real)
     return (n <= 0) & (np.abs(z - n) <= tol)
@@ -47,15 +62,11 @@ def log_gamma(z):
     Raises PoleError if any entry is within 1e-12 of a non-positive integer.
     """
     if isinstance(z, (int, float, complex, np.number)):
-        # np.round / np.abs of the array path are round-half-even and hypot,
-        # as round / abs are
         z = complex(z)
-        if cmath.isfinite(z):
-            n = round(z.real)
-            if n <= 0 and abs(z - n) <= POLE_TOL:
-                raise PoleError(_POLE_MESSAGE)
+        if _nonpositive_integer(z, POLE_TOL) is not None:
+            raise PoleError(_POLE_MESSAGE)
         return complex(loggamma(z))
-    z = _as_complex(z)
+    z = np.asarray(z, dtype=np.complex128)
     if np.any(is_nonpositive_integer(z)):
         raise PoleError(_POLE_MESSAGE)
     out = loggamma(z)
@@ -78,8 +89,8 @@ def beta(a, b):
 
     Requires Re a > 0 and Re b > 0 (the integral's convergence condition).
     """
-    a = _as_complex(a)
-    b = _as_complex(b)
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
     if np.any(a.real <= 0) or np.any(b.real <= 0):
         raise DomainError("beta: requires Re a > 0 and Re b > 0")
     return np.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))

@@ -15,7 +15,8 @@ certificate parameter has been snapped to its integer value.
 
 The bookkeeping before the sum is one pass over each parameter list, which
 yields each parameter's snap (termination degree or denominator pole), its
-place in the canonical order and its share of the result dtype.
+place in the canonical order and its share of the result dtype.  A scalar
+snaps by gammafn's one rule (``_nonpositive_integer``) with SNAP_TOL.
 
 When z and every parameter are scalars (Python numbers, numpy float64,
 complex128 or integer scalars) the same recurrence runs on numpy scalars of
@@ -32,24 +33,12 @@ import cmath
 import numpy as np
 
 from .errors import DenominatorPoleError, NonTerminatingError
+from .gammafn import _nonpositive_integer
 
 SNAP_TOL = 1e-9
 
 # scalars whose result dtype is float64, or complex128 for a complex
 _SCALARS = (int, float, complex, np.integer)
-
-
-def _snap(p):
-    """The integer j <= 0 within SNAP_TOL of the scalar p, else None (also
-    for NaN and inf)."""
-    # round(re) <= 0 exactly when re <= 1/2 (ties go to even)
-    if p.real > 0.5:  # the usual case, decided without a conversion
-        return None
-    c = complex(p)
-    if not cmath.isfinite(c):
-        return None
-    j = round(c.real)
-    return j if abs(c - j) <= SNAP_TOL else None
 
 
 def _scan(params):
@@ -68,7 +57,7 @@ def _scan(params):
         if plain or np.ndim(p) == 0:
             c = complex(p)
             entries.append((0, c.real, c.imag, i, p))
-            j = _snap(c)
+            j = _nonpositive_integer(c, SNAP_TOL)
             if j is not None:
                 snaps.append((-j, i))
             finite = finite and cmath.isfinite(c)
@@ -112,7 +101,7 @@ def _check_poles(denominator, degree):
     A parameter -j poles the factor (b + m) at m = j, which a sum of degree
     N touches only while m < N; later poles are harmless."""
     for p in denominator:
-        j = _snap(p)
+        j = _nonpositive_integer(p, SNAP_TOL)
         if j is not None and -j < degree:
             raise _pole_error(p)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .ball import _DOMAIN_SLACK, ball_homogeneous, ball_norm, tail_sum, validate_multi_index
 from .classical import _check_degree, jacobi, jacobi_norm, laguerre, laguerre_norm
 from .errors import DomainError
-from .quadrature import gauss_jacobi, gauss_laguerre
+from .quadrature import QuadratureRule, gauss_jacobi, gauss_laguerre
 
 
 def radial_alpha(n, beta, mu, d):
@@ -104,20 +104,15 @@ def laguerre_paraboloid_norm(m, k, beta, mu, d):
 
 
 def t_rule(kind, n_t, beta, gamma, mu, d):
-    """The n_t-point radial rule (nodes, weights) of kind "jacobi" (b = 1,
-    against t^a (1-t)^gamma on (0, 1)) or "laguerre" (b = inf, against
-    t^a e^{-t}), a = alpha_0 = mu + beta + (d-1)/2: the slice change of
-    variable x = sqrt(t) y turns the paraboloid weight into this t weight
-    times the ball weight of y."""
+    """The n_t-point radial QuadratureRule of kind "jacobi" (b = 1, against
+    t^a (1-t)^gamma on (0, 1)) or "laguerre" (b = inf, against t^a e^{-t}),
+    a = alpha_0 = mu + beta + (d-1)/2: the slice change of variable
+    x = sqrt(t) y turns the paraboloid weight into this t weight times the
+    ball weight of y."""
     a = radial_alpha(0, beta, mu, d)
     if kind == "jacobi":
         rule = gauss_jacobi(n_t, gamma, a)
-        t = 0.5 * (1.0 + rule.nodes)
-        w = rule.weights * 2.0 ** (-(a + gamma + 1))
-    elif kind == "laguerre":
-        rule = gauss_laguerre(n_t, a)
-        t = rule.nodes
-        w = rule.weights
-    else:
-        raise DomainError(f"unknown radial weight kind {kind!r}")
-    return t, w
+        return QuadratureRule(0.5 * (1.0 + rule.nodes), rule.weights * 2.0 ** (-(a + gamma + 1)))
+    if kind == "laguerre":
+        return gauss_laguerre(n_t, a)
+    raise DomainError(f"unknown radial weight kind {kind!r}")

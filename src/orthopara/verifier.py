@@ -242,7 +242,8 @@ def _para_gram(column, kind, beta, gamma, mu, d, mk, mk2, n):
     x = sqrt(t) y, so it is one ``t_rule`` sum times the ball Gram entry of
     (k, k2).  The rule and the lines come from ``column``."""
     (m, k), (m2, k2) = mk, mk2
-    t, w = column(("t", n), lambda: np.array(t_rule(kind, n, beta, gamma, mu, d)))
+    rule = column(("t", n), lambda: t_rule(kind, n, beta, gamma, mu, d))
+    t, w = rule.nodes, rule.weights
     radial = lambda mm, kk: column(("rad", n, mm, kk), lambda: radial_factor(
         kind, mm, tail_sum(kk, 1), beta, gamma, mu, d, t))
     val = (w * radial(m, k) * radial(m2, k2) * t ** ((tail_sum(k, 1) + tail_sum(k2, 1)) / 2)).sum()
@@ -477,18 +478,15 @@ def run_case(case: IdentityCase) -> VerificationReport:
 
 
 def multi_indices(d, total_max):
-    """All multi-indices of length d with |k| <= total_max, lexicographic."""
-    out = []
-    for total in range(total_max + 1):
-        for c in itertools.product(range(total + 1), repeat=d):
-            if sum(c) == total:
-                out.append(c)
-    return out
+    """All multi-indices of length d with |k| <= total_max, by |k|, then
+    lexicographic."""
+    return sorted((k for k in itertools.product(range(total_max + 1), repeat=d)
+                   if sum(k) <= total_max), key=sum)
 
 
 def degree_index_pairs(d, m_max):
     """(m, k) with |k| <= m <= m_max."""
-    return [(m, k) for m in range(m_max + 1) for k in multi_indices(d, m) if sum(k) <= m]
+    return [(m, k) for m in range(m_max + 1) for k in multi_indices(d, m)]
 
 
 def _ort_1d_cases(fam, cfg, rng, tol):
@@ -499,18 +497,16 @@ def _ort_1d_cases(fam, cfg, rng, tol):
             params = {"alpha": float(rng.uniform(-0.6, 2.0)), "beta": float(rng.uniform(-0.6, 2.0))}
         else:
             params = {"alpha": float(rng.uniform(-0.6, 2.5))}
-        for m in range(cfg.max_degree_1d + 1):
-            for m2 in range(m, cfg.max_degree_1d + 1):
-                yield IdentityCase(fam, 1, tol, m=m, m2=m2, params=params)
+        for m, m2 in itertools.combinations_with_replacement(range(cfg.max_degree_1d + 1), 2):
+            yield IdentityCase(fam, 1, tol, m=m, m2=m2, params=params)
 
 
 def _ball_cases(fam, cfg, rng, tol):
     d = 2
     ks = multi_indices(d, cfg.max_degree_multi)
     for mu in (0.5, 1.5):
-        for i, k in enumerate(ks):
-            for k2 in ks[i:]:
-                yield IdentityCase(fam, d, tol, k=k, k2=k2, params={"mu": mu})
+        for k, k2 in itertools.combinations_with_replacement(ks, 2):
+            yield IdentityCase(fam, d, tol, k=k, k2=k2, params={"mu": mu})
 
 
 def _para_cases(fam, cfg, rng, tol):
@@ -519,9 +515,8 @@ def _para_cases(fam, cfg, rng, tol):
         if fam == "ORT_PARA_J":
             params["gamma"] = float(rng.uniform(-0.4, 1.2))
         pairs = degree_index_pairs(d, cfg.max_degree_multi)
-        for i, (m, k) in enumerate(pairs):
-            for (m2, k2) in pairs[i:]:
-                yield IdentityCase(fam, d, tol, m=m, m2=m2, k=k, k2=k2, params=params)
+        for (m, k), (m2, k2) in itertools.combinations_with_replacement(pairs, 2):
+            yield IdentityCase(fam, d, tol, m=m, m2=m2, k=k, k2=k2, params=params)
 
 
 def _fourier_cases(fam, cfg, rng, tol):
@@ -546,9 +541,8 @@ def _fourier_cases(fam, cfg, rng, tol):
 def _parseval_cases(fam, cfg, rng, tol):
     params = _uniforms(rng, SPLIT_NAMES if fam == "PARSEVAL_A" else SPLIT_NAMES[:4], 0.4, 1.6)
     pairs = degree_index_pairs(1, cfg.parseval_max_degree)
-    for (m, k) in pairs:
-        for (m2, k2) in pairs:
-            yield IdentityCase(fam, 1, tol, m=m, m2=m2, k=k, k2=k2, params=params)
+    for (m, k), (m2, k2) in itertools.product(pairs, repeat=2):
+        yield IdentityCase(fam, 1, tol, m=m, m2=m2, k=k, k2=k2, params=params)
     if 2 in cfg.dims:
         yield IdentityCase(fam, 2, tol, m=0, m2=0, k=(0, 0), k2=(0, 0), params=params)
 

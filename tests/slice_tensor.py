@@ -10,7 +10,6 @@ import numpy as np
 
 from orthopara.ball import ball_rules
 from orthopara.paraboloid import t_rule
-from orthopara.quadrature import QuadratureRule
 from references import tensor_integrate
 
 
@@ -34,6 +33,5 @@ def slice_tensor(f, d, mu, n, radial=None):
     if radial is None:
         return tensor_integrate(rules, lambda *v: f(_slice_map(v)))
     kind, beta, gamma = radial
-    t_axis = QuadratureRule(*t_rule(kind, n, beta, gamma, mu, d))
-    return tensor_integrate(
-        [t_axis, *rules], lambda t, *v: f(t, [np.sqrt(t) * y for y in _slice_map(v)]))
+    return tensor_integrate([t_rule(kind, n, beta, gamma, mu, d), *rules],
+                            lambda t, *v: f(t, [np.sqrt(t) * y for y in _slice_map(v)]))

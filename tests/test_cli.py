@@ -260,9 +260,12 @@ def test_cli_eval_non_finite_result_is_evaluation_error(argv, capsys):
       "--xi", "0.5"], "axs"),
     (["--fn", "D", "--d", "1", "--k", "1", "--params", "alpha1=1,alpha2=1,axis=1",
       "--x", "0.3"], "axis"),
-], ids=["d_negative", "d_zero", "unknown_name", "axis_not_a_parameter_of_D"])
+    (["--fn", "g", "--d", "1", "--k", "1", "--params", "alpha=0.8,mu=0.7,alpha=5",
+      "--x", "0.1"], "'alpha' given twice"),
+], ids=["d_negative", "d_zero", "unknown_name", "axis_not_a_parameter_of_D", "repeated_name"])
 def test_cli_eval_bad_d_or_parameter_name(argv, message, capsys):
-    # no silent dimension-zero evaluation, no silently ignored parameter
+    # no silent dimension-zero evaluation, no silently ignored or overridden
+    # parameter
     assert main(["eval", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "parse error" in captured.err and message in captured.err
@@ -596,7 +599,12 @@ def test_cli_list_identities(capsys):
     assert "PARSEVAL_A" in out and "CONTIG_B_vii" in out
 
 
-def test_cli_sweep_exit_codes(tmp_path):
+def test_cli_sweep_exit_codes(tmp_path, capsys):
+    # main copies each flag onto the SweepConfig field its dest names, so a
+    # renamed field cannot quietly detach its flag
+    sweep = cli.build_parser()._subparsers._group_actions[0].choices["sweep"]
+    dests = {a.dest for a in sweep._actions if a.option_strings} - {"help", "config", "tol"}
+    assert len(dests) == 7 and dests <= {f.name for f in dataclasses.fields(SweepConfig)}
     rc = main(["sweep", "--families", "ORT_LAGUERRE", "--out", str(tmp_path / "a.json")])
     assert rc == 0
     # an impossible tolerance forces failures and a nonzero exit
@@ -607,6 +615,10 @@ def test_cli_sweep_exit_codes(tmp_path):
     assert rc == 2
     for tol in ("0", "inf", "nan"):  # every finite residual would pass at inf
         assert main(["sweep", "--families", "ORT_LAGUERRE", "--tol", tol]) == 2
+    capsys.readouterr()
+    for flag in ("--families", "--d", "--out"):  # an empty value is not the default
+        assert main(["sweep", flag, ""]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_csv_projection(tmp_path):

@@ -2,6 +2,7 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -13,8 +14,10 @@ from orthopara.classical import gegenbauer
 from orthopara.contiguous import a_relation_pair
 from orthopara.errors import DomainError, PoleError
 from orthopara.gammafn import (
-    beta, gamma, is_index, is_nonpositive_integer, log_gamma, pochhammer,
+    POLE_TOL, _nonpositive_integer, beta, gamma, is_index, is_nonpositive_integer, log_gamma,
+    pochhammer,
 )
+from orthopara.hyper import SNAP_TOL
 from orthopara.paraboloid import jacobi_paraboloid, laguerre_paraboloid
 from orthopara.transforms import A_t, SplitParams
 
@@ -37,7 +40,6 @@ def test_gamma_values():
 def test_strip_accuracy():
     # post-condition strip 0.5 <= Re z <= 10, |Im z| <= 40, plus the
     # reflection side Re z < 1/2, against mpmath's independent loggamma
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(11)
     z = np.concatenate([
         rng.uniform(0.5, 10, 4000) + 1j * rng.uniform(-40, 40, 4000),
@@ -77,6 +79,22 @@ def test_pole_detection():
             log_gamma(bad)
     assert bool(is_nonpositive_integer(-2 + 1e-13j))
     assert not bool(is_nonpositive_integer(-2 + 1e-6j))
+
+
+@given(st.sampled_from([POLE_TOL, SNAP_TOL]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pole_rule_scalar_and_array_forms_agree(tol, data):
+    # one rule in two forms: the scalar form (log_gamma's scalar path and
+    # hyper's snaps) and the array form decide every point alike, at both
+    # tolerances; points within and outside tol of -6..0, on either axis
+    near = st.builds(lambda j, f, unit: j + f * tol * unit, st.integers(-6, 0),
+                     st.sampled_from([0.5, -0.5, 2.0, -2.0]), st.sampled_from([1, 1j]))
+    special = st.sampled_from([math.nan, math.inf, -math.inf, 0.5, -0.5, 0.0,
+                               complex(math.nan, 0.0), complex(-2.0, math.inf)])
+    wide = st.complex_numbers(max_magnitude=8, allow_nan=False, allow_infinity=False)
+    z = data.draw(st.lists(st.one_of(near, special, wide), min_size=1, max_size=16))
+    scalar = [_nonpositive_integer(v, tol) is not None for v in z]
+    assert scalar == is_nonpositive_integer(np.array(z, dtype=complex), tol).tolist()
 
 
 def test_overflow():

@@ -45,6 +45,7 @@ alternating sum these factors used to sum is off by up to 2.1e-10 at degree
 20 and 9.8e-7 at degree 30.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -57,8 +58,6 @@ from orthopara.quadrature import gauss_jacobi, gauss_laguerre
 from orthopara.transforms import (
     A_t, B_t, D_axis, SplitParams, lambda_factor, phi_factor, theta_factor,
 )
-
-mp = pytest.importorskip("mpmath")
 
 DPS = 40
 NODES = 32  # even, so no node is the exact zero of an odd polynomial

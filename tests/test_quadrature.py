@@ -13,6 +13,7 @@ import orthopara
 from orthopara.classical import jacobi, jacobi_norm, laguerre, laguerre_norm
 from orthopara.errors import DomainError
 from orthopara.gammafn import gamma
+from orthopara.paraboloid import t_rule
 from orthopara.quadrature import (
     MAX_GAUSS_NODES, MAX_NODES_PER_AXIS, composite_legendre, gauss_jacobi, gauss_laguerre,
 )
@@ -172,8 +173,10 @@ def test_gauss_rule_sizes_checked(build):
 
 @pytest.mark.parametrize("build", [lambda: gauss_jacobi(8, 0.5, 0.5),
                                    lambda: gauss_laguerre(8, 0.5),
-                                   lambda: composite_legendre(-2.0, 3.0, 4, 12)],
-                         ids=["jacobi", "laguerre", "composite"])
+                                   lambda: composite_legendre(-2.0, 3.0, 4, 12),
+                                   lambda: t_rule("jacobi", 8, 0.3, 0.4, 0.7, 2),
+                                   lambda: t_rule("laguerre", 8, 0.3, 0.0, 0.7, 2)],
+                         ids=["jacobi", "laguerre", "composite", "t_jacobi", "t_laguerre"])
 def test_rules_are_read_only(build):
     # no caller can change a rule that another call returns
     r = build()
