@@ -433,33 +433,31 @@ _WRAP_J, _WRAP_L = (tuple(f.name for f in dataclasses.fields(cls))
                     for cls in (WrapParamsJacobi, WrapParamsLaguerre))
 
 # fn -> (evaluator, parameter names, point kinds), called as
-# evaluator(k, d, [the named --params values], *[the point values])
+# evaluator(k, [the named --params values], *[the point values]); an
+# evaluator reads d as len(k), and --d fixes the lengths of --k, --x and --xi
 EVAL_TABLE = {
-    "g": (lambda k, d, p, x: eval_g(k, *p, x), ("alpha", "mu"), ("x",)),
-    "ball": (lambda k, d, p, x: ball_eval(k, *p, x), ("mu",), ("real x",)),
-    "Q": (lambda k, d, p, m, t, x: jacobi_paraboloid(m, k, *p, t, x),
+    "g": (lambda k, p, x: eval_g(k, *p, x), ("alpha", "mu"), ("x",)),
+    "ball": (lambda k, p, x: ball_eval(k, *p, x), ("mu",), ("real x",)),
+    "Q": (lambda k, p, m, t, x: jacobi_paraboloid(m, k, *p, t, x),
           ("beta", "gamma", "mu"), ("m", "real t", "real x")),
-    "R": (lambda k, d, p, m, t, x: laguerre_paraboloid(m, k, *p, t, x),
+    "R": (lambda k, p, m, t, x: laguerre_paraboloid(m, k, *p, t, x),
           ("beta", "mu"), ("m", "real t", "real x")),
-    "hJ": (lambda k, d, p, m, t, x: eval_h_jacobi(m, k, WrapParamsJacobi(*p), t, x),
+    "hJ": (lambda k, p, m, t, x: eval_h_jacobi(m, k, WrapParamsJacobi(*p), t, x),
            _WRAP_J, ("m", "real t", "real x")),
-    "hL": (lambda k, d, p, m, t, x: eval_h_laguerre(m, k, WrapParamsLaguerre(*p), t, x),
+    "hL": (lambda k, p, m, t, x: eval_h_laguerre(m, k, WrapParamsLaguerre(*p), t, x),
            _WRAP_L, ("m", "real t", "real x")),
-    "phi": (lambda k, d, p, axis, xi: phi_factor(axis, d, *p, k, xi),
-            ("alpha", "mu"), ("axis", "xi")),
-    "theta": (lambda k, d, p, m, xi: theta_factor(m, k, *p, d, xi),
+    "phi": (lambda k, p, axis, xi: phi_factor(axis, *p, k, xi), ("alpha", "mu"), ("axis", "xi")),
+    "theta": (lambda k, p, m, xi: theta_factor(m, k, *p, xi),
               ("zeta", "eta", "beta", "gamma", "mu"), ("m", "xi")),
-    "lambda": (lambda k, d, p, m, xi: lambda_factor(m, k, *p, d, xi),
+    "lambda": (lambda k, p, m, xi: lambda_factor(m, k, *p, xi),
                ("zeta", "mu", "beta"), ("m", "xi")),
-    "fourierJ": (lambda k, d, p, m, xi: fourier_h_jacobi_closed(m, k, WrapParamsJacobi(*p), d, xi),
+    "fourierJ": (lambda k, p, m, xi: fourier_h_jacobi_closed(m, k, WrapParamsJacobi(*p), xi),
                  _WRAP_J, ("m", "xi vector")),
-    "fourierL": (lambda k, d, p, m, xi: fourier_h_laguerre_closed(m, k, WrapParamsLaguerre(*p),
-                                                                   d, xi),
+    "fourierL": (lambda k, p, m, xi: fourier_h_laguerre_closed(m, k, WrapParamsLaguerre(*p), xi),
                  _WRAP_L, ("m", "xi vector")),
-    "D": (lambda k, d, p, x: eval_D(k, *p, d, x), SPLIT_NAMES[:2], ("x",)),
-    "A": (lambda k, d, p, m, t, x: eval_A(m, k, SplitParams(*p), d, t, x), SPLIT_NAMES,
-          ("m", "t", "x")),
-    "B": (lambda k, d, p, m, t, x: eval_B(m, k, SplitParams(*p), d, t, x), SPLIT_NAMES[:4],
+    "D": (lambda k, p, x: eval_D(k, *p, x), SPLIT_NAMES[:2], ("x",)),
+    "A": (lambda k, p, m, t, x: eval_A(m, k, SplitParams(*p), t, x), SPLIT_NAMES, ("m", "t", "x")),
+    "B": (lambda k, p, m, t, x: eval_B(m, k, SplitParams(*p), t, x), SPLIT_NAMES[:4],
           ("m", "t", "x")),
 }
 EVAL_FUNCTIONS = tuple(EVAL_TABLE)
@@ -482,7 +480,7 @@ def eval_point(args) -> complex:
     k = _parse_multi_index(args.k, args.d)
     points = [_POINT_KINDS[kind](args, kv) for kind in kinds]
     with np.errstate(all="ignore"):
-        value = complex(evaluator(k, args.d, [kv[n] for n in names], *points))
+        value = complex(evaluator(k, [kv[n] for n in names], *points))
     if not cmath.isfinite(value):
         raise DomainError(f"{args.fn} is not finite at this point: {value}")
     return value

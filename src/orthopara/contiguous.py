@@ -9,10 +9,11 @@ Four families of parameter-shift identities, each returning (lhs, rhs):
   * b_relation_pair:  the seven lifted relations of the infinite-height
     family (degree, zeta and argument shifts).
 
-The lifted relations shift only the degree, zeta/eta and t, so every term
-of one relation shares D_k(x; a1, a2): it is evaluated once, and each term
-is its t-factor times it, the product eval_A / eval_B form.  The multi-index
-is validated once per relation, by that eval_D; each term then runs the
+The lifted relations read the dimension d as len(k).  They shift only the
+degree, zeta/eta and t, so every term of one relation shares D_k(x; a1, a2):
+it is evaluated once, and each term is its t-factor times it, the product
+eval_A / eval_B form.  The multi-index is validated once per relation, by
+that eval_D, which also checks len(x) = len(k); each term then runs the
 t-factor's body (``transforms._A_t`` / ``_B_t``) on its shifted parameters,
 summed in the order of ``SplitParams.shifted`` and ``abs_zeta`` /
 ``abs_eta``, so a term equals A_t / B_t of the shifted SplitParams bit for
@@ -102,10 +103,10 @@ A_NEEDS_LOWER_DEGREE = frozenset({4})
 B_NEEDS_LOWER_DEGREE = frozenset({7})
 
 
-def a_relation_pair(i, m, k, sp: SplitParams, d, t, x):
+def a_relation_pair(i, m, k, sp: SplitParams, t, x):
     """Relation i (1-based) of the height-1 family at fixed (t, x)."""
     _check_degree(m)
-    D = eval_D(k, sp.alpha1, sp.alpha2, d, x)  # validates k
+    D = eval_D(k, sp.alpha1, sp.alpha2, x)  # validates k
     n = tail_sum(k, 1)
     Z = sp.abs_zeta
     E = sp.abs_eta
@@ -151,10 +152,10 @@ def a_relation_pair(i, m, k, sp: SplitParams, d, t, x):
     raise ValueError(f"A relation index {i} not in 1..7")
 
 
-def b_relation_pair(i, m, k, sp: SplitParams, d, t, x):
+def b_relation_pair(i, m, k, sp: SplitParams, t, x):
     """Relation i (1-based) of the infinite-height family at fixed (t, x)."""
     _check_degree(m)
-    D = eval_D(k, sp.alpha1, sp.alpha2, d, x)  # validates k
+    D = eval_D(k, sp.alpha1, sp.alpha2, x)  # validates k
     n = tail_sum(k, 1)
     Z = sp.abs_zeta
 

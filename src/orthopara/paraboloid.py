@@ -8,7 +8,8 @@ Two families share the shape f(t) * t^{n/2} P_k(x / sqrt(t)):
     factor is a Laguerre polynomial in t.
 
 The rescaled ball part is evaluated through ball_homogeneous, which is a
-polynomial in (t, x), so the apex t = 0 is a regular point.
+polynomial in (t, x), so the apex t = 0 is a regular point.  A function of a
+multi-index k reads d as len(k); the radial helpers, which take no k, take d.
 """
 
 from __future__ import annotations
@@ -37,26 +38,25 @@ def radial_factor(kind, m, n, beta, gamma, mu, d, t):
 
 
 def _degree_split(m, k):
-    """Validated k and n = |k| of a degree-m, index-k function (|k| <= m)."""
+    """Validated k, n = |k| and d = len(k) of a degree-m, index-k function
+    (|k| <= m)."""
     _check_degree(m)
     k = validate_multi_index(k)
     n = tail_sum(k, 1)
     if n > m:
         raise DomainError(f"|k| = {n} exceeds total degree m = {m}")
-    return k, n
+    return k, n, len(k)
 
 
-def _validate(m, k, beta, mu, d, gamma=None):
-    k, n = _degree_split(m, k)
-    if len(k) != d:
-        raise DomainError(f"multi-index length {len(k)} != dimension {d}")
+def _validate(m, k, beta, mu, gamma=None):
+    k, n, d = _degree_split(m, k)
     if beta <= -0.5 * (d + 1):
         raise DomainError("requires beta > -(d+1)/2")
     if mu <= -0.5:
         raise DomainError("requires mu > -1/2")
     if gamma is not None and gamma <= -1:
         raise DomainError("requires gamma > -1")
-    return k, n
+    return k, n, d
 
 
 def _check_point(t, x, b):
@@ -71,8 +71,7 @@ def _check_point(t, x, b):
 def jacobi_paraboloid(m, k, beta, gamma, mu, t, x):
     """Q^n_{k,m}(t, x) = P_{m-n}^(alpha_n, gamma)(1-2t) t^{n/2} P_k(x/sqrt(t)),
     the height-1 family."""
-    d = len(x)
-    k, n = _validate(m, k, beta, mu, d, gamma)
+    k, n, d = _validate(m, k, beta, mu, gamma)
     _check_point(t, x, 1.0)
     t = np.asarray(t)
     return radial_factor("jacobi", m, n, beta, gamma, mu, d, t) * ball_homogeneous(k, mu, x, t)
@@ -81,25 +80,24 @@ def jacobi_paraboloid(m, k, beta, gamma, mu, t, x):
 def laguerre_paraboloid(m, k, beta, mu, t, x):
     """R^n_{k,m}(t, x) = L_{m-n}^(alpha_n)(t) t^{n/2} P_k(x/sqrt(t)),
     the infinite-height family."""
-    d = len(x)
-    k, n = _validate(m, k, beta, mu, d)
+    k, n, d = _validate(m, k, beta, mu)
     _check_point(t, x, np.inf)
     t = np.asarray(t)
     return radial_factor("laguerre", m, n, beta, 0.0, mu, d, t) * ball_homogeneous(k, mu, x, t)
 
 
-def jacobi_paraboloid_norm(m, k, beta, gamma, mu, d):
+def jacobi_paraboloid_norm(m, k, beta, gamma, mu):
     """Diagonal inner product of Q^n_{k,m}: the radial Jacobi norm picks up
     2^{-(alpha_n+gamma+1)} from mapping (0,1) onto (-1,1)."""
-    k, n = _validate(m, k, beta, mu, d, gamma)
+    k, n, d = _validate(m, k, beta, mu, gamma)
     a = radial_alpha(n, beta, mu, d)
     return 2.0 ** (-(a + gamma + 1)) * jacobi_norm(m - n, a, gamma) * ball_norm(k, mu)
 
 
-def laguerre_paraboloid_norm(m, k, beta, mu, d):
+def laguerre_paraboloid_norm(m, k, beta, mu):
     """Diagonal inner product of R^n_{k,m}: Gamma(alpha_n+m-n+1)/(m-n)! times
     the ball norm."""
-    k, n = _validate(m, k, beta, mu, d)
+    k, n, d = _validate(m, k, beta, mu)
     return laguerre_norm(m - n, radial_alpha(n, beta, mu, d)) * ball_norm(k, mu)
 
 

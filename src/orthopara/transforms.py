@@ -1,6 +1,9 @@
 """Wrapped basis functions on R^d / R^{d+1}, their closed-form Fourier
 transforms, and the Gamma-hypergeometric families they generate.
 
+A function of a multi-index k reads the dimension d as len(k); only a point
+or frequency vector is checked against it (len(x) = d, len(xi) = d or d + 1).
+
 Everything accepts numpy-broadcastable arguments for points and frequencies
 (indices and parameters stay scalar), so frequency grids evaluate in one
 vectorized pass.  A scalar point (a Python number, a numpy scalar or a 0-d
@@ -132,13 +135,22 @@ def _sech2(x):
     return 1.0 / (c * c)
 
 
-def _axis_tail(j, d, k):
-    """Validated k and K = |k^{j+1}| of the factor on axis j (1-based) of d."""
+def _at_point(k, x):
+    """Validated k and d = len(k) of a product over the axes of the point x,
+    which must have d coordinates."""
     k = validate_multi_index(k)
-    if len(k) != d or j not in range(1, d + 1):
-        raise DomainError(f"axis factor needs len(k) = d and 1 <= j <= d, "
-                          f"got k = {k}, j = {j!r}, d = {d}")
-    return k, tail_sum(k, j + 1)
+    if len(x) != len(k):
+        raise DomainError(f"expected {len(k)} coordinates, got {len(x)}")
+    return k, len(k)
+
+
+def _axis_tail(j, k):
+    """Validated k, d = len(k) and K = |k^{j+1}| of the factor on axis j."""
+    k = validate_multi_index(k)
+    d = len(k)
+    if j not in range(1, d + 1):
+        raise DomainError(f"axis factor needs 1 <= j <= len(k), got k = {k}, j = {j!r}")
+    return k, d, tail_sum(k, j + 1)
 
 
 def eval_g(k, alpha, mu, x):
@@ -149,20 +161,17 @@ def eval_g(k, alpha, mu, x):
     with theta_j = tanh x_j prod_{i<j} sqrt(1-tanh^2 x_i).  Computed in the
     equivalent separated form, the product of g_axis over j = 1..d.
     """
-    k = validate_multi_index(k)
-    d = len(k)
-    if len(x) != d:
-        raise DomainError(f"expected {d} coordinates, got {len(x)}")
+    k, d = _at_point(k, x)
     return math.prod(_g_axis(j, d, alpha, mu, k, tail_sum(k, j + 1), x[j - 1])
                      for j in range(1, d + 1))
 
 
-def g_axis(j, d, alpha, mu, k, x_j):
+def g_axis(j, alpha, mu, k, x_j):
     """Factor of g_d on axis j (1-based), K = |k^{j+1}|:
 
         (1-tanh^2 x_j)^(alpha+(d-j)/4+K/2) C_{k_j}^(mu+K+(d-j)/2)(tanh x_j).
     """
-    k, K = _axis_tail(j, d, k)
+    k, d, K = _axis_tail(j, k)
     return _g_axis(j, d, alpha, mu, k, K, x_j)
 
 
@@ -188,13 +197,13 @@ def h_jacobi_t(m, k, params: WrapParamsJacobi, t):
     the Jacobi polynomial being the paraboloid's ``radial_factor`` at
     (1 + tanh t)/2.
     """
-    k, n = _degree_split(m, k)
+    k, n, d = _degree_split(m, k)
     th = np.tanh(np.asarray(t, dtype=float))
     return (
         2.0 ** (-0.5 * n)
         * (1.0 + th) ** (params.zeta + 0.5 * n)
         * (1.0 - th) ** params.eta
-        * radial_factor("jacobi", m, n, params.beta, params.gamma, params.mu, len(k),
+        * radial_factor("jacobi", m, n, params.beta, params.gamma, params.mu, d,
                         0.5 * (1.0 + th))
     )
 
@@ -211,11 +220,11 @@ def h_laguerre_t(m, k, params: WrapParamsLaguerre, t):
 
     the Laguerre polynomial being the paraboloid's ``radial_factor`` at e^t.
     """
-    k, n = _degree_split(m, k)
+    k, n, d = _degree_split(m, k)
     t = np.asarray(t, dtype=float)
     et = np.exp(t)
     return np.exp(-0.5 * et + (params.zeta + 0.5 * n) * t) * radial_factor(
-        "laguerre", m, n, params.beta, 0.0, params.mu, len(k), et)
+        "laguerre", m, n, params.beta, 0.0, params.mu, d, et)
 
 
 def _phi_beta_part(j, d, alpha, K, xi_j):
@@ -224,14 +233,14 @@ def _phi_beta_part(j, d, alpha, K, xi_j):
     return np.exp(log_gamma(ap) + log_gamma(am) - log_gamma(ap + am)), ap
 
 
-def phi_factor(j, d, alpha, mu, k, xi_j):
+def phi_factor(j, alpha, mu, k, xi_j):
     """Per-axis factor of the closed-form transform of g_d (1-based axis j):
 
         B(alpha + (K+i xi)/2 + (d-j)/4, alpha + (K-i xi)/2 + (d-j)/4)
         * 3F2(-k_j, k_j+2(K+mu+(d-j)/2), alpha+(K+i xi)/2+(d-j)/4;
                K+mu+(d-j+1)/2, K+2 alpha+(d-j)/2; 1),     K = |k^{j+1}|.
     """
-    k, K = _axis_tail(j, d, k)
+    k, d, K = _axis_tail(j, k)
     if alpha + 0.5 * K + 0.25 * (d - j) <= 0:
         raise DomainError("phi_factor: requires alpha + |k^{j+1}|/2 + (d-j)/4 > 0")
     bpart, ap = _phi_beta_part(j, d, alpha, K, _points(xi_j))
@@ -240,10 +249,10 @@ def phi_factor(j, d, alpha, mu, k, xi_j):
     return bpart * f
 
 
-def phi_factor_hahn(j, d, alpha, mu, k, xi_j):
+def phi_factor_hahn(j, alpha, mu, k, xi_j):
     """phi_factor rewritten through a continuous Hahn polynomial at xi/2;
     must agree with phi_factor identically."""
-    k, K = _axis_tail(j, d, k)
+    k, d, K = _axis_tail(j, k)
     if alpha + 0.5 * K + 0.25 * (d - j) <= 0:
         raise DomainError("phi_factor_hahn: requires alpha + |k^{j+1}|/2 + (d-j)/4 > 0")
     kj = k[j - 1]
@@ -262,47 +271,45 @@ def phi_factor_hahn(j, d, alpha, mu, k, xi_j):
     return math.factorial(kj) / denom * bpart * p
 
 
-def fourier_g_closed(k, alpha, mu, d, xi):
+def fourier_g_closed(k, alpha, mu, xi):
     """Closed-form Fourier transform of g_d:
 
         2^(2 d alpha + d(d-5)/4 + sum_j j k_{j+1})
         * prod_j (2(K_j+mu+(d-j)/2))_{k_j} / k_j! * phi_j(xi_j).
     """
-    k = validate_multi_index(k)
-    if len(k) != d or len(xi) != d:
-        raise DomainError("fourier_g_closed: k and xi must have length d")
+    k, d = _at_point(k, xi)
     expo = 2 * d * alpha + d * (d - 5) / 4 + sum(j * k[j] for j in range(1, d))
     out = 2.0**expo
     for j in range(1, d + 1):
         K = tail_sum(k, j + 1)
         kj = k[j - 1]
         out = out * pochhammer(2 * (K + mu + 0.5 * (d - j)), kj) / math.factorial(kj)
-        out = out * phi_factor(j, d, alpha, mu, k, xi[j - 1])
+        out = out * phi_factor(j, alpha, mu, k, xi[j - 1])
     return out
 
 
-def theta_factor(m, k, zeta, eta, beta, gamma, mu, d, xi_last):
+def theta_factor(m, k, zeta, eta, beta, gamma, mu, xi_last):
     """Degree-coupling factor of the height-1 transform:
 
         3F2(-m+|k|, m+mu+beta+gamma+(d+1)/2, |k|/2+zeta-i xi/2;
              |k|+mu+beta+(d+1)/2, |k|/2+zeta+eta; 1).
     """
-    k, n = _degree_split(m, k)
+    k, n, d = _degree_split(m, k)
     return hahn_3f2(m - n, n + mu + beta + gamma + 0.5 * (d + 3),
                     0.5 * n + zeta - 0.5j * _points(xi_last),
                     n + mu + beta + 0.5 * (d + 1), 0.5 * n + zeta + eta)
 
 
-def fourier_h_jacobi_closed(m, k, params: WrapParamsJacobi, d, xi):
+def fourier_h_jacobi_closed(m, k, params: WrapParamsJacobi, xi):
     """Closed-form Fourier transform of the height-1 wrapped function.
 
     xi is the full frequency point (xi_1..xi_d, xi_{d+1}).
     """
-    k, n = _degree_split(m, k)
+    k, n, d = _degree_split(m, k)
     if params.zeta + 0.5 * n <= 0 or params.eta <= 0:
         raise DomainError("requires zeta + |k|/2 > 0 and eta > 0")
     if len(xi) != d + 1:
-        raise DomainError("xi must have length d+1")
+        raise DomainError(f"expected {d + 1} frequencies, got {len(xi)}")
     xl = _points(xi[d])
     lg = (
         log_gamma(params.zeta + 0.5 * n - 0.5j * xl)
@@ -316,31 +323,31 @@ def fourier_h_jacobi_closed(m, k, params: WrapParamsJacobi, d, xi):
         * np.exp(lg)
     )
     th = theta_factor(
-        m, k, params.zeta, params.eta, params.beta, params.gamma, params.mu, d, xl
+        m, k, params.zeta, params.eta, params.beta, params.gamma, params.mu, xl
     )
-    return pref * th * fourier_g_closed(k, params.alpha, params.mu, d, xi[:d])
+    return pref * th * fourier_g_closed(k, params.alpha, params.mu, xi[:d])
 
 
-def lambda_factor(m, k, zeta, mu, beta, d, xi_last):
+def lambda_factor(m, k, zeta, mu, beta, xi_last):
     """Degree-coupling factor of the infinite-height transform:
 
         2F1(-m+|k|, zeta+|k|/2-i xi; |k|+mu+beta+(d+1)/2; 2).
     """
-    k, n = _degree_split(m, k)
+    k, n, d = _degree_split(m, k)
     return meixner_pollaczek_2f1(m - n, zeta + 0.5 * n - 1j * _points(xi_last),
                                  n + mu + beta + 0.5 * (d + 1))
 
 
-def fourier_h_laguerre_closed(m, k, params: WrapParamsLaguerre, d, xi):
+def fourier_h_laguerre_closed(m, k, params: WrapParamsLaguerre, xi):
     """Closed-form Fourier transform of the infinite-height wrapped function.
 
     The 2^{-i xi_{d+1}} prefactor is complex of unit modulus.
     """
-    k, n = _degree_split(m, k)
+    k, n, d = _degree_split(m, k)
     if params.zeta + 0.5 * n <= 0:
         raise DomainError("requires zeta + |k|/2 > 0")
     if len(xi) != d + 1:
-        raise DomainError("xi must have length d+1")
+        raise DomainError(f"expected {d + 1} frequencies, got {len(xi)}")
     xl = _points(xi[d])
     c = params.zeta + 0.5 * n - 1j * xl
     pref = (
@@ -348,27 +355,25 @@ def fourier_h_laguerre_closed(m, k, params: WrapParamsLaguerre, d, xi):
         * pochhammer(n + params.mu + params.beta + 0.5 * (d + 1), m - n)
         / math.factorial(m - n)
     )
-    lam = lambda_factor(m, k, params.zeta, params.mu, params.beta, d, xl)
-    return pref * lam * fourier_g_closed(k, params.alpha, params.mu, d, xi[:d])
+    lam = lambda_factor(m, k, params.zeta, params.mu, params.beta, xl)
+    return pref * lam * fourier_g_closed(k, params.alpha, params.mu, xi[:d])
 
 
-def eval_D(k, alpha1, alpha2, d, x):
+def eval_D(k, alpha1, alpha2, x):
     """Gamma-hypergeometric product over the x axes: prod_j D_axis(x_j)."""
-    k = validate_multi_index(k)
-    if len(k) != d or len(x) != d:
-        raise DomainError("eval_D: k and x must have length d")
+    k, d = _at_point(k, x)
     return math.prod(_D_axis(j, d, alpha1, alpha2, k, tail_sum(k, j + 1), x[j - 1])
                      for j in range(1, d + 1))
 
 
-def D_axis(j, d, alpha1, alpha2, k, x_j):
+def D_axis(j, alpha1, alpha2, k, x_j):
     """Factor of D_k on axis j (1-based), K = |k^{j+1}|:
 
         Gamma(a1+(K-x_j)/2+(d-j)/4) Gamma(a1+(K+x_j)/2+(d-j)/4)
         * 3F2(-k_j, k_j+2(K+|a|+(d-j-1)/2), a1+(K+x_j)/2+(d-j)/4;
                K+|a|+(d-j)/2, K+2 a1+(d-j)/2; 1).
     """
-    k, K = _axis_tail(j, d, k)
+    k, d, K = _axis_tail(j, k)
     return _D_axis(j, d, alpha1, alpha2, k, K, x_j)
 
 
@@ -384,11 +389,9 @@ def _D_axis(j, d, alpha1, alpha2, k, K, x_j):
         K + 2 * alpha1 + 0.5 * (d - j))
 
 
-def eval_D_hahn(k, alpha1, alpha2, d, x):
+def eval_D_hahn(k, alpha1, alpha2, x):
     """eval_D rewritten through continuous Hahn polynomials at -i x_j / 2."""
-    k = validate_multi_index(k)
-    if len(k) != d or len(x) != d:
-        raise DomainError("eval_D_hahn: k and x must have length d")
+    k, d = _at_point(k, x)
     absa = alpha1 + alpha2
     lg = 0.0
     rest = 1.0
@@ -412,13 +415,13 @@ def eval_D_hahn(k, alpha1, alpha2, d, x):
     return np.exp(lg) * rest
 
 
-def eval_A(m, k, sp: SplitParams, d, t, x):
+def eval_A(m, k, sp: SplitParams, t, x):
     """The height-1 Parseval family: A_t(t) * D_k(x; a1, a2).
 
     Accepts fully complex (t, x); the Parseval integrals evaluate it at
     (i t, i x) and (-i t, -i x) with the parameter pairs swapped.
     """
-    return A_t(m, k, sp, t) * eval_D(k, sp.alpha1, sp.alpha2, d, x)
+    return A_t(m, k, sp, t) * eval_D(k, sp.alpha1, sp.alpha2, x)
 
 
 def A_t(m, k, sp: SplitParams, t):
@@ -429,7 +432,7 @@ def A_t(m, k, sp: SplitParams, t):
     """
     if sp.eta1 is None:
         raise DomainError("the height-1 family requires the eta parameter pair")
-    k, n = _degree_split(m, k)
+    k, n, _ = _degree_split(m, k)
     return _A_t(m - n, n, sp.zeta1, sp.abs_zeta, sp.eta1, sp.abs_eta, t)
 
 
@@ -441,11 +444,11 @@ def _A_t(M, n, zeta1, Z, eta1, E, t):
     return np.exp(log_gamma(arg)) * f
 
 
-def eval_A_hahn(m, k, sp: SplitParams, d, t, x):
+def eval_A_hahn(m, k, sp: SplitParams, t, x):
     """eval_A through the continuous Hahn form of both the t part and D."""
     if sp.eta1 is None:
         raise DomainError("eval_A_hahn requires the eta parameter pair")
-    k, n = _degree_split(m, k)
+    k, n, _ = _degree_split(m, k)
     M = m - n
     t = _points(t)
     arg = 0.5 * n + sp.zeta1 - 0.5 * t
@@ -456,13 +459,13 @@ def eval_A_hahn(m, k, sp: SplitParams, d, t, x):
     return (
         math.factorial(M) * 1j ** (n - m) / denom
         * np.exp(log_gamma(arg)) * p
-        * eval_D_hahn(k, sp.alpha1, sp.alpha2, d, x)
+        * eval_D_hahn(k, sp.alpha1, sp.alpha2, x)
     )
 
 
-def eval_B(m, k, sp: SplitParams, d, t, x):
+def eval_B(m, k, sp: SplitParams, t, x):
     """The infinite-height Parseval family: B_t(t) * D_k(x; a1, a2)."""
-    return B_t(m, k, sp, t) * eval_D(k, sp.alpha1, sp.alpha2, d, x)
+    return B_t(m, k, sp, t) * eval_D(k, sp.alpha1, sp.alpha2, x)
 
 
 def B_t(m, k, sp: SplitParams, t):
@@ -470,7 +473,7 @@ def B_t(m, k, sp: SplitParams, t):
 
         Gamma(z1+|k|/2-t) 2F1(-m+|k|, z1+|k|/2-t; |k|+|z|; 2).
     """
-    k, n = _degree_split(m, k)
+    k, n, _ = _degree_split(m, k)
     return _B_t(m - n, n, sp.zeta1, sp.abs_zeta, t)
 
 
@@ -481,7 +484,7 @@ def _B_t(M, n, zeta1, Z, t):
     return np.exp(log_gamma(arg)) * meixner_pollaczek_2f1(M, arg, n + Z)
 
 
-def eval_B_hahn(m, k, sp: SplitParams, d, t, x):
+def eval_B_hahn(m, k, sp: SplitParams, t, x):
     """eval_B with the x part in continuous Hahn form (the t part keeps its
     2F1 at argument 2)."""
-    return B_t(m, k, sp, t) * eval_D_hahn(k, sp.alpha1, sp.alpha2, d, x)
+    return B_t(m, k, sp, t) * eval_D_hahn(k, sp.alpha1, sp.alpha2, x)

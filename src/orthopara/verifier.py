@@ -215,12 +215,12 @@ def _ort_1d(case):
     return _gram(case, t0, column, norm, m, m2, _gram_levels(16, m + m2), gram_entry)
 
 
-def _ball_gram(column, d, mu, k, k2, n):
+def _ball_gram(column, mu, k, k2, n):
     """<P_k, P_k2> on the n-point ``ball_rules``: in the slice coordinates
     both are products of ``ball_axis`` factors, so it is one sum per axis.
     The rules and the axis lines come from ``column``."""
     val = 1.0
-    for j, r in enumerate(column(("ball_rules", n), lambda: ball_rules(d, mu, n)), start=1):
+    for j, r in enumerate(column(("ball_rules", n), lambda: ball_rules(len(k), mu, n)), start=1):
         axis = lambda kk: column(("axis", n, j, kk), lambda: ball_axis(j, mu, kk, r.nodes))
         val = val * (r.weights * axis(k) * axis(k2)).sum()
     return val
@@ -233,21 +233,22 @@ def _ort_ball(case):
     k, k2, d = case.k, case.k2, case.d
     levels = _gram_levels(12, tail_sum(k, 1) + tail_sum(k2, 1))
     return _gram(case, t0, column, lambda kk: ball_norm(kk, mu), k, k2, levels,
-                 lambda n: (_ball_gram(column, d, mu, k, k2, n), d * n))
+                 lambda n: (_ball_gram(column, mu, k, k2, n), d * n))
 
 
-def _para_gram(column, kind, beta, gamma, mu, d, mk, mk2, n):
+def _para_gram(column, kind, beta, gamma, mu, mk, mk2, n):
     """<basis(m, k), basis(m2, k2)> on the n-point radial and ball rules: a
     basis function is its ``radial_factor`` times t^{|k|/2} P_k(y) with
     x = sqrt(t) y, so it is one ``t_rule`` sum times the ball Gram entry of
     (k, k2).  The rule and the lines come from ``column``."""
     (m, k), (m2, k2) = mk, mk2
+    d = len(k)
     rule = column(("t", n), lambda: t_rule(kind, n, beta, gamma, mu, d))
     t, w = rule.nodes, rule.weights
     radial = lambda mm, kk: column(("rad", n, mm, kk), lambda: radial_factor(
         kind, mm, tail_sum(kk, 1), beta, gamma, mu, d, t))
     val = (w * radial(m, k) * radial(m2, k2) * t ** ((tail_sum(k, 1) + tail_sum(k2, 1)) / 2)).sum()
-    return val * _ball_gram(column, d, mu, k, k2, n)
+    return val * _ball_gram(column, mu, k, k2, n)
 
 
 def _ort_para(case):
@@ -257,13 +258,13 @@ def _ort_para(case):
     d, mu, beta = case.d, p["mu"], p["beta"]
     if case.identity_id == "ORT_PARA_J":
         kind, gamma = "jacobi", p["gamma"]
-        norm = lambda mk: jacobi_paraboloid_norm(*mk, beta, gamma, mu, d)
+        norm = lambda mk: jacobi_paraboloid_norm(*mk, beta, gamma, mu)
     else:
         kind, gamma = "laguerre", 0.0
-        norm = lambda mk: laguerre_paraboloid_norm(*mk, beta, mu, d)
+        norm = lambda mk: laguerre_paraboloid_norm(*mk, beta, mu)
     mk, mk2 = (case.m, case.k), (case.m2, case.k2)
     return _gram(case, t0, column, norm, mk, mk2, _gram_levels(12, case.m + case.m2),
-                 lambda n: (_para_gram(column, kind, beta, gamma, mu, d, mk, mk2, n), (d + 1) * n))
+                 lambda n: (_para_gram(column, kind, beta, gamma, mu, mk, mk2, n), (d + 1) * n))
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +280,8 @@ def _line_rule(left, right, level):
     return composite_legendre(-left, right, panels, 12)
 
 
-def _fourier_rules(fam, k, wp, d, level):
-    """The t rule and the d x rules of the direct transform at ``level``:
+def _fourier_rules(fam, k, wp, level):
+    """The t rule and the len(k) x rules of the direct transform at ``level``:
     each side is cut where its exp(-rate |s|) decay falls below 1e-13 (with
     a 15% margin), except the right side of the Laguerre t-factor, which
     decays like exp(-e^t / 2) and is cut at t = 4.8."""
@@ -291,21 +292,21 @@ def _fourier_rules(fam, k, wp, d, level):
     else:
         t_rule = _line_rule(cut(wp.zeta + 0.5 * n), 4.8, level)
     x = cut(2 * wp.alpha)
-    return t_rule, tuple(_line_rule(x, x, level) for _ in range(d))
+    return t_rule, tuple(_line_rule(x, x, level) for _ in k)
 
 
-def _fourier_direct(fam, m, k, wp, d, xi, level, column):
+def _fourier_direct(fam, m, k, wp, xi, level, column):
     """Direct numeric transform of h = h_t(t) prod_j g_axis(x_j): the 1-D
     transform of the t-factor times one 1-D transform per x axis.  The rules
     and the factor lines do not depend on xi and come from ``column``."""
     t_rule, x_rules = column(("rules", tail_sum(k, 1), level),
-                             lambda: _fourier_rules(fam, k, wp, d, level))
+                             lambda: _fourier_rules(fam, k, wp, level))
     h_t = h_jacobi_t if fam == "FOURIER_J" else h_laguerre_t
     t = t_rule.nodes
     ht = column(("h", m, k, level), lambda: h_t(m, k, wp, t))
-    val = (t_rule.weights * np.exp(-1j * xi[d] * t) * ht).sum()
+    val = (t_rule.weights * np.exp(-1j * xi[len(k)] * t) * ht).sum()
     for j, r in enumerate(x_rules, start=1):
-        fx = column(("g", j, k, level), lambda: g_axis(j, d, wp.alpha, wp.mu, k, r.nodes))
+        fx = column(("g", j, k, level), lambda: g_axis(j, wp.alpha, wp.mu, k, r.nodes))
         val = val * (r.weights * np.exp(-1j * xi[j - 1] * r.nodes) * fx).sum()
     return val, len(t_rule) + sum(len(r) for r in x_rules)
 
@@ -315,14 +316,13 @@ def _fourier(case):
     column = _memo.open(case)
     if case.identity_id == "FOURIER_J":
         wp = WrapParamsJacobi(**case.params)
-        closed = fourier_h_jacobi_closed(case.m, case.k, wp, case.d, case.xi)
+        closed = fourier_h_jacobi_closed(case.m, case.k, wp, case.xi)
     else:
         wp = WrapParamsLaguerre(**case.params)
-        closed = fourier_h_laguerre_closed(case.m, case.k, wp, case.d, case.xi)
+        closed = fourier_h_laguerre_closed(case.m, case.k, wp, case.xi)
     val, nodes = _certified(
         (0, 1),
-        lambda level: _fourier_direct(case.identity_id, case.m, case.k, wp, case.d, case.xi,
-                                      level, column),
+        lambda level: _fourier_direct(case.identity_id, case.m, case.k, wp, case.xi, level, column),
         case.tolerance, abs(closed),
     )
     return _finish(case, val, closed, abs(closed), nodes, t0)
@@ -334,10 +334,11 @@ def _fourier(case):
 _PARSEVAL_LEVELS = (16, 24, 36)  # panels per (two-sided) axis, 1.5x refinement
 
 
-def parseval_rhs(fam, m, k, sp, d):
-    """The Parseval constant (diagonal value) in log space.  Its power of 2
-    carries -(d-1)(d-2)/2, which is 0 at d <= 2; without that term the value
-    is 2^((d-1)(d-2)/2) times too large at every d >= 3."""
+def parseval_rhs(fam, m, k, sp):
+    """The Parseval constant (diagonal value) in log space, d = len(k).  Its
+    power of 2 carries -(d-1)(d-2)/2, which is 0 at d <= 2; without that
+    term the value is 2^((d-1)(d-2)/2) times too large at every d >= 3."""
+    d = len(k)
     n = tail_sum(k, 1)
     M = m - n
     absa, absz = sp.abs_alpha, sp.abs_zeta
@@ -378,7 +379,7 @@ def _parseval_rule(panels):
     return composite_legendre(-T, T, panels, 12)
 
 
-def _parseval_lhs(fam, m, k, m2, k2, sp, d, panels, column):
+def _parseval_lhs(fam, m, k, m2, k2, sp, panels, column):
     """The Parseval integral of F(it, ix) G(-it, -ix), F and G the A (with
     its Gamma weight in t) or B family: a t-factor times prod_j D_axis, so the
     integral is the weighted t-sum times one D-line sum per x axis.  The
@@ -395,12 +396,11 @@ def _parseval_lhs(fam, m, k, m2, k2, sp, d, panels, column):
     f = column(("t", m, k, panels, 1), lambda: f_t(m, k, sp, 1j * s))
     g = column(("t", m2, k2, panels, -1), lambda: f_t(m2, k2, sp.swapped(), -1j * s))
     val = (w * f * g).sum()
-    for j in range(1, d + 1):
-        f = column(("D", j, k, panels, 1), lambda: D_axis(j, d, sp.alpha1, sp.alpha2, k, 1j * s))
-        g = column(("D", j, k2, panels, -1),
-                   lambda: D_axis(j, d, sp.alpha2, sp.alpha1, k2, -1j * s))
+    for j in range(1, len(k) + 1):
+        f = column(("D", j, k, panels, 1), lambda: D_axis(j, sp.alpha1, sp.alpha2, k, 1j * s))
+        g = column(("D", j, k2, panels, -1), lambda: D_axis(j, sp.alpha2, sp.alpha1, k2, -1j * s))
         val = val * (rule.weights * f * g).sum()
-    return val, (d + 1) * len(rule)
+    return val, (len(k) + 1) * len(rule)
 
 
 def _parseval(case):
@@ -408,10 +408,10 @@ def _parseval(case):
     column = _memo.open(case)
     sp = SplitParams(**case.params)
     return _gram(
-        case, t0, column, lambda mk: parseval_rhs(case.identity_id, *mk, sp, case.d),
+        case, t0, column, lambda mk: parseval_rhs(case.identity_id, *mk, sp),
         (case.m, case.k), (case.m2, case.k2), _PARSEVAL_LEVELS,
         lambda panels: _parseval_lhs(case.identity_id, case.m, case.k, case.m2, case.k2,
-                                     sp, case.d, panels, column),
+                                     sp, panels, column),
     )
 
 
@@ -435,10 +435,10 @@ def _contiguous(case):
         if fam == "CONTIG_A":
             sp = SplitParams(p["alpha1"], p["alpha2"], p["zeta1"], p["zeta2"],
                              p["eta1"], p["eta2"], check=False)
-            lhs, rhs = a_relation_pair(idx, case.m, case.k, sp, case.d, t, x)
+            lhs, rhs = a_relation_pair(idx, case.m, case.k, sp, t, x)
         else:
             sp = SplitParams(p["alpha1"], p["alpha2"], p["zeta1"], p["zeta2"], check=False)
-            lhs, rhs = b_relation_pair(idx, case.m, case.k, sp, case.d, t, x)
+            lhs, rhs = b_relation_pair(idx, case.m, case.k, sp, t, x)
     except PoleError as exc:
         return _skip(case, f"pole: {exc}", t0)
     scale = max(abs(lhs), abs(rhs))
@@ -450,17 +450,17 @@ def _form_equiv(case):
     p = case.params
     if case.identity_id == "FORM_EQUIV_PHI":
         j = int(p["axis"])
-        lhs = phi_factor(j, case.d, p["alpha"], p["mu"], case.k, p["xi"])
-        rhs = phi_factor_hahn(j, case.d, p["alpha"], p["mu"], case.k, p["xi"])
+        lhs = phi_factor(j, p["alpha"], p["mu"], case.k, p["xi"])
+        rhs = phi_factor_hahn(j, p["alpha"], p["mu"], case.k, p["xi"])
     elif case.identity_id == "FORM_EQUIV_D":
         t, x = _complex_point(p, case.d)
-        lhs = eval_D(case.k, p["alpha1"], p["alpha2"], case.d, x)
-        rhs = eval_D_hahn(case.k, p["alpha1"], p["alpha2"], case.d, x)
+        lhs = eval_D(case.k, p["alpha1"], p["alpha2"], x)
+        rhs = eval_D_hahn(case.k, p["alpha1"], p["alpha2"], x)
     else:
         sp = SplitParams(p["alpha1"], p["alpha2"], p["zeta1"], p["zeta2"], p["eta1"], p["eta2"])
         t, x = _complex_point(p, case.d)
-        lhs = eval_A(case.m, case.k, sp, case.d, t, x)
-        rhs = eval_A_hahn(case.m, case.k, sp, case.d, t, x)
+        lhs = eval_A(case.m, case.k, sp, t, x)
+        rhs = eval_A_hahn(case.m, case.k, sp, t, x)
     scale = max(abs(lhs), abs(rhs))
     return _finish(case, lhs, rhs, scale if scale > 0 else 1.0, 0, t0)
 

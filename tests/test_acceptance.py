@@ -195,8 +195,8 @@ def test_criterion_7_contiguous_relations():
             spb = SplitParams(*rng.uniform(0.3, 2.5, 4), check=False)
             t = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(dd)]
-            worst = max(worst, rel(*a_relation_pair(i, m, k, spa, dd, t, x)))
-            worst = max(worst, rel(*b_relation_pair(i, m, k, spb, dd, t, x)))
+            worst = max(worst, rel(*a_relation_pair(i, m, k, spa, t, x)))
+            worst = max(worst, rel(*b_relation_pair(i, m, k, spb, t, x)))
     elapsed = time.perf_counter() - t0
     _announce(7, "contiguous relations", worst <= 1e-10 and elapsed < 10.0, worst, elapsed)
 

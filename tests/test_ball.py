@@ -131,4 +131,4 @@ def test_multi_index_entries_must_be_integers():
         with pytest.raises(DomainError):
             validate_multi_index(k)
     with pytest.raises(DomainError):
-        eval_D((1.7,), 0.7, 0.9, 1, [0.3 + 0.1j])
+        eval_D((1.7,), 0.7, 0.9, [0.3 + 0.1j])

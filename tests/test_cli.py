@@ -677,29 +677,29 @@ EVAL_CASES = {
             "--x", "0.2,0.5"],
            lambda: eval_h_laguerre(3, (1, 1), WrapParamsLaguerre(**L4), -0.6, [0.2, 0.5])),
     "phi": (["--d", "2", "--k", "1,1", "--params", "alpha=0.9,mu=0.6,axis=2", "--xi", "0.7"],
-            lambda: phi_factor(2, 2, 0.9, 0.6, (1, 1), 0.7)),
+            lambda: phi_factor(2, 0.9, 0.6, (1, 1), 0.7)),
     "theta": (["--d", "1", "--m", "2", "--k", "1",
                "--params", "zeta=1.1,eta=0.9,beta=0.3,gamma=0.4,mu=0.7", "--xi", "0.6"],
-              lambda: theta_factor(2, (1,), 1.1, 0.9, 0.3, 0.4, 0.7, 1, 0.6)),
+              lambda: theta_factor(2, (1,), 1.1, 0.9, 0.3, 0.4, 0.7, 0.6)),
     "lambda": (["--d", "2", "--m", "3", "--k", "1,0", "--params", "zeta=1.1,mu=0.7,beta=0.3",
                 "--xi=-0.5"],
-               lambda: lambda_factor(3, (1, 0), 1.1, 0.7, 0.3, 2, -0.5)),
+               lambda: lambda_factor(3, (1, 0), 1.1, 0.7, 0.3, -0.5)),
     "fourierJ": (["--d", "1", "--m", "2", "--k", "1", "--params", _kv(J6), "--xi", "0.3,-0.7"],
-                 lambda: fourier_h_jacobi_closed(2, (1,), WrapParamsJacobi(**J6), 1, [0.3, -0.7])),
+                 lambda: fourier_h_jacobi_closed(2, (1,), WrapParamsJacobi(**J6), [0.3, -0.7])),
     "fourierL": (["--d", "2", "--m", "1", "--k", "0,1", "--params", _kv(L4),
                   "--xi", "0.3,-0.7,1.2"],
-                 lambda: fourier_h_laguerre_closed(1, (0, 1), WrapParamsLaguerre(**L4), 2,
+                 lambda: fourier_h_laguerre_closed(1, (0, 1), WrapParamsLaguerre(**L4),
                                                    [0.3, -0.7, 1.2])),
     "D": (["--d", "2", "--k", "1,2", "--params", "alpha1=0.7,alpha2=0.9",
            "--x", "0.3+0.2j,-0.1-0.4j"],
-          lambda: eval_D((1, 2), 0.7, 0.9, 2, [0.3 + 0.2j, -0.1 - 0.4j])),
+          lambda: eval_D((1, 2), 0.7, 0.9, [0.3 + 0.2j, -0.1 - 0.4j])),
     "A": (["--d", "1", "--m", "2", "--k", "1", "--params", _kv(SPLIT), "--t", "0.3+0.2j",
            "--x=-0.4+0.1j"],
-          lambda: eval_A(2, (1,), SplitParams(**SPLIT), 1, 0.3 + 0.2j, [-0.4 + 0.1j])),
+          lambda: eval_A(2, (1,), SplitParams(**SPLIT), 0.3 + 0.2j, [-0.4 + 0.1j])),
     "B": (["--d", "2", "--m", "3", "--k", "1,1",
            "--params", "alpha1=0.7,alpha2=0.9,zeta1=0.8,zeta2=1.2", "--t", "0.1-0.3j",
            "--x", "0.2+0.1j,0.5"],
-          lambda: eval_B(3, (1, 1), SplitParams(0.7, 0.9, 0.8, 1.2), 2, 0.1 - 0.3j,
+          lambda: eval_B(3, (1, 1), SplitParams(0.7, 0.9, 0.8, 1.2), 0.1 - 0.3j,
                          [0.2 + 0.1j, 0.5 + 0j])),
 }
 

@@ -75,7 +75,7 @@ def _draw_case(rng, with_eta):
     sp = SplitParams(*vals, check=False)
     t = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d)]
-    return m, k, sp, d, t, x
+    return m, k, sp, t, x
 
 
 @pytest.mark.parametrize("i", range(1, N_RELATIONS + 1))
@@ -83,8 +83,8 @@ def test_a_relations(i):
     rng = np.random.default_rng(100 + i)
     worst = 0.0
     for _ in range(100):
-        m, k, sp, d, t, x = _draw_case(rng, with_eta=True)
-        lhs, rhs = a_relation_pair(i, m, k, sp, d, t, x)
+        m, k, sp, t, x = _draw_case(rng, with_eta=True)
+        lhs, rhs = a_relation_pair(i, m, k, sp, t, x)
         worst = max(worst, _rel(lhs, rhs))
     assert worst <= 1e-10
 
@@ -94,8 +94,8 @@ def test_b_relations(i):
     rng = np.random.default_rng(200 + i)
     worst = 0.0
     for _ in range(100):
-        m, k, sp, d, t, x = _draw_case(rng, with_eta=False)
-        lhs, rhs = b_relation_pair(i, m, k, sp, d, t, x)
+        m, k, sp, t, x = _draw_case(rng, with_eta=False)
+        lhs, rhs = b_relation_pair(i, m, k, sp, t, x)
         worst = max(worst, _rel(lhs, rhs))
     assert worst <= 1e-10
 
@@ -105,10 +105,10 @@ def test_a_relation_degenerate_degree_collapse():
     # reduce to the same trivial values
     sp = SplitParams(0.7, 0.9, 0.8, 1.2, 0.6, 1.1)
     t, x = 0.3 + 0.2j, [0.1 - 0.4j]
-    lhs, rhs = a_relation_pair(1, 2, (2,), sp, 1, t, x)
+    lhs, rhs = a_relation_pair(1, 2, (2,), sp, t, x)
     assert _rel(lhs, rhs) <= 1e-13
     Z, E = sp.abs_zeta, sp.abs_eta
-    want = (2 + Z + E - 1) * eval_A(2, (2,), sp.shifted(eta2=1), 1, t, x)
+    want = (2 + Z + E - 1) * eval_A(2, (2,), sp.shifted(eta2=1), t, x)
     assert lhs == pytest.approx(want, rel=1e-13)
 
 
@@ -121,10 +121,10 @@ def test_relations_requiring_lower_degree():
     t, x = 0.3 + 0.2j, [0.1 - 0.4j]
     for i in A_NEEDS_LOWER_DEGREE:
         with pytest.raises(DomainError):
-            a_relation_pair(i, 1, (1,), spa, 1, t, x)
+            a_relation_pair(i, 1, (1,), spa, t, x)
     for i in B_NEEDS_LOWER_DEGREE:
         with pytest.raises(DomainError):
-            b_relation_pair(i, 1, (1,), spb, 1, t, x)
+            b_relation_pair(i, 1, (1,), spb, t, x)
 
 
 def test_b_relations_reference_higher_degree():
@@ -132,9 +132,9 @@ def test_b_relations_reference_higher_degree():
     # hold (vi becomes 0 = 0, judged against the magnitude of its terms)
     sp = SplitParams(0.7, 0.9, 0.8, 1.2)
     t, x = 0.2 - 0.3j, [0.5 + 0.1j]
-    scale = abs(eval_B(2, (2,), sp, 1, t, x))
+    scale = abs(eval_B(2, (2,), sp, t, x))
     for i in (1, 6):
-        lhs, rhs = b_relation_pair(i, 2, (2,), sp, 1, t, x)
+        lhs, rhs = b_relation_pair(i, 2, (2,), sp, t, x)
         assert abs(lhs - rhs) <= 1e-12 * scale
 
 
@@ -146,7 +146,7 @@ def test_relation_shifts_a_checked_parameter_set_below_zero(side, i):
         pair, sp = a_relation_pair, SplitParams(0.7, 0.9, 0.8, 1.2, 0.6, 1.1)
     else:
         pair, sp = b_relation_pair, SplitParams(0.7, 0.9, 0.8, 0.6)
-    lhs, rhs = pair(i, 2, (1, 0), sp, 2, 0.3 - 0.2j, [0.4 + 0.1j, -0.2 + 0.3j])
+    lhs, rhs = pair(i, 2, (1, 0), sp, 0.3 - 0.2j, [0.4 + 0.1j, -0.2 + 0.3j])
     assert _rel(lhs, rhs) <= 1e-10
 
 
@@ -163,7 +163,7 @@ def test_relation_evaluates_its_x_factor_once(side, i, monkeypatch):
     monkeypatch.setattr(contiguous, "eval_D", counted)
     sp = SplitParams(0.7, 0.9, 0.8, 1.2, *((0.6, 1.1) if side == "A" else ()), check=False)
     pair = a_relation_pair if side == "A" else b_relation_pair
-    lhs, rhs = pair(i, 3, (1, 0), sp, 2, 0.3 + 0.2j, [0.1 - 0.4j, 0.5 + 0.1j])
+    lhs, rhs = pair(i, 3, (1, 0), sp, 0.3 + 0.2j, [0.1 - 0.4j, 0.5 + 0.1j])
     assert len(calls) == 1
     assert _rel(lhs, rhs) <= 1e-12
 
@@ -173,10 +173,10 @@ def test_relation_terms_keep_the_bits_of_the_family_evaluators():
     # eval_B form, so single-term sides equal the evaluators bit for bit
     spa = SplitParams(0.7, 0.9, 0.8, 1.2, 0.6, 1.1)
     spb = SplitParams(0.7, 0.9, 0.8, 1.2)
-    m, k, d, t, x = 3, (1, 0), 2, 0.3 + 0.2j, [0.1 - 0.4j, 0.5 + 0.1j]
-    assert a_relation_pair(7, m, k, spa, d, t, x)[0] == eval_A(m, k, spa, d, t - 2, x)
-    lhs = b_relation_pair(1, m, k, spb, d, t, x)[0]
-    assert lhs == (1 + 2 * spb.zeta2 + 2 * t) * eval_B(m, k, spb.shifted(zeta1=1), d, t + 1, x)
+    m, k, t, x = 3, (1, 0), 0.3 + 0.2j, [0.1 - 0.4j, 0.5 + 0.1j]
+    assert a_relation_pair(7, m, k, spa, t, x)[0] == eval_A(m, k, spa, t - 2, x)
+    lhs = b_relation_pair(1, m, k, spb, t, x)[0]
+    assert lhs == (1 + 2 * spb.zeta2 + 2 * t) * eval_B(m, k, spb.shifted(zeta1=1), t + 1, x)
 
 
 @st.composite
@@ -191,10 +191,10 @@ def contig_draws(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sp = SplitParams(*rng.uniform(0.3, 2.5, 6).tolist(), check=False)
     t, *x = (complex(*xy) for xy in rng.uniform(-1, 1, (d + 1, 2)).tolist())
-    return m, k, sp, d, t, x
+    return m, k, sp, t, x
 
 
-def _relation_terms(side, i, m, k, sp, d, t, x):
+def _relation_terms(side, i, m, k, sp, t, x):
     """(arguments, value) of each t-factor body the relation runs."""
     body = contiguous._A_t if side == "A" else contiguous._B_t
     pair = a_relation_pair if side == "A" else b_relation_pair
@@ -206,7 +206,7 @@ def _relation_terms(side, i, m, k, sp, d, t, x):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(contiguous, body.__name__, spy)
-        pair(i, m, k, sp, d, t, x)
+        pair(i, m, k, sp, t, x)
     return terms
 
 
@@ -217,9 +217,9 @@ def test_relation_terms_are_the_shifted_t_factors(draw):
     # at t + dt, times D, bit for bit.  The relation never builds the shifted
     # SplitParams, so each term's shifts are read back from the arguments of
     # the body it runs: the shifts are integers, the parameters in [0.3, 2.5]
-    m, k, sp_a, d, t, x = draw
+    m, k, sp_a, t, x = draw
     n = sum(k)
-    D = eval_D(k, sp_a.alpha1, sp_a.alpha2, d, x)
+    D = eval_D(k, sp_a.alpha1, sp_a.alpha2, x)
     sp_b = SplitParams(sp_a.alpha1, sp_a.alpha2, sp_a.zeta1, sp_a.zeta2, check=False)
     for side, sp, needs_lower in (("A", sp_a, A_NEEDS_LOWER_DEGREE),
                                   ("B", sp_b, B_NEEDS_LOWER_DEGREE)):
@@ -227,9 +227,9 @@ def test_relation_terms_are_the_shifted_t_factors(draw):
             if m == n and i in needs_lower:
                 # a term of degree m - 1 < |k| whose coefficient does not vanish
                 with pytest.raises(DomainError):
-                    _relation_terms(side, i, m, k, sp, d, t, x)
+                    _relation_terms(side, i, m, k, sp, t, x)
                 continue
-            terms = _relation_terms(side, i, m, k, sp, d, t, x)
+            terms = _relation_terms(side, i, m, k, sp, t, x)
             assert terms
             for args, value in terms:
                 M, tt = args[0], args[-1]

@@ -149,7 +149,7 @@ INDEX_TAKERS = {
     "laguerre_paraboloid": lambda m: laguerre_paraboloid(m, (0,), 0.5, 0.5, 0.4, (0.1,)),
     "A_t": lambda m: A_t(m, (0,), SplitParams(0.7, 0.9, 0.8, 1.2, 0.6, 1.1), 0.3),
     "a_relation_pair": lambda m: a_relation_pair(
-        1, m, (0,), SplitParams(0.7, 0.9, 0.8, 1.2, 0.6, 1.1), 1, 0.3, [0.2]),
+        1, m, (0,), SplitParams(0.7, 0.9, 0.8, 1.2, 0.6, 1.1), 0.3, [0.2]),
 }
 
 

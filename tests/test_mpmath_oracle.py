@@ -131,7 +131,7 @@ def _factor(name, rng):
             ap, am = alpha + 0.5j * xi, alpha - 0.5j * xi
             pref = mp.gamma(ap) * mp.gamma(am) / mp.gamma(2 * alpha)
             return [pref * hyp3f2(n, n + 2 * mu, ap, mu + 0.5, 2 * alpha) for n in degrees]
-        return lambda n, xi: phi_factor(1, 1, alpha, mu, (n,), xi), reference
+        return lambda n, xi: phi_factor(1, alpha, mu, (n,), xi), reference
     if name == "theta":
         zeta, eta = rng.uniform(0.5, 1.2, 2).tolist()
         beta, gamma = rng.uniform(-0.3, 0.8, 2).tolist()
@@ -140,7 +140,7 @@ def _factor(name, rng):
         def reference(xi):
             return [hyp3f2(n, n + mu + beta + gamma + 1, zeta - 0.5j * xi, mu + beta + 1,
                            zeta + eta) for n in degrees]
-        return (lambda n, xi: theta_factor(n, (0,), zeta, eta, beta, gamma, mu, 1, xi),
+        return (lambda n, xi: theta_factor(n, (0,), zeta, eta, beta, gamma, mu, xi),
                 reference)
     if name == "lambda":
         zeta = float(rng.uniform(0.5, 1.2))
@@ -149,7 +149,7 @@ def _factor(name, rng):
 
         def reference(xi):
             return [mp.hyp2f1(-n, zeta - 1j * xi, mu + beta + 1, 2) for n in degrees]
-        return lambda n, xi: lambda_factor(n, (0,), zeta, mu, beta, 1, xi), reference
+        return lambda n, xi: lambda_factor(n, (0,), zeta, mu, beta, xi), reference
     a1, a2, z1, z2, e1, e2 = rng.uniform(0.4, 1.6, 6).tolist()
     if name == "D":
         def reference(x):
@@ -157,7 +157,7 @@ def _factor(name, rng):
             pref = mp.gamma(gp) * mp.gamma(gm)
             return [pref * hyp3f2(n, n + 2 * (a1 + a2) - 1, gp, a1 + a2, 2 * a1)
                     for n in degrees]
-        return lambda n, x: D_axis(1, 1, a1, a2, (n,), x), reference
+        return lambda n, x: D_axis(1, a1, a2, (n,), x), reference
     sp = SplitParams(a1, a2, z1, z2, e1, e2)
     if name == "A":
         def reference(t):

@@ -4,7 +4,9 @@ One table of (target, mutation, families that must fail).  Each row replaces
 one closed form, norm or polynomial by a wrong version wherever the package
 binds it by name, runs a reduced sweep of the listed families on a fresh draw
 memo, and asserts that at least one case of each listed family fails.  A case
-that raises counts as failed, as in a sweep.
+that raises counts as failed, as in a sweep, except for a TypeError: that
+says the wrong version no longer fits the signature of the function it
+replaces, so the row would pass without testing the formula.
 
 A form equivalence compares two independent computations of one
 polynomial: the closed-form side runs the three-term recurrence in the
@@ -58,11 +60,11 @@ def conjugate_xi(f):
 
 def phi_gamma_shift(shift):
     # Gamma(a+) -> Gamma(a+ + shift) in the Beta part of phi_factor,
-    # a+ = alpha + (K + i xi)/2 + (d-j)/4
+    # a+ = alpha + (K + i xi)/2 + (d-j)/4, d = len(k)
     def mutate(f):
-        def phi(j, d, alpha, mu, k, xi):
-            ap = alpha + 0.5 * (sum(k[j:]) + 1j * np.asarray(xi)) + 0.25 * (d - j)
-            return f(j, d, alpha, mu, k, xi) * (ap if shift > 0 else 1 / (ap - 1))
+        def phi(j, alpha, mu, k, xi):
+            ap = alpha + 0.5 * (sum(k[j:]) + 1j * np.asarray(xi)) + 0.25 * (len(k) - j)
+            return f(j, alpha, mu, k, xi) * (ap if shift > 0 else 1 / (ap - 1))
         return phi
     return mutate
 
@@ -209,7 +211,8 @@ def mutate_everywhere(monkeypatch, module, name, mutation):
 
 
 def failures(families):
-    """Failed (or raising) case count per family of a reduced seeded sweep."""
+    """Failed (or raising) case count per family of a reduced seeded sweep;
+    a TypeError propagates."""
     cfg = SweepConfig(families=families, seed=0, dims=[1], max_degree_1d=2,
                       max_degree_multi=1, fourier_max_degree=1, parseval_max_degree=1,
                       ort_param_draws=1, fourier_xi_draws=1, contig_draws=4, form_draws=4)
@@ -221,6 +224,8 @@ def failures(families):
         for case in generate_cases(cfg):
             try:
                 count[case.identity_id] += not run_case(case).passed
+            except TypeError:
+                raise
             except Exception:
                 count[case.identity_id] += 1
     finally:

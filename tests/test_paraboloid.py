@@ -74,7 +74,7 @@ def test_laguerre_inner_products_inline_computation():
     # Gamma(alpha_0 + 2)/1! * ball norm with alpha_0 = 1/2
     want = math.gamma(2.5) * 2.0
     assert diag == pytest.approx(want, rel=1e-12)
-    assert laguerre_paraboloid_norm(1, (0,), beta, mu, 1) == pytest.approx(want, rel=1e-12)
+    assert laguerre_paraboloid_norm(1, (0,), beta, mu) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -85,8 +85,8 @@ def test_jacobi_gram(d):
         f = lambda t, x: jacobi_paraboloid(m, k, beta, gamma, mu, t, x)
         g = lambda t, x: jacobi_paraboloid(m2, k2, beta, gamma, mu, t, x)
         entry = slice_tensor(lambda t, x: f(t, x) * g(t, x), d, mu, 16, ("jacobi", beta, gamma))
-        d1 = jacobi_paraboloid_norm(m, k, beta, gamma, mu, d)
-        d2 = jacobi_paraboloid_norm(m2, k2, beta, gamma, mu, d)
+        d1 = jacobi_paraboloid_norm(m, k, beta, gamma, mu)
+        d2 = jacobi_paraboloid_norm(m2, k2, beta, gamma, mu)
         if (m, k) == (m2, k2):
             assert entry == pytest.approx(d1, rel=1e-10)
         else:
@@ -101,8 +101,8 @@ def test_laguerre_gram(d):
         f = lambda t, x: laguerre_paraboloid(m, k, beta, mu, t, x)
         g = lambda t, x: laguerre_paraboloid(m2, k2, beta, mu, t, x)
         entry = slice_tensor(lambda t, x: f(t, x) * g(t, x), d, mu, 16, ("laguerre", beta, 0.0))
-        d1 = laguerre_paraboloid_norm(m, k, beta, mu, d)
-        d2 = laguerre_paraboloid_norm(m2, k2, beta, mu, d)
+        d1 = laguerre_paraboloid_norm(m, k, beta, mu)
+        d2 = laguerre_paraboloid_norm(m2, k2, beta, mu)
         if (m, k) == (m2, k2):
             assert entry == pytest.approx(d1, rel=1e-10)
         else:

@@ -131,13 +131,13 @@ def test_h_laguerre_matches_wrapped_basis():
 
 def test_phi_trivial():
     a = 0.8
-    assert phi_factor(1, 1, a, 0.7, (0,), 0.0) == pytest.approx(betafn(a, a), rel=1e-13)
+    assert phi_factor(1, a, 0.7, (0,), 0.0) == pytest.approx(betafn(a, a), rel=1e-13)
 
 
 def test_phi_conjugate_symmetry():
     xi = 1.37
-    v1 = phi_factor(1, 2, 0.8, 0.7, (2, 1), -xi)
-    v2 = phi_factor(1, 2, 0.8, 0.7, (2, 1), xi)
+    v1 = phi_factor(1, 0.8, 0.7, (2, 1), -xi)
+    v2 = phi_factor(1, 0.8, 0.7, (2, 1), xi)
     assert v1 == pytest.approx(np.conj(v2), rel=1e-13)
 
 
@@ -150,9 +150,9 @@ def test_phi_against_quadrature_oracle():
                   * gegenbauer(2, mu, np.tanh(X)), -40, 40, limit=400)[0]
     pref = 2 ** (2 * alpha - 1) * pochhammer(2 * mu, 2) / 2
     want = (fre + 1j * fim) / pref
-    assert phi_factor(1, 1, alpha, mu, (2,), xi) == pytest.approx(want, rel=1e-9)
+    assert phi_factor(1, alpha, mu, (2,), xi) == pytest.approx(want, rel=1e-9)
     # frozen value of the same oracle
-    assert phi_factor(1, 1, alpha, mu, (2,), xi) == pytest.approx(
+    assert phi_factor(1, alpha, mu, (2,), xi) == pytest.approx(
         -0.2636346844407706 + 0j, rel=1e-9, abs=1e-12
     )
 
@@ -163,7 +163,7 @@ def test_phi_worked_d1_form():
     want = betafn(alpha + 0.5j * xi, alpha - 0.5j * xi) * hyp_terminating(
         [-k1, k1 + 2 * mu, alpha + 0.5j * xi], [mu + 0.5, 2 * alpha], 1.0
     )
-    assert phi_factor(1, 1, alpha, mu, (k1,), xi) == pytest.approx(want, rel=1e-13)
+    assert phi_factor(1, alpha, mu, (k1,), xi) == pytest.approx(want, rel=1e-13)
 
 
 def test_phi_hahn_form_agrees():
@@ -174,22 +174,22 @@ def test_phi_hahn_form_agrees():
         j = int(rng.integers(1, d + 1))
         alpha, mu = rng.uniform(0.2, 3.0, 2)
         xi = rng.uniform(-3, 3)
-        v1 = phi_factor(j, d, alpha, mu, k, xi)
-        v2 = phi_factor_hahn(j, d, alpha, mu, k, xi)
+        v1 = phi_factor(j, alpha, mu, k, xi)
+        v2 = phi_factor_hahn(j, alpha, mu, k, xi)
         assert abs(v1 - v2) <= 1e-10 * abs(v1)
-    assert phi_factor_hahn(1, 1, 0.8, 0.7, (0,), 0.4) == pytest.approx(
-        phi_factor(1, 1, 0.8, 0.7, (0,), 0.4), rel=1e-14
+    assert phi_factor_hahn(1, 0.8, 0.7, (0,), 0.4) == pytest.approx(
+        phi_factor(1, 0.8, 0.7, (0,), 0.4), rel=1e-14
     )
 
 
 def test_phi_domain_error():
     with pytest.raises(DomainError):
-        phi_factor(1, 1, -0.1, 0.7, (0,), 0.0)
-    # the axis must lie in 1..d and k must have d entries, in both forms
+        phi_factor(1, -0.1, 0.7, (0,), 0.0)
+    # the axis must lie in 1..len(k), in both forms
     for fn in (phi_factor, phi_factor_hahn):
-        for j, d, k in ((0, 1, (1,)), (2, 1, (1,)), (1, 2, (1,))):
+        for j in (0, 2):
             with pytest.raises(DomainError):
-                fn(j, d, 0.8, 0.7, k, 0.3)
+                fn(j, 0.8, 0.7, (1,), 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +198,9 @@ def test_phi_domain_error():
 
 def test_fourier_g_base_cases():
     a = 0.8
-    got = fourier_g_closed((0,), a, 0.7, 1, (0.0,))
+    got = fourier_g_closed((0,), a, 0.7, (0.0,))
     assert got == pytest.approx(2 ** (2 * a - 1) * betafn(a, a), rel=1e-13)
-    got2 = fourier_g_closed((0, 0), a, 0.7, 2, (0.0, 0.0))
+    got2 = fourier_g_closed((0, 0), a, 0.7, (0.0, 0.0))
     want2 = 2 ** (4 * a - 1.5) * betafn(a + 0.25, a + 0.25) * betafn(a, a)
     assert got2 == pytest.approx(want2, rel=1e-13)
 
@@ -209,7 +209,7 @@ def test_fourier_g_multi_d_factorization():
     # the closed form equals the product of per-axis 1-D numeric transforms
     k, alpha, mu, d = (1, 2), 0.9, 0.6, 2
     xi = (0.7, -0.4)
-    closed = fourier_g_closed(k, alpha, mu, d, xi)
+    closed = fourier_g_closed(k, alpha, mu, xi)
     direct = 1.0
     for j in (1, 2):
         K = sum(k[j:])
@@ -226,23 +226,23 @@ def test_fourier_g_multi_d_factorization():
 
 
 def test_theta_trivial_and_brute():
-    assert theta_factor(2, (2,), 1.1, 0.9, 0.3, 0.4, 0.7, 1, 0.5) == 1.0
+    assert theta_factor(2, (2,), 1.1, 0.9, 0.3, 0.4, 0.7, 0.5) == 1.0
     xi = 0.93
-    v1 = theta_factor(2, (0,), 1.1, 0.9, 0.3, 0.4, 0.7, 1, -xi)
-    v2 = theta_factor(2, (0,), 1.1, 0.9, 0.3, 0.4, 0.7, 1, xi)
+    v1 = theta_factor(2, (0,), 1.1, 0.9, 0.3, 0.4, 0.7, -xi)
+    v2 = theta_factor(2, (0,), 1.1, 0.9, 0.3, 0.4, 0.7, xi)
     assert v1 == pytest.approx(np.conj(v2), rel=1e-13)
     # frozen brute-force 3-term sum, m=2, k=0, d=1, xi=0.6
-    got = theta_factor(2, (0,), 1.1, 0.9, 0.3, 0.4, 0.7, 1, 0.6)
+    got = theta_factor(2, (0,), 1.1, 0.9, 0.3, 0.4, 0.7, 0.6)
     assert got == pytest.approx(0.0452 + 0.0264j, rel=1e-12)
 
 
 def test_lambda_trivial_and_two_term():
-    assert lambda_factor(1, (1,), 1.1, 0.7, 0.3, 1, 0.5) == 1.0
+    assert lambda_factor(1, (1,), 1.1, 0.7, 0.3, 0.5) == 1.0
     zeta, mu, beta, xi = 1.1, 0.7, 0.3, 0.8
-    got = lambda_factor(1, (0,), zeta, mu, beta, 1, xi)
+    got = lambda_factor(1, (0,), zeta, mu, beta, xi)
     want = 1 - 2 * (zeta - 1j * xi) / (mu + beta + 1)
     assert got == pytest.approx(want, rel=1e-13)
-    got3 = lambda_factor(3, (0,), zeta, mu, beta, 1, xi)
+    got3 = lambda_factor(3, (0,), zeta, mu, beta, xi)
     brute = sum(
         pochhammer(-3, j) * pochhammer(zeta - 1j * xi, j)
         / (pochhammer(mu + beta + 1, j) * math.factorial(j)) * 2.0**j
@@ -252,7 +252,7 @@ def test_lambda_trivial_and_two_term():
 
 
 def test_fourier_h_jacobi_base_case():
-    got = fourier_h_jacobi_closed(0, (0,), PJ, 1, (0.0, 0.0))
+    got = fourier_h_jacobi_closed(0, (0,), PJ, (0.0, 0.0))
     want = (
         2 ** (PJ.zeta + PJ.eta - 1)
         * gamma(PJ.zeta) * gamma(PJ.eta) / gamma(PJ.zeta + PJ.eta)
@@ -262,7 +262,7 @@ def test_fourier_h_jacobi_base_case():
 
 
 def test_fourier_h_laguerre_base_case():
-    got = fourier_h_laguerre_closed(0, (0,), PL, 1, (0.0, 0.0))
+    got = fourier_h_laguerre_closed(0, (0,), PL, (0.0, 0.0))
     want = 2**PL.zeta * gamma(PL.zeta) * 2 ** (2 * PL.alpha - 1) * betafn(PL.alpha, PL.alpha)
     assert got == pytest.approx(want, rel=1e-13)
 
@@ -270,10 +270,10 @@ def test_fourier_h_laguerre_base_case():
 def test_fourier_h_conjugate_symmetry():
     xi = (0.7, -0.4)
     mxi = (-0.7, 0.4)
-    vj = fourier_h_jacobi_closed(2, (1,), PJ, 1, xi)
-    assert fourier_h_jacobi_closed(2, (1,), PJ, 1, mxi) == pytest.approx(np.conj(vj), rel=1e-12)
-    vl = fourier_h_laguerre_closed(2, (1,), PL, 1, xi)
-    assert fourier_h_laguerre_closed(2, (1,), PL, 1, mxi) == pytest.approx(np.conj(vl), rel=1e-12)
+    vj = fourier_h_jacobi_closed(2, (1,), PJ, xi)
+    assert fourier_h_jacobi_closed(2, (1,), PJ, mxi) == pytest.approx(np.conj(vj), rel=1e-12)
+    vl = fourier_h_laguerre_closed(2, (1,), PL, xi)
+    assert fourier_h_laguerre_closed(2, (1,), PL, mxi) == pytest.approx(np.conj(vl), rel=1e-12)
 
 
 def test_fourier_h_conjugate_symmetry_random_draws():
@@ -288,11 +288,11 @@ def test_fourier_h_conjugate_symmetry_random_draws():
                               rng.uniform(-0.3, 0.8), rng.uniform(0.3, 1.2))
         pl = WrapParamsLaguerre(pj.alpha, pj.zeta, pj.beta, pj.mu)
         xi = rng.uniform(-2, 2, d + 1)
-        vj = fourier_h_jacobi_closed(m, k, pj, d, tuple(xi))
-        wj = fourier_h_jacobi_closed(m, k, pj, d, tuple(-xi))
+        vj = fourier_h_jacobi_closed(m, k, pj, tuple(xi))
+        wj = fourier_h_jacobi_closed(m, k, pj, tuple(-xi))
         assert wj == pytest.approx(np.conj(vj), rel=1e-12)
-        vl = fourier_h_laguerre_closed(m, k, pl, d, tuple(xi))
-        wl = fourier_h_laguerre_closed(m, k, pl, d, tuple(-xi))
+        vl = fourier_h_laguerre_closed(m, k, pl, tuple(xi))
+        wl = fourier_h_laguerre_closed(m, k, pl, tuple(-xi))
         assert wl == pytest.approx(np.conj(vl), rel=1e-12)
 
 
@@ -306,14 +306,14 @@ def test_fourier_h_vs_direct_2d_quadrature():
         [t_rule, x_rule],
         lambda t, x: np.exp(-1j * (xi[0] * x + xi[1] * t)) * eval_h_jacobi(m, k, PJ, t, [x]),
     )
-    closed = fourier_h_jacobi_closed(m, k, PJ, 1, xi)
+    closed = fourier_h_jacobi_closed(m, k, PJ, xi)
     assert closed == pytest.approx(direct, rel=1e-8)
     t_rule = composite_legendre(-30, 5, 50, 12)
     directL = tensor_integrate(
         [t_rule, x_rule],
         lambda t, x: np.exp(-1j * (xi[0] * x + xi[1] * t)) * eval_h_laguerre(m, k, PL, t, [x]),
     )
-    closedL = fourier_h_laguerre_closed(m, k, PL, 1, xi)
+    closedL = fourier_h_laguerre_closed(m, k, PL, xi)
     assert closedL == pytest.approx(directL, rel=1e-8)
 
 
@@ -323,7 +323,7 @@ def test_fourier_h_worked_d1_displays():
     m, k1 = 2, 1
     xi1, xi2 = 0.7, -0.4
     M = m - k1
-    closed = fourier_h_jacobi_closed(m, (k1,), PJ, 1, (xi1, xi2))
+    closed = fourier_h_jacobi_closed(m, (k1,), PJ, (xi1, xi2))
     phi11 = betafn(al + 0.5j * xi1, al - 0.5j * xi1) * hyp_terminating(
         [-k1, k1 + 2 * mu, al + 0.5j * xi1], [mu + 0.5, 2 * al], 1.0
     )
@@ -352,7 +352,7 @@ def test_fourier_h_worked_d1_displays():
     )
     assert closed == pytest.approx(disp_hahn, rel=1e-13)
 
-    closedL = fourier_h_laguerre_closed(m, (k1,), PL, 1, (xi1, xi2))
+    closedL = fourier_h_laguerre_closed(m, (k1,), PL, (xi1, xi2))
     lam = hyp_terminating([-m + k1, ze + 0.5 * k1 - 1j * xi2], [k1 + mu + be + 1], 2.0)
     dispL = (
         2 ** (2 * al + ze + 0.5 * k1 - 1j * xi2 - 1)
@@ -395,14 +395,14 @@ def test_split_params():
 
 def test_D_trivial_and_worked_d1():
     x = 0.3 + 0.4j
-    got = eval_D((0,), 0.7, 0.9, 1, [x])
+    got = eval_D((0,), 0.7, 0.9, [x])
     assert got == pytest.approx(gamma(0.7 - x / 2) * gamma(0.7 + x / 2), rel=1e-13)
     # d=1 display: Gamma Gamma 3F2(-k, k+2|a|-1, a1+x/2; |a|, 2 a1; 1)
     k1, a1, a2 = 2, 0.7, 0.9
     want = gamma(a1 - x / 2) * gamma(a1 + x / 2) * hyp_terminating(
         [-k1, k1 + 2 * (a1 + a2) - 1, a1 + x / 2], [a1 + a2, 2 * a1], 1.0
     )
-    assert eval_D((k1,), a1, a2, 1, [x]) == pytest.approx(want, rel=1e-13)
+    assert eval_D((k1,), a1, a2, [x]) == pytest.approx(want, rel=1e-13)
 
 
 def test_D_forms_agree():
@@ -412,15 +412,15 @@ def test_D_forms_agree():
         k = tuple(int(v) for v in rng.integers(0, 3, d))
         a1, a2 = rng.uniform(0.2, 3.0, 2)
         x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d)]
-        v1 = eval_D(k, a1, a2, d, x)
-        v2 = eval_D_hahn(k, a1, a2, d, x)
+        v1 = eval_D(k, a1, a2, x)
+        v2 = eval_D_hahn(k, a1, a2, x)
         assert abs(v1 - v2) <= 1e-10 * abs(v1)
 
 
 def test_A_collapse_and_forms():
     t, x = 0.3 + 0.2j, [-0.4 + 0.1j]
-    got = eval_A(1, (1,), SP, 1, t, x)
-    want = gamma(0.5 + SP.zeta1 - t / 2) * eval_D((1,), 0.7, 0.9, 1, x)
+    got = eval_A(1, (1,), SP, t, x)
+    want = gamma(0.5 + SP.zeta1 - t / 2) * eval_D((1,), 0.7, 0.9, x)
     assert got == pytest.approx(want, rel=1e-13)
     rng = np.random.default_rng(10)
     for _ in range(200):
@@ -430,25 +430,25 @@ def test_A_collapse_and_forms():
         sp = SplitParams(*rng.uniform(0.2, 3.0, 6))
         tt = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         xx = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d)]
-        v1 = eval_A(m, k, sp, d, tt, xx)
-        v2 = eval_A_hahn(m, k, sp, d, tt, xx)
+        v1 = eval_A(m, k, sp, tt, xx)
+        v2 = eval_A_hahn(m, k, sp, tt, xx)
         assert abs(v1 - v2) <= 1e-10 * abs(v1)
 
 
 def test_B_collapse_and_hahn_form():
     t, x = 0.3 + 0.2j, [-0.4 + 0.1j]
-    got = eval_B(1, (1,), SPB, 1, t, x)
-    want = gamma(SPB.zeta1 + 0.5 - t) * eval_D((1,), 0.7, 0.9, 1, x)
+    got = eval_B(1, (1,), SPB, t, x)
+    want = gamma(SPB.zeta1 + 0.5 - t) * eval_D((1,), 0.7, 0.9, x)
     assert got == pytest.approx(want, rel=1e-13)
     # sample value, m=2, k=(1), d=1: composition oracle from parts
     m, k1 = 2, 1
     comp = (
         gamma(SPB.zeta1 + 0.5 * k1 - t)
-        * eval_D((k1,), SPB.alpha1, SPB.alpha2, 1, x)
+        * eval_D((k1,), SPB.alpha1, SPB.alpha2, x)
         * hyp_terminating([-m + k1, SPB.zeta1 + 0.5 * k1 - t], [k1 + SPB.abs_zeta], 2.0)
     )
-    assert eval_B(m, (k1,), SPB, 1, t, x) == pytest.approx(comp, rel=1e-13)
-    assert eval_B_hahn(m, (k1,), SPB, 1, t, x) == pytest.approx(comp, rel=1e-12)
+    assert eval_B(m, (k1,), SPB, t, x) == pytest.approx(comp, rel=1e-13)
+    assert eval_B_hahn(m, (k1,), SPB, t, x) == pytest.approx(comp, rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -461,8 +461,8 @@ def test_B_hahn_form_agrees(d):
         sp = SplitParams(*rng.uniform(0.2, 3.0, 4))
         t = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d)]
-        v1 = eval_B(m, k, sp, d, t, x)
-        v2 = eval_B_hahn(m, k, sp, d, t, x)
+        v1 = eval_B(m, k, sp, t, x)
+        v2 = eval_B_hahn(m, k, sp, t, x)
         assert abs(v1 - v2) <= 1e-10 * abs(v1)
 
 
@@ -475,13 +475,13 @@ def test_A_term_by_term_oracle():
         SP.abs_zeta * (SP.zeta1 + SP.eta1)
     )
     want = gamma(arg) * f3 * gamma(SP.alpha1 - x[0] / 2) * gamma(SP.alpha1 + x[0] / 2)
-    assert eval_A(1, (0,), SP, 1, t, x) == pytest.approx(want, rel=1e-13)
+    assert eval_A(1, (0,), SP, t, x) == pytest.approx(want, rel=1e-13)
 
 
 def test_A_worked_d1_series_display():
     m, k1 = 2, 1
     t, x1 = 0.3 + 0.2j, -0.4 + 0.1j
-    av = eval_A(m, (k1,), SP, 1, t, [x1])
+    av = eval_A(m, (k1,), SP, t, [x1])
     Dk = gamma(SP.alpha1 - x1 / 2) * gamma(SP.alpha1 + x1 / 2) * hyp_terminating(
         [-k1, k1 + 2 * SP.abs_alpha - 1, SP.alpha1 + x1 / 2],
         [SP.abs_alpha, 2 * SP.alpha1], 1.0,
@@ -497,7 +497,7 @@ def test_A_worked_d1_hahn_display():
     m, k1 = 2, 1
     t, x1 = 0.3 + 0.2j, -0.4 + 0.1j
     M = m - k1
-    av = eval_A(m, (k1,), SP, 1, t, [x1])
+    av = eval_A(m, (k1,), SP, t, [x1])
     disp = (
         math.factorial(M) * math.factorial(k1) * 1j ** (-m)
         / (pochhammer(2 * SP.alpha1, k1) * pochhammer(SP.alpha1 + SP.alpha2, k1)
@@ -517,12 +517,12 @@ SP_A = SplitParams(0.7, 0.9, 0.8, 1.2, 0.6, 1.1)
 SP_B = SplitParams(0.7, 0.9, 0.8, 1.2)
 # each evaluator at a point p (and a second point q where it takes d = 2)
 POINT_CALLS = {
-    "eval_D": lambda p, q: eval_D((1, 2), 0.7, 0.9, 2, [p, q]),
-    "eval_D_hahn": lambda p, q: eval_D_hahn((1, 2), 0.7, 0.9, 2, [p, q]),
+    "eval_D": lambda p, q: eval_D((1, 2), 0.7, 0.9, [p, q]),
+    "eval_D_hahn": lambda p, q: eval_D_hahn((1, 2), 0.7, 0.9, [p, q]),
     "A_t": lambda p, q: A_t(5, (1, 2), SP_A, p),
     "B_t": lambda p, q: B_t(5, (1, 2), SP_B, p),
-    "eval_A_hahn": lambda p, q: eval_A_hahn(5, (1, 2), SP_A, 2, p, [q, p]),
-    "phi_factor": lambda p, q: phi_factor(1, 2, 0.8, 0.7, (2, 1), p),
+    "eval_A_hahn": lambda p, q: eval_A_hahn(5, (1, 2), SP_A, p, [q, p]),
+    "phi_factor": lambda p, q: phi_factor(1, 0.8, 0.7, (2, 1), p),
     "continuous_hahn": lambda p, q: continuous_hahn(3, 0.7, 0.9, 0.8, 1.2, p),
 }
 

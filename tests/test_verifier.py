@@ -131,12 +131,12 @@ def test_separated_fourier_oracle_matches_full_tensor(fam, d):
     else:
         wp = WrapParamsLaguerre(p["alpha"], p["zeta"], p["beta"], p["mu"])
         h = lambda t, *x: eval_h_laguerre(m, k, wp, t, list(x))
-    t_rule, x_rules = _fourier_rules(fam, k, wp, d, 0)
+    t_rule, x_rules = _fourier_rules(fam, k, wp, 0)
     full = tensor_integrate(
         [t_rule, *x_rules],
         lambda t, *x: np.exp(-1j * (xi[d] * t + sum(v * xv for v, xv in zip(xi, x)))) * h(t, *x),
     )
-    separated, _ = _fourier_direct(fam, m, k, wp, d, xi, 0, lambda key, compute: compute())
+    separated, _ = _fourier_direct(fam, m, k, wp, xi, 0, lambda key, compute: compute())
     assert separated == pytest.approx(full, rel=1e-12)
 
 
@@ -155,12 +155,12 @@ def test_separated_parseval_oracle_matches_full_tensor(fam, d):
     sw = sp.swapped()
 
     def f(t, *x):
-        return (weight(t) * family(m, k, sp, d, 1j * t, [1j * v for v in x])
-                * family(m, k, sw, d, -1j * t, [-1j * v for v in x]))
+        return (weight(t) * family(m, k, sp, 1j * t, [1j * v for v in x])
+                * family(m, k, sw, -1j * t, [-1j * v for v in x]))
 
     panels = _PARSEVAL_LEVELS[0]
     full = tensor_integrate([_parseval_rule(panels)] * (d + 1), f)
-    separated, _ = _parseval_lhs(fam, m, k, m, k, sp, d, panels,
+    separated, _ = _parseval_lhs(fam, m, k, m, k, sp, panels,
                                  lambda key, compute: compute())
     assert separated == pytest.approx(full, rel=1e-12)
 
@@ -179,21 +179,21 @@ def test_separated_gram_oracle_matches_full_tensor(fam, d):
 
         def entries(k, k2, n):
             f = lambda y: ball_eval(k, mu, y) * ball_eval(k2, mu, y)
-            return verifier._ball_gram(no_memo, d, mu, k, k2, n), slice_tensor(f, d, mu, n)
+            return verifier._ball_gram(no_memo, mu, k, k2, n), slice_tensor(f, d, mu, n)
     else:
         index = degree_index_pairs(d, 3)
         if fam == "ORT_PARA_J":
             kind, g = "jacobi", gamma_
-            norm = lambda mk: jacobi_paraboloid_norm(*mk, beta, g, mu, d)
+            norm = lambda mk: jacobi_paraboloid_norm(*mk, beta, g, mu)
             basis = lambda m, k, t, x: jacobi_paraboloid(m, k, beta, g, mu, t, x)
         else:
             kind, g = "laguerre", 0.0
-            norm = lambda mk: laguerre_paraboloid_norm(*mk, beta, mu, d)
+            norm = lambda mk: laguerre_paraboloid_norm(*mk, beta, mu)
             basis = lambda m, k, t, x: laguerre_paraboloid(m, k, beta, mu, t, x)
 
         def entries(mk, mk2, n):
             f = lambda t, x: basis(*mk, t, x) * basis(*mk2, t, x)
-            return (verifier._para_gram(no_memo, kind, beta, g, mu, d, mk, mk2, n),
+            return (verifier._para_gram(no_memo, kind, beta, g, mu, mk, mk2, n),
                     slice_tensor(f, d, mu, n, (kind, beta, g)))
     pairs = list(itertools.combinations_with_replacement(index, 2))
     scale = np.array([math.sqrt(norm(i) * norm(i2)) for i, i2 in pairs])
@@ -218,8 +218,8 @@ def test_D_family_line_integral_d2():
     rule = composite_legendre(-T, T, 30, 12)
 
     def f(x1, x2):
-        return eval_D(k, a1, a2, d, [1j * x1, 1j * x2]) * eval_D(
-            k, a2, a1, d, [-1j * x1, -1j * x2]
+        return eval_D(k, a1, a2, [1j * x1, 1j * x2]) * eval_D(
+            k, a2, a1, [-1j * x1, -1j * x2]
         )
 
     lhs = tensor_integrate([rule, rule], f)
@@ -240,7 +240,7 @@ def test_parseval_rhs_base_case_closed_form():
     # d=1, m=k=0 reduces to a pure Gamma expression via the Barnes-type line
     # integrals; cross-check the printed constant against the worked d=1 display
     sp = SplitParams(**PARSEVAL_PARAMS)
-    got = parseval_rhs("PARSEVAL_A", 0, (0,), sp, 1)
+    got = parseval_rhs("PARSEVAL_A", 0, (0,), sp)
     Z, E = sp.abs_zeta, sp.abs_eta
     want = (
         math.pi**2 * 2 ** (-2 * sp.abs_alpha + 5) * ball_norm((0,), sp.mu)
@@ -252,7 +252,7 @@ def test_parseval_rhs_base_case_closed_form():
     assert got == pytest.approx(want, rel=1e-12)
 
     spb = SplitParams(sp.alpha1, sp.alpha2, sp.zeta1, sp.zeta2)
-    gotb = parseval_rhs("PARSEVAL_B", 2, (1,), spb, 1)
+    gotb = parseval_rhs("PARSEVAL_B", 2, (1,), spb)
     m, k1 = 2, 1
     from orthopara.gammafn import pochhammer
 
