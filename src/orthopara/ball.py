@@ -25,14 +25,29 @@ from .quadrature import gauss_jacobi
 _DOMAIN_SLACK = 1e-12  # rounding allowed past a domain's boundary, here and in paraboloid
 
 
+class MultiIndex(tuple):
+    """A multi-index that ``validate_multi_index`` checked: Python ints >= 0."""
+    __slots__ = ()
+
+
 def validate_multi_index(k):
-    """k as a tuple of Python ints; raises DomainError unless every entry is
-    an index (``gammafn.is_index``: 1.5 is not truncated, True is not 1)."""
+    """k as a MultiIndex, returned unchanged if it is one; raises DomainError
+    unless every entry is an index (``is_index``: 1.5 is not 1, nor True)."""
+    if isinstance(k, MultiIndex):
+        return k
     k = tuple(k)
     for v in k:
         if not is_index(v):
             raise DomainError(f"multi-index entries must be nonnegative integers, got {k}")
-    return tuple(map(int, k))
+    return MultiIndex(map(int, k))
+
+
+def _at_point(k, x):
+    """Validated k and d = len(k) of a function of a point x of d coordinates."""
+    k = validate_multi_index(k)
+    if len(x) != len(k):
+        raise DomainError(f"expected {len(k)} coordinates, got {len(x)}")
+    return k, len(k)
 
 
 def tail_sum(k, j):
@@ -52,10 +67,7 @@ def ball_homogeneous(k, mu, x, t):
     Equals prod_j H_{k_j}^(lam_j)(x_j, r_{j-1}) with r_j = t - (x_1^2+...+x_j^2)
     and H the homogenized Gegenbauer factor; t = 0 is a regular point.
     """
-    k = validate_multi_index(k)
-    d = len(k)
-    if len(x) != d:
-        raise DomainError(f"expected {d} coordinates, got {len(x)}")
+    k, d = _at_point(k, x)
     if mu <= -0.5:
         raise DomainError("ball polynomial requires mu > -1/2")
     r = t

@@ -4,10 +4,12 @@ Laguerre, and continuous Hahn, plus their norm constants.
 Jacobi and Laguerre polynomials are scipy's ``eval_jacobi`` and
 ``eval_genlaguerre``, which run the three-term recurrences in the degree
 (DLMF 18.9); Gegenbauer polynomials are Jacobi polynomials times a ratio of
-Pochhammer symbols.  The tests compare all three with the hypergeometric
-definitions quoted in each docstring.  The homogenized Gegenbauer factor of
-the ball and paraboloid bases runs the Gegenbauer recurrence (DLMF 18.9.1)
-times s^{(k+1)/2}.
+Pochhammer symbols.  At a complex point ``eval_jacobi`` sums the 2F1 series,
+so Jacobi and Gegenbauer raise DomainError there above ``COMPLEX_MAX_DEGREE``.
+The tests compare all three with the hypergeometric definitions quoted in
+each docstring.  The homogenized Gegenbauer factor of the ball and
+paraboloid bases runs the Gegenbauer recurrence (DLMF 18.9.1) times
+s^{(k+1)/2}.
 Continuous Hahn polynomials are summed as their terminating 3F2 series.
 The 3F2 at 1 and the 2F1 at 2 of the closed-form transform factors run the
 three-term recurrences in the degree of the continuous Hahn and the
@@ -29,6 +31,9 @@ from .gammafn import _nonpositive_integer, is_index, log_gamma, pochhammer
 from .hyper import SNAP_TOL, _check_poles, hyp_terminating
 
 
+COMPLEX_MAX_DEGREE = 10  # the complex 2F1 series holds 1e-12 to about here
+
+
 def _check_degree(m):
     if not is_index(m):
         raise DomainError(f"degree must be a nonnegative integer, got {m!r}")
@@ -45,7 +50,7 @@ def gegenbauer(m, mu, x):
     if mu <= -0.5:
         raise DomainError("gegenbauer: requires mu > -1/2")
     ratio = math.prod((2 * mu + j) / (mu + 0.5 + j) for j in range(m))
-    return ratio * special.eval_jacobi(m, mu - 0.5, mu - 0.5, x)
+    return ratio * jacobi(m, mu - 0.5, mu - 0.5, x)
 
 
 def gegenbauer_norm(m, mu):
@@ -68,6 +73,8 @@ def jacobi(m, alpha, beta, t):
     _check_degree(m)
     if alpha <= -1 or beta <= -1:
         raise DomainError("jacobi: requires alpha, beta > -1")
+    if m > COMPLEX_MAX_DEGREE and np.iscomplexobj(t):
+        raise DomainError(f"jacobi: degree {m} above COMPLEX_MAX_DEGREE at a complex point")
     return special.eval_jacobi(m, alpha, beta, t)
 
 

@@ -32,7 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import verifier
-from .ball import ball_eval
+from .ball import ball_eval, validate_multi_index
 from .errors import ConfigError, DomainError, ParseError, PoleError
 from .paraboloid import jacobi_paraboloid, laguerre_paraboloid
 from .transforms import (
@@ -371,15 +371,26 @@ def _parse_kv(text):
     return out
 
 
+# the largest --m or --k entry eval accepts: no shipped config or gate goes
+# above degree 30, and an unbounded degree can run for minutes
+MAX_EVAL_DEGREE = 10_000
+
+
+def _check_eval_degree(m, what):
+    if m > MAX_EVAL_DEGREE:
+        raise ParseError(f"{what} {m} is above the eval degree bound {MAX_EVAL_DEGREE}")
+
+
 def _parse_multi_index(text, d):
     if text is None:
         return tuple([0] * d)
     try:
-        k = tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
+        k = validate_multi_index(int(v) for v in text.split(","))
+    except (ValueError, DomainError) as exc:
         raise ParseError(f"malformed multi-index {text!r}") from exc
-    if len(k) != d or any(v < 0 for v in k):
+    if len(k) != d:
         raise ParseError(f"multi-index {text!r} must have {d} nonnegative entries")
+    _check_eval_degree(max(k), "--k entry")
     return k
 
 
@@ -414,6 +425,7 @@ def _axis(kv):
 def _degree(args):
     if args.m is None:
         raise ParseError("--m is required")
+    _check_eval_degree(args.m, "--m")
     return args.m
 
 
@@ -436,7 +448,7 @@ _WRAP_J, _WRAP_L = (tuple(f.name for f in dataclasses.fields(cls))
 # evaluator(k, [the named --params values], *[the point values]); an
 # evaluator reads d as len(k), and --d fixes the lengths of --k, --x and --xi
 EVAL_TABLE = {
-    "g": (lambda k, p, x: eval_g(k, *p, x), ("alpha", "mu"), ("x",)),
+    "g": (lambda k, p, x: eval_g(k, *p, x), ("alpha", "mu"), ("real x",)),
     "ball": (lambda k, p, x: ball_eval(k, *p, x), ("mu",), ("real x",)),
     "Q": (lambda k, p, m, t, x: jacobi_paraboloid(m, k, *p, t, x),
           ("beta", "gamma", "mu"), ("m", "real t", "real x")),

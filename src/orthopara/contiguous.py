@@ -12,13 +12,13 @@ Four families of parameter-shift identities, each returning (lhs, rhs):
 The lifted relations read the dimension d as len(k).  They shift only the
 degree, zeta/eta and t, so every term of one relation shares D_k(x; a1, a2):
 it is evaluated once, and each term is its t-factor times it, the product
-eval_A / eval_B form.  The multi-index is validated once per relation, by
-that eval_D, which also checks len(x) = len(k); each term then runs the
-t-factor's body (``transforms._A_t`` / ``_B_t``) on its shifted parameters,
-summed in the order of ``SplitParams.shifted`` and ``abs_zeta`` /
-``abs_eta``, so a term equals A_t / B_t of the shifted SplitParams bit for
-bit without building one.  A term of degree below |k| raises DomainError,
-as A_t and B_t do.
+eval_A / eval_B form.  That eval_D validates the multi-index once per
+relation, into the ``MultiIndex`` its axis factors take unchecked, and
+checks len(x) = len(k).  Each term runs the t-factor's body
+(``transforms._A_t`` / ``_B_t``) on its shifted parameters, summed in the
+order of ``SplitParams.shifted`` and ``abs_zeta`` / ``abs_eta``, so a term
+equals A_t / B_t of the shifted SplitParams bit for bit without building
+one.  A term of degree below |k| raises DomainError, as A_t and B_t do.
 
 Terms whose printed coefficient is exactly zero are never evaluated, so the
 degenerate degree m = |k| works wherever the relation allows it.

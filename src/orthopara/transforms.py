@@ -3,6 +3,7 @@ transforms, and the Gamma-hypergeometric families they generate.
 
 A function of a multi-index k reads the dimension d as len(k); only a point
 or frequency vector is checked against it (len(x) = d, len(xi) = d or d + 1).
+k is validated once, into the ``MultiIndex`` a composite hands its factors.
 
 Everything accepts numpy-broadcastable arguments for points and frequencies
 (indices and parameters stay scalar), so frequency grids evaluate in one
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .ball import lambda_param, tail_sum, validate_multi_index
+from .ball import _at_point, lambda_param, tail_sum, validate_multi_index
 from .classical import _points, continuous_hahn, gegenbauer, hahn_3f2, meixner_pollaczek_2f1
 from .errors import DomainError
 from .gammafn import log_gamma, pochhammer
@@ -135,15 +136,6 @@ def _sech2(x):
     return 1.0 / (c * c)
 
 
-def _at_point(k, x):
-    """Validated k and d = len(k) of a product over the axes of the point x,
-    which must have d coordinates."""
-    k = validate_multi_index(k)
-    if len(x) != len(k):
-        raise DomainError(f"expected {len(k)} coordinates, got {len(x)}")
-    return k, len(k)
-
-
 def _axis_tail(j, k):
     """Validated k, d = len(k) and K = |k^{j+1}| of the factor on axis j."""
     k = validate_multi_index(k)
@@ -162,8 +154,7 @@ def eval_g(k, alpha, mu, x):
     equivalent separated form, the product of g_axis over j = 1..d.
     """
     k, d = _at_point(k, x)
-    return math.prod(_g_axis(j, d, alpha, mu, k, tail_sum(k, j + 1), x[j - 1])
-                     for j in range(1, d + 1))
+    return math.prod(g_axis(j, alpha, mu, k, x[j - 1]) for j in range(1, d + 1))
 
 
 def g_axis(j, alpha, mu, k, x_j):
@@ -172,11 +163,6 @@ def g_axis(j, alpha, mu, k, x_j):
         (1-tanh^2 x_j)^(alpha+(d-j)/4+K/2) C_{k_j}^(mu+K+(d-j)/2)(tanh x_j).
     """
     k, d, K = _axis_tail(j, k)
-    return _g_axis(j, d, alpha, mu, k, K, x_j)
-
-
-def _g_axis(j, d, alpha, mu, k, K, x_j):
-    # g_axis body for an already validated k and its tail K
     x_j = np.asarray(x_j)
     return _sech2(x_j) ** (alpha + 0.25 * (d - j) + 0.5 * K) * gegenbauer(
         k[j - 1], lambda_param(k, mu, j), np.tanh(x_j)
@@ -362,8 +348,7 @@ def fourier_h_laguerre_closed(m, k, params: WrapParamsLaguerre, xi):
 def eval_D(k, alpha1, alpha2, x):
     """Gamma-hypergeometric product over the x axes: prod_j D_axis(x_j)."""
     k, d = _at_point(k, x)
-    return math.prod(_D_axis(j, d, alpha1, alpha2, k, tail_sum(k, j + 1), x[j - 1])
-                     for j in range(1, d + 1))
+    return math.prod(D_axis(j, alpha1, alpha2, k, x[j - 1]) for j in range(1, d + 1))
 
 
 def D_axis(j, alpha1, alpha2, k, x_j):
@@ -374,11 +359,6 @@ def D_axis(j, alpha1, alpha2, k, x_j):
                K+|a|+(d-j)/2, K+2 a1+(d-j)/2; 1).
     """
     k, d, K = _axis_tail(j, k)
-    return _D_axis(j, d, alpha1, alpha2, k, K, x_j)
-
-
-def _D_axis(j, d, alpha1, alpha2, k, K, x_j):
-    # D_axis body for an already validated k and its tail K
     absa = alpha1 + alpha2
     kj = k[j - 1]
     x_j = _points(x_j)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ball import ball_axis, ball_norm, ball_rules, tail_sum
+from .ball import ball_axis, ball_norm, ball_rules, tail_sum, validate_multi_index
 from .classical import (
     gegenbauer, gegenbauer_norm, jacobi, jacobi_norm, laguerre, laguerre_norm,
 )
@@ -281,10 +281,10 @@ def _line_rule(left, right, level):
 
 
 def _fourier_rules(fam, k, wp, level):
-    """The t rule and the len(k) x rules of the direct transform at ``level``:
-    each side is cut where its exp(-rate |s|) decay falls below 1e-13 (with
-    a 15% margin), except the right side of the Laguerre t-factor, which
-    decays like exp(-e^t / 2) and is cut at t = 4.8."""
+    """The t rule and the len(k) x rules, one shared rule, of the direct
+    transform at ``level``: each side is cut where its exp(-rate |s|) decay
+    falls below 1e-13 (15% margin), except the right side of the Laguerre
+    t-factor, which decays like exp(-e^t / 2) and is cut at t = 4.8."""
     cut = lambda rate: 1.15 * _TRUNC_LOG / rate
     n = tail_sum(k, 1)
     if fam == "FOURIER_J":
@@ -292,7 +292,7 @@ def _fourier_rules(fam, k, wp, level):
     else:
         t_rule = _line_rule(cut(wp.zeta + 0.5 * n), 4.8, level)
     x = cut(2 * wp.alpha)
-    return t_rule, tuple(_line_rule(x, x, level) for _ in k)
+    return t_rule, (_line_rule(x, x, level),) * len(k)
 
 
 def _fourier_direct(fam, m, k, wp, xi, level, column):
@@ -314,15 +314,16 @@ def _fourier_direct(fam, m, k, wp, xi, level, column):
 def _fourier(case):
     t0 = time.perf_counter()
     column = _memo.open(case)
+    k = validate_multi_index(case.k)
     if case.identity_id == "FOURIER_J":
         wp = WrapParamsJacobi(**case.params)
-        closed = fourier_h_jacobi_closed(case.m, case.k, wp, case.xi)
+        closed = fourier_h_jacobi_closed(case.m, k, wp, case.xi)
     else:
         wp = WrapParamsLaguerre(**case.params)
-        closed = fourier_h_laguerre_closed(case.m, case.k, wp, case.xi)
+        closed = fourier_h_laguerre_closed(case.m, k, wp, case.xi)
     val, nodes = _certified(
         (0, 1),
-        lambda level: _fourier_direct(case.identity_id, case.m, case.k, wp, case.xi, level, column),
+        lambda level: _fourier_direct(case.identity_id, case.m, k, wp, case.xi, level, column),
         case.tolerance, abs(closed),
     )
     return _finish(case, val, closed, abs(closed), nodes, t0)
@@ -448,19 +449,20 @@ def _contiguous(case):
 def _form_equiv(case):
     t0 = time.perf_counter()
     p = case.params
+    k = validate_multi_index(case.k)
     if case.identity_id == "FORM_EQUIV_PHI":
         j = int(p["axis"])
-        lhs = phi_factor(j, p["alpha"], p["mu"], case.k, p["xi"])
-        rhs = phi_factor_hahn(j, p["alpha"], p["mu"], case.k, p["xi"])
+        lhs = phi_factor(j, p["alpha"], p["mu"], k, p["xi"])
+        rhs = phi_factor_hahn(j, p["alpha"], p["mu"], k, p["xi"])
     elif case.identity_id == "FORM_EQUIV_D":
         t, x = _complex_point(p, case.d)
-        lhs = eval_D(case.k, p["alpha1"], p["alpha2"], x)
-        rhs = eval_D_hahn(case.k, p["alpha1"], p["alpha2"], x)
+        lhs = eval_D(k, p["alpha1"], p["alpha2"], x)
+        rhs = eval_D_hahn(k, p["alpha1"], p["alpha2"], x)
     else:
         sp = SplitParams(p["alpha1"], p["alpha2"], p["zeta1"], p["zeta2"], p["eta1"], p["eta2"])
         t, x = _complex_point(p, case.d)
-        lhs = eval_A(case.m, case.k, sp, t, x)
-        rhs = eval_A_hahn(case.m, case.k, sp, t, x)
+        lhs = eval_A(case.m, k, sp, t, x)
+        rhs = eval_A_hahn(case.m, k, sp, t, x)
     scale = max(abs(lhs), abs(rhs))
     return _finish(case, lhs, rhs, scale if scale > 0 else 1.0, 0, t0)
 

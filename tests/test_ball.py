@@ -5,7 +5,8 @@ import pytest
 import scipy.integrate as si
 
 from orthopara.ball import (
-    ball_eval, ball_homogeneous, ball_norm, lambda_param, tail_sum, validate_multi_index,
+    MultiIndex, ball_eval, ball_homogeneous, ball_norm, lambda_param, tail_sum,
+    validate_multi_index,
 )
 from orthopara.classical import gegenbauer, gegenbauer_norm
 from orthopara.errors import DomainError
@@ -132,3 +133,12 @@ def test_multi_index_entries_must_be_integers():
             validate_multi_index(k)
     with pytest.raises(DomainError):
         eval_D((1.7,), 0.7, 0.9, [0.3 + 0.1j])
+
+
+def test_checked_multi_index_is_returned_unchanged():
+    # a MultiIndex is never checked again, and it hashes, compares and
+    # prints as the plain tuple, so memo keys and reports do not change
+    mi = validate_multi_index([np.int64(2), 0])
+    assert type(mi) is MultiIndex and validate_multi_index(mi) is mi
+    assert mi == (2, 0) and hash(mi) == hash((2, 0)) and repr(mi) == "(2, 0)"
+    assert {(2, 0): "column"}[mi] == "column"

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from orthopara import cli
 from orthopara.ball import ball_eval
 from orthopara.cli import (
-    EVAL_FUNCTIONS, EVAL_TABLE, SweepConfig, expand_families, load_config, main, run_sweep,
+    EVAL_FUNCTIONS, EVAL_TABLE, MAX_EVAL_DEGREE, SweepConfig, expand_families, load_config, main,
+    run_sweep,
 )
 from orthopara.errors import ConfigError
 from orthopara.gammafn import beta as betafn
@@ -187,7 +189,7 @@ def test_cli_eval_more_functions(capsys):
     assert float(out.split("(")[1].split(")")[0]) == pytest.approx(1.0)
     # mu = 0 on the last axis (k_2 = 0): g_2 = (1 - tanh^2 x_1)^(alpha + 1/4)
     # C_1^(1/2)(tanh x_1) (1 - tanh^2 x_2)^alpha C_0^(0)(tanh x_2), with
-    # C_1^(1/2)(y) = y and C_0^(0) = 1; the CLI passes the points as complex
+    # C_1^(1/2)(y) = y and C_0^(0) = 1; the CLI passes the points as real
     assert main(["eval", "--fn", "g", "--d", "2", "--k", "1,0",
                  "--params", "alpha=0.8,mu=0", "--x", "0.3,0.1"]) == 0
     out = capsys.readouterr().out
@@ -216,6 +218,17 @@ def test_cli_eval_more_functions(capsys):
     capsys.readouterr()
 
 
+def test_cli_eval_g_at_a_real_point_to_degree_30(capsys):
+    # g takes a real x, so the Gegenbauer factor runs on real points: at a
+    # complex-typed x, scipy's series gave 0.665 here (1.3e15 at degree 60)
+    assert main(["eval", "--fn", "g", "--d", "1", "--k", "30", "--params", "alpha=0.8,mu=0.7",
+                 "--x", "0.1"]) == 0
+    got = float(capsys.readouterr().out.split("(")[1].split(")")[0])
+    with mp.workdps(40):
+        want = mp.sech(0.1) ** 1.6 * mp.gegenbauer(30, 0.7, mp.tanh(0.1))
+    assert abs(got - float(want)) <= 1e-12
+
+
 @pytest.mark.parametrize("axis, rc", [("0", 4), ("3", 4), ("1.5", 2)])
 def test_cli_eval_phi_axis_checked(axis, rc, capsys):
     # d = 1 has only axis 1: other integers are a domain error, a fraction
@@ -238,13 +251,14 @@ def test_cli_eval_non_finite_rejected(params, x, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--fn", "D", "--d", "1", "--k", "1", "--params", "alpha1=1e308,alpha2=1e308", "--x", "0.2"],
-    ["--fn", "A", "--d", "1", "--k", "1", "--m", "100000",
+    ["--fn", "A", "--d", "1", "--k", "1", "--m", str(MAX_EVAL_DEGREE),
      "--params", "alpha1=0.7,alpha2=0.9,zeta1=0.8,zeta2=1.2,eta1=0.6,eta2=1.1",
      "--t", "-3000", "--x", "0.2"],
 ], ids=["D_huge_alpha", "A_huge_degree"])
 def test_cli_eval_non_finite_result_is_evaluation_error(argv, capsys):
-    # finite input whose true value overflows (A: about -7.8e10872 times D at
-    # t = -3000, from a 40-digit recurrence): exit 4, no numpy warning text
+    # finite input whose true value overflows (A at the eval degree bound:
+    # its Gamma factor alone is about 4.3e4115 at t = -3000): exit 4, no
+    # numpy warning text
     assert main(["eval", *argv]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -262,10 +276,16 @@ def test_cli_eval_non_finite_result_is_evaluation_error(argv, capsys):
       "--x", "0.3"], "axis"),
     (["--fn", "g", "--d", "1", "--k", "1", "--params", "alpha=0.8,mu=0.7,alpha=5",
       "--x", "0.1"], "'alpha' given twice"),
-], ids=["d_negative", "d_zero", "unknown_name", "axis_not_a_parameter_of_D", "repeated_name"])
+    (["--fn", "g", "--d", "1", "--k", "99999999", "--params", "alpha=0.8,mu=0.7",
+      "--x", "0.1"], "--k entry 99999999 is above the eval degree bound 10000"),
+    (["--fn", "theta", "--d", "1", "--m", "10001", "--k", "0",
+      "--params", "zeta=1.1,eta=0.9,beta=0.3,gamma=0.4,mu=0.7", "--xi", "0.6"],
+     "--m 10001 is above the eval degree bound 10000"),
+], ids=["d_negative", "d_zero", "unknown_name", "axis_not_a_parameter_of_D", "repeated_name",
+        "k_above_degree_bound", "m_above_degree_bound"])
 def test_cli_eval_bad_d_or_parameter_name(argv, message, capsys):
     # no silent dimension-zero evaluation, no silently ignored or overridden
-    # parameter
+    # parameter, no degree that would run for minutes
     assert main(["eval", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "parse error" in captured.err and message in captured.err
@@ -660,8 +680,8 @@ def _kv(params):
 
 # fn -> (CLI arguments after --fn, the same evaluation as a direct library call)
 EVAL_CASES = {
-    "g": (["--d", "2", "--k", "1,0", "--params", "alpha=0.8,mu=0.7", "--x", "0.3+0.1j,-0.2"],
-          lambda: eval_g((1, 0), 0.8, 0.7, [0.3 + 0.1j, -0.2 + 0j])),
+    "g": (["--d", "2", "--k", "1,0", "--params", "alpha=0.8,mu=0.7", "--x", "0.3,-0.2"],
+          lambda: eval_g((1, 0), 0.8, 0.7, [0.3, -0.2])),
     "ball": (["--d", "2", "--k", "1,1", "--params", "mu=0.5", "--x", "0.25,0.1"],
              lambda: ball_eval((1, 1), 0.5, [0.25, 0.1])),
     "Q": (["--d", "1", "--m", "2", "--k", "1", "--params", "beta=0.3,gamma=0.4,mu=0.7",

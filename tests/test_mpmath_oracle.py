@@ -12,8 +12,10 @@ Complex arguments (points of the unit box) are asserted only to degree 10,
 relative to the largest value at the points.  scipy's complex path is the
 2F1 series, which loses digits with the degree as the hypergeometric series
 does: Gegenbauer and Jacobi are at about 2e-13 at degree 10, 1e-12 at degree
-12 and 1e-6 at degree 30 (Laguerre stays near 1e-14 to degree 30).  No
-identity family evaluates a classical polynomial at a complex point.
+12 and 1e-6 at degree 30 (Laguerre stays near 1e-14 to degree 30).  So
+Jacobi and Gegenbauer raise DomainError at a complex point above degree 10
+(``classical.COMPLEX_MAX_DEGREE``).  No identity family evaluates a
+classical polynomial at a complex point.
 
 Parameters are drawn from the ranges of the ORT_1D case generator.
 
@@ -51,9 +53,10 @@ import pytest
 
 from orthopara.ball import ball_homogeneous, lambda_param
 from orthopara.classical import (
-    gegenbauer, gegenbauer_homogeneous, gegenbauer_norm, jacobi, jacobi_norm, laguerre,
-    laguerre_norm,
+    COMPLEX_MAX_DEGREE, gegenbauer, gegenbauer_homogeneous, gegenbauer_norm, jacobi, jacobi_norm,
+    laguerre, laguerre_norm,
 )
+from orthopara.errors import DomainError
 from orthopara.quadrature import gauss_jacobi, gauss_laguerre
 from orthopara.transforms import (
     A_t, B_t, D_axis, SplitParams, lambda_factor, phi_factor, theta_factor,
@@ -62,7 +65,6 @@ from orthopara.transforms import (
 DPS = 40
 NODES = 32  # even, so no node is the exact zero of an odd polynomial
 REAL_DEGREES = range(31)
-COMPLEX_MAX_DEGREE = 10
 
 
 def _draws(family, count=2):
@@ -111,6 +113,21 @@ def test_complex_arguments_to_degree_10(family):
             want = _reference(mp_fn, m, z)
             rel = np.abs(evaluate(m, z) - want).max() / np.abs(want).max()
             assert rel <= 1e-12, (params, m, rel)
+
+
+@pytest.mark.parametrize("evaluate", [lambda m, z: jacobi(m, 0.3, 0.4, z),
+                                      lambda m, z: gegenbauer(m, 0.7, z)],
+                         ids=["jacobi", "gegenbauer"])
+def test_complex_point_above_the_stated_degree_raises(evaluate):
+    # past COMPLEX_MAX_DEGREE the complex path is not held to 1e-12: it
+    # raises, at a complex array, a complex scalar and a complex zero-imaginary
+    # point alike; a real point has no such bound
+    z = np.array([0.3 + 0.2j, -0.5])
+    evaluate(COMPLEX_MAX_DEGREE, z)
+    for point in (z, 0.3 + 0.2j, 0.3 + 0j):
+        with pytest.raises(DomainError, match="COMPLEX_MAX_DEGREE"):
+            evaluate(COMPLEX_MAX_DEGREE + 1, point)
+    evaluate(30, np.array([0.3, -0.5]))
 
 
 FACTOR_DPS = 60

@@ -179,9 +179,9 @@ SENSITIVITY = [
     ("transforms", "_A_t", "degree_scale", ["PARSEVAL_A", "FORM_EQUIV_A"] + MIXED_A),
     ("transforms", "_B_t", "scale", ["PARSEVAL_B"]),
     ("transforms", "_B_t", "degree_scale", ["PARSEVAL_B"] + MIXED_B),
-    ("transforms", "_D_axis", "scale",
+    ("transforms", "D_axis", "scale",
      ["PARSEVAL_A", "PARSEVAL_B", "FORM_EQUIV_D", "FORM_EQUIV_A"]),
-    ("transforms", "_D_axis", "swap(2,3)", ["FORM_EQUIV_D", "FORM_EQUIV_A"]),  # (a1, a2)
+    ("transforms", "D_axis", "swap(1,2)", ["FORM_EQUIV_D", "FORM_EQUIV_A"]),  # (a1, a2)
     ("transforms", "phi_factor_hahn", "scale", ["FORM_EQUIV_PHI"]),
     ("transforms", "eval_D_hahn", "scale", ["FORM_EQUIV_D", "FORM_EQUIV_A"]),
     ("transforms", "eval_A_hahn", "scale", ["FORM_EQUIV_A"]),
@@ -197,7 +197,7 @@ BLIND_SPOTS = [
     ("transforms", "_phi_beta_part", "scale_value", ["FORM_EQUIV_PHI"]),
     # the Parseval integral is symmetric under (a1, a2) -> (a2, a1) in D:
     # s -> -s exchanges its two sides
-    ("transforms", "_D_axis", "swap(2,3)", ["PARSEVAL_A", "PARSEVAL_B"]),
+    ("transforms", "D_axis", "swap(1,2)", ["PARSEVAL_A", "PARSEVAL_B"]),
 ]
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from orthopara import verifier
+from orthopara import ball, verifier
 from orthopara.ball import ball_eval, ball_norm
 from orthopara.cli import SweepConfig
 from orthopara.errors import QuadratureNonConvergence
@@ -279,6 +279,29 @@ def test_contig_case_and_pole_skip():
                           params={k: v for k, v in pole.items() if not k.startswith("eta")},
                           tolerance=1e-10))
     assert repp.skipped_reason is not None and repp.passed
+
+
+@pytest.mark.parametrize("fam", ["FORM_EQUIV_A", "FORM_EQUIV_D", "FORM_EQUIV_PHI", "FOURIER_J",
+                                 "FOURIER_L"])
+def test_one_multi_index_check_per_case(fam, monkeypatch):
+    # a case checks its k once and hands the MultiIndex to every function it
+    # calls, the direct transform's columns included (4, 2, 2 and 3 + d
+    # checks before MultiIndex)
+    built = []
+
+    class Counted(ball.MultiIndex):
+        __slots__ = ()
+
+        def __new__(cls, entries):
+            built.append(entries)
+            return super().__new__(cls, entries)
+
+    case = next(c for c in generate_cases(SweepConfig(families=[fam], seed=1))
+                if c.d == 2 and sum(c.k) > 0)
+    monkeypatch.setattr(ball, "MultiIndex", Counted)
+    monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
+    assert run_case(case).passed
+    assert len(built) == 1
 
 
 def test_form_equiv_case():
