@@ -13,7 +13,8 @@ The configs are the default sweep and perfbench's series-scalar and
 gram-highdeg workloads (read from `perfbench/workloads.py`), or the one JSON
 config given with --config.  It first prints the non-blank line count of
 `src/orthopara/*.py` in the base and in this checkout, and their difference
-(the net lines a change reports).  After the comparison of each seed it
+(the net lines a change reports), then one line per module whose count
+changed, as `verifier.py 549 → 541 (-8)`.  After the comparison of each seed it
 prints each tree's row of the high-degree table in ROADMAP.md's Baseline:
 the case count, the failing cases, how many of them raised, and the sweep's
 process wall time.  `scripts/configs/` holds that table's configs (hdt-8,
@@ -72,10 +73,24 @@ def base_tree(base, scratch):
     return scratch / "src"
 
 
-def source_lines(src):
-    """The non-blank lines of the package modules `orthopara/*.py` under ``src``."""
-    return sum(bool(line.strip()) for path in (src / "orthopara").glob("*.py")
-               for line in path.read_text().splitlines())
+def module_lines(src):
+    """The non-blank line count of each package module `orthopara/*.py` under ``src``."""
+    return {path.name: sum(bool(line.strip()) for line in path.read_text().splitlines())
+            for path in (src / "orthopara").glob("*.py")}
+
+
+def line_counts(base_src, src):
+    """The report of net lines: both totals and their difference, then each
+    module whose count changed (0 where a tree lacks it), by name."""
+    base, this = module_lines(base_src), module_lines(src)
+    total, base_total = sum(this.values()), sum(base.values())
+    lines = [f"non-blank lines of src/orthopara/*.py: base {base_total}, "
+             f"this checkout {total}, difference {total - base_total:+d}"]
+    for name in sorted(base.keys() | this.keys()):
+        old, new = base.get(name, 0), this.get(name, 0)
+        if old != new:
+            lines.append(f"  {name} {old} → {new} ({new - old:+d})")
+    return lines
 
 
 def sweep(src, config, seed, out):
@@ -129,9 +144,7 @@ def main():
                     configs[name] = tmp / f"{name}.json"
                     configs[name].write_text(json.dumps(cfg))
             trees = (base_tree(args.base, tmp / "base"), ROOT / "src")
-            base_lines, lines = map(source_lines, trees)
-            print(f"non-blank lines of src/orthopara/*.py: base {base_lines}, "
-                  f"this checkout {lines}, difference {lines - base_lines:+d}")
+            print("\n".join(line_counts(*trees)))
             for name, config in configs.items():
                 for seed in seeds:
                     runs = [sweep(src, config, seed, tmp / "report.json") for src in trees]

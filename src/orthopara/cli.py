@@ -371,14 +371,15 @@ def _parse_kv(text):
     return out
 
 
-# the largest --m or --k entry eval accepts: no shipped config or gate goes
-# above degree 30, and an unbounded degree can run for minutes
-MAX_EVAL_DEGREE = 10_000
+# the largest --d, --m or --k entry eval accepts: no shipped config or gate
+# goes above degree 30 or d = 3, an unbounded degree can run for minutes, and
+# an unbounded --d allocates its multi-index before any point is parsed
+MAX_EVAL_SIZE = 10_000
 
 
-def _check_eval_degree(m, what):
-    if m > MAX_EVAL_DEGREE:
-        raise ParseError(f"{what} {m} is above the eval degree bound {MAX_EVAL_DEGREE}")
+def _check_eval_size(n, what):
+    if n > MAX_EVAL_SIZE:
+        raise ParseError(f"{what} {n} is above the eval size bound {MAX_EVAL_SIZE}")
 
 
 def _parse_multi_index(text, d):
@@ -390,7 +391,7 @@ def _parse_multi_index(text, d):
         raise ParseError(f"malformed multi-index {text!r}") from exc
     if len(k) != d:
         raise ParseError(f"multi-index {text!r} must have {d} nonnegative entries")
-    _check_eval_degree(max(k), "--k entry")
+    _check_eval_size(max(k), "--k entry")
     return k
 
 
@@ -425,7 +426,7 @@ def _axis(kv):
 def _degree(args):
     if args.m is None:
         raise ParseError("--m is required")
-    _check_eval_degree(args.m, "--m")
+    _check_eval_size(args.m, "--m")
     return args.m
 
 
@@ -482,6 +483,7 @@ def eval_point(args) -> complex:
     evaluator, names, kinds = EVAL_TABLE[args.fn]
     if args.d < 1:
         raise ParseError(f"--d must be at least 1, got {args.d}")
+    _check_eval_size(args.d, "--d")
     kv = _parse_kv(args.params)
     unknown = [n for n in kv if n not in names and not (n == "axis" and "axis" in kinds)]
     if unknown:

@@ -14,8 +14,8 @@ constant kept for the process is the n-point Gauss-Legendre rule on
 [-1, 1], built once per n.  A rule's nodes and weights are read-only, so no
 caller can change a rule that another reads, and the oracles sum in fixed
 node order, so repeated runs produce bit-identical results.  Every rule size
-is checked before anything is allocated: a node or panel count is an integer
-from 1 to MAX_NODES_PER_AXIS, and a composite rule has at most
+is checked before anything is allocated: a node or panel count is an index
+(``gammafn.is_index``) from 1 to MAX_NODES_PER_AXIS, and a composite rule has at most
 MAX_NODES_PER_AXIS nodes in all; anything else raises DomainError.  A
 Gauss-Jacobi or Gauss-Laguerre rule has at most MAX_GAUSS_NODES nodes, as
 its dense n x n Jacobi matrix is 8 n^2 bytes (8 MB at the limit).  The
@@ -27,7 +27,6 @@ largest rules the shipped configs build are 32 nodes in the default sweep,
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import betaln, eval_genlaguerre, eval_jacobi, gamma
 
 from .errors import DomainError
+from .gammafn import is_index
 
 MAX_NODES_PER_AXIS = 2**14
 MAX_GAUSS_NODES = 2**10
@@ -55,9 +55,9 @@ class QuadratureRule:
 
 
 def _check_size(what, n, limit=MAX_NODES_PER_AXIS):
-    """``n`` as an int, or DomainError unless it is an integer in
-    [1, limit]."""
-    if not (isinstance(n, numbers.Integral) and 1 <= n <= limit):
+    """``n`` as an int, or DomainError unless it is an index (``is_index``:
+    not a bool or a float) in [1, limit]."""
+    if not (is_index(n) and 1 <= n <= limit):
         raise DomainError(f"{what} = {n!r}; needs an integer from 1 to {limit}")
     return int(n)
 

@@ -32,7 +32,7 @@ import numpy as np
 from .ball import _at_point, lambda_param, tail_sum, validate_multi_index
 from .classical import _points, continuous_hahn, gegenbauer, hahn_3f2, meixner_pollaczek_2f1
 from .errors import DomainError
-from .gammafn import log_gamma, pochhammer
+from .gammafn import is_index, log_gamma, pochhammer
 from .paraboloid import _degree_split, radial_factor
 
 
@@ -140,7 +140,7 @@ def _axis_tail(j, k):
     """Validated k, d = len(k) and K = |k^{j+1}| of the factor on axis j."""
     k = validate_multi_index(k)
     d = len(k)
-    if j not in range(1, d + 1):
+    if not (is_index(j) and 1 <= j <= d):
         raise DomainError(f"axis factor needs 1 <= j <= len(k), got k = {k}, j = {j!r}")
     return k, d, tail_sum(k, j + 1)
 

@@ -3,9 +3,10 @@
 Turns every identity of the library into an executable case: orthogonality
 Gram entries against norm formulas, closed-form Fourier transforms against
 direct numeric transforms, the two Parseval constants, the 14 lifted
-contiguous relations, and the Hahn-form equivalences.  Each case produces a
-VerificationReport with a convergence certificate (two quadrature refinement
-levels in agreement) behind every pass/fail verdict.
+contiguous relations, and the Hahn-form equivalences.  ``run_case`` judges
+the two sides a family's runner returns into a VerificationReport, with a
+convergence certificate (two quadrature refinement levels in agreement)
+behind every oracle side.
 """
 
 from __future__ import annotations
@@ -63,29 +64,8 @@ class VerificationReport:
     error: str | None = None
 
 
-def _finish(case, lhs, rhs, scale, nodes, t0):
-    """Residuals per the reporting convention: relative against the larger
-    side on the diagonal, absolute against ``scale`` when rhs == 0."""
-    lhs = complex(lhs)
-    rhs = complex(rhs)
-    abs_res = abs(lhs - rhs)
-    if rhs == 0:
-        rel = abs_res / scale if scale > 0 else abs_res
-    else:
-        rel = abs_res / max(abs(lhs), abs(rhs))
-    return VerificationReport(
-        case=case, lhs=lhs, rhs=rhs, abs_residual=abs_res, rel_residual=rel,
-        passed=bool(rel <= case.tolerance), nodes=nodes,
-        seconds=time.perf_counter() - t0,
-    )
-
-
-def _skip(case, reason, t0):
-    return VerificationReport(
-        case=case, lhs=0j, rhs=0j, abs_residual=0.0, rel_residual=0.0,
-        passed=True, nodes=0, seconds=time.perf_counter() - t0,
-        skipped_reason=reason,
-    )
+class _Skip(Exception):
+    """A case with no value to judge; the message is its skipped_reason."""
 
 
 def _certified(levels, integral, tol, scale):
@@ -172,13 +152,14 @@ class _DrawMemo:
 _memo = _DrawMemo()
 
 
-def _gram(case, t0, column, norm, i, i2, levels, entry):
-    """The certified inner product <i, i2> (``entry(level)`` returns value and
-    nodes) against the diagonal value ``norm(i)``, or 0 off the diagonal."""
+def _gram(case, column, norm, i, i2, levels, entry):
+    """The sides of a Gram case: the certified <i, i2> (``entry(level)`` returns
+    value and nodes) against ``norm(i)``, or 0 off the diagonal, at scale
+    sqrt(norm(i) norm(i2))."""
     diag, diag2 = (column(("norm", j), lambda: norm(j)) for j in (i, i2))
     scale = math.sqrt(diag * diag2)
     val, nodes = _certified(levels, entry, case.tolerance, scale)
-    return _finish(case, val, diag if i == i2 else 0.0, scale, nodes, t0)
+    return val, diag if i == i2 else 0.0, scale, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +167,6 @@ def _gram(case, t0, column, norm, i, i2, levels, entry):
 
 
 def _ort_1d(case):
-    t0 = time.perf_counter()
     column = _memo.open(case)
     p = case.params
     m, m2 = case.m, case.m2
@@ -212,7 +192,7 @@ def _ort_1d(case):
         values = lambda mm: column((n, mm), lambda: poly(r.nodes, mm))  # P_mm on the rule
         return (r.weights * values(m) * values(m2)).sum(), n
 
-    return _gram(case, t0, column, norm, m, m2, _gram_levels(16, m + m2), gram_entry)
+    return _gram(case, column, norm, m, m2, _gram_levels(16, m + m2), gram_entry)
 
 
 def _ball_gram(column, mu, k, k2, n):
@@ -227,12 +207,11 @@ def _ball_gram(column, mu, k, k2, n):
 
 
 def _ort_ball(case):
-    t0 = time.perf_counter()
     column = _memo.open(case)
     mu = case.params["mu"]
     k, k2, d = case.k, case.k2, case.d
     levels = _gram_levels(12, tail_sum(k, 1) + tail_sum(k2, 1))
-    return _gram(case, t0, column, lambda kk: ball_norm(kk, mu), k, k2, levels,
+    return _gram(case, column, lambda kk: ball_norm(kk, mu), k, k2, levels,
                  lambda n: (_ball_gram(column, mu, k, k2, n), d * n))
 
 
@@ -252,7 +231,6 @@ def _para_gram(column, kind, beta, gamma, mu, mk, mk2, n):
 
 
 def _ort_para(case):
-    t0 = time.perf_counter()
     column = _memo.open(case)
     p = case.params
     d, mu, beta = case.d, p["mu"], p["beta"]
@@ -263,7 +241,7 @@ def _ort_para(case):
         kind, gamma = "laguerre", 0.0
         norm = lambda mk: laguerre_paraboloid_norm(*mk, beta, mu)
     mk, mk2 = (case.m, case.k), (case.m2, case.k2)
-    return _gram(case, t0, column, norm, mk, mk2, _gram_levels(12, case.m + case.m2),
+    return _gram(case, column, norm, mk, mk2, _gram_levels(12, case.m + case.m2),
                  lambda n: (_para_gram(column, kind, beta, gamma, mu, mk, mk2, n), (d + 1) * n))
 
 
@@ -312,7 +290,6 @@ def _fourier_direct(fam, m, k, wp, xi, level, column):
 
 
 def _fourier(case):
-    t0 = time.perf_counter()
     column = _memo.open(case)
     k = validate_multi_index(case.k)
     if case.identity_id == "FOURIER_J":
@@ -326,7 +303,7 @@ def _fourier(case):
         lambda level: _fourier_direct(case.identity_id, case.m, k, wp, case.xi, level, column),
         case.tolerance, abs(closed),
     )
-    return _finish(case, val, closed, abs(closed), nodes, t0)
+    return val, closed, abs(closed), nodes
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +382,10 @@ def _parseval_lhs(fam, m, k, m2, k2, sp, panels, column):
 
 
 def _parseval(case):
-    t0 = time.perf_counter()
     column = _memo.open(case)
     sp = SplitParams(**case.params)
     return _gram(
-        case, t0, column, lambda mk: parseval_rhs(case.identity_id, *mk, sp),
+        case, column, lambda mk: parseval_rhs(case.identity_id, *mk, sp),
         (case.m, case.k), (case.m2, case.k2), _PARSEVAL_LEVELS,
         lambda panels: _parseval_lhs(case.identity_id, case.m, case.k, case.m2, case.k2,
                                      sp, panels, column),
@@ -427,7 +403,6 @@ def _complex_point(params, d):
 
 
 def _contiguous(case):
-    t0 = time.perf_counter()
     p = case.params
     fam, roman = case.identity_id.rsplit("_", 1)
     idx = ROMAN.index(roman) + 1
@@ -441,13 +416,11 @@ def _contiguous(case):
             sp = SplitParams(p["alpha1"], p["alpha2"], p["zeta1"], p["zeta2"], check=False)
             lhs, rhs = b_relation_pair(idx, case.m, case.k, sp, t, x)
     except PoleError as exc:
-        return _skip(case, f"pole: {exc}", t0)
-    scale = max(abs(lhs), abs(rhs))
-    return _finish(case, lhs, rhs, scale if scale > 0 else 1.0, 0, t0)
+        raise _Skip(f"pole: {exc}") from exc
+    return lhs, rhs, None, 0
 
 
 def _form_equiv(case):
-    t0 = time.perf_counter()
     p = case.params
     k = validate_multi_index(case.k)
     if case.identity_id == "FORM_EQUIV_PHI":
@@ -463,15 +436,31 @@ def _form_equiv(case):
         t, x = _complex_point(p, case.d)
         lhs = eval_A(case.m, k, sp, t, x)
         rhs = eval_A_hahn(case.m, k, sp, t, x)
-    scale = max(abs(lhs), abs(rhs))
-    return _finish(case, lhs, rhs, scale if scale > 0 else 1.0, 0, t0)
+    return lhs, rhs, None, 0
 
 
 def run_case(case: IdentityCase) -> VerificationReport:
+    """Run ``case``'s family runner and judge the two sides it returns: the
+    residual is relative to the larger side, or to the runner's scale when
+    rhs == 0.  A skip passes with zero residuals; other raises propagate."""
     fam = FAMILIES.get(case.identity_id)
     if fam is None:
         raise DomainError(f"unknown identity id {case.identity_id!r}")
-    return fam.run(case)
+    t0 = time.perf_counter()
+    try:
+        lhs, rhs, scale, nodes = fam.run(case)
+    except _Skip as skip:
+        return VerificationReport(
+            case=case, lhs=0j, rhs=0j, abs_residual=0.0, rel_residual=0.0, passed=True,
+            nodes=0, seconds=time.perf_counter() - t0, skipped_reason=str(skip))
+    lhs, rhs = complex(lhs), complex(rhs)
+    abs_res = abs(lhs - rhs)
+    if rhs != 0 or scale is None:
+        scale = max(abs(lhs), abs(rhs))
+    rel = abs_res / scale if scale > 0 else abs_res
+    return VerificationReport(
+        case=case, lhs=lhs, rhs=rhs, abs_residual=abs_res, rel_residual=rel,
+        passed=bool(rel <= case.tolerance), nodes=nodes, seconds=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +602,14 @@ def generate_cases(cfg) -> list[IdentityCase]:
 
 @dataclass(frozen=True)
 class Family:
-    """One identity family: its group, its default tolerance, the oracle
-    that runs one of its cases, the generator that draws its cases, and a
-    one-line description."""
+    """One identity family: its group, its default tolerance, the runner
+    that returns a case's sides (lhs, rhs, scale, nodes) for ``run_case`` to
+    judge (a scale of None means the larger side), the generator that draws
+    its cases, and a one-line description."""
     id: str
     group: str
     tolerance: float
-    run: Callable[[IdentityCase], VerificationReport]
+    run: Callable[[IdentityCase], tuple[complex, complex, float | None, int]]
     cases: Callable  # (id, cfg, rng, tolerance) -> IdentityCases, drawing from rng
     description: str
 

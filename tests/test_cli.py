@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from orthopara import cli
 from orthopara.ball import ball_eval
 from orthopara.cli import (
-    EVAL_FUNCTIONS, EVAL_TABLE, MAX_EVAL_DEGREE, SweepConfig, expand_families, load_config, main,
+    EVAL_FUNCTIONS, EVAL_TABLE, MAX_EVAL_SIZE, SweepConfig, expand_families, load_config, main,
     run_sweep,
 )
 from orthopara.errors import ConfigError
@@ -251,12 +251,12 @@ def test_cli_eval_non_finite_rejected(params, x, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--fn", "D", "--d", "1", "--k", "1", "--params", "alpha1=1e308,alpha2=1e308", "--x", "0.2"],
-    ["--fn", "A", "--d", "1", "--k", "1", "--m", str(MAX_EVAL_DEGREE),
+    ["--fn", "A", "--d", "1", "--k", "1", "--m", str(MAX_EVAL_SIZE),
      "--params", "alpha1=0.7,alpha2=0.9,zeta1=0.8,zeta2=1.2,eta1=0.6,eta2=1.1",
      "--t", "-3000", "--x", "0.2"],
 ], ids=["D_huge_alpha", "A_huge_degree"])
 def test_cli_eval_non_finite_result_is_evaluation_error(argv, capsys):
-    # finite input whose true value overflows (A at the eval degree bound:
+    # finite input whose true value overflows (A at the eval size bound:
     # its Gamma factor alone is about 4.3e4115 at t = -3000): exit 4, no
     # numpy warning text
     assert main(["eval", *argv]) == 4
@@ -277,15 +277,20 @@ def test_cli_eval_non_finite_result_is_evaluation_error(argv, capsys):
     (["--fn", "g", "--d", "1", "--k", "1", "--params", "alpha=0.8,mu=0.7,alpha=5",
       "--x", "0.1"], "'alpha' given twice"),
     (["--fn", "g", "--d", "1", "--k", "99999999", "--params", "alpha=0.8,mu=0.7",
-      "--x", "0.1"], "--k entry 99999999 is above the eval degree bound 10000"),
+      "--x", "0.1"], "--k entry 99999999 is above the eval size bound 10000"),
     (["--fn", "theta", "--d", "1", "--m", "10001", "--k", "0",
       "--params", "zeta=1.1,eta=0.9,beta=0.3,gamma=0.4,mu=0.7", "--xi", "0.6"],
-     "--m 10001 is above the eval degree bound 10000"),
+     "--m 10001 is above the eval size bound 10000"),
+    (["--fn", "g", "--d", "10001", "--params", "alpha=0.8,mu=0.7", "--x", "0.1"],
+     "--d 10001 is above the eval size bound 10000"),
+    (["--fn", "ball", "--d", "10000000", "--params", "mu=0.5", "--x", "0.1"],
+     "--d 10000000 is above the eval size bound 10000"),
 ], ids=["d_negative", "d_zero", "unknown_name", "axis_not_a_parameter_of_D", "repeated_name",
-        "k_above_degree_bound", "m_above_degree_bound"])
+        "k_above_degree_bound", "m_above_degree_bound", "d_above_size_bound", "d_huge"])
 def test_cli_eval_bad_d_or_parameter_name(argv, message, capsys):
     # no silent dimension-zero evaluation, no silently ignored or overridden
-    # parameter, no degree that would run for minutes
+    # parameter, no degree that would run for minutes, no --d whose zero
+    # multi-index would be allocated before the points are parsed
     assert main(["eval", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "parse error" in captured.err and message in captured.err
@@ -387,9 +392,10 @@ def test_diff_reports_script_sees_a_reindented_report_as_the_same_document(tmp_p
 
 
 def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
-    # the checkout against itself keeps every verdict (exit 0); a base copy
-    # whose Parseval constant is doubled fails its three diagonal cases (exit 1);
-    # neither differs from the checkout in its count of non-blank lines
+    # the checkout against itself keeps every verdict (exit 0) and every
+    # line count; a base copy whose Parseval constant is doubled, in one line
+    # more of verifier.py, fails its three diagonal cases (exit 1), and the
+    # line counts name that one module
     root = Path(__file__).resolve().parents[1]
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps({"families": ["PARSEVAL_A"], "dims": [1],
@@ -408,10 +414,13 @@ def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
     verifier_py = copy / "src" / "orthopara" / "verifier.py"
     source = verifier_py.read_text()
     assert source.count("    return float(val)\n") == 1
-    verifier_py.write_text(source.replace("    return float(val)\n", "    return 2 * float(val)\n"))
+    verifier_py.write_text(source.replace("    return float(val)\n",
+                                          "    val *= 2\n    return float(val)\n"))
     res = compare(copy)
     assert res.returncode == 1 and "DIFFERS" in res.stdout and "verdict changes: 3" in res.stdout
-    assert "difference +0\n" in res.stdout
+    lines = sum(bool(line.strip()) for line in source.splitlines())
+    assert "difference -1\n" in res.stdout and res.stdout.count("→") == 1
+    assert f"\n  verifier.py {lines + 1} → {lines} (-1)\n" in res.stdout
 
 
 def test_high_degree_configs_hold_the_baseline_case_lists():

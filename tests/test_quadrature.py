@@ -28,7 +28,8 @@ def test_gauss_legendre_basics():
     assert np.sum(r5.weights * r5.nodes**8) == pytest.approx(2 / 9, abs=1e-14)
     assert np.sum(r5.weights) == pytest.approx(2.0, abs=1e-12)
     assert (r5.weights > 0).all()
-    for panels, n in ((1, 0), (0, 5), (1, 20000), (2000, 12), (2.0, 12), (2, 12.0)):
+    for panels, n in ((1, 0), (0, 5), (1, 20000), (2000, 12), (2.0, 12), (2, 12.0), (True, 12),
+                      (1, True)):
         with pytest.raises(DomainError):
             composite_legendre(-1.0, 1.0, panels, n)
 
@@ -161,9 +162,10 @@ def test_rule_families_leave_scipy_linalg_unimported():
 @pytest.mark.parametrize("build", [lambda n: gauss_jacobi(n, 0.5, 0.5),
                                    lambda n: gauss_laguerre(n, 0.5)], ids=["jacobi", "laguerre"])
 def test_gauss_rule_sizes_checked(build):
-    # a size that is not an integer in [1, MAX_GAUSS_NODES] is a DomainError
-    # before a rule is built, and a numpy integer size is the int
-    for n in (0, -3, 2.0, 2.5, "2", MAX_GAUSS_NODES + 1, MAX_NODES_PER_AXIS + 1):
+    # a size that is not an index (``is_index``: not a float or a bool) in
+    # [1, MAX_GAUSS_NODES] is a DomainError before a rule is built, and a
+    # numpy integer size is the int
+    for n in (0, -3, 2.0, 2.5, "2", True, MAX_GAUSS_NODES + 1, MAX_NODES_PER_AXIS + 1):
         with pytest.raises(DomainError):
             build(n)
     assert len(build(1)) == 1

@@ -14,9 +14,9 @@ from orthopara.ball import ball_eval
 from orthopara.paraboloid import jacobi_paraboloid, laguerre_paraboloid
 from orthopara.quadrature import composite_legendre
 from orthopara.transforms import (
-    A_t, B_t, SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_A_hahn,
+    A_t, B_t, D_axis, SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_A_hahn,
     eval_B, eval_B_hahn, eval_D, eval_D_hahn, eval_g, eval_h_jacobi,
-    eval_h_laguerre, fourier_g_closed, fourier_h_jacobi_closed,
+    eval_h_laguerre, fourier_g_closed, g_axis, fourier_h_jacobi_closed,
     fourier_h_laguerre_closed, lambda_factor, phi_factor, phi_factor_hahn,
     theta_factor,
 )
@@ -185,11 +185,12 @@ def test_phi_hahn_form_agrees():
 def test_phi_domain_error():
     with pytest.raises(DomainError):
         phi_factor(1, -0.1, 0.7, (0,), 0.0)
-    # the axis must lie in 1..len(k), in both forms
-    for fn in (phi_factor, phi_factor_hahn):
-        for j in (0, 2):
+    # the axis is an index (``is_index``: not a float or a bool) in
+    # 1..len(k), in both forms and in every axis factor
+    for fn in (phi_factor, phi_factor_hahn, D_axis, g_axis):
+        for j in (0, 3, 1.0, 2.0, True):
             with pytest.raises(DomainError):
-                fn(j, 0.8, 0.7, (1,), 0.3)
+                fn(j, 0.8, 0.7, (1, 0), 0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,47 @@ def test_form_equiv_case():
     assert rep.passed
 
 
+def _stub_report(monkeypatch, runner, tolerance):
+    # run_case on a registered family whose runner is ``runner``
+    monkeypatch.setitem(verifier.FAMILIES, "STUB",
+                        verifier.Family("STUB", "STUB", tolerance, runner, None, "stub"))
+    return run_case(IdentityCase("STUB", 1, tolerance))
+
+
+@pytest.mark.parametrize("sides, tolerance, want", [
+    # an off-diagonal Gram entry: absolute residual over the Gram scale
+    ((1e-12, 0.0, 4.0, 32), 1e-10, (1e-12, 2.5e-13, True, 32)),
+    # rhs == 0 at scale 0: the relative residual is the absolute one
+    ((3e-11, 0.0, 0.0, 5), 1e-10, (3e-11, 3e-11, True, 5)),
+    ((3e-10, 0.0, 0.0, 5), 1e-10, (3e-10, 3e-10, False, 5)),
+    # two closed forms (scale None): over the larger side, 0 when both are 0
+    ((0.5, 0.0, None, 0), 1e-10, (0.5, 1.0, False, 0)),
+    ((0.0, 0.0, None, 0), 1e-10, (0.0, 0.0, True, 0)),
+    # rhs != 0: over the larger side, whatever the scale
+    ((2.0, 1.0, None, 0), 0.5, (1.0, 0.5, True, 0)),
+    ((2.0, 1.0, 1e-30, 0), 0.5, (1.0, 0.5, True, 0)),
+    ((2.0, 1.0, 0.0, 0), 0.4999, (1.0, 0.5, False, 0)),
+    ((1j, -3j, 1e30, 7), 1.0, (4.0, 4 / 3, False, 7)),
+], ids=["gram_off_diagonal", "rhs0_scale0", "rhs0_scale0_fails", "closed_forms_rhs0",
+        "closed_forms_both0", "scale_none", "tiny_scale", "zero_scale_fails", "complex_sides"])
+def test_run_case_judges_the_runner_sides(monkeypatch, sides, tolerance, want):
+    rep = _stub_report(monkeypatch, lambda case: sides, tolerance)
+    assert (rep.abs_residual, rep.rel_residual, rep.passed, rep.nodes) == want
+    assert (rep.lhs, rep.rhs) == (complex(sides[0]), complex(sides[1]))
+    assert rep.passed == (rep.rel_residual <= tolerance) and rep.seconds >= 0
+    assert rep.skipped_reason is None and rep.error is None
+
+
+def test_run_case_reports_a_runner_skip(monkeypatch):
+    def runner(case):
+        raise verifier._Skip("pole: at -1")
+
+    rep = _stub_report(monkeypatch, runner, 1e-10)
+    assert rep.passed and rep.skipped_reason == "pole: at -1" and rep.error is None
+    assert (rep.lhs, rep.rhs, rep.abs_residual, rep.rel_residual, rep.nodes) == (0j, 0j, 0, 0, 0)
+    assert rep.seconds >= 0
+
+
 def test_report_invariants():
     rep = run_case(_case("ORT_JACOBI", m=1, m2=1,
                          params={"alpha": 0.4, "beta": 1.3}, tolerance=1e-10))
