@@ -3,7 +3,7 @@
 base revision.
 
 Usage: python scripts/compare_revisions.py [--base REV|DIR] [--seeds 42,1,7]
-                                           [--config PATH]
+                                           [--config PATH] [--times N]
 
 For each config and seed, runs `orthopara sweep --no-timestamp` on the base
 tree and on this checkout's `src/`, and compares the two reports with
@@ -24,6 +24,21 @@ hdt-14, hdt-20, hdf-30 and ball-28), so
 
 reproduces the BALL-28 row for the base and for this checkout.
 
+With --times N it then times each config's cases in process, at the first
+seed: one process per tree imports the package once, and the two processes
+run the whole case list in turn, N times each, alternating which tree goes
+first (each run on an empty draw memo, after one untimed run).  For each
+family group it prints the median over the N runs of the group's summed case
+time and of its median case time, base and this checkout, e.g.
+
+    ORT (892 cases): summed base 41.10 ms, this checkout 29.10 ms (-29.2%);
+    median case base 30.00 µs, this checkout 20.00 µs (-33.3%)
+
+on one line.  The summed time carries the rule builds of a draw's first
+cases; the median case is the in-process counterpart of perfbench's
+case_p50_ms.  Unlike perfbench pairs, which time fresh processes, this
+resolves differences of a few percent in the case time.
+
 Exits 0 when every pair of reports has the same case list and verdicts, 1 when
 any pair differs, 2 when the base or a config cannot be read or a sweep writes
 no report.
@@ -34,6 +49,7 @@ import importlib.util
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -46,6 +62,38 @@ from diff_reports import compare  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("series-scalar", "gram-highdeg")
+
+# The timing process of --times: argv is the config path ("" for the
+# default) and the seed.  After one untimed run, for each line on stdin it
+# runs every case once and prints {group: [seconds of each case]} as one
+# JSON line.
+TIMER = """
+import json, sys, time
+from orthopara import verifier
+from orthopara.cli import SweepConfig, load_config
+cfg = load_config(sys.argv[1]) if sys.argv[1] else SweepConfig()
+cfg.seed = int(sys.argv[2])
+cfg.validate()
+cases = verifier.generate_cases(cfg)
+groups = [verifier.FAMILIES[case.identity_id].group for case in cases]
+
+def run():
+    if hasattr(verifier, "_memo"):
+        verifier._memo = verifier._DrawMemo()
+    times = {}
+    for case, group in zip(cases, groups):
+        t0 = time.perf_counter()
+        try:
+            verifier.run_case(case)
+        except Exception:  # timed as a sweep runs it; the reports show the error
+            pass
+        times.setdefault(group, []).append(time.perf_counter() - t0)
+    return times
+
+run()
+for _ in sys.stdin:
+    print(json.dumps(run()), flush=True)
+"""
 
 
 def workload_configs():
@@ -121,12 +169,52 @@ def baseline_row(raw, seconds):
             f"{seconds:.1f} s")
 
 
+def case_times(trees, config, seed, runs):
+    """Per family group, the row of --times: its case count, then the
+    median over ``runs`` runs of each tree of its summed and of its median
+    in-process case time."""
+    procs = [subprocess.Popen([sys.executable, "-c", TIMER, str(config or ""), str(seed)],
+                              env=dict(os.environ, PYTHONPATH=str(src)), text=True,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+             for src in trees]
+    samples = [[], []]
+    try:
+        for run in range(runs):
+            for i in (0, 1) if run % 2 == 0 else (1, 0):
+                procs[i].stdin.write("\n")
+                procs[i].stdin.flush()
+                line = procs[i].stdout.readline()
+                if not line:
+                    raise ValueError(f"the timing process on {trees[i]} exited "
+                                     f"{procs[i].wait()}")
+                samples[i].append(json.loads(line))
+    finally:
+        for proc in procs:
+            proc.stdin.close()
+            proc.wait()
+    lines = []
+    for group, first in samples[0][0].items():
+        row = []
+        for what, stat, unit, scale in (("summed", sum, "ms", 1e3),
+                                        ("median case", statistics.median, "µs", 1e6)):
+            base, this = (statistics.median(stat(run[group]) for run in runs_of) * scale
+                          for runs_of in samples)
+            row.append(f"{what} base {base:.2f} {unit}, this checkout {this:.2f} {unit} "
+                       f"({100 * (this / base - 1):+.1f}%)")
+        lines.append(f"{group} ({len(first)} cases): " + "; ".join(row))
+    return lines
+
+
 def main():
     ap = argparse.ArgumentParser(description="compare the sweep reports of two source trees")
     ap.add_argument("--base", default="HEAD", help="git revision or directory (default HEAD)")
     ap.add_argument("--seeds", default="42,1,7", help="comma-separated seeds (default 42,1,7)")
     ap.add_argument("--config", help="one JSON sweep config instead of the default three")
+    ap.add_argument("--times", type=int, default=0, metavar="N",
+                    help="also time each config's cases in process, N alternating runs per tree")
     args = ap.parse_args()
+    if args.times < 0:
+        ap.error(f"--times needs a count >= 0, got {args.times}")
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
@@ -154,6 +242,11 @@ def main():
                     print(f"{name} seed {seed}: {'same' if ok else 'DIFFERS'}")
                     print("\n".join(f"  {line}" for line in lines))
                     same = same and ok
+                if args.times:
+                    print(f"{name} in-process case time, seed {seeds[0]}, "
+                          f"median of {args.times} alternating runs:")
+                    print("\n".join(f"  {line}"
+                                    for line in case_times(trees, config, seeds[0], args.times)))
         except (OSError, ValueError, KeyError) as exc:
             print(f"compare_revisions: {exc}", file=sys.stderr)
             return 2

@@ -26,8 +26,13 @@ _DOMAIN_SLACK = 1e-12  # rounding allowed past a domain's boundary, here and in 
 
 
 class MultiIndex(tuple):
-    """A multi-index that ``validate_multi_index`` checked: Python ints >= 0."""
-    __slots__ = ()
+    """A multi-index that ``validate_multi_index`` checked: Python ints >= 0.
+
+    ``validate_multi_index``, which alone makes one, also stores its tail
+    sums (0, |k^d|, ..., |k^1|) in the attribute ``tails``, so that
+    ``tail_sum(k, j)`` is ``tails[-j]``.  A tuple subclass cannot take
+    non-empty ``__slots__``, so ``tails`` lives in the instance ``__dict__``.
+    """
 
 
 def validate_multi_index(k):
@@ -36,10 +41,16 @@ def validate_multi_index(k):
     if isinstance(k, MultiIndex):
         return k
     k = tuple(k)
-    for v in k:
-        if not is_index(v):
-            raise DomainError(f"multi-index entries must be nonnegative integers, got {k}")
-    return MultiIndex(map(int, k))
+    tails = [0]
+    for v in reversed(k):
+        if type(v) is not int or v < 0:  # an int >= 0 passes is_index as it is
+            if not is_index(v):
+                raise DomainError(f"multi-index entries must be nonnegative integers, got {k}")
+            v = int(v)
+        tails.append(tails[-1] + v)
+    index = MultiIndex(map(int, k))
+    index.tails = tuple(tails)
+    return index
 
 
 def _at_point(k, x):
@@ -51,7 +62,10 @@ def _at_point(k, x):
 
 
 def tail_sum(k, j):
-    """|k^j| = k_j + ... + k_d for 1-based j; tail_sum(k, d+1) == 0."""
+    """|k^j| = k_j + ... + k_d for 1-based j; tail_sum(k, d+1) == 0.  A
+    MultiIndex reads it from its ``tails``; any other sequence is summed."""
+    if isinstance(k, MultiIndex):
+        return k.tails[-j]
     return int(sum(k[j - 1:]))
 
 

@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -284,10 +285,12 @@ def _write_csv(rows, fh):
     writer.writerows(rows)
 
 
-def run_sweep(cfg: SweepConfig, stream=None) -> RunSummary:
-    """Execute all generated cases and write per-case records plus a summary.
+def run_sweep(cfg: SweepConfig) -> RunSummary:
+    """Execute all generated cases and write the report (per-case records
+    plus a summary) if ``cfg.out_path`` is set.
 
-    Returns the RunSummary; callers decide the exit status (0 iff failed == 0).
+    Returns the RunSummary; callers print it and decide the exit status
+    (0 iff failed == 0).
     """
     cfg.validate()
     t_start = time.perf_counter()
@@ -335,15 +338,17 @@ def run_sweep(cfg: SweepConfig, stream=None) -> RunSummary:
                     _write_csv(_csv_rows(reports, cfg.no_timestamp), fh)
         except OSError as exc:
             raise IOError(f"cannot write report to {cfg.out_path}: {exc}") from exc
-    if stream is not None:
-        stream.write(
-            f"{summary.total} cases: {summary.passed} passed, "
-            f"{summary.failed} failed, {summary.skipped} skipped "
-            f"({summary.wall_time:.1f} s)\n"
-        )
-        for fam in sorted(summary.worst_residual):
-            stream.write(f"  worst {fam}: {summary.worst_residual[fam]:.3e}\n")
     return summary
+
+
+def _write_summary(summary, stream):
+    stream.write(
+        f"{summary.total} cases: {summary.passed} passed, "
+        f"{summary.failed} failed, {summary.skipped} skipped "
+        f"({summary.wall_time:.1f} s)\n"
+    )
+    for fam in sorted(summary.worst_residual):
+        stream.write(f"  worst {fam}: {summary.worst_residual[fam]:.3e}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +565,21 @@ def main(argv=None):
                 value = getattr(args, f.name, None)
                 if value is not None:
                     setattr(cfg, f.name, value)
-            summary = run_sweep(cfg, stream=sys.stdout)
+            summary = run_sweep(cfg)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         except IOError as exc:
             print(f"io error: {exc}", file=sys.stderr)
             return 3
+        try:
+            _write_summary(summary, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader of stdout is gone, but the report is written, so the
+            # status still follows the verdicts; what stdout still holds goes
+            # to devnull, so the flush at exit raises nothing either
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0 if summary.failed == 0 else 1
 
     # eval

@@ -26,7 +26,7 @@ degenerate degree m = |k| works wherever the relation allows it.
 
 from __future__ import annotations
 
-from .ball import tail_sum
+from .ball import tail_sum, validate_multi_index
 from .classical import _check_degree
 from .errors import DomainError
 from .transforms import SplitParams, _A_t, _B_t, eval_D
@@ -106,7 +106,8 @@ B_NEEDS_LOWER_DEGREE = frozenset({7})
 def a_relation_pair(i, m, k, sp: SplitParams, t, x):
     """Relation i (1-based) of the height-1 family at fixed (t, x)."""
     _check_degree(m)
-    D = eval_D(k, sp.alpha1, sp.alpha2, x)  # validates k
+    k = validate_multi_index(k)
+    D = eval_D(k, sp.alpha1, sp.alpha2, x)
     n = tail_sum(k, 1)
     Z = sp.abs_zeta
     E = sp.abs_eta
@@ -155,7 +156,8 @@ def a_relation_pair(i, m, k, sp: SplitParams, t, x):
 def b_relation_pair(i, m, k, sp: SplitParams, t, x):
     """Relation i (1-based) of the infinite-height family at fixed (t, x)."""
     _check_degree(m)
-    D = eval_D(k, sp.alpha1, sp.alpha2, x)  # validates k
+    k = validate_multi_index(k)
+    D = eval_D(k, sp.alpha1, sp.alpha2, x)
     n = tail_sum(k, 1)
     Z = sp.abs_zeta
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .contiguous import a_relation_pair, b_relation_pair
 from .errors import DomainError, PoleError, QuadratureNonConvergence
 from .gammafn import log_gamma, pochhammer
 from .paraboloid import jacobi_paraboloid_norm, laguerre_paraboloid_norm, radial_factor, t_rule
-from .quadrature import composite_legendre, gauss_jacobi, gauss_laguerre
+from .quadrature import QuadratureRule, composite_legendre, gauss_jacobi, gauss_laguerre
 from .transforms import (
     SPLIT_NAMES, A_t, B_t, D_axis, SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A,
     eval_A_hahn, eval_D, eval_D_hahn, fourier_h_jacobi_closed, fourier_h_laguerre_closed,
@@ -107,56 +108,97 @@ def _gram_levels(floor, degree):
 
 
 # ---------------------------------------------------------------------------
-# per-draw memo: the cases of one parameter draw share their columns
+# per-draw Gram state: the cases of one parameter draw share their columns
+
+
+class _Draw:
+    """The Gram state of one parameter draw (identity id, d and params).
+
+    ``bind(case)``, called on the draw's first case, binds the draw's params
+    into the family's rule builder ``rule_of(n)`` (the n-point level's
+    rules, one per axis), basis ``basis(axis, i, nodes)`` (the factor of
+    index i on an axis) and norm ``norm_of(i)``.  The draw caches, per key,
+    each level's rules, each basis or factor column, beside it that column
+    times its axis weights (the weighted column), and each norm.  A Gram
+    entry on an axis is ``entry``: the weighted column of i times the column
+    of i2, summed, which is the product order of (w P_i P_i2).sum().
+    ``get(key, compute, *args)`` evaluates ``compute(*args)`` once per key;
+    an array is cached as a read-only view, and a rule has read-only arrays
+    already.
+    """
+
+    def __init__(self, case, bind):
+        self.identity_id, self.d, self.params = case.identity_id, case.d, dict(case.params)
+        self.columns = {}
+        self.rule_of, self.basis, self.norm_of = bind(case) if bind else (None, None, None)
+
+    def get(self, key, compute, *args):
+        col = self.columns.get(key)
+        if col is None:
+            col = compute(*args)
+            if isinstance(col, np.ndarray):
+                col = col.view()
+                col.flags.writeable = False
+            self.columns[key] = col
+        return col
+
+    def rule(self, n):
+        return self.get(("rule", n), self.rule_of, n)
+
+    def norm(self, i):
+        return self.get(("norm", i), self.norm_of, i)
+
+    def column(self, n, axis, i):
+        col = self.columns.get(("col", n, axis, i))
+        if col is None:  # the rule is looked up on a miss only
+            col = self.get(("col", n, axis, i), self.basis, axis, i, self.rule(n)[axis].nodes)
+        return col
+
+    def weighted(self, n, axis, i):
+        col = self.columns.get(("wcol", n, axis, i))
+        if col is None:
+            col = self.get(("wcol", n, axis, i), operator.mul,
+                           self.rule(n)[axis].weights, self.column(n, axis, i))
+        return col
+
+    def entry(self, n, axis, i, i2):
+        return (self.weighted(n, axis, i) * self.column(n, axis, i2)).sum()
 
 
 class _DrawMemo:
-    """The columns (Gauss rules, basis values on a rule, factor lines, line
-    weights, norms) of the current parameter draw only: identity id, d and
-    params.  It is the verifier's only cache of draw-dependent data: the
-    quadrature functions build a rule on each call, and a draw's cases fetch
-    their rules here.
+    """The verifier's only cache of draw-dependent data: the ``_Draw`` of the
+    current parameter draw.  The quadrature functions build a rule on each
+    call, and a draw's cases fetch their rules here.
 
-    ``open(case)`` drops the held columns when ``case`` belongs to another
-    draw and returns the getter ``column(key, compute)`` of the case's draw,
-    which evaluates ``compute()`` once per key; an array comes back as a
-    read-only view, and a rule (or a tuple of rules) has read-only arrays
-    already.  The key names the column within the draw, so an entry is the
-    same arithmetic over cached arrays.  A getter keeps its own draw's
-    columns, so callers on other threads cannot mix draws.
+    ``open(case, bind)`` returns the current draw if ``case`` belongs to it,
+    else a new draw bound by ``bind``, which replaces it.  A case belongs to
+    a draw by value: equal identity id and d, and params equal to the draw's
+    copy of them, so a case built by hand or by ``dataclasses.replace``, or
+    with a params dict of its own, finds its draw as a generated one does.
+    A runner keeps the draw it opened, so callers on other threads cannot
+    mix draws.
     """
 
     def __init__(self):
-        self.current = (None, {})  # (draw, its columns), replaced as one
+        self.current = None
 
-    def open(self, case):
-        draw = (case.identity_id, case.d, tuple(sorted(case.params.items())))
-        current = self.current
-        if current[0] != draw:
-            current = self.current = (draw, {})
-        columns = current[1]
-
-        def column(key, compute):
-            col = columns.get(key)
-            if col is None:
-                col = compute()
-                if isinstance(col, np.ndarray):
-                    col = col.view()
-                    col.flags.writeable = False
-                columns[key] = col
-            return col
-
-        return column
+    def open(self, case, bind=None):
+        draw = self.current
+        if (draw is None or case.identity_id != draw.identity_id or case.d != draw.d
+                or case.params != draw.params):
+            draw = self.current = _Draw(case, bind)
+        return draw
 
 
 _memo = _DrawMemo()
 
 
-def _gram(case, column, norm, i, i2, levels, entry):
-    """The sides of a Gram case: the certified <i, i2> (``entry(level)`` returns
-    value and nodes) against ``norm(i)``, or 0 off the diagonal, at scale
-    sqrt(norm(i) norm(i2))."""
-    diag, diag2 = (column(("norm", j), lambda: norm(j)) for j in (i, i2))
+def _gram(case, draw, i, i2, levels, entry):
+    """The sides of a Gram case: the certified <i, i2> against the draw's
+    norm of i, or 0 off the diagonal, at scale sqrt(norm(i) norm(i2)).
+    ``entry(level)`` returns the value and nodes of a level, read from the
+    draw's weighted columns of i and columns of i2."""
+    diag, diag2 = draw.norm(i), draw.norm(i2)
     scale = math.sqrt(diag * diag2)
     val, nodes = _certified(levels, entry, case.tolerance, scale)
     return val, diag if i == i2 else 0.0, scale, nodes
@@ -166,83 +208,97 @@ def _gram(case, column, norm, i, i2, levels, entry):
 # orthogonality
 
 
-def _ort_1d(case):
-    column = _memo.open(case)
+def _bind_1d(case):
+    """A 1-D draw: one axis, the Gauss rule of the family's weight, its
+    polynomials and their norms."""
     p = case.params
-    m, m2 = case.m, case.m2
-    fam = case.identity_id
-    if fam == "ORT_GEGEN":
+    if case.identity_id == "ORT_GEGEN":
         mu = p["mu"]
-        rule_of = lambda n: gauss_jacobi(n, mu - 0.5, mu - 0.5)
-        poly = lambda x, mm: gegenbauer(mm, mu, x)
-        norm = lambda mm: gegenbauer_norm(mm, mu)
-    elif fam == "ORT_JACOBI":
+        return (lambda n: (gauss_jacobi(n, mu - 0.5, mu - 0.5),),
+                lambda axis, mm, x: gegenbauer(mm, mu, x), lambda mm: gegenbauer_norm(mm, mu))
+    if case.identity_id == "ORT_JACOBI":
         a, b = p["alpha"], p["beta"]
-        rule_of = lambda n: gauss_jacobi(n, a, b)
-        poly = lambda x, mm: jacobi(mm, a, b, x)
-        norm = lambda mm: jacobi_norm(mm, a, b)
-    else:
-        a = p["alpha"]
-        rule_of = lambda n: gauss_laguerre(n, a)
-        poly = lambda x, mm: laguerre(mm, a, x)
-        norm = lambda mm: laguerre_norm(mm, a)
-
-    def gram_entry(n):
-        r = column(("rule", n), lambda: rule_of(n))
-        values = lambda mm: column((n, mm), lambda: poly(r.nodes, mm))  # P_mm on the rule
-        return (r.weights * values(m) * values(m2)).sum(), n
-
-    return _gram(case, column, norm, m, m2, _gram_levels(16, m + m2), gram_entry)
+        return (lambda n: (gauss_jacobi(n, a, b),), lambda axis, mm, x: jacobi(mm, a, b, x),
+                lambda mm: jacobi_norm(mm, a, b))
+    a = p["alpha"]
+    return (lambda n: (gauss_laguerre(n, a),), lambda axis, mm, x: laguerre(mm, a, x),
+            lambda mm: laguerre_norm(mm, a))
 
 
-def _ball_gram(column, mu, k, k2, n):
-    """<P_k, P_k2> on the n-point ``ball_rules``: in the slice coordinates
-    both are products of ``ball_axis`` factors, so it is one sum per axis.
-    The rules and the axis lines come from ``column``."""
+def _ort_1d(case):
+    """<P_m, P_m2>: the entry (w P_m P_m2).sum() on the draw's Gauss rule."""
+    draw = _memo.open(case, _bind_1d)
+    m, m2 = case.m, case.m2
+    return _gram(case, draw, m, m2, _gram_levels(16, m + m2),
+                 lambda n: (draw.entry(n, 0, m, m2), n))
+
+
+def _bind_ball(case):
+    """A ball draw: axis j - 1 carries ``ball_rules``' rule j and
+    ``ball_axis`` factor j, j = 1 .. len(k)."""
+    d, mu = len(case.k), case.params["mu"]
+    return (lambda n: ball_rules(d, mu, n), lambda axis, kk, v: ball_axis(axis + 1, mu, kk, v),
+            lambda kk: ball_norm(kk, mu))
+
+
+def _ball_gram(draw, k, k2, n):
+    """<P_k, P_k2> on the n-point ball rules: in the slice coordinates both
+    are products of ``ball_axis`` factors, so it is one Gram sum per axis,
+    on the draw's axes 0 .. len(k) - 1."""
     val = 1.0
-    for j, r in enumerate(column(("ball_rules", n), lambda: ball_rules(len(k), mu, n)), start=1):
-        axis = lambda kk: column(("axis", n, j, kk), lambda: ball_axis(j, mu, kk, r.nodes))
-        val = val * (r.weights * axis(k) * axis(k2)).sum()
+    for axis in range(len(k)):
+        val = val * draw.entry(n, axis, k, k2)
     return val
 
 
 def _ort_ball(case):
-    column = _memo.open(case)
-    mu = case.params["mu"]
-    k, k2, d = case.k, case.k2, case.d
+    """<P_k, P_k2>: the product of the draw's per-axis entries."""
+    draw = _memo.open(case, _bind_ball)
+    k, k2 = case.k, case.k2
     levels = _gram_levels(12, tail_sum(k, 1) + tail_sum(k2, 1))
-    return _gram(case, column, lambda kk: ball_norm(kk, mu), k, k2, levels,
-                 lambda n: (_ball_gram(column, mu, k, k2, n), d * n))
+    return _gram(case, draw, k, k2, levels, lambda n: (_ball_gram(draw, k, k2, n), len(k) * n))
 
 
-def _para_gram(column, kind, beta, gamma, mu, mk, mk2, n):
-    """<basis(m, k), basis(m2, k2)> on the n-point radial and ball rules: a
-    basis function is its ``radial_factor`` times t^{|k|/2} P_k(y) with
-    x = sqrt(t) y, so it is one ``t_rule`` sum times the ball Gram entry of
-    (k, k2).  The rule and the lines come from ``column``."""
-    (m, k), (m2, k2) = mk, mk2
-    d = len(k)
-    rule = column(("t", n), lambda: t_rule(kind, n, beta, gamma, mu, d))
-    t, w = rule.nodes, rule.weights
-    radial = lambda mm, kk: column(("rad", n, mm, kk), lambda: radial_factor(
-        kind, mm, tail_sum(kk, 1), beta, gamma, mu, d, t))
-    val = (w * radial(m, k) * radial(m2, k2) * t ** ((tail_sum(k, 1) + tail_sum(k2, 1)) / 2)).sum()
-    return val * _ball_gram(column, mu, k, k2, n)
-
-
-def _ort_para(case):
-    column = _memo.open(case)
+def _bind_para(case):
+    """A paraboloid draw: the ball axes of ``_bind_ball``, then axis d = len(k)
+    with the radial ``t_rule`` and the ``radial_factor`` of index (m, k)."""
     p = case.params
-    d, mu, beta = case.d, p["mu"], p["beta"]
+    d, mu, beta = len(case.k), p["mu"], p["beta"]
     if case.identity_id == "ORT_PARA_J":
         kind, gamma = "jacobi", p["gamma"]
         norm = lambda mk: jacobi_paraboloid_norm(*mk, beta, gamma, mu)
     else:
         kind, gamma = "laguerre", 0.0
         norm = lambda mk: laguerre_paraboloid_norm(*mk, beta, mu)
+
+    def basis(axis, i, v):
+        if axis < d:
+            return ball_axis(axis + 1, mu, i, v)
+        m, k = i
+        return radial_factor(kind, m, tail_sum(k, 1), beta, gamma, mu, d, v)
+
+    return lambda n: (*ball_rules(d, mu, n), t_rule(kind, n, beta, gamma, mu, d)), basis, norm
+
+
+def _para_gram(draw, mk, mk2, n):
+    """<basis(m, k), basis(m2, k2)> on the n-point radial and ball rules: a
+    basis function is its ``radial_factor`` times t^{|k|/2} P_k(y) with
+    x = sqrt(t) y, so it is one radial sum, weighted by t^{(|k|+|k2|)/2}
+    (cached per rule and exponent), times the ball Gram entry of (k, k2)."""
+    k, k2 = mk[1], mk2[1]
+    d = len(k)
+    e = (tail_sum(k, 1) + tail_sum(k2, 1)) / 2
+    power = draw.get(("pow", n, e), operator.pow, draw.rule(n)[d].nodes, e)
+    val = (draw.weighted(n, d, mk) * draw.column(n, d, mk2) * power).sum()
+    return val * _ball_gram(draw, k, k2, n)
+
+
+def _ort_para(case):
+    """<basis(m, k), basis(m2, k2)>: the radial sum times the ball entries."""
+    draw = _memo.open(case, _bind_para)
     mk, mk2 = (case.m, case.k), (case.m2, case.k2)
-    return _gram(case, column, norm, mk, mk2, _gram_levels(12, case.m + case.m2),
-                 lambda n: (_para_gram(column, kind, beta, gamma, mu, mk, mk2, n), (d + 1) * n))
+    return _gram(case, draw, mk, mk2, _gram_levels(12, case.m + case.m2),
+                 lambda n: (_para_gram(draw, mk, mk2, n), (len(case.k) + 1) * n))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +346,7 @@ def _fourier_direct(fam, m, k, wp, xi, level, column):
 
 
 def _fourier(case):
-    column = _memo.open(case)
+    column = _memo.open(case).get
     k = validate_multi_index(case.k)
     if case.identity_id == "FOURIER_J":
         wp = WrapParamsJacobi(**case.params)
@@ -357,39 +413,51 @@ def _parseval_rule(panels):
     return composite_legendre(-T, T, panels, 12)
 
 
-def _parseval_lhs(fam, m, k, m2, k2, sp, panels, column):
+def _bind_parseval(case):
+    """A Parseval draw: x axes 0 .. d - 1 and the t axis d = len(k) all carry
+    ``_parseval_rule``, the t axis with the A family's Gamma weight.  F's
+    factors have index (1, k) on an x axis (its ``D_axis`` line) and
+    (1, m, k) on the t axis (its A_t or B_t line), G's (-1, ...); the norm of
+    (m, k) is ``parseval_rhs``."""
+    fam, d = case.identity_id, len(case.k)
+    sp = SplitParams(**case.params)
+    f_t = A_t if fam == "PARSEVAL_A" else B_t
+    sides = {1: (sp, 1j), -1: (sp.swapped(), -1j)}  # F at (it, ix), G at (-it, -ix)
+
+    def rules(panels):
+        rule = _parseval_rule(panels)
+        s = rule.nodes
+        rule_t = rule if fam == "PARSEVAL_B" else QuadratureRule(s, rule.weights * np.exp(
+            log_gamma(sp.eta1 + 0.5j * s) + log_gamma(sp.eta2 - 0.5j * s)))
+        return (rule,) * d + (rule_t,)
+
+    def basis(axis, i, s):
+        p, unit = sides[i[0]]
+        if axis < d:
+            return D_axis(axis + 1, p.alpha1, p.alpha2, i[1], unit * s)
+        return f_t(i[1], i[2], p, unit * s)
+
+    return rules, basis, lambda mk: parseval_rhs(fam, *mk, sp)
+
+
+def _parseval_lhs(draw, m, k, m2, k2, panels):
     """The Parseval integral of F(it, ix) G(-it, -ix), F and G the A (with
     its Gamma weight in t) or B family: a t-factor times prod_j D_axis, so the
-    integral is the weighted t-sum times one D-line sum per x axis.  The
-    rule, the factor lines (side +1 for F, -1 for G) and the weight come from
-    ``column``."""
-    rule = column(("rule", panels), lambda: _parseval_rule(panels))
-    s, w = rule.nodes, rule.weights
-    if fam == "PARSEVAL_A":
-        w = column(("w", panels), lambda: rule.weights * np.exp(
-            log_gamma(sp.eta1 + 0.5j * s) + log_gamma(sp.eta2 - 0.5j * s)))
-        f_t = A_t
-    else:
-        f_t = B_t
-    f = column(("t", m, k, panels, 1), lambda: f_t(m, k, sp, 1j * s))
-    g = column(("t", m2, k2, panels, -1), lambda: f_t(m2, k2, sp.swapped(), -1j * s))
-    val = (w * f * g).sum()
-    for j in range(1, len(k) + 1):
-        f = column(("D", j, k, panels, 1), lambda: D_axis(j, sp.alpha1, sp.alpha2, k, 1j * s))
-        g = column(("D", j, k2, panels, -1), lambda: D_axis(j, sp.alpha2, sp.alpha1, k2, -1j * s))
-        val = val * (rule.weights * f * g).sum()
-    return val, (len(k) + 1) * len(rule)
+    integral is the Gram sum of the t-lines times one Gram sum of the D-lines
+    per x axis, F's lines weighted."""
+    d = len(k)
+    val = draw.entry(panels, d, (1, m, k), (-1, m2, k2))
+    for axis in range(d):
+        val = val * draw.entry(panels, axis, (1, k), (-1, k2))
+    return val, (d + 1) * len(draw.rule(panels)[d])
 
 
 def _parseval(case):
-    column = _memo.open(case)
-    sp = SplitParams(**case.params)
-    return _gram(
-        case, column, lambda mk: parseval_rhs(case.identity_id, *mk, sp),
-        (case.m, case.k), (case.m2, case.k2), _PARSEVAL_LEVELS,
-        lambda panels: _parseval_lhs(case.identity_id, case.m, case.k, case.m2, case.k2,
-                                     sp, panels, column),
-    )
+    """The Parseval integral of (m, k) and (m2, k2) against ``parseval_rhs``."""
+    draw = _memo.open(case, _bind_parseval)
+    mk, mk2 = (case.m, case.k), (case.m2, case.k2)
+    return _gram(case, draw, mk, mk2, _PARSEVAL_LEVELS,
+                 lambda panels: _parseval_lhs(draw, *mk, *mk2, panels))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,17 @@ def test_tail_sums():
     assert lambda_param(k, 0.5, 1) == 0.5 + 3 + 1.0
 
 
+@pytest.mark.parametrize("k", [(), (4,), (2, 0, 3), (0, 1, 0, 2), np.array([3, 1])])
+def test_tail_sum_of_both_kinds_is_the_sliced_sum(k):
+    # a plain sequence is summed on each call; a MultiIndex reads the tail
+    # sums that validate_multi_index stored once, as Python ints
+    mi = validate_multi_index(k)
+    for j in range(1, len(k) + 2):
+        want = int(sum(k[j - 1:]))
+        assert tail_sum(k, j) == tail_sum(mi, j) == want
+        assert type(tail_sum(mi, j)) is int
+
+
 def test_constant_index():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.4, 0.4, (3, 10))

@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -393,22 +395,27 @@ def test_diff_reports_script_sees_a_reindented_report_as_the_same_document(tmp_p
 
 def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
     # the checkout against itself keeps every verdict (exit 0) and every
-    # line count; a base copy whose Parseval constant is doubled, in one line
-    # more of verifier.py, fails its three diagonal cases (exit 1), and the
-    # line counts name that one module
+    # line count, and --times prints one row per family group; a base copy
+    # whose Parseval constant is doubled, in one line more of verifier.py,
+    # fails its three diagonal cases (exit 1), and the line counts name that
+    # one module
     root = Path(__file__).resolve().parents[1]
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps({"families": ["PARSEVAL_A"], "dims": [1],
                                   "parseval_max_degree": 1}))
 
-    def compare(base):
+    def compare(base, *flags):
         return subprocess.run([sys.executable, str(root / "scripts" / "compare_revisions.py"),
-                               "--base", str(base), "--seeds", "1", "--config", str(config)],
-                              capture_output=True, text=True)
+                               "--base", str(base), "--seeds", "1", "--config", str(config),
+                               *flags], capture_output=True, text=True)
 
-    res = compare(root)
+    res = compare(root, "--times", "1")
     assert res.returncode == 0 and "byte-identical: yes" in res.stdout
     assert "difference +0\n" in res.stdout
+    table = res.stdout.split(" in-process case time, seed 1, median of 1 alternating runs:\n")[1]
+    ms, us = (rf"base \d+\.\d\d {unit}, this checkout \d+\.\d\d {unit} \([+-]\d+\.\d%\)"
+              for unit in ("ms", "µs"))
+    assert re.fullmatch(rf"  PARSEVAL \(9 cases\): summed {ms}; median case {us}\n", table)
     copy = tmp_path / "base"
     shutil.copytree(root / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
     verifier_py = copy / "src" / "orthopara" / "verifier.py"
@@ -676,6 +683,26 @@ def test_cli_subprocess_reproducibility(tmp_path):
         assert res.returncode == 0, res.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_sweep_status_does_not_depend_on_its_stdout_reader(tmp_path):
+    # the read end of the sweep's stdout is closed before it starts, so its
+    # summary print fails; the report is written all the same, so the status
+    # follows the verdicts (1: no case meets a 1e-30 tolerance), not the pipe
+    # (3), and neither the print nor the flush at exit writes to stderr
+    out = tmp_path / "report.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "orthopara", "sweep", "--families", "ORT_GEGEN",
+             "--tol", "1e-30", "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (1, "")
+    assert json.loads(out.read_text())["summary"]["failed"] > 0
 
 
 J6 = dict(alpha=0.8, zeta=1.1, eta=0.9, beta=0.3, gamma=0.4, mu=0.7)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -8,13 +9,14 @@ import pytest
 
 from orthopara import ball, verifier
 from orthopara.ball import ball_eval, ball_norm
+from orthopara.classical import gegenbauer, jacobi, laguerre
 from orthopara.cli import SweepConfig
 from orthopara.errors import QuadratureNonConvergence
 from orthopara.gammafn import gamma, log_gamma
 from orthopara.paraboloid import (
     jacobi_paraboloid, jacobi_paraboloid_norm, laguerre_paraboloid, laguerre_paraboloid_norm,
 )
-from orthopara.quadrature import QuadratureRule
+from orthopara.quadrature import QuadratureRule, gauss_jacobi, gauss_laguerre
 from orthopara.transforms import (
     SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_B,
     eval_h_jacobi, eval_h_laguerre,
@@ -73,6 +75,11 @@ def test_fourier_case_laguerre():
 
 PARSEVAL_PARAMS = {"alpha1": 0.7, "alpha2": 0.9, "zeta1": 0.8, "zeta2": 1.2,
                    "eta1": 0.6, "eta2": 1.1}
+
+
+def _draw(fam, bind, k, params):
+    # the Gram state of a draw of ``fam`` at dimension len(k), bound by ``bind``
+    return verifier._DrawMemo().open(IdentityCase(fam, len(k), 1e-8, k=k, params=params), bind)
 
 
 def test_parseval_diagonal_and_offdiagonal():
@@ -145,13 +152,14 @@ def test_separated_fourier_oracle_matches_full_tensor(fam, d):
 def test_separated_parseval_oracle_matches_full_tensor(fam, d):
     m, k = 2, (1,) * d
     if fam == "PARSEVAL_A":
-        sp = SplitParams(**PARSEVAL_PARAMS)
+        params = PARSEVAL_PARAMS
         weight = lambda t: np.exp(log_gamma(sp.eta1 + 0.5j * t) + log_gamma(sp.eta2 - 0.5j * t))
         family = eval_A
     else:
-        sp = SplitParams(*(PARSEVAL_PARAMS[n] for n in ("alpha1", "alpha2", "zeta1", "zeta2")))
+        params = {n: PARSEVAL_PARAMS[n] for n in ("alpha1", "alpha2", "zeta1", "zeta2")}
         weight = lambda t: 1.0
         family = eval_B
+    sp = SplitParams(**params)
     sw = sp.swapped()
 
     def f(t, *x):
@@ -160,8 +168,8 @@ def test_separated_parseval_oracle_matches_full_tensor(fam, d):
 
     panels = _PARSEVAL_LEVELS[0]
     full = tensor_integrate([_parseval_rule(panels)] * (d + 1), f)
-    separated, _ = _parseval_lhs(fam, m, k, m, k, sp, panels,
-                                 lambda key, compute: compute())
+    separated, _ = _parseval_lhs(_draw(fam, verifier._bind_parseval, k, params),
+                                 m, k, m, k, panels)
     assert separated == pytest.approx(full, rel=1e-12)
 
 
@@ -172,14 +180,14 @@ def test_separated_gram_oracle_matches_full_tensor(fam, d):
     # in the verifier; the 2-point rules are exact only to degree 3, so there
     # off-diagonal entries are far from 0 too
     mu, beta, gamma_ = 0.7, 0.3, 0.4
-    no_memo = lambda key, compute: compute()
     if fam == "ORT_BALL":
         index = multi_indices(d, 3)
         norm = lambda k: ball_norm(k, mu)
+        draw = _draw(fam, verifier._bind_ball, index[0], {"mu": mu})
 
         def entries(k, k2, n):
             f = lambda y: ball_eval(k, mu, y) * ball_eval(k2, mu, y)
-            return verifier._ball_gram(no_memo, mu, k, k2, n), slice_tensor(f, d, mu, n)
+            return verifier._ball_gram(draw, k, k2, n), slice_tensor(f, d, mu, n)
     else:
         index = degree_index_pairs(d, 3)
         if fam == "ORT_PARA_J":
@@ -190,10 +198,11 @@ def test_separated_gram_oracle_matches_full_tensor(fam, d):
             kind, g = "laguerre", 0.0
             norm = lambda mk: laguerre_paraboloid_norm(*mk, beta, mu)
             basis = lambda m, k, t, x: laguerre_paraboloid(m, k, beta, mu, t, x)
+        draw = _draw(fam, verifier._bind_para, index[0][1], {"beta": beta, "gamma": g, "mu": mu})
 
         def entries(mk, mk2, n):
             f = lambda t, x: basis(*mk, t, x) * basis(*mk2, t, x)
-            return (verifier._para_gram(no_memo, kind, beta, g, mu, mk, mk2, n),
+            return (verifier._para_gram(draw, mk, mk2, n),
                     slice_tensor(f, d, mu, n, (kind, beta, g)))
     pairs = list(itertools.combinations_with_replacement(index, 2))
     scale = np.array([math.sqrt(norm(i) * norm(i2)) for i, i2 in pairs])
@@ -537,6 +546,25 @@ def test_draw_memo_order_independent(fam, monkeypatch):
     assert in_order == reverse == alone
 
 
+def test_draw_memo_finds_a_draw_by_value():
+    # equal params share a draw, whichever dict holds them; other params, d
+    # or family, or params changed after the draw opened, never do
+    memo = verifier._DrawMemo()
+    params = {"mu": 0.5}
+    case = IdentityCase("ORT_BALL", 2, 1e-8, k=(1, 0), k2=(1, 0), params=params)
+    draw = memo.open(case, verifier._bind_ball)
+    same = [dataclasses.replace(case, k=(0, 1), params=dict(params)),
+            IdentityCase("ORT_BALL", 2, 1e-8, k=(0, 0), k2=(2, 0), params={"mu": 0.5})]
+    assert all(memo.open(c, verifier._bind_ball) is draw for c in same)
+    for other in (dataclasses.replace(case, params={"mu": 1.5}), dataclasses.replace(case, d=3),
+                  dataclasses.replace(case, identity_id="ORT_GEGEN")):
+        draw = memo.open(case, verifier._bind_ball)
+        assert memo.open(other, verifier._bind_ball) is not draw
+    draw = memo.open(case, verifier._bind_ball)
+    params["mu"] = 1.5
+    assert memo.open(case, verifier._bind_ball) is not draw
+
+
 def _rule_arrays(col):
     """The node and weight arrays of a rule-valued column (a rule, or a tuple
     of rules and tuples of rules), or None for any other column."""
@@ -564,9 +592,16 @@ def test_draw_memo_holds_one_draw_read_only(fam, monkeypatch):
     alone = verifier._DrawMemo()
     monkeypatch.setattr(verifier, "_memo", alone)
     run_case(last)
-    (draw, columns), (alone_draw, alone_columns) = memo.current, alone.current
-    assert draw == alone_draw and columns
-    assert columns.keys() == alone_columns.keys()
+    draw, alone_draw = memo.current, alone.current
+    assert (draw.identity_id, draw.d, draw.params) == (last.identity_id, last.d, last.params)
+    assert (alone_draw.identity_id, alone_draw.d, alone_draw.params) == (
+        last.identity_id, last.d, last.params)
+    columns, alone_columns = draw.columns, alone_draw.columns
+    assert columns and columns.keys() == alone_columns.keys()
+    # a Gram draw caches a weighted column beside each column it weights
+    weighted = [key for key in columns if key[0] == "wcol"]
+    assert bool(weighted) == (fam != "FOURIER_L")
+    assert all(("col", *key[1:]) in columns for key in weighted)
     arrays = rules = 0
     for key, col in columns.items():
         rule_arrays = _rule_arrays(col)
@@ -617,6 +652,56 @@ def test_draw_memo_threads_do_not_mix_draws():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(rounds == [want] * 5 for rounds in got.values())
+
+
+def test_gram_highdeg_builds_each_rule_and_column_once_per_draw(monkeypatch):
+    # perfbench's gram-highdeg case list at seed 1 (18 draws to degree 20)
+    # builds each draw's rules 16, 32, 64 and 128 and each of its basis
+    # columns once: 72 rule builds and 1206 column evaluations
+    counts = dict.fromkeys(("gauss_jacobi", "gauss_laguerre", "gegenbauer", "jacobi",
+                            "laguerre"), 0)
+
+    def counted(name, f):
+        def g(*args):
+            counts[name] += 1
+            return f(*args)
+        return g
+
+    for name in counts:
+        monkeypatch.setattr(verifier, name, counted(name, getattr(verifier, name)))
+    monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
+    cfg = SweepConfig(families=["ORT_GEGEN", "ORT_JACOBI", "ORT_LAGUERRE"], max_degree_1d=20,
+                      ort_param_draws=6, seed=1)
+    cases = generate_cases(cfg)
+    assert len(cases) == 4158
+    assert all(run_case(c).passed for c in cases)
+    assert counts["gauss_jacobi"] + counts["gauss_laguerre"] == 72
+    assert counts["gegenbauer"] + counts["jacobi"] + counts["laguerre"] == 1206
+
+
+@pytest.mark.parametrize("fam, params, rule, poly", [
+    ("ORT_GEGEN", {"mu": 0.8}, lambda n: gauss_jacobi(n, 0.3, 0.3),
+     lambda m, x: gegenbauer(m, 0.8, x)),
+    ("ORT_JACOBI", {"alpha": 1.3, "beta": -0.4}, lambda n: gauss_jacobi(n, 1.3, -0.4),
+     lambda m, x: jacobi(m, 1.3, -0.4, x)),
+    ("ORT_LAGUERRE", {"alpha": 0.6}, lambda n: gauss_laguerre(n, 0.6),
+     lambda m, x: laguerre(m, 0.6, x)),
+])
+def test_weighted_gram_entry_is_the_oracle_sum_bit_for_bit(fam, params, rule, poly, monkeypatch):
+    # the cached weighted column of m times the column of m2, summed, is
+    # (w P_m P_m2).sum() on a freshly built rule, to the last bit, on every
+    # level; a case certified at levels (16, 32) reports the level-32 sum
+    monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
+    m, m2 = 3, 5
+    rep = run_case(IdentityCase(fam, 1, 1e-10, m=m, m2=m2, params=params))
+    draw = verifier._memo.current
+    for n in (16, 32, 64):
+        r = rule(n)
+        want = (r.weights * poly(m, r.nodes) * poly(m2, r.nodes)).sum()
+        assert draw.entry(n, 0, m, m2) == want
+        assert np.array_equal(draw.weighted(n, 0, m), r.weights * poly(m, r.nodes))
+    r = rule(32)
+    assert rep.lhs == (r.weights * poly(m, r.nodes) * poly(m2, r.nodes)).sum()
 
 
 def _ladder_n0(floor, degree):
