@@ -25,19 +25,24 @@ hdt-14, hdt-20, hdf-30 and ball-28), so
 reproduces the BALL-28 row for the base and for this checkout.
 
 With --times N it then times each config's cases in process, at the first
-seed: one process per tree imports the package once, and the two processes
-run the whole case list in turn, N times each, alternating which tree goes
-first (each run on an empty draw memo, after one untimed run).  For each
-family group it prints the median over the N runs of the group's summed case
-time and of its median case time, base and this checkout, e.g.
+seed, in N rounds.  Each round starts a fresh process per tree, one after
+the other, alternating which tree goes first; each process imports the
+package, runs the whole case list once untimed and once timed (each run on
+an empty draw memo), and exits, so an offset that lasts a whole process is
+drawn again each round.  For each family group it prints the median over the
+rounds of the group's summed case time and of its median case time, base
+and this checkout, and in parentheses the median over the rounds of this
+checkout's time over the base's time of the same round, e.g.
 
     ORT (892 cases): summed base 41.10 ms, this checkout 29.10 ms (-29.2%);
     median case base 30.00 µs, this checkout 20.00 µs (-33.3%)
 
 on one line.  The summed time carries the rule builds of a draw's first
 cases; the median case is the in-process counterpart of perfbench's
-case_p50_ms.  Unlike perfbench pairs, which time fresh processes, this
-resolves differences of a few percent in the case time.
+case_p50_ms.  Two A/A comparisons of two copies of one tree, 21 rounds
+each on a shared 2-CPU host, read from -5.2% to +3.6% over their 16 group
+percentages each, so a difference under about 5% is not resolved by it
+there.
 
 Exits 0 when every pair of reports has the same case list and verdicts, 1 when
 any pair differs, 2 when the base or a config cannot be read or a sweep writes
@@ -64,9 +69,8 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("series-scalar", "gram-highdeg")
 
 # The timing process of --times: argv is the config path ("" for the
-# default) and the seed.  After one untimed run, for each line on stdin it
-# runs every case once and prints {group: [seconds of each case]} as one
-# JSON line.
+# default) and the seed.  After one untimed run, it runs every case once
+# more and prints {group: [seconds of each case]} as one JSON line.
 TIMER = """
 import json, sys, time
 from orthopara import verifier
@@ -91,8 +95,7 @@ def run():
     return times
 
 run()
-for _ in sys.stdin:
-    print(json.dumps(run()), flush=True)
+print(json.dumps(run()))
 """
 
 
@@ -171,27 +174,20 @@ def baseline_row(raw, seconds):
 
 def case_times(trees, config, seed, runs):
     """Per family group, the row of --times: its case count, then the
-    median over ``runs`` runs of each tree of its summed and of its median
-    in-process case time."""
-    procs = [subprocess.Popen([sys.executable, "-c", TIMER, str(config or ""), str(seed)],
-                              env=dict(os.environ, PYTHONPATH=str(src)), text=True,
-                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-             for src in trees]
+    median over ``runs`` rounds of each tree of its summed and of its median
+    in-process case time.  Each round starts a fresh timing process per
+    tree, one after the other, alternating which tree goes first, so an
+    offset that lasts a whole process is drawn again each round."""
     samples = [[], []]
-    try:
-        for run in range(runs):
-            for i in (0, 1) if run % 2 == 0 else (1, 0):
-                procs[i].stdin.write("\n")
-                procs[i].stdin.flush()
-                line = procs[i].stdout.readline()
-                if not line:
-                    raise ValueError(f"the timing process on {trees[i]} exited "
-                                     f"{procs[i].wait()}")
-                samples[i].append(json.loads(line))
-    finally:
-        for proc in procs:
-            proc.stdin.close()
-            proc.wait()
+    for run in range(runs):
+        for i in (0, 1) if run % 2 == 0 else (1, 0):
+            res = subprocess.run([sys.executable, "-c", TIMER, str(config or ""), str(seed)],
+                                 env=dict(os.environ, PYTHONPATH=str(trees[i])),
+                                 capture_output=True, text=True)
+            if res.returncode != 0:
+                raise ValueError(f"the timing process on {trees[i]} exited "
+                                 f"{res.returncode}: {res.stderr.strip()}")
+            samples[i].append(json.loads(res.stdout))
     lines = []
     for group, first in samples[0][0].items():
         row = []
@@ -199,8 +195,11 @@ def case_times(trees, config, seed, runs):
                                         ("median case", statistics.median, "µs", 1e6)):
             base, this = (statistics.median(stat(run[group]) for run in runs_of) * scale
                           for runs_of in samples)
+            # the two runs of a round are adjacent in time, so their ratio
+            # cancels the host's drift between rounds
+            ratio = statistics.median(stat(t[group]) / stat(b[group]) for b, t in zip(*samples))
             row.append(f"{what} base {base:.2f} {unit}, this checkout {this:.2f} {unit} "
-                       f"({100 * (this / base - 1):+.1f}%)")
+                       f"({100 * (ratio - 1):+.1f}%)")
         lines.append(f"{group} ({len(first)} cases): " + "; ".join(row))
     return lines
 

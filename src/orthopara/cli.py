@@ -341,14 +341,23 @@ def run_sweep(cfg: SweepConfig) -> RunSummary:
     return summary
 
 
-def _write_summary(summary, stream):
-    stream.write(
-        f"{summary.total} cases: {summary.passed} passed, "
-        f"{summary.failed} failed, {summary.skipped} skipped "
-        f"({summary.wall_time:.1f} s)\n"
-    )
-    for fam in sorted(summary.worst_residual):
-        stream.write(f"  worst {fam}: {summary.worst_residual[fam]:.3e}\n")
+def _summary_text(summary):
+    lines = [f"{summary.total} cases: {summary.passed} passed, "
+             f"{summary.failed} failed, {summary.skipped} skipped "
+             f"({summary.wall_time:.1f} s)"]
+    lines += [f"  worst {fam}: {summary.worst_residual[fam]:.3e}"
+              for fam in sorted(summary.worst_residual)]
+    return "\n".join(lines)
+
+
+def _print(text):
+    """Print ``text`` to stdout.  If the reader of stdout is gone, what
+    stdout still holds goes to devnull, so neither this print nor the flush
+    at exit raises, and the exit status is the command's, not the pipe's."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +553,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "list-identities":
-        for fam in FAMILIES.values():
-            print(f"{fam.id:16s} tol={fam.tolerance:.0e}  {fam.description}")
+        _print("\n".join(f"{fam.id:16s} tol={fam.tolerance:.0e}  {fam.description}"
+                          for fam in FAMILIES.values()))
         return 0
 
     if args.command == "sweep":
@@ -572,14 +581,9 @@ def main(argv=None):
         except IOError as exc:
             print(f"io error: {exc}", file=sys.stderr)
             return 3
-        try:
-            _write_summary(summary, sys.stdout)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader of stdout is gone, but the report is written, so the
-            # status still follows the verdicts; what stdout still holds goes
-            # to devnull, so the flush at exit raises nothing either
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the report is written, so the status follows the verdicts, with
+        # or without a reader of stdout
+        _print(_summary_text(summary))
         return 0 if summary.failed == 0 else 1
 
     # eval
@@ -594,7 +598,7 @@ def main(argv=None):
     except (DomainError, PoleError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 4
-    print(f"{args.fn} = ({value.real!r}) + ({value.imag!r})j")
+    _print(f"{args.fn} = ({value.real!r}) + ({value.imag!r})j")
     return 0
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -111,6 +112,32 @@ def _gram_levels(floor, degree):
 # per-draw Gram state: the cases of one parameter draw share their columns
 
 
+class _Stack:
+    """The columns of one rule size and axis that Gram entries have read as
+    their right factor, in the order of first use: ``index`` maps each column
+    index to its row of ``array``, whose capacity doubles as it fills."""
+
+    def __init__(self, col):
+        self.index = {}
+        self.array = np.empty((8, len(col)), col.dtype)
+
+    def append(self, i2, col):
+        size = len(self.index)
+        if size == len(self.array) or col.dtype != self.array.dtype:
+            grown = np.empty((2 * len(self.array), col.size),
+                             np.result_type(self.array, col))
+            grown[:size] = self.array[:size]
+            self.array = grown
+        self.array[size] = col
+        self.index[i2] = size
+
+    def row(self, weighted):
+        """The Gram entries of ``weighted`` with every stacked column, in
+        stack order: the weighted column is the left factor, so each entry
+        is (weighted * column).sum() to the last bit."""
+        return (weighted * self.array[:len(self.index)]).sum(axis=1)
+
+
 class _Draw:
     """The Gram state of one parameter draw (identity id, d and params).
 
@@ -119,17 +146,31 @@ class _Draw:
     rules, one per axis), basis ``basis(axis, i, nodes)`` (the factor of
     index i on an axis) and norm ``norm_of(i)``.  The draw caches, per key,
     each level's rules, each basis or factor column, beside it that column
-    times its axis weights (the weighted column), and each norm.  A Gram
-    entry on an axis is ``entry``: the weighted column of i times the column
-    of i2, summed, which is the product order of (w P_i P_i2).sum().
+    times its axis weights (the weighted column), and each norm.
     ``get(key, compute, *args)`` evaluates ``compute(*args)`` once per key;
     an array is cached as a read-only view, and a rule has read-only arrays
     already.
+
+    A Gram entry on an axis is ``entry(n, axis, i, i2)``: the weighted
+    column of i times the column of i2, summed, which is the product order
+    of (w P_i P_i2).sum().  Per rule size and axis, the draw stacks each
+    column i2 an entry has read, in the order of first use.  An entry whose
+    column i2 is not stacked yet is computed alone, and i2 is stacked.  An
+    entry whose column is stacked fills the row of i: the entries of i with
+    every stacked column, one array kept per (n, axis, i) beside the stack's
+    index, so the draw's later entries of i read it.  A row is filled again
+    only when a column stacked after it is read.  Stacking and filling hold
+    the draw's lock, a column is indexed only after it is written, and a row
+    is stored whole, so a thread never reads a half-appended stack or a
+    partial row.
     """
 
     def __init__(self, case, bind):
         self.identity_id, self.d, self.params = case.identity_id, case.d, dict(case.params)
         self.columns = {}
+        self.stacks = {}
+        self.rows = {}
+        self.lock = threading.Lock()
         self.rule_of, self.basis, self.norm_of = bind(case) if bind else (None, None, None)
 
     def get(self, key, compute, *args):
@@ -162,7 +203,24 @@ class _Draw:
         return col
 
     def entry(self, n, axis, i, i2):
-        return (self.weighted(n, axis, i) * self.column(n, axis, i2)).sum()
+        row = self.rows.get((n, axis, i))
+        if row is not None:
+            index, values = row
+            pos = index.get(i2)
+            if pos is not None and pos < len(values):
+                return values[pos]
+        with self.lock:
+            stack = self.stacks.get((n, axis))
+            if stack is not None and i2 in stack.index:
+                values = stack.row(self.weighted(n, axis, i))
+                self.rows[n, axis, i] = stack.index, values
+                return values[stack.index[i2]]
+            weighted, col = self.weighted(n, axis, i), self.column(n, axis, i2)
+            val = (weighted * col).sum()
+            if stack is None:
+                stack = self.stacks[n, axis] = _Stack(col)
+            stack.append(i2, col)
+            return val
 
 
 class _DrawMemo:

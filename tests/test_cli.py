@@ -705,6 +705,23 @@ def test_sweep_status_does_not_depend_on_its_stdout_reader(tmp_path):
     assert json.loads(out.read_text())["summary"]["failed"] > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["list-identities"],
+    ["eval", "--fn", "ball", "--d", "2", "--k", "1,1", "--params", "mu=0.5", "--x", "0.25,0.1"],
+])
+def test_printing_commands_exit_0_without_a_stdout_reader(argv):
+    # as for a sweep: the read end of stdout is closed before the start, so
+    # the print fails, yet the command exits 0 with nothing on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run([sys.executable, "-m", "orthopara", *argv], stdout=write_end,
+                             stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (0, "")
+
+
 J6 = dict(alpha=0.8, zeta=1.1, eta=0.9, beta=0.3, gamma=0.4, mu=0.7)
 L4 = dict(alpha=0.8, zeta=1.1, beta=0.3, mu=0.7)
 SPLIT = dict(alpha1=0.7, alpha2=0.9, zeta1=0.8, zeta2=1.2, eta1=0.6, eta2=1.1)

@@ -625,13 +625,15 @@ def test_draw_memo_holds_one_draw_read_only(fam, monkeypatch):
     assert arrays and rules
 
 
-def test_draw_memo_threads_do_not_mix_draws():
+@pytest.mark.parametrize("fam", ["ORT_GEGEN", "ORT_BALL", "PARSEVAL_A"])
+def test_draw_memo_threads_do_not_mix_draws(fam):
     # threads alternating between two draws, switching every few bytecodes,
-    # get the serial values: a getter keeps its own draw's columns
+    # get the serial values: a getter keeps its own draw's columns, and no
+    # thread reads a half-appended column stack or a partly filled row
     import sys
     import threading
 
-    cases = _memo_sweep("ORT_GEGEN")
+    cases = _memo_sweep(fam)
     want = [_values(run_case(c)) for c in cases]
     got = {i: [] for i in range(6)}
 
@@ -677,6 +679,61 @@ def test_gram_highdeg_builds_each_rule_and_column_once_per_draw(monkeypatch):
     assert all(run_case(c).passed for c in cases)
     assert counts["gauss_jacobi"] + counts["gauss_laguerre"] == 72
     assert counts["gegenbauer"] + counts["jacobi"] + counts["laguerre"] == 1206
+
+
+def test_gram_highdeg_fills_each_row_once_per_draw(monkeypatch):
+    # the same case list reads 8316 entries: 972 computed alone, each
+    # stacking its column, and 918 row fills, one per (rule size, axis, i)
+    # a draw reads; every other entry is read from a kept row
+    counts = {"append": 0, "row": 0}
+
+    def counted(name):
+        f = getattr(verifier._Stack, name)
+
+        def g(*args):
+            counts[name] += 1
+            return f(*args)
+        return g
+
+    for name in counts:
+        monkeypatch.setattr(verifier._Stack, name, counted(name))
+    draws = []
+
+    class Draw(verifier._Draw):
+        def __init__(self, *args):
+            super().__init__(*args)
+            draws.append(self)
+
+    monkeypatch.setattr(verifier, "_Draw", Draw)
+    monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
+    cfg = SweepConfig(families=["ORT_GEGEN", "ORT_JACOBI", "ORT_LAGUERRE"], max_degree_1d=20,
+                      ort_param_draws=6, seed=1)
+    for c in generate_cases(cfg):
+        run_case(c)
+    assert len(draws) == 18
+    assert (counts["append"], counts["row"]) == (972, 918)
+    assert sum(len(draw.rows) for draw in draws) == 918
+
+
+@pytest.mark.parametrize("fam", ["ORT_BALL", "PARSEVAL_A"])
+def test_gram_rows_hold_the_oracle_sums_bit_for_bit(fam, monkeypatch):
+    # after the first draw's cases, every kept row entry is the weighted
+    # column of i times the column of i2, summed, to the last bit, and the
+    # draw reads it back; the PARSEVAL_A rows are complex
+    cases = _memo_sweep(fam)
+    monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
+    for c in cases:
+        if (c.d, c.params) == (cases[0].d, cases[0].params):
+            run_case(c)
+    draw = verifier._memo.current
+    entries = [(key, i2, values[pos]) for key, (index, values) in draw.rows.items()
+               for i2, pos in index.items() if pos < len(values)]
+    assert entries
+    assert all(isinstance(val, np.complexfloating) == (fam == "PARSEVAL_A")
+               for _, _, val in entries)
+    for (n, axis, i), i2, val in entries:
+        assert val == (draw.weighted(n, axis, i) * draw.column(n, axis, i2)).sum()
+        assert draw.entry(n, axis, i, i2) == val
 
 
 @pytest.mark.parametrize("fam, params, rule, poly", [
