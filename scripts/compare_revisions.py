@@ -22,7 +22,14 @@ hdt-14, hdt-20, hdf-30 and ball-28), so
 
     python scripts/compare_revisions.py --config scripts/configs/ball-28.json --seeds 1
 
-reproduces the BALL-28 row for the base and for this checkout.
+reproduces the BALL-28 row for the base and for this checkout.  Every child
+process of a tree (its sweeps and its timing processes) runs with that
+tree's own fresh PYTHONPYCACHEPREFIX, filled by one import before the first
+sweep (PYTHONDONTWRITEBYTECODE is dropped for them), so no `__pycache__`
+directory in either checkout is read and both trees import from cached
+bytecode alike.  Without it, under PYTHONDONTWRITEBYTECODE=1 a checkout that
+held `__pycache__` would skip the compile that the other pays in every
+process.
 
 With --times N it then times each config's cases in process, at the first
 seed, in N rounds.  Each round starts a fresh process per tree, one after
@@ -30,19 +37,22 @@ the other, alternating which tree goes first; each process imports the
 package, runs the whole case list once untimed and once timed (each run on
 an empty draw memo), and exits, so an offset that lasts a whole process is
 drawn again each round.  For each family group it prints the median over the
-rounds of the group's summed case time and of its median case time, base
-and this checkout, and in parentheses the median over the rounds of this
-checkout's time over the base's time of the same round, e.g.
+rounds of the group's summed case time, of its median case time and of its
+p99 case time, base and this checkout, and in parentheses the median over
+the rounds of this checkout's time over the base's time of the same round,
+e.g.
 
     ORT (892 cases): summed base 41.10 ms, this checkout 29.10 ms (-29.2%);
-    median case base 30.00 µs, this checkout 20.00 µs (-33.3%)
+    median case base 30.00 µs, this checkout 20.00 µs (-33.3%);
+    p99 case base 210.00 µs, this checkout 190.00 µs (-9.5%)
 
 on one line.  The summed time carries the rule builds of a draw's first
-cases; the median case is the in-process counterpart of perfbench's
-case_p50_ms.  Two A/A comparisons of two copies of one tree, 21 rounds
-each on a shared 2-CPU host, read from -5.2% to +3.6% over their 16 group
-percentages each, so a difference under about 5% is not resolved by it
-there.
+cases; the median and p99 cases are the in-process counterparts of
+perfbench's case_p50_ms and case_p99_ms (the same inclusive percentile,
+over the group's cases of one round).  Two A/A comparisons of two copies of
+one tree, 21 rounds each on a shared 2-CPU host, read from -5.2% to +3.6%
+over their 16 group percentages each, so a difference under about 5% is not
+resolved by it there.
 
 Exits 0 when every pair of reports has the same case list and verdicts, 1 when
 any pair differs, 2 when the base or a config cannot be read or a sweep writes
@@ -144,19 +154,40 @@ def line_counts(base_src, src):
     return lines
 
 
-def sweep(src, config, seed, out):
-    """The `--no-timestamp` report of one sweep on the tree ``src``, and the
-    sweep's process wall time in seconds."""
+def child_envs(trees, scratch):
+    """The environment of every child process of each tree in ``trees``:
+    the package imported from that `src/`, and bytecode read and written
+    only under the tree's own fresh directory in ``scratch``, which one
+    import of `orthopara.cli` fills before any timed process starts."""
+    envs = []
+    for i, src in enumerate(trees):
+        prefix = scratch / f"pycache-{i}"
+        prefix.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=str(prefix))
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        res = subprocess.run([sys.executable, "-c", "import orthopara.cli"], env=env,
+                             capture_output=True, text=True)
+        if res.returncode != 0:
+            raise ValueError(f"import orthopara.cli from {src} exited {res.returncode}: "
+                             f"{res.stderr.strip()}")
+        envs.append(env)
+    return envs
+
+
+def sweep(env, config, seed, out):
+    """The `--no-timestamp` report of one sweep in the child environment
+    ``env``, and the sweep's process wall time in seconds."""
     cmd = [sys.executable, "-m", "orthopara", "sweep", "--no-timestamp",
            "--seed", str(seed), "--out", str(out)]
     if config is not None:
         cmd += ["--config", str(config)]
     t0 = time.perf_counter()
-    res = subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=str(src)), cwd=out.parent,
+    res = subprocess.run(cmd, env=env, cwd=out.parent,
                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     seconds = time.perf_counter() - t0
     if res.returncode not in (0, 1) or not out.exists():
-        raise ValueError(f"sweep on {src} exited {res.returncode}: {res.stderr.strip()}")
+        raise ValueError(f"sweep on {env['PYTHONPATH']} exited {res.returncode}: "
+                         f"{res.stderr.strip()}")
     raw = out.read_bytes()
     out.unlink()
     return raw, seconds
@@ -172,27 +203,42 @@ def baseline_row(raw, seconds):
             f"{seconds:.1f} s")
 
 
-def case_times(trees, config, seed, runs):
-    """Per family group, the row of --times: its case count, then the
-    median over ``runs`` rounds of each tree of its summed and of its median
-    in-process case time.  Each round starts a fresh timing process per
-    tree, one after the other, alternating which tree goes first, so an
-    offset that lasts a whole process is drawn again each round."""
+def p99(times):
+    """perfbench's case_p99_ms percentile (inclusive), of one or more times."""
+    if len(times) == 1:
+        return times[0]
+    return statistics.quantiles(times, n=100, method="inclusive")[98]
+
+
+def case_times(envs, config, seed, runs):
+    """The in-process case times of ``runs`` rounds of each tree, as
+    [base rounds, this checkout's rounds], each round {group: [seconds of
+    each case]}.  Each round starts a fresh timing process per tree, one
+    after the other, alternating which tree goes first, so an offset that
+    lasts a whole process is drawn again each round."""
     samples = [[], []]
     for run in range(runs):
         for i in (0, 1) if run % 2 == 0 else (1, 0):
             res = subprocess.run([sys.executable, "-c", TIMER, str(config or ""), str(seed)],
-                                 env=dict(os.environ, PYTHONPATH=str(trees[i])),
-                                 capture_output=True, text=True)
+                                 env=envs[i], capture_output=True, text=True)
             if res.returncode != 0:
-                raise ValueError(f"the timing process on {trees[i]} exited "
+                raise ValueError(f"the timing process on {envs[i]['PYTHONPATH']} exited "
                                  f"{res.returncode}: {res.stderr.strip()}")
             samples[i].append(json.loads(res.stdout))
+    return samples
+
+
+def times_table(samples):
+    """Per family group of ``samples`` (as ``case_times`` returns them), the
+    row of --times: its case count, then the median over the rounds of each
+    tree of its summed, median and p99 case time, and the median over the
+    rounds of their ratio."""
     lines = []
     for group, first in samples[0][0].items():
         row = []
         for what, stat, unit, scale in (("summed", sum, "ms", 1e3),
-                                        ("median case", statistics.median, "µs", 1e6)):
+                                        ("median case", statistics.median, "µs", 1e6),
+                                        ("p99 case", p99, "µs", 1e6)):
             base, this = (statistics.median(stat(run[group]) for run in runs_of) * scale
                           for runs_of in samples)
             # the two runs of a round are adjacent in time, so their ratio
@@ -231,10 +277,11 @@ def main():
                     configs[name] = tmp / f"{name}.json"
                     configs[name].write_text(json.dumps(cfg))
             trees = (base_tree(args.base, tmp / "base"), ROOT / "src")
+            envs = child_envs(trees, tmp)
             print("\n".join(line_counts(*trees)))
             for name, config in configs.items():
                 for seed in seeds:
-                    runs = [sweep(src, config, seed, tmp / "report.json") for src in trees]
+                    runs = [sweep(env, config, seed, tmp / "report.json") for env in envs]
                     lines, ok = compare(*(raw for raw, _ in runs))
                     lines += [f"{tree}: {baseline_row(*run)}"
                               for tree, run in zip(("base", "this checkout"), runs)]
@@ -244,8 +291,8 @@ def main():
                 if args.times:
                     print(f"{name} in-process case time, seed {seeds[0]}, "
                           f"median of {args.times} alternating runs:")
-                    print("\n".join(f"  {line}"
-                                    for line in case_times(trees, config, seeds[0], args.times)))
+                    samples = case_times(envs, config, seeds[0], args.times)
+                    print("\n".join(f"  {line}" for line in times_table(samples)))
         except (OSError, ValueError, KeyError) as exc:
             print(f"compare_revisions: {exc}", file=sys.stderr)
             return 2

@@ -19,7 +19,7 @@ import numpy as np
 
 from .classical import gegenbauer_homogeneous
 from .errors import DomainError
-from .gammafn import is_index, log_gamma, pochhammer
+from .gammafn import cexp, is_index, log_gamma, pochhammer
 from .quadrature import gauss_jacobi
 
 _DOMAIN_SLACK = 1e-12  # rounding allowed past a domain's boundary, here and in paraboloid
@@ -118,7 +118,7 @@ def ball_norm(k, mu):
         + log_gamma(mu + 0.5)
         - log_gamma(mu + 0.5 * (d + 1) + n)
     )
-    val = float(np.exp(lg).real) * pochhammer(mu + 0.5 * d, n)
+    val = cexp(lg).real * pochhammer(mu + 0.5 * d, n)
     for j in range(1, d + 1):
         kj = k[j - 1]
         tj = tail_sum(k, j)

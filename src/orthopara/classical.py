@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .gammafn import _nonpositive_integer, is_index, log_gamma, pochhammer
+from .gammafn import _nonpositive_integer, cexp, is_index, log_gamma, pochhammer
 from .hyper import SNAP_TOL, _check_poles, hyp_terminating
 
 
@@ -65,7 +65,7 @@ def gegenbauer_norm(m, mu):
         + log_gamma(mu + 0.5) + log_gamma(0.5)
         - log_gamma(m + 1.0) - log_gamma(mu)
     )
-    return float((np.exp(lg) / (m + mu)).real)
+    return float((np.exp(lg) / (m + mu)).real)  # np.exp: the division must stay numpy's
 
 
 def jacobi(m, alpha, beta, t):
@@ -87,13 +87,13 @@ def jacobi_norm(m, alpha, beta):
         # 2^{a+b+1} B(a+1, b+1): the general form below is 0/0 at a + b = -1
         lg = ((alpha + beta + 1) * math.log(2) + log_gamma(alpha + 1.0) + log_gamma(beta + 1.0)
               - log_gamma(alpha + beta + 2.0))
-        return float(np.exp(lg).real)
+        return float(cexp(lg).real)
     lg = (
         (alpha + beta + 1) * math.log(2)
         + log_gamma(m + alpha + 1.0) + log_gamma(m + beta + 1.0)
         - log_gamma(m + alpha + beta + 1.0) - log_gamma(m + 1.0)
     )
-    return float((np.exp(lg) / (2 * m + alpha + beta + 1)).real)
+    return float((np.exp(lg) / (2 * m + alpha + beta + 1)).real)  # np.exp: see gegenbauer_norm
 
 
 def laguerre(m, alpha, t):
@@ -109,7 +109,7 @@ def laguerre_norm(m, alpha):
     _check_degree(m)
     if alpha <= -1:
         raise DomainError("laguerre_norm: requires alpha > -1")
-    return float(np.exp(log_gamma(alpha + m + 1.0) - log_gamma(m + 1.0)).real)
+    return float(cexp(log_gamma(alpha + m + 1.0) - log_gamma(m + 1.0)).real)
 
 
 def continuous_hahn(m, a, b, c, d, x):

@@ -16,7 +16,9 @@ Meixner-Pollaczek polynomials in the degree and run their three-term
 recurrences (``classical.hahn_3f2``, ``classical.meixner_pollaczek_2f1``);
 the Hahn forms (``phi_factor_hahn``, ``eval_D_hahn``, ``eval_A_hahn``) sum
 the series of ``classical.continuous_hahn``, so each form equivalence
-compares two independent computations.  Complex powers of the strictly positive bases
+compares two independent computations.  A Gamma prefactor exp(log Gamma ...)
+is ``gammafn.cexp`` of its log-gamma sum, so at a scalar point it is one
+cmath.exp on a Python complex.  Complex powers of the strictly positive bases
 that occur here (2, 1 +- tanh) are principal-branch exp(w log base), which
 is unambiguous.
 """
@@ -32,7 +34,7 @@ import numpy as np
 from .ball import _at_point, lambda_param, tail_sum, validate_multi_index
 from .classical import _points, continuous_hahn, gegenbauer, hahn_3f2, meixner_pollaczek_2f1
 from .errors import DomainError
-from .gammafn import is_index, log_gamma, pochhammer
+from .gammafn import cexp, is_index, log_gamma, pochhammer
 from .paraboloid import _degree_split, radial_factor
 
 
@@ -216,7 +218,7 @@ def h_laguerre_t(m, k, params: WrapParamsLaguerre, t):
 def _phi_beta_part(j, d, alpha, K, xi_j):
     ap = alpha + 0.5 * (K + 1j * xi_j) + 0.25 * (d - j)
     am = alpha + 0.5 * (K - 1j * xi_j) + 0.25 * (d - j)
-    return np.exp(log_gamma(ap) + log_gamma(am) - log_gamma(ap + am)), ap
+    return cexp(log_gamma(ap) + log_gamma(am) - log_gamma(ap + am)), ap
 
 
 def phi_factor(j, alpha, mu, k, xi_j):
@@ -306,7 +308,7 @@ def fourier_h_jacobi_closed(m, k, params: WrapParamsJacobi, xi):
         2.0 ** (params.zeta + params.eta - 1)
         * pochhammer(n + params.mu + params.beta + 0.5 * (d + 1), m - n)
         / math.factorial(m - n)
-        * np.exp(lg)
+        * cexp(lg)
     )
     th = theta_factor(
         m, k, params.zeta, params.eta, params.beta, params.gamma, params.mu, xl
@@ -336,6 +338,8 @@ def fourier_h_laguerre_closed(m, k, params: WrapParamsLaguerre, xi):
         raise DomainError(f"expected {d + 1} frequencies, got {len(xi)}")
     xl = _points(xi[d])
     c = params.zeta + 0.5 * n - 1j * xl
+    # np.exp, not cexp: the division below would then be CPython's complex
+    # division, which rounds otherwise than numpy's
     pref = (
         np.exp(c * math.log(2.0) + log_gamma(c))
         * pochhammer(n + params.mu + params.beta + 0.5 * (d + 1), m - n)
@@ -364,7 +368,7 @@ def D_axis(j, alpha1, alpha2, k, x_j):
     x_j = _points(x_j)
     gp = alpha1 + 0.5 * (K + x_j) + 0.25 * (d - j)
     gm = alpha1 + 0.5 * (K - x_j) + 0.25 * (d - j)
-    return np.exp(log_gamma(gp) + log_gamma(gm)) * hahn_3f2(
+    return cexp(log_gamma(gp) + log_gamma(gm)) * hahn_3f2(
         kj, 2 * (K + absa) + d - j, gp, K + absa + 0.5 * (d - j),
         K + 2 * alpha1 + 0.5 * (d - j))
 
@@ -392,7 +396,7 @@ def eval_D_hahn(k, alpha1, alpha2, x):
             math.factorial(kj) * 1j ** (-kj) / denom
             * continuous_hahn(kj, A1, A2, A2, A1, -0.5j * xj)
         )
-    return np.exp(lg) * rest
+    return cexp(lg) * rest
 
 
 def eval_A(m, k, sp: SplitParams, t, x):
@@ -421,7 +425,7 @@ def _A_t(M, n, zeta1, Z, eta1, E, t):
     # n = |k|, and the sums Z = |z|, E = |e|
     arg = 0.5 * n + zeta1 - 0.5 * _points(t)
     f = hahn_3f2(M, n + Z + E, arg, n + Z, 0.5 * n + zeta1 + eta1)
-    return np.exp(log_gamma(arg)) * f
+    return cexp(log_gamma(arg)) * f
 
 
 def eval_A_hahn(m, k, sp: SplitParams, t, x):
@@ -438,7 +442,7 @@ def eval_A_hahn(m, k, sp: SplitParams, t, x):
     )
     return (
         math.factorial(M) * 1j ** (n - m) / denom
-        * np.exp(log_gamma(arg)) * p
+        * cexp(log_gamma(arg)) * p
         * eval_D_hahn(k, sp.alpha1, sp.alpha2, x)
     )
 
@@ -461,7 +465,7 @@ def _B_t(M, n, zeta1, Z, t):
     # B_t body for an already validated degree split M = m - |k| >= 0,
     # n = |k|, and the sum Z = |z|
     arg = zeta1 + 0.5 * n - _points(t)
-    return np.exp(log_gamma(arg)) * meixner_pollaczek_2f1(M, arg, n + Z)
+    return cexp(log_gamma(arg)) * meixner_pollaczek_2f1(M, arg, n + Z)
 
 
 def eval_B_hahn(m, k, sp: SplitParams, t, x):

@@ -27,7 +27,7 @@ from .classical import (
 )
 from .contiguous import a_relation_pair, b_relation_pair
 from .errors import DomainError, PoleError, QuadratureNonConvergence
-from .gammafn import log_gamma, pochhammer
+from .gammafn import cexp, log_gamma, pochhammer
 from .paraboloid import jacobi_paraboloid_norm, laguerre_paraboloid_norm, radial_factor, t_rule
 from .quadrature import QuadratureRule, composite_legendre, gauss_jacobi, gauss_laguerre
 from .transforms import (
@@ -444,7 +444,7 @@ def parseval_rhs(fam, m, k, sp):
             + log_gamma(0.5 * n + sp.zeta2 + sp.eta2)
             - log_gamma(m + absz + abse - 1.0)
         )
-        val = np.exp(lg).real * math.factorial(M) * ball_norm(k, sp.mu)
+        val = cexp(lg).real * math.factorial(M) * ball_norm(k, sp.mu)
         val /= pochhammer(n + absz, M) ** 2 * (2 * m - n + absz + abse - 1)
     else:
         lg = (
@@ -452,7 +452,7 @@ def parseval_rhs(fam, m, k, sp):
             + (-2 * d * absa - n - absz + d + 1 - (d - 1) * (d - 2) // 2) * math.log(2)
             + log_gamma(absz + m)
         )
-        val = np.exp(lg).real * math.factorial(M) * ball_norm(k, sp.mu)
+        val = cexp(lg).real * math.factorial(M) * ball_norm(k, sp.mu)
         val /= pochhammer(n + absz, M) ** 2
     for j in range(1, d + 1):
         K = tail_sum(k, j + 1)
@@ -460,7 +460,7 @@ def parseval_rhs(fam, m, k, sp):
         lgj = log_gamma(K + 2 * sp.alpha1 + 0.5 * (d - j)) + log_gamma(
             K + 2 * sp.alpha2 + 0.5 * (d - j)
         )
-        val *= math.factorial(kj) ** 2 * np.exp(lgj).real
+        val *= math.factorial(kj) ** 2 * cexp(lgj).real
         val /= 2.0 ** (2 * K) * pochhammer(2 * K + 2 * absa + d - j - 1, kj) ** 2
     return float(val)
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -395,7 +396,8 @@ def test_diff_reports_script_sees_a_reindented_report_as_the_same_document(tmp_p
 
 def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
     # the checkout against itself keeps every verdict (exit 0) and every
-    # line count, and --times prints one row per family group; a base copy
+    # line count, and --times prints one row per family group, its summed,
+    # median and p99 case times; a base copy
     # whose Parseval constant is doubled, in one line more of verifier.py,
     # fails its three diagonal cases (exit 1), and the line counts name that
     # one module
@@ -415,7 +417,8 @@ def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
     table = res.stdout.split(" in-process case time, seed 1, median of 1 alternating runs:\n")[1]
     ms, us = (rf"base \d+\.\d\d {unit}, this checkout \d+\.\d\d {unit} \([+-]\d+\.\d%\)"
               for unit in ("ms", "µs"))
-    assert re.fullmatch(rf"  PARSEVAL \(9 cases\): summed {ms}; median case {us}\n", table)
+    assert re.fullmatch(rf"  PARSEVAL \(9 cases\): summed {ms}; median case {us}; p99 case {us}\n",
+                        table)
     copy = tmp_path / "base"
     shutil.copytree(root / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
     verifier_py = copy / "src" / "orthopara" / "verifier.py"
@@ -425,9 +428,69 @@ def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
                                           "    val *= 2\n    return float(val)\n"))
     res = compare(copy)
     assert res.returncode == 1 and "DIFFERS" in res.stdout and "verdict changes: 3" in res.stdout
+    # its children cached their bytecode under their own directories, even
+    # where they were allowed to write it, never in the checkout
+    assert not list(copy.rglob("__pycache__"))
     lines = sum(bool(line.strip()) for line in source.splitlines())
     assert "difference -1\n" in res.stdout and res.stdout.count("→") == 1
     assert f"\n  verifier.py {lines + 1} → {lines} (-1)\n" in res.stdout
+
+
+def _script_module(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_revisions_times_table_of_synthetic_rounds():
+    # three rounds per tree of two groups; each column is the median over the
+    # rounds, each percentage the median of the rounds' ratios (here not the
+    # ratio of the medians), and the p99 is perfbench's inclusive percentile
+    cr = _script_module("compare_revisions")
+    us = 1e-6
+    ort = ([10, 20, 30, 40], [20, 40, 60, 80], [40, 80, 120, 160])
+    ort_this = ([10, 20, 30, 40], [10, 20, 30, 40], [30, 60, 90, 120])
+    contig, contig_this = ([100], [200], [300]), ([100], [100], [150])
+    samples = [[{"ORT": [t * us for t in o], "CONTIG": [t * us for t in c]}
+                for o, c in zip(ort_b, contig_b)]
+               for ort_b, contig_b in ((ort, contig), (ort_this, contig_this))]
+    assert cr.times_table(samples) == [
+        "ORT (4 cases): summed base 0.20 ms, this checkout 0.10 ms (-25.0%); "
+        "median case base 50.00 µs, this checkout 25.00 µs (-25.0%); "
+        "p99 case base 79.40 µs, this checkout 39.70 µs (-25.0%)",
+        "CONTIG (1 cases): summed base 0.20 ms, this checkout 0.10 ms (-50.0%); "
+        "median case base 200.00 µs, this checkout 100.00 µs (-50.0%); "
+        "p99 case base 200.00 µs, this checkout 100.00 µs (-50.0%)",
+    ]
+    assert cr.p99([float(i) for i in range(101)]) == 99.0
+
+
+def test_compare_revisions_children_cache_bytecode_under_their_own_prefix(tmp_path, monkeypatch):
+    # each tree's children import from that tree's src/ and read and write
+    # bytecode only under its own fresh directory, filled by one import of
+    # orthopara.cli before they run; a tree that cannot import is an error
+    # (exit 2).  That no child writes into a checkout is checked end to end
+    # in test_compare_revisions_script_flags_a_wrong_constant.
+    cr = _script_module("compare_revisions")
+    warmed = []
+
+    def run(cmd, env, **kwargs):
+        warmed.append((cmd[1:], env["PYTHONPATH"], sorted(Path(env["PYTHONPYCACHEPREFIX"]).iterdir())))
+        return subprocess.CompletedProcess(cmd, 0 if env["PYTHONPATH"] != "broken" else 1, "", "")
+
+    monkeypatch.setattr(cr.subprocess, "run", run)
+    trees = (tmp_path / "base" / "src", cr.ROOT / "src")
+    envs = cr.child_envs(trees, tmp_path)
+    assert [env["PYTHONPATH"] for env in envs] == [str(tree) for tree in trees]
+    prefixes = [Path(env["PYTHONPYCACHEPREFIX"]) for env in envs]
+    assert prefixes[0] != prefixes[1] and all(p.parent == tmp_path for p in prefixes)
+    assert all("PYTHONDONTWRITEBYTECODE" not in env for env in envs)
+    assert warmed == [(["-c", "import orthopara.cli"], str(tree), []) for tree in trees]
+    (tmp_path / "again").mkdir()
+    with pytest.raises(ValueError, match="import orthopara.cli from broken exited 1"):
+        cr.child_envs(("broken",), tmp_path / "again")
 
 
 def test_high_degree_configs_hold_the_baseline_case_lists():

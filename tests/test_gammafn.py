@@ -14,8 +14,8 @@ from orthopara.classical import gegenbauer
 from orthopara.contiguous import a_relation_pair
 from orthopara.errors import DomainError, PoleError
 from orthopara.gammafn import (
-    POLE_TOL, _nonpositive_integer, beta, gamma, is_index, is_nonpositive_integer, log_gamma,
-    pochhammer,
+    POLE_TOL, _nonpositive_integer, beta, cexp, gamma, is_index, is_nonpositive_integer,
+    log_gamma, pochhammer,
 )
 from orthopara.hyper import SNAP_TOL
 from orthopara.paraboloid import jacobi_paraboloid, laguerre_paraboloid
@@ -230,9 +230,9 @@ def test_log_gamma_non_finite_argument(bad):
 
 
 def test_pochhammer_scalar_matches_array_element():
-    # a scalar multiplies as numpy scalars: real arguments match the array
-    # element bit for bit; complex ones to rounding, since numpy's array loop
-    # for complex multiplication may fuse the multiply-add
+    # a scalar gives the product of numpy scalars: real arguments match the
+    # array element bit for bit; complex ones to rounding, since numpy's array
+    # loop for complex multiplication may fuse the multiply-add
     rng = np.random.default_rng(13)
     real = rng.uniform(-4, 6, 40)
     cplx = real + 1j * rng.uniform(-3, 3, 40)
@@ -277,3 +277,117 @@ def test_pochhammer_integer_argument_does_not_wrap():
                                 rel=1e-15)
     assert pochhammer(np.int64(10**6), 4) == got
     assert pochhammer(3, 0) == 1 and pochhammer(3, 2) == 12
+
+
+def _numpy_scalar_product(a, m):
+    # (a)_m as numpy scalars multiply it, the reference of pochhammer's
+    # Python-number path: integers as float64, (a)_0 of the result dtype
+    a = np.asarray(a)
+    if a.dtype.kind in "biu":
+        a = a.astype(np.float64)
+    a = a[()]
+    if m == 0:
+        return np.ones((), dtype=np.result_type(a, np.float64))[()]
+    with np.errstate(all="ignore"):
+        out = a + 0
+        for i in range(1, m):
+            out = out * (a + i)
+    return out
+
+
+def _same_bits(got, want):
+    return type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+SCALAR_KINDS = {
+    "float": float, "complex": complex, "float64": np.float64, "complex128": np.complex128,
+    "int": lambda v: int(v.real), "0-d float64": lambda v: np.array(v.real),
+    "0-d complex128": lambda v: np.array(v, dtype=np.complex128),
+}
+
+
+@given(
+    st.sampled_from(sorted(SCALAR_KINDS)),
+    st.complex_numbers(max_magnitude=100, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, 1, 7, 65]),
+)
+@settings(max_examples=300, deadline=None)
+def test_pochhammer_scalar_is_the_numpy_scalar_product(kind, v, m):
+    # every scalar input gives the numpy-scalar product, its type and bits
+    # (signed zeros included), whichever arithmetic computes it
+    if kind in ("float", "float64", "0-d float64"):
+        v = v.real
+    a = SCALAR_KINDS[kind](v)
+    want = _numpy_scalar_product(a, m)
+    assert _same_bits(pochhammer(a, m), want)
+    assert type(want) is (np.complex128 if "complex" in kind else np.float64)
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "float64", "complex128"])
+def test_pochhammer_exact_zero_below_the_order(kind):
+    for j, m in ((0, 1), (3, 7), (7, 8), (40, 65)):
+        a = SCALAR_KINDS[kind](-float(j))
+        got = pochhammer(a, m)
+        assert got == 0 and _same_bits(got, _numpy_scalar_product(a, m))
+    assert pochhammer(SCALAR_KINDS[kind](-3.0), 3) != 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, v", [
+    *((kind, v) for kind in ("float", "complex", "float64", "complex128")
+      for v in (math.nan, math.inf, -math.inf, 1e300, -1e300)),
+    *((kind, v) for kind in ("complex", "complex128")
+      for v in (complex(math.inf, 0), complex(1.5, math.nan), complex(-math.inf, math.inf),
+                complex(1e300, 1e300))),
+], ids=repr)
+def test_pochhammer_non_finite_scalars_do_not_warn(kind, v):
+    # NaN, inf and overflow flow through the product with no warning, with
+    # the bits numpy scalars give (which warn on overflow and inf * 0)
+    a = SCALAR_KINDS[kind](v)
+    for m in (1, 2, 7):
+        assert _same_bits(pochhammer(a, m), _numpy_scalar_product(a, m))
+
+
+def test_pochhammer_dtype_rules_of_other_inputs():
+    # the types the Python-number path does not take keep numpy's rules:
+    # float32 and complex64 keep their dtype past order 0, where (a)_0 is a
+    # float64 1, and other integer scalars multiply as float64
+    assert type(pochhammer(np.float32(1.5), 0)) is np.float64
+    got = pochhammer(np.float32(1.5), 3)
+    assert type(got) is np.float32 and got == np.float32(1.5 * 2.5 * 3.5)
+    assert pochhammer(np.array([1.5, 2.5], dtype=np.float32), 3).dtype == np.float32
+    assert type(pochhammer(np.complex64(1.5), 2)) is np.complex64
+    for a in (np.uint8(3), np.array(3), True):
+        assert _same_bits(pochhammer(a, 2), _numpy_scalar_product(a, 2))
+
+
+def test_cexp_is_np_exp_bit_for_bit():
+    # cexp of a log-gamma sum is np.exp's value: sampled log Gamma values
+    # and sums whose real parts reach +-700
+    rng = np.random.default_rng(28)
+    z = rng.uniform(0.5, 140, 2000) + 1j * rng.uniform(-100, 100, 2000)
+    w = np.concatenate([log_gamma(z), rng.uniform(-700, 700, 2000)
+                        + 1j * rng.uniform(-2000, 2000, 2000)])
+    assert np.abs(w.real).max() > 690
+    for v in w.tolist():
+        got = cexp(v)
+        assert type(got) is complex
+        assert np.complex128(got).tobytes() == np.exp(np.complex128(v)).tobytes()
+    arr = cexp(w)
+    assert type(arr) is np.ndarray and arr.shape == w.shape
+    assert np.array_equal(arr, np.exp(w))
+    assert type(cexp(w[:1].reshape(1, 1))) is np.ndarray
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v", [complex(9470.0, 0.0), complex(709.5, 0.3), complex(708.7, -2.0),
+                               complex(-800.0, 1.0), complex(math.nan, 1.0),
+                               complex(math.inf, 0.5), complex(0.5, math.inf)], ids=repr)
+def test_cexp_beyond_cmath_is_np_exp_without_a_warning(v):
+    # where cmath.exp would raise OverflowError or round otherwise, cexp
+    # gives np.exp's value, non-finite or not, with no raise and no warning
+    with np.errstate(all="ignore"):
+        want = np.exp(np.complex128(v))
+    got = cexp(v)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.isscalar(got)
