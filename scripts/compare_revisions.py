@@ -23,24 +23,26 @@ hdt-14, hdt-20, hdf-30 and ball-28), so
     python scripts/compare_revisions.py --config scripts/configs/ball-28.json --seeds 1
 
 reproduces the BALL-28 row for the base and for this checkout.  Every child
-process of a tree (its sweeps and its timing processes) runs with that
-tree's own fresh PYTHONPYCACHEPREFIX, filled by one import before the first
-sweep (PYTHONDONTWRITEBYTECODE is dropped for them), so no `__pycache__`
-directory in either checkout is read and both trees import from cached
-bytecode alike.  Without it, under PYTHONDONTWRITEBYTECODE=1 a checkout that
-held `__pycache__` would skip the compile that the other pays in every
-process.
+process (the sweeps and the timing processes of both trees) runs with one
+fresh PYTHONPYCACHEPREFIX, filled by one import per tree before the first
+sweep (PYTHONDONTWRITEBYTECODE is dropped for them).  The prefix mirrors
+each source file's absolute path, so each tree's package gets bytecode of
+its own while numpy and scipy are compiled once for both, no `__pycache__`
+directory in either checkout is read or written, and both trees import
+from cached bytecode alike.  Without it, under PYTHONDONTWRITEBYTECODE=1 a
+checkout that held `__pycache__` would skip the compile that the other
+pays in every process.
 
 With --times N it then times each config's cases in process, at the first
 seed, in N rounds.  Each round starts a fresh process per tree, one after
 the other, alternating which tree goes first; each process imports the
-package, runs the whole case list once untimed and once timed (each run on
-an empty draw memo), and exits, so an offset that lasts a whole process is
-drawn again each round.  For each family group it prints the median over the
-rounds of the group's summed case time, of its median case time and of its
-p99 case time, base and this checkout, and in parentheses the median over
-the rounds of this checkout's time over the base's time of the same round,
-e.g.
+package, runs the case list once untimed and once timed (each run on a
+freshly generated case list, whose draws hold nothing yet), and exits, so an
+offset that lasts a whole process is drawn again each round.  For each
+family group it prints the median over the rounds of the group's summed case
+time, of its median case time and of its p99 case time, base and this
+checkout, and in parentheses the median over the rounds of this checkout's
+time over the base's time of the same round, e.g.
 
     ORT (892 cases): summed base 41.10 ms, this checkout 29.10 ms (-29.2%);
     median case base 30.00 µs, this checkout 20.00 µs (-33.3%);
@@ -80,7 +82,10 @@ WORKLOADS = ("series-scalar", "gram-highdeg")
 
 # The timing process of --times: argv is the config path ("" for the
 # default) and the seed.  After one untimed run, it runs every case once
-# more and prints {group: [seconds of each case]} as one JSON line.
+# more and prints {group: [seconds of each case]} as one JSON line.  Each
+# run generates its case list afresh, so the timed run's cases carry empty
+# draws, not those the untimed run filled; a base tree that keeps its draws
+# in the module-global memo `_memo` gets an empty one.
 TIMER = """
 import json, sys, time
 from orthopara import verifier
@@ -88,12 +93,12 @@ from orthopara.cli import SweepConfig, load_config
 cfg = load_config(sys.argv[1]) if sys.argv[1] else SweepConfig()
 cfg.seed = int(sys.argv[2])
 cfg.validate()
-cases = verifier.generate_cases(cfg)
-groups = [verifier.FAMILIES[case.identity_id].group for case in cases]
 
 def run():
     if hasattr(verifier, "_memo"):
         verifier._memo = verifier._DrawMemo()
+    cases = verifier.generate_cases(cfg)
+    groups = [verifier.FAMILIES[case.identity_id].group for case in cases]
     times = {}
     for case, group in zip(cases, groups):
         t0 = time.perf_counter()
@@ -157,12 +162,13 @@ def line_counts(base_src, src):
 def child_envs(trees, scratch):
     """The environment of every child process of each tree in ``trees``:
     the package imported from that `src/`, and bytecode read and written
-    only under the tree's own fresh directory in ``scratch``, which one
-    import of `orthopara.cli` fills before any timed process starts."""
+    only under one fresh directory in ``scratch``, shared by the trees,
+    which one import of `orthopara.cli` per tree fills before any timed
+    process starts."""
+    prefix = scratch / "pycache"
+    prefix.mkdir()
     envs = []
-    for i, src in enumerate(trees):
-        prefix = scratch / f"pycache-{i}"
-        prefix.mkdir()
+    for src in trees:
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=str(prefix))
         env.pop("PYTHONDONTWRITEBYTECODE", None)
         res = subprocess.run([sys.executable, "-c", "import orthopara.cli"], env=env,

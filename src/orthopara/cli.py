@@ -296,7 +296,7 @@ def run_sweep(cfg: SweepConfig) -> RunSummary:
     t_start = time.perf_counter()
     cases = generate_cases(cfg)
     reports = []
-    for case in cases:
+    for i, case in enumerate(cases, 1):
         try:
             reports.append(run_case(case))
         except Exception as exc:  # mark non-verifiable cases failed, keep going
@@ -307,6 +307,8 @@ def run_sweep(cfg: SweepConfig) -> RunSummary:
                     seconds=0.0, error=f"{type(exc).__name__}: {exc}",
                 )
             )
+        if case.draw is not None and (i == len(cases) or cases[i].draw is not case.draw):
+            case.draw.release()  # the sweep is past the draw's last case
     failed = skipped = 0
     worst = {}
     for r in reports:

@@ -50,6 +50,9 @@ class IdentityCase:
     k2: tuple | None = None
     params: dict = field(default_factory=dict)
     xi: tuple | None = None
+    # set by generate_cases, or by run_case on a case without one; never
+    # copied by dataclasses.replace, so a replaced case gets a fresh draw
+    draw: _Draw | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -139,17 +142,19 @@ class _Stack:
 
 
 class _Draw:
-    """The Gram state of one parameter draw (identity id, d and params).
+    """The Gram state of one parameter draw: a run of consecutive generated
+    cases with equal identity id, d and params, or one case built otherwise.
 
-    ``bind(case)``, called on the draw's first case, binds the draw's params
-    into the family's rule builder ``rule_of(n)`` (the n-point level's
-    rules, one per axis), basis ``basis(axis, i, nodes)`` (the factor of
-    index i on an axis) and norm ``norm_of(i)``.  The draw caches, per key,
-    each level's rules, each basis or factor column, beside it that column
-    times its axis weights (the weighted column), and each norm.
+    Its family's ``bind(case)`` binds the draw's params into the rule
+    builder ``rule_of(n)`` (the n-point level's rules, one per axis), basis
+    ``basis(axis, i, nodes)`` (the factor of index i on an axis) and norm
+    ``norm_of(i)``; a Fourier draw binds none of them.  The draw caches, per
+    key, each level's rules, each basis or factor column, beside it that
+    column times its axis weights (the weighted column), and each norm.
     ``get(key, compute, *args)`` evaluates ``compute(*args)`` once per key;
     an array is cached as a read-only view, and a rule has read-only arrays
-    already.
+    already.  ``release()`` drops the caches, which a later case of the draw
+    computes again.
 
     A Gram entry on an axis is ``entry(n, axis, i, i2)``: the weighted
     column of i times the column of i2, summed, which is the product order
@@ -159,19 +164,19 @@ class _Draw:
     entry whose column is stacked fills the row of i: the entries of i with
     every stacked column, one array kept per (n, axis, i) beside the stack's
     index, so the draw's later entries of i read it.  A row is filled again
-    only when a column stacked after it is read.  Stacking and filling hold
-    the draw's lock, a column is indexed only after it is written, and a row
-    is stored whole, so a thread never reads a half-appended stack or a
-    partial row.
+    only when a column stacked after it is read.  Threads may share a case
+    list and so a draw: stacking and filling hold the draw's lock, a column
+    is indexed only after it is written, and a row is stored whole, so a
+    thread never reads a half-appended stack or a partial row.
     """
 
-    def __init__(self, case, bind):
-        self.identity_id, self.d, self.params = case.identity_id, case.d, dict(case.params)
-        self.columns = {}
-        self.stacks = {}
-        self.rows = {}
+    def __init__(self, rule_of=None, basis=None, norm_of=None):
+        self.rule_of, self.basis, self.norm_of = rule_of, basis, norm_of
         self.lock = threading.Lock()
-        self.rule_of, self.basis, self.norm_of = bind(case) if bind else (None, None, None)
+        self.release()
+
+    def release(self):
+        self.columns, self.stacks, self.rows = {}, {}, {}
 
     def get(self, key, compute, *args):
         col = self.columns.get(key)
@@ -223,34 +228,6 @@ class _Draw:
             return val
 
 
-class _DrawMemo:
-    """The verifier's only cache of draw-dependent data: the ``_Draw`` of the
-    current parameter draw.  The quadrature functions build a rule on each
-    call, and a draw's cases fetch their rules here.
-
-    ``open(case, bind)`` returns the current draw if ``case`` belongs to it,
-    else a new draw bound by ``bind``, which replaces it.  A case belongs to
-    a draw by value: equal identity id and d, and params equal to the draw's
-    copy of them, so a case built by hand or by ``dataclasses.replace``, or
-    with a params dict of its own, finds its draw as a generated one does.
-    A runner keeps the draw it opened, so callers on other threads cannot
-    mix draws.
-    """
-
-    def __init__(self):
-        self.current = None
-
-    def open(self, case, bind=None):
-        draw = self.current
-        if (draw is None or case.identity_id != draw.identity_id or case.d != draw.d
-                or case.params != draw.params):
-            draw = self.current = _Draw(case, bind)
-        return draw
-
-
-_memo = _DrawMemo()
-
-
 def _gram(case, draw, i, i2, levels, entry):
     """The sides of a Gram case: the certified <i, i2> against the draw's
     norm of i, or 0 off the diagonal, at scale sqrt(norm(i) norm(i2)).
@@ -285,8 +262,7 @@ def _bind_1d(case):
 
 def _ort_1d(case):
     """<P_m, P_m2>: the entry (w P_m P_m2).sum() on the draw's Gauss rule."""
-    draw = _memo.open(case, _bind_1d)
-    m, m2 = case.m, case.m2
+    draw, m, m2 = case.draw, case.m, case.m2
     return _gram(case, draw, m, m2, _gram_levels(16, m + m2),
                  lambda n: (draw.entry(n, 0, m, m2), n))
 
@@ -311,8 +287,7 @@ def _ball_gram(draw, k, k2, n):
 
 def _ort_ball(case):
     """<P_k, P_k2>: the product of the draw's per-axis entries."""
-    draw = _memo.open(case, _bind_ball)
-    k, k2 = case.k, case.k2
+    draw, k, k2 = case.draw, case.k, case.k2
     levels = _gram_levels(12, tail_sum(k, 1) + tail_sum(k2, 1))
     return _gram(case, draw, k, k2, levels, lambda n: (_ball_gram(draw, k, k2, n), len(k) * n))
 
@@ -353,8 +328,7 @@ def _para_gram(draw, mk, mk2, n):
 
 def _ort_para(case):
     """<basis(m, k), basis(m2, k2)>: the radial sum times the ball entries."""
-    draw = _memo.open(case, _bind_para)
-    mk, mk2 = (case.m, case.k), (case.m2, case.k2)
+    draw, mk, mk2 = case.draw, (case.m, case.k), (case.m2, case.k2)
     return _gram(case, draw, mk, mk2, _gram_levels(12, case.m + case.m2),
                  lambda n: (_para_gram(draw, mk, mk2, n), (len(case.k) + 1) * n))
 
@@ -403,8 +377,14 @@ def _fourier_direct(fam, m, k, wp, xi, level, column):
     return val, len(t_rule) + sum(len(r) for r in x_rules)
 
 
+def _bind_fourier(case):
+    """A Fourier draw binds nothing: its cases share their line rules and
+    factor lines through the draw's ``get``."""
+    return ()
+
+
 def _fourier(case):
-    column = _memo.open(case).get
+    column = case.draw.get
     k = validate_multi_index(case.k)
     if case.identity_id == "FOURIER_J":
         wp = WrapParamsJacobi(**case.params)
@@ -512,8 +492,7 @@ def _parseval_lhs(draw, m, k, m2, k2, panels):
 
 def _parseval(case):
     """The Parseval integral of (m, k) and (m2, k2) against ``parseval_rhs``."""
-    draw = _memo.open(case, _bind_parseval)
-    mk, mk2 = (case.m, case.k), (case.m2, case.k2)
+    draw, mk, mk2 = case.draw, (case.m, case.k), (case.m2, case.k2)
     return _gram(case, draw, mk, mk2, _PARSEVAL_LEVELS,
                  lambda panels: _parseval_lhs(draw, *mk, *mk2, panels))
 
@@ -568,11 +547,14 @@ def _form_equiv(case):
 def run_case(case: IdentityCase) -> VerificationReport:
     """Run ``case``'s family runner and judge the two sides it returns: the
     residual is relative to the larger side, or to the runner's scale when
-    rhs == 0.  A skip passes with zero residuals; other raises propagate."""
+    rhs == 0.  A skip passes with zero residuals; other raises propagate.  A
+    case of a family with draws that carries none gets a draw of its own."""
     fam = FAMILIES.get(case.identity_id)
     if fam is None:
         raise DomainError(f"unknown identity id {case.identity_id!r}")
     t0 = time.perf_counter()
+    if case.draw is None and fam.bind is not None:
+        object.__setattr__(case, "draw", _Draw(*fam.bind(case)))
     try:
         lhs, rhs, scale, nodes = fam.run(case)
     except _Skip as skip:
@@ -713,12 +695,20 @@ def _form_equiv_cases(fam, cfg, rng, tol):
 
 def generate_cases(cfg) -> list[IdentityCase]:
     """Deterministic case list: registry family order, all draws from one
-    seeded PCG64 generator."""
+    seeded PCG64 generator.  The cases of a family with draws carry them: one
+    ``_Draw`` per run of consecutive cases with equal d and params."""
     rng = np.random.default_rng(cfg.seed)
     cases = []
     for fam in FAMILIES.values():
         if fam.id in cfg.families:
+            start = len(cases)
             cases.extend(fam.cases(fam.id, cfg, rng, cfg.tolerances.get(fam.id, fam.tolerance)))
+            runs = itertools.groupby(cases[start:] if fam.bind else (), lambda c: (c.d, c.params))
+            for _, run in runs:
+                run = list(run)
+                draw = _Draw(*fam.bind(run[0]))
+                for case in run:
+                    object.__setattr__(case, "draw", draw)
     return cases
 
 
@@ -731,36 +721,38 @@ class Family:
     """One identity family: its group, its default tolerance, the runner
     that returns a case's sides (lhs, rhs, scale, nodes) for ``run_case`` to
     judge (a scale of None means the larger side), the generator that draws
-    its cases, and a one-line description."""
+    its cases, a one-line description, and the binder of its draws' ``_Draw``
+    arguments (None: its cases share nothing and carry no draw)."""
     id: str
     group: str
     tolerance: float
     run: Callable[[IdentityCase], tuple[complex, complex, float | None, int]]
     cases: Callable  # (id, cfg, rng, tolerance) -> IdentityCases, drawing from rng
     description: str
+    bind: Callable[[IdentityCase], tuple] | None = None
 
 
 FAMILIES = {fam.id: fam for fam in [
     Family("ORT_GEGEN", "ORT", 1e-10, _ort_1d, _ort_1d_cases,
-           "1-D Gegenbauer Gram matrix vs norm formula"),
+           "1-D Gegenbauer Gram matrix vs norm formula", _bind_1d),
     Family("ORT_JACOBI", "ORT", 1e-10, _ort_1d, _ort_1d_cases,
-           "1-D Jacobi Gram matrix vs norm formula"),
+           "1-D Jacobi Gram matrix vs norm formula", _bind_1d),
     Family("ORT_LAGUERRE", "ORT", 1e-10, _ort_1d, _ort_1d_cases,
-           "1-D Laguerre Gram matrix vs norm formula"),
+           "1-D Laguerre Gram matrix vs norm formula", _bind_1d),
     Family("ORT_BALL", "ORT", 1e-8, _ort_ball, _ball_cases,
-           "unit-ball basis Gram matrix vs product norm formula"),
+           "unit-ball basis Gram matrix vs product norm formula", _bind_ball),
     Family("ORT_PARA_J", "ORT", 1e-8, _ort_para, _para_cases,
-           "height-1 paraboloid basis Gram matrix vs product norms"),
+           "height-1 paraboloid basis Gram matrix vs product norms", _bind_para),
     Family("ORT_PARA_L", "ORT", 1e-8, _ort_para, _para_cases,
-           "infinite-height paraboloid basis Gram matrix vs product norms"),
+           "infinite-height paraboloid basis Gram matrix vs product norms", _bind_para),
     Family("FOURIER_J", "FOURIER", 1e-6, _fourier, _fourier_cases,
-           "closed-form height-1 Fourier transform vs direct quadrature"),
+           "closed-form height-1 Fourier transform vs direct quadrature", _bind_fourier),
     Family("FOURIER_L", "FOURIER", 1e-6, _fourier, _fourier_cases,
-           "closed-form infinite-height Fourier transform vs direct quadrature"),
+           "closed-form infinite-height Fourier transform vs direct quadrature", _bind_fourier),
     Family("PARSEVAL_A", "PARSEVAL", 1e-6, _parseval, _parseval_cases,
-           "height-1 Parseval integral vs printed constant"),
+           "height-1 Parseval integral vs printed constant", _bind_parseval),
     Family("PARSEVAL_B", "PARSEVAL", 1e-6, _parseval, _parseval_cases,
-           "infinite-height Parseval integral vs printed constant"),
+           "infinite-height Parseval integral vs printed constant", _bind_parseval),
     *(Family(f"CONTIG_{side}_{r}", "CONTIG", 1e-10, _contiguous, _contig_cases,
              f"lifted contiguous relation ({r}) of the {height} family")
       for side, height in (("A", "height-1"), ("B", "infinite-height")) for r in ROMAN),

@@ -146,6 +146,37 @@ def test_sweep_writes_report_and_summary(tmp_path):
     assert "timestamp" not in doc
 
 
+def test_run_sweep_releases_each_draw_past_its_last_case(monkeypatch):
+    # when a case starts, every draw the sweep has moved past holds no
+    # columns, stacks or rows, while the case's own draw keeps what its
+    # earlier cases filled; after the sweep no draw of its case list holds
+    # any, the errored cases' draws included
+    generated, seen = [], []
+    generate, run_case = cli.generate_cases, cli.run_case
+
+    def held(draw):
+        return bool(draw.columns or draw.stacks or draw.rows)
+
+    def checked_run_case(case):
+        assert not any(held(draw) for draw in seen[:-1])
+        if case.draw is not None and (not seen or case.draw is not seen[-1]):
+            assert not held(case.draw)
+            seen.append(case.draw)
+        return run_case(case)
+
+    monkeypatch.setattr(cli, "generate_cases", lambda cfg: generated.append(generate(cfg))
+                        or generated[-1])
+    monkeypatch.setattr(cli, "run_case", checked_run_case)
+    summary = run_sweep(SweepConfig(
+        families=["ORT", "FOURIER", "PARSEVAL", "CONTIG_A_i"], dims=[1, 2], max_degree_1d=3,
+        max_degree_multi=1, fourier_max_degree=1, parseval_max_degree=1, ort_param_draws=2,
+        fourier_xi_draws=1, contig_draws=2, tolerances={"ORT_LAGUERRE": 1e-30}))
+    (cases,) = generated
+    draws = list(dict.fromkeys(case.draw for case in cases if case.draw is not None))
+    assert summary.failed > 0 and draws == seen and len(draws) == 20
+    assert not any(held(draw) for draw in draws)
+
+
 def test_report_config_block_is_the_sweep_config_and_reruns_byte_for_byte(tmp_path):
     # the config block holds every SweepConfig field but the three output
     # ones, in field order, the tolerances by family; loaded back as a config
@@ -428,8 +459,8 @@ def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
                                           "    val *= 2\n    return float(val)\n"))
     res = compare(copy)
     assert res.returncode == 1 and "DIFFERS" in res.stdout and "verdict changes: 3" in res.stdout
-    # its children cached their bytecode under their own directories, even
-    # where they were allowed to write it, never in the checkout
+    # its children cached their bytecode under their one shared directory,
+    # even where they were allowed to write it, never in the checkout
     assert not list(copy.rglob("__pycache__"))
     lines = sum(bool(line.strip()) for line in source.splitlines())
     assert "difference -1\n" in res.stdout and res.stdout.count("→") == 1
@@ -467,27 +498,32 @@ def test_compare_revisions_times_table_of_synthetic_rounds():
     assert cr.p99([float(i) for i in range(101)]) == 99.0
 
 
-def test_compare_revisions_children_cache_bytecode_under_their_own_prefix(tmp_path, monkeypatch):
-    # each tree's children import from that tree's src/ and read and write
-    # bytecode only under its own fresh directory, filled by one import of
-    # orthopara.cli before they run; a tree that cannot import is an error
-    # (exit 2).  That no child writes into a checkout is checked end to end
-    # in test_compare_revisions_script_flags_a_wrong_constant.
+def test_compare_revisions_children_share_one_fresh_bytecode_prefix(tmp_path, monkeypatch):
+    # each tree's children import from that tree's src/, and all of them read
+    # and write bytecode only under one fresh directory, so numpy and scipy
+    # are compiled once for both trees (the prefix mirrors each source
+    # file's absolute path, so each tree's package has bytecode of its own);
+    # one import of orthopara.cli per tree fills it, the second tree's import
+    # reading what the first wrote, and a tree that cannot import is an
+    # error (exit 2).  That no child writes into a checkout is checked end to
+    # end in test_compare_revisions_script_flags_a_wrong_constant.
     cr = _script_module("compare_revisions")
     warmed = []
 
     def run(cmd, env, **kwargs):
-        warmed.append((cmd[1:], env["PYTHONPATH"], sorted(Path(env["PYTHONPYCACHEPREFIX"]).iterdir())))
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        warmed.append((cmd[1:], env["PYTHONPATH"], sorted(p.name for p in prefix.iterdir())))
+        (prefix / f"written-by-{len(warmed)}").touch()
         return subprocess.CompletedProcess(cmd, 0 if env["PYTHONPATH"] != "broken" else 1, "", "")
 
     monkeypatch.setattr(cr.subprocess, "run", run)
     trees = (tmp_path / "base" / "src", cr.ROOT / "src")
     envs = cr.child_envs(trees, tmp_path)
     assert [env["PYTHONPATH"] for env in envs] == [str(tree) for tree in trees]
-    prefixes = [Path(env["PYTHONPYCACHEPREFIX"]) for env in envs]
-    assert prefixes[0] != prefixes[1] and all(p.parent == tmp_path for p in prefixes)
+    assert {env["PYTHONPYCACHEPREFIX"] for env in envs} == {str(tmp_path / "pycache")}
     assert all("PYTHONDONTWRITEBYTECODE" not in env for env in envs)
-    assert warmed == [(["-c", "import orthopara.cli"], str(tree), []) for tree in trees]
+    imports = ["-c", "import orthopara.cli"]
+    assert warmed == [(imports, str(trees[0]), []), (imports, str(trees[1]), ["written-by-1"])]
     (tmp_path / "again").mkdir()
     with pytest.raises(ValueError, match="import orthopara.cli from broken exited 1"):
         cr.child_envs(("broken",), tmp_path / "again")

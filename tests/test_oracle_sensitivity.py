@@ -29,7 +29,6 @@ import sys
 import numpy as np
 import pytest
 
-from orthopara import verifier
 from orthopara.cli import SweepConfig
 from orthopara.verifier import generate_cases, run_case
 
@@ -217,19 +216,14 @@ def failures(families):
                       max_degree_multi=1, fourier_max_degree=1, parseval_max_degree=1,
                       ort_param_draws=1, fourier_xi_draws=1, contig_draws=4, form_draws=4)
     cfg.validate()
-    memo = verifier._memo
-    verifier._memo = verifier._DrawMemo()  # no column computed before the mutation
     count = dict.fromkeys(families, 0)
-    try:
-        for case in generate_cases(cfg):
-            try:
-                count[case.identity_id] += not run_case(case).passed
-            except TypeError:
-                raise
-            except Exception:
-                count[case.identity_id] += 1
-    finally:
-        verifier._memo = memo
+    for case in generate_cases(cfg):
+        try:
+            count[case.identity_id] += not run_case(case).passed
+        except TypeError:
+            raise
+        except Exception:
+            count[case.identity_id] += 1
     return count
 
 

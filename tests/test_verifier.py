@@ -77,9 +77,11 @@ PARSEVAL_PARAMS = {"alpha1": 0.7, "alpha2": 0.9, "zeta1": 0.8, "zeta2": 1.2,
                    "eta1": 0.6, "eta2": 1.1}
 
 
-def _draw(fam, bind, k, params):
-    # the Gram state of a draw of ``fam`` at dimension len(k), bound by ``bind``
-    return verifier._DrawMemo().open(IdentityCase(fam, len(k), 1e-8, k=k, params=params), bind)
+def _draw(fam, k, params):
+    # a fresh Gram state of a draw of ``fam`` at dimension len(k), bound by
+    # the family's binder
+    case = IdentityCase(fam, len(k), 1e-8, k=k, params=params)
+    return verifier._Draw(*verifier.FAMILIES[fam].bind(case))
 
 
 def test_parseval_diagonal_and_offdiagonal():
@@ -168,7 +170,7 @@ def test_separated_parseval_oracle_matches_full_tensor(fam, d):
 
     panels = _PARSEVAL_LEVELS[0]
     full = tensor_integrate([_parseval_rule(panels)] * (d + 1), f)
-    separated, _ = _parseval_lhs(_draw(fam, verifier._bind_parseval, k, params),
+    separated, _ = _parseval_lhs(_draw(fam, k, params),
                                  m, k, m, k, panels)
     assert separated == pytest.approx(full, rel=1e-12)
 
@@ -183,7 +185,7 @@ def test_separated_gram_oracle_matches_full_tensor(fam, d):
     if fam == "ORT_BALL":
         index = multi_indices(d, 3)
         norm = lambda k: ball_norm(k, mu)
-        draw = _draw(fam, verifier._bind_ball, index[0], {"mu": mu})
+        draw = _draw(fam, index[0], {"mu": mu})
 
         def entries(k, k2, n):
             f = lambda y: ball_eval(k, mu, y) * ball_eval(k2, mu, y)
@@ -198,7 +200,7 @@ def test_separated_gram_oracle_matches_full_tensor(fam, d):
             kind, g = "laguerre", 0.0
             norm = lambda mk: laguerre_paraboloid_norm(*mk, beta, mu)
             basis = lambda m, k, t, x: laguerre_paraboloid(m, k, beta, mu, t, x)
-        draw = _draw(fam, verifier._bind_para, index[0][1], {"beta": beta, "gamma": g, "mu": mu})
+        draw = _draw(fam, index[0][1], {"beta": beta, "gamma": g, "mu": mu})
 
         def entries(mk, mk2, n):
             f = lambda t, x: basis(*mk, t, x) * basis(*mk2, t, x)
@@ -308,7 +310,6 @@ def test_one_multi_index_check_per_case(fam, monkeypatch):
     case = next(c for c in generate_cases(SweepConfig(families=[fam], seed=1))
                 if c.d == 2 and sum(c.k) > 0)
     monkeypatch.setattr(ball, "MultiIndex", Counted)
-    monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
     assert run_case(case).passed
     assert len(built) == 1
 
@@ -533,36 +534,108 @@ def _values(rep):
 
 
 @pytest.mark.parametrize("fam", list(MEMO_SWEEPS))
-def test_draw_memo_order_independent(fam, monkeypatch):
-    # a case's values do not depend on which cases of its draw ran before it
-    cases = _memo_sweep(fam)
-    monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
-    in_order = [_values(run_case(c)) for c in cases]
-    reverse = [_values(run_case(c)) for c in reversed(cases)][::-1]
-    alone = []
-    for c in cases:
-        monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
-        alone.append(_values(run_case(c)))
+def test_draw_memo_order_independent(fam):
+    # a case's values do not depend on which cases of its draw ran before
+    # it: in order, in reverse on a fresh case list, or each case alone in a
+    # draw of its own (a replaced case carries none until it runs)
+    in_order = [_values(run_case(c)) for c in _memo_sweep(fam)]
+    reverse = [_values(run_case(c)) for c in reversed(_memo_sweep(fam))][::-1]
+    alone = [_values(run_case(dataclasses.replace(c))) for c in _memo_sweep(fam)]
     assert in_order == reverse == alone
 
 
 def test_draw_memo_finds_a_draw_by_value():
-    # equal params share a draw, whichever dict holds them; other params, d
-    # or family, or params changed after the draw opened, never do
-    memo = verifier._DrawMemo()
-    params = {"mu": 0.5}
-    case = IdentityCase("ORT_BALL", 2, 1e-8, k=(1, 0), k2=(1, 0), params=params)
-    draw = memo.open(case, verifier._bind_ball)
-    same = [dataclasses.replace(case, k=(0, 1), params=dict(params)),
-            IdentityCase("ORT_BALL", 2, 1e-8, k=(0, 0), k2=(2, 0), params={"mu": 0.5})]
-    assert all(memo.open(c, verifier._bind_ball) is draw for c in same)
-    for other in (dataclasses.replace(case, params={"mu": 1.5}), dataclasses.replace(case, d=3),
-                  dataclasses.replace(case, identity_id="ORT_GEGEN")):
-        draw = memo.open(case, verifier._bind_ball)
-        assert memo.open(other, verifier._bind_ball) is not draw
-    draw = memo.open(case, verifier._bind_ball)
-    params["mu"] = 1.5
-    assert memo.open(case, verifier._bind_ball) is not draw
+    # generation gives each run of consecutive cases with equal identity id,
+    # d and params one draw, whichever dict holds the params (each ball case
+    # has its own); other params, d or family never share one.  A hand-built
+    # case has no draw until it runs, nor has a replaced one, whatever field
+    # is replaced
+    cases = generate_cases(SweepConfig(families=["ORT_BALL", "ORT_PARA_J", "ORT_PARA_L"],
+                                       dims=[1, 2], max_degree_multi=1))
+    runs = [list(run) for _, run in itertools.groupby(
+        cases, lambda c: (c.identity_id, c.d, c.params))]
+    assert [(run[0].identity_id, run[0].d) for run in runs] == [
+        ("ORT_BALL", 2), ("ORT_BALL", 2), ("ORT_PARA_J", 1), ("ORT_PARA_J", 2),
+        ("ORT_PARA_L", 1), ("ORT_PARA_L", 2)]
+    assert runs[0][0].params is not runs[0][1].params
+    assert all(run[0].draw is not None and all(c.draw is run[0].draw for c in run)
+               for run in runs)
+    assert len({id(run[0].draw) for run in runs}) == len(runs)
+    case = runs[0][0]
+    for other in (dataclasses.replace(case), dataclasses.replace(case, params=dict(case.params)),
+                  dataclasses.replace(case, k=(0, 1)),
+                  IdentityCase("ORT_BALL", 2, 1e-8, k=(0, 0), k2=(0, 0), params=case.params)):
+        assert other == dataclasses.replace(other) and other.draw is None
+    with pytest.raises(TypeError):
+        IdentityCase("ORT_BALL", 2, 1e-8, k=(0, 0), k2=(0, 0), params={"mu": 0.5},
+                     draw=case.draw)
+    with pytest.raises(ValueError):
+        dataclasses.replace(case, draw=case.draw)
+
+
+def test_only_families_with_shared_columns_carry_draws():
+    # the default sweep's 23 draws: every ORT, FOURIER and PARSEVAL case
+    # carries one, no CONTIG or FORM_EQUIV case does, not even once it ran
+    cases = generate_cases(SweepConfig())
+    no_draw = {"CONTIG", "FORM_EQUIV"}
+    assert all((c.draw is None) == (verifier.FAMILIES[c.identity_id].group in no_draw)
+               for c in cases)
+    assert len({id(c.draw) for c in cases if c.draw is not None}) == 23
+    for group in no_draw:
+        case = next(c for c in cases if verifier.FAMILIES[c.identity_id].group == group)
+        assert run_case(case).passed and case.draw is None
+
+
+def test_replaced_and_hand_built_cases_read_no_other_draw():
+    # a case of the first ORT_GEGEN draw moved to the second draw's params
+    # by dataclasses.replace, and the same case built by hand, give the
+    # values of the second draw's case run alone, although the first draw's
+    # columns are all filled: run_case gives each a draw of its own
+    cases = _memo_sweep("ORT_GEGEN")
+    for c in cases:
+        run_case(c)
+    half = len(cases) // 2
+    first, second = cases[:half], cases[half:]
+    assert first[0].draw is not second[0].draw and first[0].params != second[0].params
+    fresh = _memo_sweep("ORT_GEGEN")[half:]
+    for c, want in zip(first, fresh):
+        moved = dataclasses.replace(c, params=second[0].params)
+        hand = IdentityCase("ORT_GEGEN", 1, c.tolerance, m=c.m, m2=c.m2,
+                            params=dict(second[0].params))
+        alone = _values(run_case(want))
+        assert _values(run_case(moved)) == _values(run_case(hand)) == alone
+        own = moved.draw
+        assert own not in (None, hand.draw, c.draw, want.draw)
+        assert _values(run_case(moved)) == alone and moved.draw is own
+
+
+def test_interleaved_draws_build_each_rule_once(monkeypatch):
+    # the cases of two draws run interleaved keep their own columns: an
+    # ORT_GEGEN and an ORT_JACOBI draw to degree 12 (91 cases each) build
+    # their rules 16, 32 and 64 once each, as when run one after the
+    # other, and give the same values
+    builds = 0
+    gauss_jacobi_ = verifier.gauss_jacobi
+
+    def counted(*args):
+        nonlocal builds
+        builds += 1
+        return gauss_jacobi_(*args)
+
+    monkeypatch.setattr(verifier, "gauss_jacobi", counted)
+
+    def draws():
+        return [generate_cases(SweepConfig(families=[fam], max_degree_1d=12, ort_param_draws=1))
+                for fam in ("ORT_GEGEN", "ORT_JACOBI")]
+
+    a, b = draws()
+    assert len(a) == len(b) == 91
+    interleaved = [_values(run_case(c)) for pair in zip(a, b) for c in pair]
+    assert builds == 6
+    a, b = draws()
+    serial = [_values(run_case(c)) for c in a + b]
+    assert builds == 12
+    assert interleaved == [v for pair in zip(serial[:91], serial[91:]) for v in pair]
 
 
 def _rule_arrays(col):
@@ -578,24 +651,19 @@ def _rule_arrays(col):
 
 
 @pytest.mark.parametrize("fam", list(MEMO_SWEEPS))
-def test_draw_memo_holds_one_draw_read_only(fam, monkeypatch):
+def test_draw_memo_holds_one_draw_read_only(fam):
     cases = _memo_sweep(fam)
     last = cases[-1]
-    first_draw = [c for c in cases if (c.d, c.params) == (cases[0].d, cases[0].params)]
-    assert (last.d, last.params) != (cases[0].d, cases[0].params)
-    memo = verifier._DrawMemo()
-    monkeypatch.setattr(verifier, "_memo", memo)
+    first_draw = [c for c in cases if c.draw is cases[0].draw]
+    assert last.draw is not cases[0].draw
     for c in first_draw + [last]:
         run_case(c)
-    # the second draw's case emptied the memo: what is left is exactly what
-    # that case computes alone
-    alone = verifier._DrawMemo()
-    monkeypatch.setattr(verifier, "_memo", alone)
-    run_case(last)
-    draw, alone_draw = memo.current, alone.current
-    assert (draw.identity_id, draw.d, draw.params) == (last.identity_id, last.d, last.params)
-    assert (alone_draw.identity_id, alone_draw.d, alone_draw.params) == (
-        last.identity_id, last.d, last.params)
+    # the second draw holds exactly what its case computes alone, on a fresh
+    # case list, and the first draw keeps its own columns
+    alone = _memo_sweep(fam)[-1]
+    run_case(alone)
+    draw, alone_draw = last.draw, alone.draw
+    assert cases[0].draw.columns and cases[0].draw.columns.keys() != draw.columns.keys()
     columns, alone_columns = draw.columns, alone_draw.columns
     assert columns and columns.keys() == alone_columns.keys()
     # a Gram draw caches a weighted column beside each column it weights
@@ -633,8 +701,8 @@ def test_draw_memo_threads_do_not_mix_draws(fam):
     import sys
     import threading
 
-    cases = _memo_sweep(fam)
-    want = [_values(run_case(c)) for c in cases]
+    want = [_values(run_case(c)) for c in _memo_sweep(fam)]
+    cases = _memo_sweep(fam)  # shared by the threads, its draws empty
     got = {i: [] for i in range(6)}
 
     def work(i):
@@ -671,7 +739,6 @@ def test_gram_highdeg_builds_each_rule_and_column_once_per_draw(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(verifier, name, counted(name, getattr(verifier, name)))
-    monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
     cfg = SweepConfig(families=["ORT_GEGEN", "ORT_JACOBI", "ORT_LAGUERRE"], max_degree_1d=20,
                       ort_param_draws=6, seed=1)
     cases = generate_cases(cfg)
@@ -697,35 +764,27 @@ def test_gram_highdeg_fills_each_row_once_per_draw(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(verifier._Stack, name, counted(name))
-    draws = []
-
-    class Draw(verifier._Draw):
-        def __init__(self, *args):
-            super().__init__(*args)
-            draws.append(self)
-
-    monkeypatch.setattr(verifier, "_Draw", Draw)
-    monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
     cfg = SweepConfig(families=["ORT_GEGEN", "ORT_JACOBI", "ORT_LAGUERRE"], max_degree_1d=20,
                       ort_param_draws=6, seed=1)
-    for c in generate_cases(cfg):
+    cases = generate_cases(cfg)
+    for c in cases:
         run_case(c)
+    draws = list(dict.fromkeys(c.draw for c in cases))
     assert len(draws) == 18
     assert (counts["append"], counts["row"]) == (972, 918)
     assert sum(len(draw.rows) for draw in draws) == 918
 
 
 @pytest.mark.parametrize("fam", ["ORT_BALL", "PARSEVAL_A"])
-def test_gram_rows_hold_the_oracle_sums_bit_for_bit(fam, monkeypatch):
+def test_gram_rows_hold_the_oracle_sums_bit_for_bit(fam):
     # after the first draw's cases, every kept row entry is the weighted
     # column of i times the column of i2, summed, to the last bit, and the
     # draw reads it back; the PARSEVAL_A rows are complex
     cases = _memo_sweep(fam)
-    monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
+    draw = cases[0].draw
     for c in cases:
-        if (c.d, c.params) == (cases[0].d, cases[0].params):
+        if c.draw is draw:
             run_case(c)
-    draw = verifier._memo.current
     entries = [(key, i2, values[pos]) for key, (index, values) in draw.rows.items()
                for i2, pos in index.items() if pos < len(values)]
     assert entries
@@ -744,14 +803,14 @@ def test_gram_rows_hold_the_oracle_sums_bit_for_bit(fam, monkeypatch):
     ("ORT_LAGUERRE", {"alpha": 0.6}, lambda n: gauss_laguerre(n, 0.6),
      lambda m, x: laguerre(m, 0.6, x)),
 ])
-def test_weighted_gram_entry_is_the_oracle_sum_bit_for_bit(fam, params, rule, poly, monkeypatch):
+def test_weighted_gram_entry_is_the_oracle_sum_bit_for_bit(fam, params, rule, poly):
     # the cached weighted column of m times the column of m2, summed, is
     # (w P_m P_m2).sum() on a freshly built rule, to the last bit, on every
     # level; a case certified at levels (16, 32) reports the level-32 sum
-    monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
     m, m2 = 3, 5
-    rep = run_case(IdentityCase(fam, 1, 1e-10, m=m, m2=m2, params=params))
-    draw = verifier._memo.current
+    case = IdentityCase(fam, 1, 1e-10, m=m, m2=m2, params=params)
+    rep = run_case(case)
+    draw = case.draw
     for n in (16, 32, 64):
         r = rule(n)
         want = (r.weights * poly(m, r.nodes) * poly(m2, r.nodes)).sum()
@@ -784,8 +843,7 @@ def test_gram_1d_rules_on_one_ladder(monkeypatch):
     cfg = SweepConfig(families=["ORT_GEGEN", "ORT_JACOBI", "ORT_LAGUERRE"], max_degree_1d=20,
                       ort_param_draws=1)
     cfg.validate()
-    monkeypatch.setattr(verifier, "_memo", verifier._DrawMemo())
-    draws = itertools.groupby(generate_cases(cfg), lambda c: (c.identity_id, c.params))
+    draws = itertools.groupby(generate_cases(cfg), lambda c: c.draw)
     n_draws = 0
     for _, cases in draws:
         n_draws += 1
