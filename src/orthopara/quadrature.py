@@ -9,7 +9,7 @@ weights come from the polynomials at the nodes, as scipy builds its Gauss
 rules; a symmetric weight halves the eigenproblem.
 
 Every call builds its rule; a caller that reuses a rule holds it (the
-verifier keeps each parameter draw's rules in its draw memo).  The one
+verifier keeps each parameter draw's rules in its draw).  The one
 constant kept for the process is the n-point Gauss-Legendre rule on
 [-1, 1], built once per n.  A rule's nodes and weights are read-only, so no
 caller can change a rule that another reads, and the oracles sum in fixed

@@ -11,6 +11,7 @@ behind every oracle side.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -149,12 +150,12 @@ class _Draw:
     builder ``rule_of(n)`` (the n-point level's rules, one per axis), basis
     ``basis(axis, i, nodes)`` (the factor of index i on an axis) and norm
     ``norm_of(i)``; a Fourier draw binds none of them.  The draw caches, per
-    key, each level's rules, each basis or factor column, beside it that
-    column times its axis weights (the weighted column), and each norm.
-    ``get(key, compute, *args)`` evaluates ``compute(*args)`` once per key;
-    an array is cached as a read-only view, and a rule has read-only arrays
-    already.  ``release()`` drops the caches, which a later case of the draw
-    computes again.
+    key, each level's rules, each basis or factor column and beside it that
+    column times its axis weights (the weighted column), and per index i its
+    norm.  ``get(key, compute, *args)`` evaluates ``compute(*args)`` once per
+    key; an array is cached as a read-only view, and a rule has read-only
+    arrays already.  ``release()`` drops the caches, which a later case of
+    the draw computes again.
 
     A Gram entry on an axis is ``entry(n, axis, i, i2)``: the weighted
     column of i times the column of i2, summed, which is the product order
@@ -176,7 +177,7 @@ class _Draw:
         self.release()
 
     def release(self):
-        self.columns, self.stacks, self.rows = {}, {}, {}
+        self.columns, self.stacks, self.rows, self.norms = {}, {}, {}, {}
 
     def get(self, key, compute, *args):
         col = self.columns.get(key)
@@ -192,7 +193,10 @@ class _Draw:
         return self.get(("rule", n), self.rule_of, n)
 
     def norm(self, i):
-        return self.get(("norm", i), self.norm_of, i)
+        val = self.norms.get(i)
+        if val is None:
+            val = self.norms[i] = self.norm_of(i)
+        return val
 
     def column(self, n, axis, i):
         col = self.columns.get(("col", n, axis, i))
@@ -228,15 +232,30 @@ class _Draw:
             return val
 
 
-def _gram(case, draw, i, i2, levels, entry):
-    """The sides of a Gram case: the certified <i, i2> against the draw's
-    norm of i, or 0 off the diagonal, at scale sqrt(norm(i) norm(i2)).
-    ``entry(level)`` returns the value and nodes of a level, read from the
-    draw's weighted columns of i and columns of i2."""
-    diag, diag2 = draw.norm(i), draw.norm(i2)
-    scale = math.sqrt(diag * diag2)
-    val, nodes = _certified(levels, entry, case.tolerance, scale)
-    return val, diag if i == i2 else 0.0, scale, nodes
+def _gram_level(draw, terms, n):
+    """The product of the draw's entries ((axis, i, i2), ...) on the n-point
+    level, in that order from the first entry (a one-entry level is its
+    entry), and its nodes: n per entry."""
+    val = None
+    for axis, i, i2 in terms:
+        entry = draw.entry(n, axis, i, i2)
+        val = entry if val is None else val * entry
+    return val, n * len(terms)
+
+
+def _gram(terms):
+    """The runner of a Gram family whose ``terms(case)`` is (levels, i, i2,
+    entries): the certified ``_gram_level`` of the entries against the draw's
+    norm of i, or 0 off the diagonal, at scale sqrt(norm(i) norm(i2))."""
+    def run(case):
+        draw = case.draw
+        levels, i, i2, entries = terms(case)
+        diag, diag2 = draw.norm(i), draw.norm(i2)
+        scale = math.sqrt(diag * diag2)
+        val, nodes = _certified(levels, functools.partial(_gram_level, draw, entries),
+                                case.tolerance, scale)
+        return val, diag if i == i2 else 0.0, scale, nodes
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +279,10 @@ def _bind_1d(case):
             lambda mm: laguerre_norm(mm, a))
 
 
-def _ort_1d(case):
+def _terms_1d(case):
     """<P_m, P_m2>: the entry (w P_m P_m2).sum() on the draw's Gauss rule."""
-    draw, m, m2 = case.draw, case.m, case.m2
-    return _gram(case, draw, m, m2, _gram_levels(16, m + m2),
-                 lambda n: (draw.entry(n, 0, m, m2), n))
+    m, m2 = case.m, case.m2
+    return _gram_levels(16, m + m2), m, m2, ((0, m, m2),)
 
 
 def _bind_ball(case):
@@ -275,26 +293,19 @@ def _bind_ball(case):
             lambda kk: ball_norm(kk, mu))
 
 
-def _ball_gram(draw, k, k2, n):
-    """<P_k, P_k2> on the n-point ball rules: in the slice coordinates both
-    are products of ``ball_axis`` factors, so it is one Gram sum per axis,
-    on the draw's axes 0 .. len(k) - 1."""
-    val = 1.0
-    for axis in range(len(k)):
-        val = val * draw.entry(n, axis, k, k2)
-    return val
-
-
-def _ort_ball(case):
-    """<P_k, P_k2>: the product of the draw's per-axis entries."""
-    draw, k, k2 = case.draw, case.k, case.k2
+def _terms_ball(case):
+    """<P_k, P_k2>: in the slice coordinates both are products of
+    ``ball_axis`` factors, so it is one entry per axis 0 .. len(k) - 1."""
+    k, k2 = case.k, case.k2
     levels = _gram_levels(12, tail_sum(k, 1) + tail_sum(k2, 1))
-    return _gram(case, draw, k, k2, levels, lambda n: (_ball_gram(draw, k, k2, n), len(k) * n))
+    return levels, k, k2, tuple((axis, k, k2) for axis in range(len(k)))
 
 
 def _bind_para(case):
     """A paraboloid draw: the ball axes of ``_bind_ball``, then axis d = len(k)
-    with the radial ``t_rule`` and the ``radial_factor`` of index (m, k)."""
+    with the radial ``t_rule`` and the t-factor of index (m, k): with
+    x = sqrt(t) y a basis function is its ``radial_factor`` times t^{|k|/2}
+    times the ball factors of y."""
     p = case.params
     d, mu, beta = len(case.k), p["mu"], p["beta"]
     if case.identity_id == "ORT_PARA_J":
@@ -308,29 +319,18 @@ def _bind_para(case):
         if axis < d:
             return ball_axis(axis + 1, mu, i, v)
         m, k = i
-        return radial_factor(kind, m, tail_sum(k, 1), beta, gamma, mu, d, v)
+        n = tail_sum(k, 1)
+        return radial_factor(kind, m, n, beta, gamma, mu, d, v) * v ** (0.5 * n)
 
     return lambda n: (*ball_rules(d, mu, n), t_rule(kind, n, beta, gamma, mu, d)), basis, norm
 
 
-def _para_gram(draw, mk, mk2, n):
-    """<basis(m, k), basis(m2, k2)> on the n-point radial and ball rules: a
-    basis function is its ``radial_factor`` times t^{|k|/2} P_k(y) with
-    x = sqrt(t) y, so it is one radial sum, weighted by t^{(|k|+|k2|)/2}
-    (cached per rule and exponent), times the ball Gram entry of (k, k2)."""
-    k, k2 = mk[1], mk2[1]
-    d = len(k)
-    e = (tail_sum(k, 1) + tail_sum(k2, 1)) / 2
-    power = draw.get(("pow", n, e), operator.pow, draw.rule(n)[d].nodes, e)
-    val = (draw.weighted(n, d, mk) * draw.column(n, d, mk2) * power).sum()
-    return val * _ball_gram(draw, k, k2, n)
-
-
-def _ort_para(case):
-    """<basis(m, k), basis(m2, k2)>: the radial sum times the ball entries."""
-    draw, mk, mk2 = case.draw, (case.m, case.k), (case.m2, case.k2)
-    return _gram(case, draw, mk, mk2, _gram_levels(12, case.m + case.m2),
-                 lambda n: (_para_gram(draw, mk, mk2, n), (len(case.k) + 1) * n))
+def _terms_para(case):
+    """<basis(m, k), basis(m2, k2)>: the ball entries, then the radial one."""
+    k, k2 = case.k, case.k2
+    mk, mk2 = (case.m, k), (case.m2, k2)
+    levels = _gram_levels(12, case.m + case.m2)
+    return levels, mk, mk2, (*((axis, k, k2) for axis in range(len(k))), (len(k), mk, mk2))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +403,7 @@ def _fourier(case):
 # ---------------------------------------------------------------------------
 # Parseval
 
-_PARSEVAL_LEVELS = (16, 24, 36)  # panels per (two-sided) axis, 1.5x refinement
+_PARSEVAL_LEVELS = (192, 288, 432)  # nodes per axis: 16, 24, 36 panels of 12, 1.5x refinement
 
 
 def parseval_rhs(fam, m, k, sp):
@@ -445,10 +445,11 @@ def parseval_rhs(fam, m, k, sp):
     return float(val)
 
 
-def _parseval_rule(panels):
-    """The line rule used on each of the d + 1 axes of the Parseval integral."""
+def _parseval_rule(nodes):
+    """The ``nodes``-point line rule (12-point panels) used on each of the
+    d + 1 axes of the Parseval integral."""
     T = 1.1 * math.log(100.0 / 1e-12) / math.pi
-    return composite_legendre(-T, T, panels, 12)
+    return composite_legendre(-T, T, nodes // 12, 12)
 
 
 def _bind_parseval(case):
@@ -462,8 +463,8 @@ def _bind_parseval(case):
     f_t = A_t if fam == "PARSEVAL_A" else B_t
     sides = {1: (sp, 1j), -1: (sp.swapped(), -1j)}  # F at (it, ix), G at (-it, -ix)
 
-    def rules(panels):
-        rule = _parseval_rule(panels)
+    def rules(nodes):
+        rule = _parseval_rule(nodes)
         s = rule.nodes
         rule_t = rule if fam == "PARSEVAL_B" else QuadratureRule(s, rule.weights * np.exp(
             log_gamma(sp.eta1 + 0.5j * s) + log_gamma(sp.eta2 - 0.5j * s)))
@@ -478,23 +479,13 @@ def _bind_parseval(case):
     return rules, basis, lambda mk: parseval_rhs(fam, *mk, sp)
 
 
-def _parseval_lhs(draw, m, k, m2, k2, panels):
-    """The Parseval integral of F(it, ix) G(-it, -ix), F and G the A (with
-    its Gamma weight in t) or B family: a t-factor times prod_j D_axis, so the
-    integral is the Gram sum of the t-lines times one Gram sum of the D-lines
-    per x axis, F's lines weighted."""
-    d = len(k)
-    val = draw.entry(panels, d, (1, m, k), (-1, m2, k2))
-    for axis in range(d):
-        val = val * draw.entry(panels, axis, (1, k), (-1, k2))
-    return val, (d + 1) * len(draw.rule(panels)[d])
-
-
-def _parseval(case):
-    """The Parseval integral of (m, k) and (m2, k2) against ``parseval_rhs``."""
-    draw, mk, mk2 = case.draw, (case.m, case.k), (case.m2, case.k2)
-    return _gram(case, draw, mk, mk2, _PARSEVAL_LEVELS,
-                 lambda panels: _parseval_lhs(draw, *mk, *mk2, panels))
+def _terms_parseval(case):
+    """The Parseval integral of F(it, ix) G(-it, -ix), F of (m, k) and G of
+    (m2, k2) in the A (Gamma weight in t) or B family: a t-factor times
+    prod_j D_axis, so the entry of the t-lines, then one per x axis."""
+    m, m2, k, k2 = case.m, case.m2, case.k, case.k2
+    return _PARSEVAL_LEVELS, (m, k), (m2, k2), (
+        (len(k), (1, m, k), (-1, m2, k2)), *((axis, (1, k), (-1, k2)) for axis in range(len(k))))
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +595,9 @@ def _ball_cases(fam, cfg, rng, tol):
     d = 2
     ks = multi_indices(d, cfg.max_degree_multi)
     for mu in (0.5, 1.5):
+        params = {"mu": mu}
         for k, k2 in itertools.combinations_with_replacement(ks, 2):
-            yield IdentityCase(fam, d, tol, k=k, k2=k2, params={"mu": mu})
+            yield IdentityCase(fam, d, tol, k=k, k2=k2, params=params)
 
 
 def _para_cases(fam, cfg, rng, tol):
@@ -733,25 +725,25 @@ class Family:
 
 
 FAMILIES = {fam.id: fam for fam in [
-    Family("ORT_GEGEN", "ORT", 1e-10, _ort_1d, _ort_1d_cases,
+    Family("ORT_GEGEN", "ORT", 1e-10, _gram(_terms_1d), _ort_1d_cases,
            "1-D Gegenbauer Gram matrix vs norm formula", _bind_1d),
-    Family("ORT_JACOBI", "ORT", 1e-10, _ort_1d, _ort_1d_cases,
+    Family("ORT_JACOBI", "ORT", 1e-10, _gram(_terms_1d), _ort_1d_cases,
            "1-D Jacobi Gram matrix vs norm formula", _bind_1d),
-    Family("ORT_LAGUERRE", "ORT", 1e-10, _ort_1d, _ort_1d_cases,
+    Family("ORT_LAGUERRE", "ORT", 1e-10, _gram(_terms_1d), _ort_1d_cases,
            "1-D Laguerre Gram matrix vs norm formula", _bind_1d),
-    Family("ORT_BALL", "ORT", 1e-8, _ort_ball, _ball_cases,
+    Family("ORT_BALL", "ORT", 1e-8, _gram(_terms_ball), _ball_cases,
            "unit-ball basis Gram matrix vs product norm formula", _bind_ball),
-    Family("ORT_PARA_J", "ORT", 1e-8, _ort_para, _para_cases,
+    Family("ORT_PARA_J", "ORT", 1e-8, _gram(_terms_para), _para_cases,
            "height-1 paraboloid basis Gram matrix vs product norms", _bind_para),
-    Family("ORT_PARA_L", "ORT", 1e-8, _ort_para, _para_cases,
+    Family("ORT_PARA_L", "ORT", 1e-8, _gram(_terms_para), _para_cases,
            "infinite-height paraboloid basis Gram matrix vs product norms", _bind_para),
     Family("FOURIER_J", "FOURIER", 1e-6, _fourier, _fourier_cases,
            "closed-form height-1 Fourier transform vs direct quadrature", _bind_fourier),
     Family("FOURIER_L", "FOURIER", 1e-6, _fourier, _fourier_cases,
            "closed-form infinite-height Fourier transform vs direct quadrature", _bind_fourier),
-    Family("PARSEVAL_A", "PARSEVAL", 1e-6, _parseval, _parseval_cases,
+    Family("PARSEVAL_A", "PARSEVAL", 1e-6, _gram(_terms_parseval), _parseval_cases,
            "height-1 Parseval integral vs printed constant", _bind_parseval),
-    Family("PARSEVAL_B", "PARSEVAL", 1e-6, _parseval, _parseval_cases,
+    Family("PARSEVAL_B", "PARSEVAL", 1e-6, _gram(_terms_parseval), _parseval_cases,
            "infinite-height Parseval integral vs printed constant", _bind_parseval),
     *(Family(f"CONTIG_{side}_{r}", "CONTIG", 1e-10, _contiguous, _contig_cases,
              f"lifted contiguous relation ({r}) of the {height} family")

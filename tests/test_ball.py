@@ -148,7 +148,7 @@ def test_multi_index_entries_must_be_integers():
 
 def test_checked_multi_index_is_returned_unchanged():
     # a MultiIndex is never checked again, and it hashes, compares and
-    # prints as the plain tuple, so memo keys and reports do not change
+    # prints as the plain tuple, so draw keys and reports do not change
     mi = validate_multi_index([np.int64(2), 0])
     assert type(mi) is MultiIndex and validate_multi_index(mi) is mi
     assert mi == (2, 0) and hash(mi) == hash((2, 0)) and repr(mi) == "(2, 0)"

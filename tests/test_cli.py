@@ -148,14 +148,14 @@ def test_sweep_writes_report_and_summary(tmp_path):
 
 def test_run_sweep_releases_each_draw_past_its_last_case(monkeypatch):
     # when a case starts, every draw the sweep has moved past holds no
-    # columns, stacks or rows, while the case's own draw keeps what its
+    # columns, stacks, rows or norms, while the case's own draw keeps what its
     # earlier cases filled; after the sweep no draw of its case list holds
     # any, the errored cases' draws included
     generated, seen = [], []
     generate, run_case = cli.generate_cases, cli.run_case
 
     def held(draw):
-        return bool(draw.columns or draw.stacks or draw.rows)
+        return bool(draw.columns or draw.stacks or draw.rows or draw.norms)
 
     def checked_run_case(case):
         assert not any(held(draw) for draw in seen[:-1])

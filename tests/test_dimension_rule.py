@@ -16,17 +16,12 @@ from orthopara.transforms import (
     fourier_h_laguerre_closed, lambda_factor, theta_factor,
 )
 
-VERIFIER_HELPERS = ("_ball_gram", "_para_gram", "_fourier_rules", "_fourier_direct",
-                    "_parseval_lhs")
-
-
 def _functions():
+    # every module-level function of these modules, private ones included
     for module in (transforms, paraboloid, contiguous, verifier):
         for name, f in inspect.getmembers(module, inspect.isfunction):
-            if f.__module__ == module.__name__ and not name.startswith("_"):
+            if f.__module__ == module.__name__:
                 yield f"{module.__name__}.{name}", f
-    for name in VERIFIER_HELPERS:
-        yield f"orthopara.verifier.{name}", getattr(verifier, name)
 
 
 def test_no_function_takes_both_a_multi_index_and_d():

@@ -2,8 +2,8 @@
 
 One table of (target, mutation, families that must fail).  Each row replaces
 one closed form, norm or polynomial by a wrong version wherever the package
-binds it by name, runs a reduced sweep of the listed families on a fresh draw
-memo, and asserts that at least one case of each listed family fails.  A case
+binds it by name, runs a freshly generated reduced sweep of the listed
+families, whose draws hold nothing yet, and asserts that at least one case of each listed family fails.  A case
 that raises counts as failed, as in a sweep, except for a TypeError: that
 says the wrong version no longer fits the signature of the function it
 replaces, so the row would pass without testing the formula.

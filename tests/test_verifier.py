@@ -23,7 +23,7 @@ from orthopara.transforms import (
 )
 from orthopara.verifier import (
     _PARSEVAL_LEVELS, ALL_FAMILIES, IdentityCase, _fourier_direct, _fourier_rules,
-    _parseval_lhs, _parseval_rule, degree_index_pairs, generate_cases,
+    _gram_level, _parseval_rule, degree_index_pairs, generate_cases,
     multi_indices, parseval_rhs, run_case,
 )
 from references import tensor_integrate
@@ -82,6 +82,13 @@ def _draw(fam, k, params):
     # the family's binder
     case = IdentityCase(fam, len(k), 1e-8, k=k, params=params)
     return verifier._Draw(*verifier.FAMILIES[fam].bind(case))
+
+
+def _level_product(terms, draw, n, **index):
+    # the Gram runner's value of a level: the product of the draw's entries
+    # that ``terms`` names for the case of ``index``, on the n-point level
+    _, _, _, entries = terms(IdentityCase("", 0, 1e-8, **index))
+    return _gram_level(draw, entries, n)[0]
 
 
 def test_parseval_diagonal_and_offdiagonal():
@@ -168,10 +175,10 @@ def test_separated_parseval_oracle_matches_full_tensor(fam, d):
         return (weight(t) * family(m, k, sp, 1j * t, [1j * v for v in x])
                 * family(m, k, sw, -1j * t, [-1j * v for v in x]))
 
-    panels = _PARSEVAL_LEVELS[0]
-    full = tensor_integrate([_parseval_rule(panels)] * (d + 1), f)
-    separated, _ = _parseval_lhs(_draw(fam, k, params),
-                                 m, k, m, k, panels)
+    nodes = _PARSEVAL_LEVELS[0]
+    full = tensor_integrate([_parseval_rule(nodes)] * (d + 1), f)
+    separated = _level_product(verifier._terms_parseval, _draw(fam, k, params), nodes,
+                               m=m, m2=m, k=k, k2=k)
     assert separated == pytest.approx(full, rel=1e-12)
 
 
@@ -189,7 +196,8 @@ def test_separated_gram_oracle_matches_full_tensor(fam, d):
 
         def entries(k, k2, n):
             f = lambda y: ball_eval(k, mu, y) * ball_eval(k2, mu, y)
-            return verifier._ball_gram(draw, k, k2, n), slice_tensor(f, d, mu, n)
+            return (_level_product(verifier._terms_ball, draw, n, k=k, k2=k2),
+                    slice_tensor(f, d, mu, n))
     else:
         index = degree_index_pairs(d, 3)
         if fam == "ORT_PARA_J":
@@ -204,7 +212,8 @@ def test_separated_gram_oracle_matches_full_tensor(fam, d):
 
         def entries(mk, mk2, n):
             f = lambda t, x: basis(*mk, t, x) * basis(*mk2, t, x)
-            return (verifier._para_gram(draw, mk, mk2, n),
+            return (_level_product(verifier._terms_para, draw, n,
+                                   m=mk[0], k=mk[1], m2=mk2[0], k2=mk2[1]),
                     slice_tensor(f, d, mu, n, (kind, beta, g)))
     pairs = list(itertools.combinations_with_replacement(index, 2))
     scale = np.array([math.sqrt(norm(i) * norm(i2)) for i, i2 in pairs])
@@ -512,11 +521,11 @@ def test_quadrature_oracle_values_pinned():
         values.update(repr((c.identity_id, rep.passed, rep.lhs, rep.rhs)).encode() + b"\n")
     assert len(cases) == 272
     assert verdicts.hexdigest() == "0a1d1a6f408000b96d635af8e442869748dbbb7808a5f827a3032a7d4461cc5a"
-    assert values.hexdigest() == "28cb16ce6f70fda24d4a6ac983a4013306f907101749d270a2567d6652456310"
+    assert values.hexdigest() == "115bfa11a6eea0bbcf6bdae3f761ca8f993c8f34945d1854aa680fcb7f715060"
 
 
 # small sweeps of two parameter draws each (ORT_PARA_J: d = 1 and d = 2)
-MEMO_SWEEPS = {
+DRAW_SWEEPS = {
     "ORT_GEGEN": dict(dims=[1], max_degree_1d=3, ort_param_draws=2),
     "ORT_BALL": dict(dims=[2], max_degree_multi=2),
     "ORT_PARA_J": dict(dims=[1, 2], max_degree_multi=2),
@@ -525,33 +534,44 @@ MEMO_SWEEPS = {
 }
 
 
-def _memo_sweep(fam):
-    return generate_cases(SweepConfig(families=[fam], seed=0, **MEMO_SWEEPS[fam]))
+def _draw_sweep(fam):
+    return generate_cases(SweepConfig(families=[fam], seed=0, **DRAW_SWEEPS[fam]))
 
 
 def _values(rep):
     return repr((rep.lhs, rep.rhs, rep.passed, rep.nodes))
 
 
-@pytest.mark.parametrize("fam", list(MEMO_SWEEPS))
+@pytest.mark.parametrize("fam", list(DRAW_SWEEPS))
 def test_draw_memo_order_independent(fam):
     # a case's values do not depend on which cases of its draw ran before
     # it: in order, in reverse on a fresh case list, or each case alone in a
     # draw of its own (a replaced case carries none until it runs)
-    in_order = [_values(run_case(c)) for c in _memo_sweep(fam)]
-    reverse = [_values(run_case(c)) for c in reversed(_memo_sweep(fam))][::-1]
-    alone = [_values(run_case(dataclasses.replace(c))) for c in _memo_sweep(fam)]
+    in_order = [_values(run_case(c)) for c in _draw_sweep(fam)]
+    reverse = [_values(run_case(c)) for c in reversed(_draw_sweep(fam))][::-1]
+    alone = [_values(run_case(dataclasses.replace(c))) for c in _draw_sweep(fam)]
     assert in_order == reverse == alone
 
 
-def test_draw_memo_finds_a_draw_by_value():
+def test_draws_group_cases_by_value(monkeypatch):
     # generation gives each run of consecutive cases with equal identity id,
-    # d and params one draw, whichever dict holds the params (each ball case
-    # has its own); other params, d or family never share one.  A hand-built
-    # case has no draw until it runs, nor has a replaced one, whatever field
-    # is replaced
-    cases = generate_cases(SweepConfig(families=["ORT_BALL", "ORT_PARA_J", "ORT_PARA_L"],
-                                       dims=[1, 2], max_degree_multi=1))
+    # d and params one draw, whichever dict holds the params: the generators
+    # hand a draw's cases one dict, and here the ball generator is wrapped to
+    # hand each case an equal copy; other params, d or family never share a
+    # draw.  A hand-built case has no draw until it runs, nor has a replaced
+    # one, whatever field is replaced
+    cfg = SweepConfig(families=["ORT_BALL", "ORT_PARA_J", "ORT_PARA_L"], dims=[1, 2],
+                      max_degree_multi=1)
+    shared = [c for c in generate_cases(cfg) if c.identity_id == "ORT_BALL"]
+    assert len({id(c.params) for c in shared}) == 2
+    ball = verifier.FAMILIES["ORT_BALL"]
+
+    def copies(*args):
+        for c in ball.cases(*args):
+            yield dataclasses.replace(c, params=dict(c.params))
+
+    monkeypatch.setitem(verifier.FAMILIES, "ORT_BALL", dataclasses.replace(ball, cases=copies))
+    cases = generate_cases(cfg)
     runs = [list(run) for _, run in itertools.groupby(
         cases, lambda c: (c.identity_id, c.d, c.params))]
     assert [(run[0].identity_id, run[0].d) for run in runs] == [
@@ -591,13 +611,13 @@ def test_replaced_and_hand_built_cases_read_no_other_draw():
     # by dataclasses.replace, and the same case built by hand, give the
     # values of the second draw's case run alone, although the first draw's
     # columns are all filled: run_case gives each a draw of its own
-    cases = _memo_sweep("ORT_GEGEN")
+    cases = _draw_sweep("ORT_GEGEN")
     for c in cases:
         run_case(c)
     half = len(cases) // 2
     first, second = cases[:half], cases[half:]
     assert first[0].draw is not second[0].draw and first[0].params != second[0].params
-    fresh = _memo_sweep("ORT_GEGEN")[half:]
+    fresh = _draw_sweep("ORT_GEGEN")[half:]
     for c, want in zip(first, fresh):
         moved = dataclasses.replace(c, params=second[0].params)
         hand = IdentityCase("ORT_GEGEN", 1, c.tolerance, m=c.m, m2=c.m2,
@@ -650,9 +670,9 @@ def _rule_arrays(col):
     return None
 
 
-@pytest.mark.parametrize("fam", list(MEMO_SWEEPS))
+@pytest.mark.parametrize("fam", list(DRAW_SWEEPS))
 def test_draw_memo_holds_one_draw_read_only(fam):
-    cases = _memo_sweep(fam)
+    cases = _draw_sweep(fam)
     last = cases[-1]
     first_draw = [c for c in cases if c.draw is cases[0].draw]
     assert last.draw is not cases[0].draw
@@ -660,7 +680,7 @@ def test_draw_memo_holds_one_draw_read_only(fam):
         run_case(c)
     # the second draw holds exactly what its case computes alone, on a fresh
     # case list, and the first draw keeps its own columns
-    alone = _memo_sweep(fam)[-1]
+    alone = _draw_sweep(fam)[-1]
     run_case(alone)
     draw, alone_draw = last.draw, alone.draw
     assert cases[0].draw.columns and cases[0].draw.columns.keys() != draw.columns.keys()
@@ -683,14 +703,65 @@ def test_draw_memo_holds_one_draw_read_only(fam):
                     a[...] = 0
             continue
         assert np.array_equal(col, alone_columns[key])
-        if isinstance(col, np.ndarray):  # else an immutable scalar (a norm)
-            arrays += 1
-            assert not col.flags.writeable
-            with pytest.raises(ValueError):
-                col[...] = 0
-        else:
-            assert isinstance(col, (float, complex, np.number))
+        assert isinstance(col, np.ndarray) and not col.flags.writeable
+        arrays += 1
+        with pytest.raises(ValueError):
+            col[...] = 0
     assert arrays and rules
+    # and a Gram draw its norms, per index, beside its columns
+    assert draw.norms == alone_draw.norms and bool(draw.norms) == (fam != "FOURIER_L")
+
+
+@pytest.mark.parametrize("region", ["append", "row"])
+def test_draw_lock_keeps_one_thread_in_its_stacks(region, monkeypatch):
+    # two threads each read one entry of a draw that enters ``region``: a
+    # column stack's append, or a row fill.  Inside it the first thread
+    # waits up to 0.5 s for the other to come in too; the draw's lock keeps
+    # the other out until the first has left, so one thread at a time is
+    # inside, and each reads the serial value
+    import threading
+
+    n, entries = 16, [(1, 1), (2, 2)] if region == "append" else [(1, 0), (2, 0)]
+    want = [_draw("ORT_GEGEN", (0,), {"mu": 0.8}).entry(n, 0, *e) for e in entries]
+    draw = _draw("ORT_GEGEN", (0,), {"mu": 0.8})
+    draw.entry(n, 0, 0, 0)  # stacks column 0, so an entry of column 0 fills a row
+    for i, i2 in entries:  # only the sums and the region are left to the threads
+        draw.weighted(n, 0, i), draw.column(n, 0, i2)
+    inside = most = entered = 0
+    guard, met = threading.Lock(), threading.Event()
+    original = getattr(verifier._Stack, region)
+
+    def waiting(*args):
+        nonlocal inside, most, entered
+        with guard:
+            inside, entered = inside + 1, entered + 1
+            most = max(most, inside)
+            if inside > 1:
+                met.set()
+            last = entered == len(entries)
+        if not last:
+            met.wait(timeout=0.5)
+        try:
+            return original(*args)
+        finally:
+            with guard:
+                inside -= 1
+
+    monkeypatch.setattr(verifier._Stack, region, waiting)
+    start, got = threading.Barrier(len(entries)), [None] * len(entries)
+
+    def work(j):
+        start.wait(timeout=10)
+        got[j] = draw.entry(n, 0, *entries[j])
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(len(entries))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert (entered, most) == (len(entries), 1)
+    assert got == want
 
 
 @pytest.mark.parametrize("fam", ["ORT_GEGEN", "ORT_BALL", "PARSEVAL_A"])
@@ -701,8 +772,8 @@ def test_draw_memo_threads_do_not_mix_draws(fam):
     import sys
     import threading
 
-    want = [_values(run_case(c)) for c in _memo_sweep(fam)]
-    cases = _memo_sweep(fam)  # shared by the threads, its draws empty
+    want = [_values(run_case(c)) for c in _draw_sweep(fam)]
+    cases = _draw_sweep(fam)  # shared by the threads, its draws empty
     got = {i: [] for i in range(6)}
 
     def work(i):
@@ -780,7 +851,7 @@ def test_gram_rows_hold_the_oracle_sums_bit_for_bit(fam):
     # after the first draw's cases, every kept row entry is the weighted
     # column of i times the column of i2, summed, to the last bit, and the
     # draw reads it back; the PARSEVAL_A rows are complex
-    cases = _memo_sweep(fam)
+    cases = _draw_sweep(fam)
     draw = cases[0].draw
     for c in cases:
         if c.draw is draw:
