@@ -3,7 +3,7 @@
 base revision.
 
 Usage: python scripts/compare_revisions.py [--base REV|DIR] [--seeds 42,1,7]
-                                           [--config PATH] [--times N]
+                                           [--config PATH] [--times N] [--json PATH]
 
 For each config and seed, runs `orthopara sweep --no-timestamp` on the base
 tree and on this checkout's `src/`, and compares the two reports with
@@ -55,6 +55,17 @@ over the group's cases of one round).  Two A/A comparisons of two copies of
 one tree, 21 rounds each on a shared 2-CPU host, read from -5.2% to +3.6%
 over their 16 group percentages each, so a difference under about 5% is not
 resolved by it there.
+
+With --json PATH it also writes what it prints as one JSON document: "base"
+and "seeds"; "line_counts", each tree's non-blank lines per module and their
+total difference; "comparisons", one entry per config and seed with its
+"config", "seed", "same" (case list and verdicts) and printed "lines"; and
+"times", per config timed, its "seed", "rounds" and one row per family
+group with its "cases" and, for "summed" (ms), "median_case" and
+"p99_case" (µs), the "base" and "this_checkout" medians and the median
+"change_pct".  A performance change commits such a file as its
+`BENCH_*.json`.  The file is written when the comparison completes (exit
+0 or 1).
 
 Exits 0 when every pair of reports has the same case list and verdicts, 1 when
 any pair differs, 2 when the base or a config cannot be read or a sweep writes
@@ -159,6 +170,13 @@ def line_counts(base_src, src):
     return lines
 
 
+def line_count_doc(base_src, src):
+    """The net lines of ``line_counts`` as --json writes them."""
+    base, this = module_lines(base_src), module_lines(src)
+    return {"base": base, "this_checkout": this,
+            "difference": sum(this.values()) - sum(base.values())}
+
+
 def child_envs(trees, scratch):
     """The environment of every child process of each tree in ``trees``:
     the package imported from that `src/`, and bytecode read and written
@@ -234,25 +252,40 @@ def case_times(envs, config, seed, runs):
     return samples
 
 
-def times_table(samples):
-    """Per family group of ``samples`` (as ``case_times`` returns them), the
-    row of --times: its case count, then the median over the rounds of each
-    tree of its summed, median and p99 case time, and the median over the
-    rounds of their ratio."""
-    lines = []
+# the statistics of --times: JSON key, printed label, statistic, unit, scale
+TIME_STATS = (("summed", "summed", sum, "ms", 1e3),
+              ("median_case", "median case", statistics.median, "µs", 1e6),
+              ("p99_case", "p99 case", p99, "µs", 1e6))
+
+
+def times_rows(samples):
+    """Per family group of ``samples`` (as ``case_times`` returns them), its
+    case count, then per statistic the median over the rounds of each tree,
+    in its unit, and the median over the rounds of their ratio, as a change
+    in percent."""
+    rows = []
     for group, first in samples[0][0].items():
-        row = []
-        for what, stat, unit, scale in (("summed", sum, "ms", 1e3),
-                                        ("median case", statistics.median, "µs", 1e6),
-                                        ("p99 case", p99, "µs", 1e6)):
+        row = {"group": group, "cases": len(first)}
+        for key, _, stat, unit, scale in TIME_STATS:
             base, this = (statistics.median(stat(run[group]) for run in runs_of) * scale
                           for runs_of in samples)
             # the two runs of a round are adjacent in time, so their ratio
             # cancels the host's drift between rounds
             ratio = statistics.median(stat(t[group]) / stat(b[group]) for b, t in zip(*samples))
-            row.append(f"{what} base {base:.2f} {unit}, this checkout {this:.2f} {unit} "
-                       f"({100 * (ratio - 1):+.1f}%)")
-        lines.append(f"{group} ({len(first)} cases): " + "; ".join(row))
+            row[key] = {"unit": unit, "base": base, "this_checkout": this,
+                        "change_pct": 100 * (ratio - 1)}
+        rows.append(row)
+    return rows
+
+
+def times_table(samples):
+    """The rows of ``times_rows``, one printed line per family group."""
+    lines = []
+    for row in times_rows(samples):
+        cells = [f"{label} base {row[key]['base']:.2f} {unit}, this checkout "
+                 f"{row[key]['this_checkout']:.2f} {unit} ({row[key]['change_pct']:+.1f}%)"
+                 for key, label, _, unit, _ in TIME_STATS]
+        lines.append(f"{row['group']} ({row['cases']} cases): " + "; ".join(cells))
     return lines
 
 
@@ -263,6 +296,7 @@ def main():
     ap.add_argument("--config", help="one JSON sweep config instead of the default three")
     ap.add_argument("--times", type=int, default=0, metavar="N",
                     help="also time each config's cases in process, N alternating runs per tree")
+    ap.add_argument("--json", metavar="PATH", help="also write what is printed as JSON to PATH")
     args = ap.parse_args()
     if args.times < 0:
         ap.error(f"--times needs a count >= 0, got {args.times}")
@@ -285,6 +319,8 @@ def main():
             trees = (base_tree(args.base, tmp / "base"), ROOT / "src")
             envs = child_envs(trees, tmp)
             print("\n".join(line_counts(*trees)))
+            doc = {"base": args.base, "seeds": seeds, "line_counts": line_count_doc(*trees),
+                   "comparisons": [], "times": {}}
             for name, config in configs.items():
                 for seed in seeds:
                     runs = [sweep(env, config, seed, tmp / "report.json") for env in envs]
@@ -293,12 +329,18 @@ def main():
                               for tree, run in zip(("base", "this checkout"), runs)]
                     print(f"{name} seed {seed}: {'same' if ok else 'DIFFERS'}")
                     print("\n".join(f"  {line}" for line in lines))
+                    doc["comparisons"].append(
+                        {"config": name, "seed": seed, "same": ok, "lines": lines})
                     same = same and ok
                 if args.times:
                     print(f"{name} in-process case time, seed {seeds[0]}, "
                           f"median of {args.times} alternating runs:")
                     samples = case_times(envs, config, seeds[0], args.times)
                     print("\n".join(f"  {line}" for line in times_table(samples)))
+                    doc["times"][name] = {"seed": seeds[0], "rounds": args.times,
+                                          "groups": times_rows(samples)}
+            if args.json:
+                Path(args.json).write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n")
         except (OSError, ValueError, KeyError) as exc:
             print(f"compare_revisions: {exc}", file=sys.stderr)
             return 2

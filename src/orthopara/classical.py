@@ -10,12 +10,15 @@ The tests compare all three with the hypergeometric definitions quoted in
 each docstring.  The homogenized Gegenbauer factor of the ball and
 paraboloid bases runs the Gegenbauer recurrence (DLMF 18.9.1) times
 s^{(k+1)/2}.
-Continuous Hahn polynomials are summed as their terminating 3F2 series.
-The 3F2 at 1 and the 2F1 at 2 of the closed-form transform factors run the
-three-term recurrences in the degree of the continuous Hahn and the
-Meixner-Pollaczek polynomials (``hahn_3f2``, ``meixner_pollaczek_2f1``), so
-the series and the recurrence are two independent computations of one
-polynomial.
+Continuous Hahn polynomials run their monic three-term recurrence in x
+(Koekoek-Lesky-Swarttouw 9.4.5).  The 3F2 at 1 and the 2F1 at 2 of the
+closed-form transform factors run the three-term recurrences in the degree
+of the continuous Hahn and the Meixner-Pollaczek polynomials (``hahn_3f2``,
+KLS 9.4.4, and ``meixner_pollaczek_2f1``).  The two continuous Hahn
+recurrences are separate bodies on purpose: ``phi_factor_hahn``'s
+parameters map exactly onto ``phi_factor``'s 3F2, so one shared body would
+let a wrong ``hahn_3f2`` check itself in FORM_EQUIV.  No function here
+calls ``hyper``'s series; the tests compare each recurrence with it.
 Norms go through log space so Gamma ratios cannot overflow.
 """
 
@@ -27,8 +30,8 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .gammafn import _nonpositive_integer, cexp, is_index, log_gamma, pochhammer
-from .hyper import SNAP_TOL, _check_poles, hyp_terminating
+from .gammafn import _nonpositive_integer, cexp, is_index, log_gamma
+from .hyper import SNAP_TOL, _check_poles
 
 
 COMPLEX_MAX_DEGREE = 10  # the complex 2F1 series holds 1e-12 to about here
@@ -116,14 +119,43 @@ def continuous_hahn(m, a, b, c, d, x):
     """Continuous Hahn polynomial
 
     p_m(x; a,b,c,d) = i^m ((a+c)_m (a+d)_m / m!)
-                      3F2(-m, m+a+b+c+d-1, a+ix; a+c, a+d; 1).
+                      3F2(-m, m+a+b+c+d-1, a+ix; a+c, a+d; 1),
+
+    by the monic three-term recurrence in x (Koekoek-Lesky-Swarttouw 9.4.5),
+    with sigma = a+b+c+d:
+
+        p~_0 = 1,  p~_{n+1} = (x - i(A_n + C_n + a)) p~_n + A_{n-1} C_n p~_{n-1},
+        p_m = ((m+sigma-1)_m / m!) p~_m,
+        A_n = -(n+sigma-1)(n+a+c)(n+a+d) / ((2n+sigma-1)(2n+sigma)),
+        A_0 = -(a+c)(a+d)/sigma,
+        C_n = n(n+b+c-1)(n+b+d-1) / ((2n+sigma-2)(2n+sigma-1)),  C_0 = 0.
+
+    x may be an array of points; m and the parameters are scalars.  A sigma
+    within SNAP_TOL of an integer in [2 - 2m, 0], where a recurrence
+    denominator vanishes, raises DomainError.  This is a separate body from
+    ``hahn_3f2``'s recurrence in the degree (9.4.4): the transform factors
+    run that one, so each form equivalence compares two computations.
     """
     _check_degree(m)
+    sigma = a + b + c + d
+    j = _nonpositive_integer(sigma, SNAP_TOL)
+    if j is not None and j >= 2 - 2 * m:
+        raise DomainError(
+            f"continuous_hahn: the degree-{m} recurrence is singular at sigma = {sigma}")
     x = _points(x)
-    pref = (1j**m) * pochhammer(complex(a + c), m) * pochhammer(complex(a + d), m) / math.factorial(m)
-    return pref * hyp_terminating(
-        [-m, m + a + b + c + d - 1, a + 1j * x], [a + c, a + d], 1.0
-    )
+    if m == 0:
+        return _degree_zero(x)
+    s1, e, f, g, h = sigma - 1, a + c, a + d, b + c - 1, b + d - 1
+    an = -e * f / sigma  # A_0 cancelled, so sigma = 1 is no pole
+    prev, p = 1.0, x - 1j * (an + a)
+    scale = m + s1
+    for n in range(1, m):
+        s = 2 * n + sigma
+        cn = n * (n + g) * (n + h) / ((s - 2) * (s - 1))
+        coupling, an = an * cn, -(n + s1) * (n + e) * (n + f) / ((s - 1) * s)
+        prev, p = p, (x - 1j * (an + cn + a)) * p + coupling * prev
+        scale = scale * (m + s1 + n) / (n + 1)
+    return scale * p
 
 
 def _points(z):

@@ -1,10 +1,11 @@
 """Terminating generalized hypergeometric series pFq, with complex
-parameters and any argument.  The package sums one series with it, the
-3F2 at 1 of ``classical.continuous_hahn`` (and so the Hahn forms of the
-form equivalences); the transform factors evaluate their 3F2 at 1 and 2F1
-at 2 by three-term recurrences in the degree (``classical.hahn_3f2``,
+parameters and any argument.  No module of the package sums a series with
+it: the transform factors evaluate their 3F2 at 1 and 2F1 at 2 by
+three-term recurrences in the degree (``classical.hahn_3f2``,
 ``classical.meixner_pollaczek_2f1``), which raise the series'
-DenominatorPoleError on the same denominator poles (``_check_poles``).
+DenominatorPoleError on the same denominator poles (``_check_poles``), and
+``classical.continuous_hahn`` runs its recurrence in x.  The series stays
+exported as the reference the tests compare those recurrences with.
 
 Terminating series are summed with the running-ratio recurrence
 

@@ -14,13 +14,13 @@ points passes through unchanged and broadcasts.  The 3F2 at 1 of phi,
 theta, D and A and the 2F1 at 2 of lambda and B are continuous Hahn and
 Meixner-Pollaczek polynomials in the degree and run their three-term
 recurrences (``classical.hahn_3f2``, ``classical.meixner_pollaczek_2f1``);
-the Hahn forms (``phi_factor_hahn``, ``eval_D_hahn``, ``eval_A_hahn``) sum
-the series of ``classical.continuous_hahn``, so each form equivalence
-compares two independent computations.  A Gamma prefactor exp(log Gamma ...)
-is ``gammafn.cexp`` of its log-gamma sum, so at a scalar point it is one
-cmath.exp on a Python complex.  Complex powers of the strictly positive bases
-that occur here (2, 1 +- tanh) are principal-branch exp(w log base), which
-is unambiguous.
+the Hahn forms (``phi_factor_hahn``, ``eval_D_hahn``, ``eval_A_hahn``) run
+``classical.continuous_hahn``'s recurrence in x, a separate body, so each
+form equivalence compares two independent computations.  A Gamma prefactor
+exp(log Gamma ...) is ``gammafn.cexp`` of its log-gamma sum, so at a scalar
+point it is one cmath.exp on a Python complex.  Complex powers of the
+strictly positive bases that occur here (2, 1 +- tanh) are principal-branch
+exp(w log base), which is unambiguous.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ class IdentityCase:
     k2: tuple | None = None
     params: dict = field(default_factory=dict)
     xi: tuple | None = None
-    # set by generate_cases, or by run_case on a case without one; never
+    # set by share_draws, or by run_case on a case without one; never
     # copied by dataclasses.replace, so a replaced case gets a fresh draw
     draw: _Draw | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -143,8 +143,9 @@ class _Stack:
 
 
 class _Draw:
-    """The Gram state of one parameter draw: a run of consecutive generated
-    cases with equal identity id, d and params, or one case built otherwise.
+    """The Gram state of one parameter draw: a run of consecutive cases with
+    equal identity id, d and params (``share_draws``), or one case run
+    without a draw.
 
     Its family's ``bind(case)`` binds the draw's params into the rule
     builder ``rule_of(n)`` (the n-point level's rules, one per axis), basis
@@ -685,23 +686,32 @@ def _form_equiv_cases(fam, cfg, rng, tol):
         yield IdentityCase(fam, d, tol, m=m, k=k, params=params)
 
 
+def share_draws(cases):
+    """Give one ``_Draw`` to each run of consecutive cases of ``cases`` with
+    equal identity id, d and params whose family has draws, so the run's
+    Gram entries share their rules and columns.  Any case list run with
+    ``run_case`` may be grouped so; ``generate_cases`` groups its own."""
+    runs = itertools.groupby(cases, lambda c: (c.identity_id, c.d, c.params))
+    for (identity_id, _, _), run in runs:
+        fam = FAMILIES.get(identity_id)
+        if fam is not None and fam.bind is not None:
+            run = list(run)
+            draw = _Draw(*fam.bind(run[0]))
+            for case in run:
+                object.__setattr__(case, "draw", draw)
+    return cases
+
+
 def generate_cases(cfg) -> list[IdentityCase]:
     """Deterministic case list: registry family order, all draws from one
-    seeded PCG64 generator.  The cases of a family with draws carry them: one
-    ``_Draw`` per run of consecutive cases with equal d and params."""
+    seeded PCG64 generator.  The cases of a family with draws carry them
+    (``share_draws``)."""
     rng = np.random.default_rng(cfg.seed)
     cases = []
     for fam in FAMILIES.values():
         if fam.id in cfg.families:
-            start = len(cases)
             cases.extend(fam.cases(fam.id, cfg, rng, cfg.tolerances.get(fam.id, fam.tolerance)))
-            runs = itertools.groupby(cases[start:] if fam.bind else (), lambda c: (c.d, c.params))
-            for _, run in runs:
-                run = list(run)
-                draw = _Draw(*fam.bind(run[0]))
-                for case in run:
-                    object.__setattr__(case, "draw", draw)
-    return cases
+    return share_draws(cases)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ from orthopara.gammafn import beta as betafn
 from orthopara.gammafn import gamma
 from orthopara.hyper import hyp_terminating
 from orthopara.transforms import SplitParams
-from orthopara.verifier import IdentityCase, degree_index_pairs, multi_indices, run_case
+from orthopara.verifier import (
+    IdentityCase, degree_index_pairs, multi_indices, run_case, share_draws,
+)
 from references import hyp_nonterminating, tanh_sinh
 
 
@@ -88,23 +90,24 @@ def test_criterion_2_orthogonality_1d():
 def test_criterion_3_ball_and_paraboloid_orthogonality():
     t0 = time.perf_counter()
     worst = 0.0
+    cases = []
     for mu in (0.5, 1.5):
         ks = multi_indices(2, 3)
         for i, k in enumerate(ks):
             for k2 in ks[i:]:
-                rep = run_case(IdentityCase("ORT_BALL", 2, 1e-8, k=k, k2=k2,
-                                            params={"mu": mu}))
-                worst = max(worst, rep.rel_residual)
-                assert rep.passed
+                cases.append(IdentityCase("ORT_BALL", 2, 1e-8, k=k, k2=k2,
+                                          params={"mu": mu}))
     pairs = degree_index_pairs(2, 3)
     paraj = {"beta": 0.3, "gamma": 0.4, "mu": 0.6}
     paral = {"beta": 0.2, "mu": 0.7}
     for fam, params in (("ORT_PARA_J", paraj), ("ORT_PARA_L", paral)):
         for (m, k), (m2, k2) in itertools.combinations_with_replacement(pairs, 2):
-            rep = run_case(IdentityCase(fam, 2, 1e-8, m=m, m2=m2, k=k, k2=k2,
-                                        params=params))
-            worst = max(worst, rep.rel_residual)
-            assert rep.passed
+            cases.append(IdentityCase(fam, 2, 1e-8, m=m, m2=m2, k=k, k2=k2,
+                                      params=params))
+    for case in share_draws(cases):
+        rep = run_case(case)
+        worst = max(worst, rep.rel_residual)
+        assert rep.passed
     elapsed = time.perf_counter() - t0
     _announce(3, "ball/paraboloid orthogonality", worst <= 1e-8 and elapsed < 120.0,
               worst, elapsed)

@@ -208,6 +208,27 @@ def test_continuous_hahn_direct_summation():
         assert abs(got - want) <= 1e-12 * max(abs(want), 1e-10)
 
 
+def test_continuous_hahn_singular_sigma_and_sigma_one():
+    # sigma = a+b+c+d on an integer in [2 - 2m, 0] zeroes a denominator of
+    # the recurrence in x, as it does hahn_3f2's; sigma = 1 is no pole (A_0
+    # is written cancelled), and there the value is the series'
+    x = np.array([0.37, -1.2 + 0.4j])
+    a, c, d = 0.4, 0.3, 0.5
+    for m in (1, 2, 4):
+        for sigma in range(2 - 2 * m, 1):
+            for s in (float(sigma), sigma + 1e-10):
+                with pytest.raises(DomainError, match="singular at sigma"):
+                    continuous_hahn(m, a, s - a - c - d, c, d, x)
+        for s in (1.0, 1 + 1e-10, 3 - 2 * m - 0.5):
+            b = s - a - c - d
+            got = continuous_hahn(m, a, b, c, d, x)
+            want = (1j**m * pochhammer(a + c, m) * pochhammer(a + d, m) / math.factorial(m)
+                    * hyp_terminating([-m, m + s - 1, a + 1j * x], [a + c, a + d], 1.0))
+            assert np.allclose(got, want, rtol=1e-13, atol=0), (m, s)
+    # degree 0 has no denominator: ones, one per point
+    assert np.array_equal(continuous_hahn(0, a, -a - c - d, c, d, x), np.ones(2))
+
+
 def _largest_term(numerator, denominator, z, n):
     # the largest |term| of the terminating series: its rounding scale
     term, big = 1.0, 1.0

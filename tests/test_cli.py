@@ -442,7 +442,8 @@ def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
                                "--base", str(base), "--seeds", "1", "--config", str(config),
                                *flags], capture_output=True, text=True)
 
-    res = compare(root, "--times", "1")
+    bench = tmp_path / "bench.json"
+    res = compare(root, "--times", "1", "--json", str(bench))
     assert res.returncode == 0 and "byte-identical: yes" in res.stdout
     assert "difference +0\n" in res.stdout
     table = res.stdout.split(" in-process case time, seed 1, median of 1 alternating runs:\n")[1]
@@ -450,6 +451,23 @@ def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
               for unit in ("ms", "µs"))
     assert re.fullmatch(rf"  PARSEVAL \(9 cases\): summed {ms}; median case {us}; p99 case {us}\n",
                         table)
+    # --json writes the same: line counts, one comparison, the times table
+    doc = json.loads(bench.read_text())
+    assert set(doc) == {"base", "seeds", "line_counts", "comparisons", "times"}
+    assert doc["seeds"] == [1] and doc["line_counts"]["difference"] == 0
+    assert doc["line_counts"]["base"] == doc["line_counts"]["this_checkout"]
+    [comparison] = doc["comparisons"]
+    assert set(comparison) == {"config", "seed", "same", "lines"}
+    assert comparison["seed"] == 1 and comparison["same"] is True
+    assert comparison["lines"][0] == "byte-identical: yes"
+    [(name, timed)] = doc["times"].items()
+    assert name == str(config) and timed["seed"] == 1 and timed["rounds"] == 1
+    [row] = timed["groups"]
+    assert set(row) == {"group", "cases", "summed", "median_case", "p99_case"}
+    assert row["group"] == "PARSEVAL" and row["cases"] == 9
+    for key, unit in (("summed", "ms"), ("median_case", "µs"), ("p99_case", "µs")):
+        assert set(row[key]) == {"unit", "base", "this_checkout", "change_pct"}
+        assert row[key]["unit"] == unit and row[key]["base"] > 0
     copy = tmp_path / "base"
     shutil.copytree(root / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
     verifier_py = copy / "src" / "orthopara" / "verifier.py"

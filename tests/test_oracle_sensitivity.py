@@ -10,9 +10,9 @@ replaces, so the row would pass without testing the formula.
 
 A form equivalence compares two independent computations of one
 polynomial: the closed-form side runs the three-term recurrence in the
-degree (``classical.hahn_3f2``), the Hahn side sums the terminating series
-(``classical.continuous_hahn``), so a wrong recurrence and a wrong series
-each fail FORM_EQUIV.
+degree (``classical.hahn_3f2``), the Hahn side the recurrence in x
+(``classical.continuous_hahn``), so a wrong recurrence on either side fails
+FORM_EQUIV.
 
 Blind spots, pinned by ``BLIND_SPOTS``: a contiguous relation is homogeneous
 and linear, so CONTIG cannot see a constant factor on A or B; a form
@@ -119,9 +119,9 @@ SENSITIVITY = [
     ("classical", "gegenbauer_norm", "scale", ["ORT_GEGEN"]),
     ("classical", "jacobi_norm", "scale", ["ORT_JACOBI", "ORT_PARA_J"]),
     ("classical", "laguerre_norm", "scale", ["ORT_LAGUERRE", "ORT_PARA_L"]),
-    # the recurrences of the transform factors: hahn_3f2 runs phi, theta,
-    # D and A, meixner_pollaczek_2f1 runs lambda and B; the series side of
-    # every form equivalence
+    # the three recurrences: hahn_3f2 runs phi, theta, D and A,
+    # meixner_pollaczek_2f1 runs lambda and B, continuous_hahn the Hahn side
+    # of every form equivalence
     ("classical", "hahn_3f2", "scale",
      PHI + ["PARSEVAL_A", "PARSEVAL_B", "FORM_EQUIV_D", "FORM_EQUIV_A"]),
     ("classical", "hahn_3f2", "degree_scale",

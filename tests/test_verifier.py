@@ -1,13 +1,16 @@
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from orthopara import ball, verifier
+from orthopara import ball, hyper, verifier
 from orthopara.ball import ball_eval, ball_norm
 from orthopara.classical import gegenbauer, jacobi, laguerre
 from orthopara.cli import SweepConfig
@@ -24,7 +27,7 @@ from orthopara.transforms import (
 from orthopara.verifier import (
     _PARSEVAL_LEVELS, ALL_FAMILIES, IdentityCase, _fourier_direct, _fourier_rules,
     _gram_level, _parseval_rule, degree_index_pairs, generate_cases,
-    multi_indices, parseval_rhs, run_case,
+    multi_indices, parseval_rhs, run_case, share_draws,
 )
 from references import tensor_integrate
 from slice_tensor import slice_tensor
@@ -126,9 +129,9 @@ def test_parseval_every_index_pair_at_d3_and_d4(fam, d):
                                                       else [])
     params = {name: PARSEVAL_PARAMS[name] for name in names}
     pairs = degree_index_pairs(d, 2)
-    failed = [(m, k, m2, k2) for (m, k) in pairs for (m2, k2) in pairs
-              if not run_case(_case(fam, d=d, m=m, m2=m2, k=k, k2=k2, params=params,
-                                    tolerance=1e-6)).passed]
+    cases = share_draws([_case(fam, d=d, m=m, m2=m2, k=k, k2=k2, params=params, tolerance=1e-6)
+                         for (m, k) in pairs for (m2, k2) in pairs])
+    failed = [(c.m, c.k, c.m2, c.k2) for c in cases if not run_case(c).passed]
     assert failed == []
 
 
@@ -480,7 +483,49 @@ def test_series_layer_values_pinned():
         values.update(repr((c.identity_id, rep.passed, rep.lhs, rep.rhs)).encode() + b"\n")
     assert len(cases) == 200
     assert verdicts.hexdigest() == "263c44e57a69118d96662d5fdb54e60a8a4e0449d214fbcd756a58bbc8c60657"
-    assert values.hexdigest() == "3d42ae58ad871300f735b2946c4026e6f73b40e07fcc9344bc84530af9f3fae5"
+    assert values.hexdigest() == "4426e379ae8f81b6940e2b9412c4d96a48afbddc257e65ceaf36c87afedad02a"
+
+
+def _workload_config(name, seed):
+    # a perfbench workload's sweep config, read from its file as it stands
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    cfg = SweepConfig(**module.WORKLOADS[name], seed=seed)
+    cfg.validate()
+    return cfg
+
+
+def test_form_equiv_phi_residuals_of_series_scalar_seed_7():
+    # the 3F2 series that continuous_hahn used to sum left FORM_EQUIV_PHI
+    # residuals up to 2.99e-11 here (of the 1e-10 tolerance); the recurrence
+    # in x holds them under 1e-11
+    cases = [c for c in generate_cases(_workload_config("series-scalar", 7))
+             if c.identity_id == "FORM_EQUIV_PHI"]
+    assert len(cases) == 320
+    worst = max(run_case(c).rel_residual for c in cases)
+    assert worst <= 1e-11, worst
+
+
+def test_no_sweep_case_sums_a_series(monkeypatch):
+    # every binding of hyp_terminating in the package raises: the CONTIG and
+    # FORM_EQUIV cases run on recurrences only and pass every case
+    def raising(*args, **kwargs):
+        raise AssertionError("a sweep case summed a hypergeometric series")
+
+    bound = [module for name, module in list(sys.modules.items())
+             if name.split(".")[0] == "orthopara"
+             and getattr(module, "hyp_terminating", None) is hyper.hyp_terminating]
+    assert hyper in bound
+    for module in bound:
+        monkeypatch.setattr(module, "hyp_terminating", raising)
+    cfg = SweepConfig(families=["CONTIG", "FORM_EQUIV"], contig_draws=10, form_draws=20,
+                      seed=0, dims=[1, 2])
+    cfg.validate()
+    cases = generate_cases(cfg)
+    assert len(cases) == 200
+    assert [c.identity_id for c in cases if not run_case(c).passed] == []
 
 
 def test_high_degree_fourier_j_passes_every_case():
@@ -499,8 +544,8 @@ def test_high_degree_ball_diagonal_passes_every_case():
     # explicit sum of the homogenized Gegenbauer factor failed 12 of these
     # cases, 11 of them by raising QuadratureNonConvergence
     tol = verifier.FAMILIES["ORT_BALL"].tolerance
-    cases = [IdentityCase("ORT_BALL", 2, tol, k=k, k2=k, params={"mu": mu})
-             for mu in (0.5, 1.5) for k in multi_indices(2, 28)]
+    cases = share_draws([IdentityCase("ORT_BALL", 2, tol, k=k, k2=k, params={"mu": mu})
+                         for mu in (0.5, 1.5) for k in multi_indices(2, 28)])
     assert len(cases) == 870
     assert [(c.params["mu"], c.k) for c in cases if not run_case(c).passed] == []
 
@@ -591,6 +636,35 @@ def test_draws_group_cases_by_value(monkeypatch):
                      draw=case.draw)
     with pytest.raises(ValueError):
         dataclasses.replace(case, draw=case.draw)
+
+
+def test_share_draws_gives_a_hand_built_list_the_generated_rule_builds(monkeypatch):
+    # the same cases built by hand, each with its own equal params dict and
+    # no draw, make as many rule builds after share_draws as generate_cases'
+    # list does: one per rule size of each draw, not one per case
+    builds = []
+    init = verifier._Draw.__init__
+
+    def counting(self, rule_of=None, basis=None, norm_of=None):
+        def counted(n):
+            builds.append(n)
+            return rule_of(n)
+        init(self, rule_of and counted, basis, norm_of)
+
+    monkeypatch.setattr(verifier._Draw, "__init__", counting)
+    cfg = SweepConfig(families=["ORT_JACOBI", "ORT_BALL", "ORT_PARA_L", "PARSEVAL_B"],
+                      dims=[1, 2], seed=3, max_degree_1d=4, max_degree_multi=2,
+                      parseval_max_degree=1, ort_param_draws=2)
+    generated = generate_cases(cfg)
+    hand = [dataclasses.replace(c, params=dict(c.params)) for c in generated]
+    for c in generated:
+        run_case(c)
+    want, builds[:] = len(builds), []
+    assert share_draws(hand) is hand
+    assert all(c.draw is not None for c in hand)
+    for c in hand:
+        run_case(c)
+    assert 0 < want == len(builds) < len(hand)
 
 
 def test_only_families_with_shared_columns_carry_draws():
