@@ -156,10 +156,10 @@ def module_lines(src):
             for path in (src / "orthopara").glob("*.py")}
 
 
-def line_counts(base_src, src):
-    """The report of net lines: both totals and their difference, then each
-    module whose count changed (0 where a tree lacks it), by name."""
-    base, this = module_lines(base_src), module_lines(src)
+def line_counts(base, this):
+    """The report of net lines from the ``module_lines`` of both trees: both
+    totals and their difference, then each module whose count changed (0
+    where a tree lacks it), by name."""
     total, base_total = sum(this.values()), sum(base.values())
     lines = [f"non-blank lines of src/orthopara/*.py: base {base_total}, "
              f"this checkout {total}, difference {total - base_total:+d}"]
@@ -168,13 +168,6 @@ def line_counts(base_src, src):
         if old != new:
             lines.append(f"  {name} {old} → {new} ({new - old:+d})")
     return lines
-
-
-def line_count_doc(base_src, src):
-    """The net lines of ``line_counts`` as --json writes them."""
-    base, this = module_lines(base_src), module_lines(src)
-    return {"base": base, "this_checkout": this,
-            "difference": sum(this.values()) - sum(base.values())}
 
 
 def child_envs(trees, scratch):
@@ -318,8 +311,11 @@ def main():
                     configs[name].write_text(json.dumps(cfg))
             trees = (base_tree(args.base, tmp / "base"), ROOT / "src")
             envs = child_envs(trees, tmp)
-            print("\n".join(line_counts(*trees)))
-            doc = {"base": args.base, "seeds": seeds, "line_counts": line_count_doc(*trees),
+            base_lines, lines_here = (module_lines(tree) for tree in trees)
+            print("\n".join(line_counts(base_lines, lines_here)))
+            doc = {"base": args.base, "seeds": seeds,
+                   "line_counts": {"base": base_lines, "this_checkout": lines_here,
+                                   "difference": sum(lines_here.values()) - sum(base_lines.values())},
                    "comparisons": [], "times": {}}
             for name, config in configs.items():
                 for seed in seeds:

@@ -130,13 +130,15 @@ def continuous_hahn(m, a, b, c, d, x):
         A_0 = -(a+c)(a+d)/sigma,
         C_n = n(n+b+c-1)(n+b+d-1) / ((2n+sigma-2)(2n+sigma-1)),  C_0 = 0.
 
-    x may be an array of points; m and the parameters are scalars.  A sigma
-    within SNAP_TOL of an integer in [2 - 2m, 0], where a recurrence
-    denominator vanishes, raises DomainError.  This is a separate body from
-    ``hahn_3f2``'s recurrence in the degree (9.4.4): the transform factors
-    run that one, so each form equivalence compares two computations.
+    x may be an array of points; m and the parameters are scalars.  An a+c
+    or a+d within SNAP_TOL of -j, j < m, raises DenominatorPoleError, as the
+    series does.  A sigma within SNAP_TOL of an integer in [2 - 2m, 0],
+    where a recurrence denominator vanishes, raises DomainError.  A body
+    apart from ``hahn_3f2``'s recurrence in the degree (9.4.4), which the
+    transform factors run, so each form equivalence compares two computations.
     """
     _check_degree(m)
+    _check_poles((a + c, a + d), m)
     sigma = a + b + c + d
     j = _nonpositive_integer(sigma, SNAP_TOL)
     if j is not None and j >= 2 - 2 * m:

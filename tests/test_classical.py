@@ -227,6 +227,19 @@ def test_continuous_hahn_singular_sigma_and_sigma_one():
             assert np.allclose(got, want, rtol=1e-13, atol=0), (m, s)
     # degree 0 has no denominator: ones, one per point
     assert np.array_equal(continuous_hahn(0, a, -a - c - d, c, d, x), np.ones(2))
+    # an a+c or a+d on -j, j < m, is the series' pole, with its message,
+    # although the monic recurrence itself would run through it
+    b = 1.1
+    for e in (-1.0, -2.0, -2 + 1e-10, 0.0):
+        for c, d in ((e - a, 0.5), (0.5, e - a)):
+            with pytest.raises(DenominatorPoleError) as got:
+                continuous_hahn(3, a, b, c, d, x)
+            with pytest.raises(DenominatorPoleError) as want:
+                hyp_terminating([-3, 3 + a + b + c + d - 1, a + 1j * x], [a + c, a + d], 1.0)
+            assert str(got.value) == str(want.value)
+    # a pole at or past the degree is never reached
+    for e in (-3.0, -3 + 1e-10, -4.0):
+        assert np.all(np.isfinite(continuous_hahn(3, a, b, e - a, 0.5, x)))
 
 
 def _largest_term(numerator, denominator, z, n):
