@@ -9,7 +9,6 @@ from .classical import (
     laguerre, laguerre_norm,
 )
 from .gammafn import beta, gamma, log_gamma, pochhammer
-from .hyper import hyp_terminating
 from .paraboloid import (
     jacobi_paraboloid, jacobi_paraboloid_norm, laguerre_paraboloid,
     laguerre_paraboloid_norm,

@@ -17,8 +17,9 @@ of the continuous Hahn and the Meixner-Pollaczek polynomials (``hahn_3f2``,
 KLS 9.4.4, and ``meixner_pollaczek_2f1``).  The two continuous Hahn
 recurrences are separate bodies on purpose: ``phi_factor_hahn``'s
 parameters map exactly onto ``phi_factor``'s 3F2, so one shared body would
-let a wrong ``hahn_3f2`` check itself in FORM_EQUIV.  No function here
-calls ``hyper``'s series; the tests compare each recurrence with it.
+let a wrong ``hahn_3f2`` check itself in FORM_EQUIV.  The recurrences'
+snap tolerance and pole rule live here; ``hyper``'s series, the tests'
+reference for each recurrence, imports them.
 Norms go through log space so Gamma ratios cannot overflow.
 """
 
@@ -29,17 +30,39 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import DomainError
+from .errors import DenominatorPoleError, DomainError
 from .gammafn import _nonpositive_integer, cexp, is_index, log_gamma
-from .hyper import SNAP_TOL, _check_poles
 
 
 COMPLEX_MAX_DEGREE = 10  # the complex 2F1 series holds 1e-12 to about here
+
+SNAP_TOL = 1e-9  # how near an integer a parameter counts as that integer
 
 
 def _check_degree(m):
     if not is_index(m):
         raise DomainError(f"degree must be a nonnegative integer, got {m!r}")
+
+
+def _check_poles(denominator, degree):
+    """Raise DenominatorPoleError if a scalar denominator parameter is within
+    SNAP_TOL of -j with j < degree: -j poles the factor (b + m) at m = j,
+    which a sum of degree N touches only while m < N."""
+    for p in denominator:
+        j = _nonpositive_integer(p, SNAP_TOL)
+        if j is not None and -j < degree:
+            raise DenominatorPoleError(
+                f"denominator parameter {p} hits a pole before termination")
+
+
+def _check_sigma(name, sigma, degree):
+    """Raise DomainError if sigma is within SNAP_TOL of an integer in
+    [2 - 2 degree, 0], where a denominator of the continuous Hahn
+    recurrences of that degree vanishes."""
+    j = _nonpositive_integer(sigma, SNAP_TOL)
+    if j is not None and j >= 2 - 2 * degree:
+        raise DomainError(
+            f"{name}: the degree-{degree} recurrence is singular at sigma = {sigma}")
 
 
 def gegenbauer(m, mu, x):
@@ -140,10 +163,7 @@ def continuous_hahn(m, a, b, c, d, x):
     _check_degree(m)
     _check_poles((a + c, a + d), m)
     sigma = a + b + c + d
-    j = _nonpositive_integer(sigma, SNAP_TOL)
-    if j is not None and j >= 2 - 2 * m:
-        raise DomainError(
-            f"continuous_hahn: the degree-{m} recurrence is singular at sigma = {sigma}")
+    _check_sigma("continuous_hahn", sigma, m)
     x = _points(x)
     if m == 0:
         return _degree_zero(x)
@@ -190,9 +210,7 @@ def hahn_3f2(n, sigma, z, e, f):
     """
     _check_degree(n)
     _check_poles((e, f), n)
-    j = _nonpositive_integer(sigma, SNAP_TOL)
-    if j is not None and j >= 2 - 2 * n:
-        raise DomainError(f"hahn_3f2: the degree-{n} recurrence is singular at sigma = {sigma}")
+    _check_sigma("hahn_3f2", sigma, n)
     z = _points(z)
     if n == 0:
         return _degree_zero(z)

@@ -17,7 +17,7 @@ that is later divided stays a numpy scalar.
 One rule says when a point is an integer j <= 0: within a tolerance of it,
 and never when NaN or infinite.  ``_nonpositive_integer`` is its scalar form,
 ``is_nonpositive_integer`` its array form; log_gamma's poles use POLE_TOL
-(1e-12), the series snaps of ``hyper`` and ``classical`` its SNAP_TOL (1e-9).
+(1e-12), the recurrence snaps of ``classical`` its SNAP_TOL (1e-9).
 """
 
 from __future__ import annotations

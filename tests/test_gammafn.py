@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthopara.ball import validate_multi_index
-from orthopara.classical import gegenbauer
+from orthopara.classical import SNAP_TOL, gegenbauer
 from orthopara.contiguous import a_relation_pair
 from orthopara.errors import DomainError, PoleError
 from orthopara.gammafn import (
     POLE_TOL, _nonpositive_integer, beta, cexp, gamma, is_index, is_nonpositive_integer,
     log_gamma, pochhammer,
 )
-from orthopara.hyper import SNAP_TOL
 from orthopara.paraboloid import jacobi_paraboloid, laguerre_paraboloid
 from orthopara.transforms import A_t, SplitParams
 
@@ -85,7 +84,7 @@ def test_pole_detection():
 @settings(max_examples=60, deadline=None)
 def test_pole_rule_scalar_and_array_forms_agree(tol, data):
     # one rule in two forms: the scalar form (log_gamma's scalar path and
-    # hyper's snaps) and the array form decide every point alike, at both
+    # classical's snaps) and the array form decide every point alike, at both
     # tolerances; points within and outside tol of -6..0, on either axis
     near = st.builds(lambda j, f, unit: j + f * tol * unit, st.integers(-6, 0),
                      st.sampled_from([0.5, -0.5, 2.0, -2.0]), st.sampled_from([1, 1j]))

@@ -149,8 +149,8 @@ SERIES_SHAPES = [(1, 1), (2, 1), (3, 2)]
        st.booleans(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_scalar_call_matches_array_element(shape, N, complex_params, data):
-    # a scalar call sums on numpy scalars, an array call on arrays of the
-    # broadcast shape; both run the one recurrence on the same operands
+    # a scalar call sums on one-element arrays, an array call on arrays of
+    # the broadcast shape: the same numpy loops on the same operands
     p, q = shape
 
     def draw():
@@ -166,24 +166,21 @@ def test_scalar_call_matches_array_element(shape, N, complex_params, data):
     kind = np.complex128 if complex_params else np.float64
     for z, want in zip(zs.tolist(), arr):
         val = hyp_terminating(num, den, z)
-        # Python and numpy scalar arguments take the same numpy-scalar path
+        # Python and numpy scalar arguments sum alike
         as_numpy = hyp_terminating([kind(a) for a in num], [kind(b) for b in den], kind(z))
         assert type(val) is type(as_numpy) is kind
         assert val == as_numpy
-        if not complex_params:
-            assert val == want
-        else:
-            # numpy's array loop for complex multiplication may fuse the
-            # multiply-add where its scalar multiplication does not, so the
-            # two agree to rounding of the largest term, not bit for bit
-            assert abs(val - want) <= 1e-14 * max(largest_term(num, den, z, N), 1.0)
+        # bit for bit, complex too: numpy's array loop for complex
+        # multiplication may fuse a multiply-add that numpy-scalar
+        # arithmetic would not, and both calls run that loop
+        assert val == want
 
 
 @pytest.mark.filterwarnings("error")
 def test_nan_parameter_propagates():
     # NaN is not a terminating certificate: the other parameter terminates
     # the sum, and the NaN flows through it instead of raising, and without
-    # numpy's invalid-value warning on the scalar or the array path
+    # numpy's invalid-value warning, at a scalar or an array z
     assert np.isnan(hyp_terminating([-2, float("nan")], [1.5], 0.5))
     assert np.isnan(hyp_terminating([float("nan"), -1, 0.3 + 1j], [1.5], 0.5))
     assert np.isnan(hyp_terminating([-2, 0.7], [float("inf") * 1j], 0.5))
@@ -210,8 +207,8 @@ CERTIFICATES = [int, float, np.int64, np.float64, complex, np.array]
 @given(st.sampled_from(SERIES_SHAPES), st.integers(min_value=0, max_value=8), st.data())
 @settings(max_examples=150, deadline=None)
 def test_real_scalar_call_is_its_one_element_array_call(shape, N, data):
-    # the module docstring's contract: a real scalar call sums on float64
-    # numpy scalars, bit for bit the element of the array call
+    # the module docstring's contract: a real scalar call returns a float64
+    # numpy scalar, bit for bit the element of the array call
     p, q = shape
 
     def real():

@@ -4,12 +4,15 @@ import importlib.util
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orthopara
 from orthopara import ball, hyper, verifier
 from orthopara.ball import ball_eval, ball_norm
 from orthopara.classical import gegenbauer, jacobi, laguerre
@@ -526,6 +529,35 @@ def test_no_sweep_case_sums_a_series(monkeypatch):
     cases = generate_cases(cfg)
     assert len(cases) == 200
     assert [c.identity_id for c in cases if not run_case(c).passed] == []
+
+
+def test_sweeps_leave_the_series_unimported():
+    # a reduced CONTIG + FORM_EQUIV sweep and a reduced sweep of every
+    # default family, in a fresh interpreter: every case passes without
+    # the package's series module ever being imported
+    code = (
+        "import sys\n"
+        "from orthopara.cli import SweepConfig\n"
+        "from orthopara.verifier import generate_cases, run_case\n"
+        "ran = set()\n"
+        "for kw in ({'families': ['CONTIG', 'FORM_EQUIV'], 'contig_draws': 10,\n"
+        "            'form_draws': 20, 'seed': 0},\n"
+        "           {'max_degree_1d': 2, 'max_degree_multi': 1, 'fourier_max_degree': 1,\n"
+        "            'parseval_max_degree': 1, 'ort_param_draws': 1, 'fourier_xi_draws': 1,\n"
+        "            'contig_draws': 2, 'form_draws': 2}):\n"
+        "    cfg = SweepConfig(**kw)\n"
+        "    cfg.validate()\n"
+        "    cases = generate_cases(cfg)\n"
+        "    assert all(run_case(c).passed for c in cases)\n"
+        "    ran |= {c.identity_id for c in cases}\n"
+        "print(sorted(ran), 'orthopara.hyper' in sys.modules)\n"
+    )
+    src = str(Path(orthopara.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == f"{sorted(ALL_FAMILIES)!r} False"
 
 
 def test_high_degree_fourier_j_passes_every_case():
