@@ -7,6 +7,15 @@ contiguous relations, and the Hahn-form equivalences.  ``run_case`` judges
 the two sides a family's runner returns into a VerificationReport, with a
 convergence certificate (two quadrature refinement levels in agreement)
 behind every oracle side.
+
+Most Gram cases read their entries from rows their draw already holds,
+so such a case costs little more than its bookkeeping: its report is one
+slotted record (``VerificationReport``), and a kept row holds Python
+numbers, on which the level products, the certificate and the residual
+run by the IEEE operations numpy scalars would use, bit for bit.
+Per-case code calls no BLAS (``@``, ``np.dot``): a row is an elementwise
+product and a row sum, and line sums by ``@`` raised the default sweep's
+median case time by about 10% through OpenBLAS's threads.
 """
 
 from __future__ import annotations
@@ -56,8 +65,16 @@ class IdentityCase:
     draw: _Draw | None = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VerificationReport:
+    """The verdict on one case: its sides, residuals, verdict, quadrature
+    nodes and time, and a skip reason or an error when set.  A plain slotted
+    record, built positionally by ``run_case``: a frozen dataclass sets each
+    field through ``object.__setattr__``, which cost more than judging a
+    case whose entries its draw already holds.  It is never a tuple:
+    perfbench's case log takes a tuple outcome for a raise.  Each field has
+    its exact Python type (bool, float, complex, int), since
+    ``cli._json_value`` dispatches on it."""
     case: IdentityCase
     lhs: complex
     rhs: complex
@@ -164,12 +181,15 @@ class _Draw:
     column i2 an entry has read, in the order of first use.  An entry whose
     column i2 is not stacked yet is computed alone, and i2 is stacked.  An
     entry whose column is stacked fills the row of i: the entries of i with
-    every stacked column, one array kept per (n, axis, i) beside the stack's
-    index, so the draw's later entries of i read it.  A row is filled again
-    only when a column stacked after it is read.  Threads may share a case
-    list and so a draw: stacking and filling hold the draw's lock, a column
-    is indexed only after it is written, and a row is stored whole, so a
-    thread never reads a half-appended stack or a partial row.
+    every stacked column, kept per (n, axis, i) as a list of Python numbers
+    (``tolist``, exact) beside the stack's index, so the draw's later
+    entries of i read it, and the runner multiplies and compares Python
+    numbers, not numpy scalars.  An entry computed alone is a Python number
+    too.  A row is filled again only when a column stacked after it is
+    read.  Threads may share a case list and so a draw: stacking and filling
+    hold the draw's lock, a column is indexed only after it is written, and
+    a row is stored whole, so a thread never reads a half-appended stack or
+    a partial row.
     """
 
     def __init__(self, rule_of=None, basis=None, norm_of=None):
@@ -222,11 +242,11 @@ class _Draw:
         with self.lock:
             stack = self.stacks.get((n, axis))
             if stack is not None and i2 in stack.index:
-                values = stack.row(self.weighted(n, axis, i))
+                values = stack.row(self.weighted(n, axis, i)).tolist()
                 self.rows[n, axis, i] = stack.index, values
                 return values[stack.index[i2]]
             weighted, col = self.weighted(n, axis, i), self.column(n, axis, i2)
-            val = (weighted * col).sum()
+            val = (weighted * col).sum().item()
             if stack is None:
                 stack = self.stacks[n, axis] = _Stack(col)
             stack.append(i2, col)
@@ -493,28 +513,37 @@ def _terms_parseval(case):
 # contiguous relations and form equivalences
 
 
+@functools.cache
+def _point_names(d):
+    """The params names of the real and imaginary parts of x_1 .. x_d."""
+    return tuple((f"x{j}_re", f"x{j}_im") for j in range(1, d + 1))
+
+
 def _complex_point(params, d):
     t = complex(params["t_re"], params["t_im"])
-    x = [complex(params[f"x{j}_re"], params[f"x{j}_im"]) for j in range(1, d + 1)]
+    x = [complex(params[re], params[im]) for re, im in _point_names(d)]
     return t, x
 
 
-def _contiguous(case):
-    p = case.params
-    fam, roman = case.identity_id.rsplit("_", 1)
-    idx = ROMAN.index(roman) + 1
-    t, x = _complex_point(p, case.d)
-    try:
-        if fam == "CONTIG_A":
-            sp = SplitParams(p["alpha1"], p["alpha2"], p["zeta1"], p["zeta2"],
-                             p["eta1"], p["eta2"], check=False)
-            lhs, rhs = a_relation_pair(idx, case.m, case.k, sp, t, x)
-        else:
-            sp = SplitParams(p["alpha1"], p["alpha2"], p["zeta1"], p["zeta2"], check=False)
-            lhs, rhs = b_relation_pair(idx, case.m, case.k, sp, t, x)
-    except PoleError as exc:
-        raise _Skip(f"pole: {exc}") from exc
-    return lhs, rhs, None, 0
+def _contiguous(side, idx):
+    """The runner of lifted contiguous relation ``idx`` (1 .. 7) of the A
+    (height-1) or B (infinite-height) family: its two sides at the case's
+    complex point, or a skip at a Gamma pole."""
+    def run(case):
+        p = case.params
+        t, x = _complex_point(p, case.d)
+        try:
+            if side == "A":
+                sp = SplitParams(p["alpha1"], p["alpha2"], p["zeta1"], p["zeta2"],
+                                 p["eta1"], p["eta2"], check=False)
+                lhs, rhs = a_relation_pair(idx, case.m, case.k, sp, t, x)
+            else:
+                sp = SplitParams(p["alpha1"], p["alpha2"], p["zeta1"], p["zeta2"], check=False)
+                lhs, rhs = b_relation_pair(idx, case.m, case.k, sp, t, x)
+        except PoleError as exc:
+            raise _Skip(f"pole: {exc}") from exc
+        return lhs, rhs, None, 0
+    return run
 
 
 def _form_equiv(case):
@@ -550,17 +579,15 @@ def run_case(case: IdentityCase) -> VerificationReport:
     try:
         lhs, rhs, scale, nodes = fam.run(case)
     except _Skip as skip:
-        return VerificationReport(
-            case=case, lhs=0j, rhs=0j, abs_residual=0.0, rel_residual=0.0, passed=True,
-            nodes=0, seconds=time.perf_counter() - t0, skipped_reason=str(skip))
+        return VerificationReport(case, 0j, 0j, 0.0, 0.0, True, 0,
+                                  time.perf_counter() - t0, str(skip))
     lhs, rhs = complex(lhs), complex(rhs)
     abs_res = abs(lhs - rhs)
     if rhs != 0 or scale is None:
         scale = max(abs(lhs), abs(rhs))
     rel = abs_res / scale if scale > 0 else abs_res
-    return VerificationReport(
-        case=case, lhs=lhs, rhs=rhs, abs_residual=abs_res, rel_residual=rel,
-        passed=bool(rel <= case.tolerance), nodes=nodes, seconds=time.perf_counter() - t0)
+    return VerificationReport(case, lhs, rhs, abs_res, rel, bool(rel <= case.tolerance), nodes,
+                              time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +673,7 @@ def _uniforms(rng, names, low, high):
 
 
 def _draw_point(rng, d, params):
-    names = ["t_re", "t_im"] + [f"x{j}_{part}" for j in range(1, d + 1) for part in ("re", "im")]
-    params.update(_uniforms(rng, names, -1, 1))
+    params.update(_uniforms(rng, ["t_re", "t_im", *itertools.chain(*_point_names(d))], -1, 1))
 
 
 def _draw_d_k(rng, dims):
@@ -755,9 +781,10 @@ FAMILIES = {fam.id: fam for fam in [
            "height-1 Parseval integral vs printed constant", _bind_parseval),
     Family("PARSEVAL_B", "PARSEVAL", 1e-6, _gram(_terms_parseval), _parseval_cases,
            "infinite-height Parseval integral vs printed constant", _bind_parseval),
-    *(Family(f"CONTIG_{side}_{r}", "CONTIG", 1e-10, _contiguous, _contig_cases,
+    *(Family(f"CONTIG_{side}_{r}", "CONTIG", 1e-10, _contiguous(side, idx), _contig_cases,
              f"lifted contiguous relation ({r}) of the {height} family")
-      for side, height in (("A", "height-1"), ("B", "infinite-height")) for r in ROMAN),
+      for side, height in (("A", "height-1"), ("B", "infinite-height"))
+      for idx, r in enumerate(ROMAN, 1)),
     Family("FORM_EQUIV_PHI", "FORM_EQUIV", 1e-10, _form_equiv, _form_equiv_cases,
            "per-axis transform factor: series form vs Hahn form"),
     Family("FORM_EQUIV_D", "FORM_EQUIV", 1e-10, _form_equiv, _form_equiv_cases,

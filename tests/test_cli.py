@@ -722,6 +722,44 @@ def test_csv_report_quotes_commas_quotes_and_newlines(tmp_path, monkeypatch):
         assert row[header.index("params")] == "mu=0.8"
 
 
+_REPORT_TYPES = {"lhs": complex, "rhs": complex, "abs_residual": float, "rel_residual": float,
+                 "passed": bool, "nodes": int, "seconds": float}
+
+
+def test_every_report_field_has_its_exact_python_type(tmp_path, monkeypatch):
+    # cli._json_value dispatches on a value's exact type (a numpy bool would
+    # fall through to json.dumps, which raises), and perfbench's case log
+    # takes a tuple outcome for a raise: the report of the first default
+    # case of each family, of a CONTIG case at a Gamma pole (a skip) and
+    # run_sweep's record of a raised case are plain records of Python values
+    first = {}
+    for case in generate_cases(SweepConfig(seed=1)):
+        first.setdefault(case.identity_id, case)
+    assert list(first) == ALL_FAMILIES and len(first) == 27
+    pole = IdentityCase("CONTIG_B_ii", 1, 1e-10, m=2, k=(1,), params={
+        "alpha1": 0.7, "alpha2": 0.9, "zeta1": 0.8, "zeta2": 1.2,
+        "t_re": 1.3, "t_im": 0.0, "x1_re": -0.4, "x1_im": 0.1})
+    raised = IdentityCase("ORT_GEGEN", 1, 1e-30, m=1, m2=2, params={"mu": 0.8})
+    cases = [*first.values(), pole, raised]
+    reports = []
+    records = cli._json_records
+
+    def kept_records(reps, no_timestamp):
+        reports.extend(reps)
+        return records(reps, no_timestamp)
+
+    monkeypatch.setattr(cli, "_json_records", kept_records)
+    monkeypatch.setattr(cli, "generate_cases", lambda cfg: cases)
+    run_sweep(SweepConfig(out_path=str(tmp_path / "rep.json"), no_timestamp=True))
+    assert [rep.case for rep in reports] == cases
+    assert reports[-2].skipped_reason.startswith("pole: ")
+    assert reports[-1].error.startswith("QuadratureNonConvergence: ")
+    for rep in reports:
+        assert type(rep) is VerificationReport and not isinstance(rep, tuple)
+        assert {name: type(getattr(rep, name)) for name in _REPORT_TYPES} == _REPORT_TYPES
+        assert {type(rep.skipped_reason), type(rep.error)} <= {str, type(None)}
+
+
 def test_summary_leaves_non_finite_residuals_out_of_the_worst(monkeypatch):
     # NaN and infinite residuals (a raised case, an overflow) count as failed
     # and never become a family's worst residual; skipped cases count as
