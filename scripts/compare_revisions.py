@@ -22,16 +22,14 @@ hdt-14, hdt-20, hdf-30 and ball-28), so
 
     python scripts/compare_revisions.py --config scripts/configs/ball-28.json --seeds 1
 
-reproduces the BALL-28 row for the base and for this checkout.  Every child
-process (the sweeps and the timing processes of both trees) runs with one
-fresh PYTHONPYCACHEPREFIX, filled by one import per tree before the first
-sweep (PYTHONDONTWRITEBYTECODE is dropped for them).  The prefix mirrors
-each source file's absolute path, so each tree's package gets bytecode of
-its own while numpy and scipy are compiled once for both, no `__pycache__`
-directory in either checkout is read or written, and both trees import
-from cached bytecode alike.  Without it, under PYTHONDONTWRITEBYTECODE=1 a
-checkout that held `__pycache__` would skip the compile that the other
-pays in every process.
+reproduces the BALL-28 row for the base and for this checkout.  Each tree's
+`src/` is first copied into a scratch directory without `__pycache__` (a
+git revision by `git archive`, a directory and this checkout by a copy),
+and every child process (the sweeps and the timing processes of both
+trees) imports the package from that copy with PYTHONDONTWRITEBYTECODE=1.
+So both trees compile their package alike in every process, numpy and
+scipy read their installed bytecode and are never recompiled, and no
+`__pycache__` directory in either checkout is read or written.
 
 With --times N it then times each config's cases in process, at the first
 seed, in N rounds.  Each round starts a fresh process per tree, one after
@@ -77,6 +75,7 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -134,20 +133,22 @@ def workload_configs():
     return {name: module.WORKLOADS[name] for name in WORKLOADS}
 
 
-def base_tree(base, scratch):
-    """The `src/` directory of a base directory or git revision."""
-    if Path(base).is_dir():
-        src = Path(base).resolve() / "src"
+def tree_copy(tree, dest):
+    """A copy in ``dest`` of the `src/` directory of a directory or git
+    revision, without `__pycache__`: the tree its child processes import."""
+    if Path(tree).is_dir():
+        src = Path(tree).resolve() / "src"
         if not src.is_dir():
-            raise ValueError(f"{base} holds no src/ directory")
-        return src
-    res = subprocess.run(["git", "-C", str(ROOT), "archive", base, "src"],
+            raise ValueError(f"{tree} holds no src/ directory")
+        return Path(shutil.copytree(src, dest / "src",
+                                    ignore=shutil.ignore_patterns("__pycache__")))
+    res = subprocess.run(["git", "-C", str(ROOT), "archive", tree, "src"],
                          capture_output=True)
     if res.returncode != 0:
-        raise ValueError(f"git archive {base}: {res.stderr.decode().strip()}")
+        raise ValueError(f"git archive {tree}: {res.stderr.decode().strip()}")
     with tarfile.open(fileobj=io.BytesIO(res.stdout)) as archive:
-        archive.extractall(scratch, filter="data")
-    return scratch / "src"
+        archive.extractall(dest, filter="data")
+    return dest / "src"
 
 
 def module_lines(src):
@@ -170,25 +171,14 @@ def line_counts(base, this):
     return lines
 
 
-def child_envs(trees, scratch):
-    """The environment of every child process of each tree in ``trees``:
-    the package imported from that `src/`, and bytecode read and written
-    only under one fresh directory in ``scratch``, shared by the trees,
-    which one import of `orthopara.cli` per tree fills before any timed
-    process starts."""
-    prefix = scratch / "pycache"
-    prefix.mkdir()
-    envs = []
-    for src in trees:
-        env = dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=str(prefix))
-        env.pop("PYTHONDONTWRITEBYTECODE", None)
-        res = subprocess.run([sys.executable, "-c", "import orthopara.cli"], env=env,
-                             capture_output=True, text=True)
-        if res.returncode != 0:
-            raise ValueError(f"import orthopara.cli from {src} exited {res.returncode}: "
-                             f"{res.stderr.strip()}")
-        envs.append(env)
-    return envs
+def child_env(src):
+    """The environment of every child process of the tree copied to ``src``:
+    the package imported from there, no bytecode written, and no cache
+    prefix of the caller's, which would hide numpy's and scipy's installed
+    bytecode."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    return env
 
 
 def sweep(env, config, seed, out):
@@ -309,8 +299,8 @@ def main():
                 for name, cfg in workload_configs().items():
                     configs[name] = tmp / f"{name}.json"
                     configs[name].write_text(json.dumps(cfg))
-            trees = (base_tree(args.base, tmp / "base"), ROOT / "src")
-            envs = child_envs(trees, tmp)
+            trees = (tree_copy(args.base, tmp / "base"), tree_copy(ROOT, tmp / "checkout"))
+            envs = [child_env(tree) for tree in trees]
             base_lines, lines_here = (module_lines(tree) for tree in trees)
             print("\n".join(line_counts(base_lines, lines_here)))
             doc = {"base": args.base, "seeds": seeds,

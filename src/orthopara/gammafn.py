@@ -7,11 +7,12 @@ strip 0.5 <= Re z <= 10, |Im z| <= 40, which covers every argument the higher
 modules produce.  pochhammer is the exact product at every order.  Scalar
 arguments skip the array bookkeeping: log_gamma checks the pole in Python and
 calls loggamma once, bit for bit the array result, as a Python complex;
-pochhammer multiplies Python numbers and returns the numpy scalar of the
-numpy-scalar product, bit for bit, since CPython and numpy scalars add and
-multiply (complex numbers too) by the same IEEE operations; ``cexp`` is
-np.exp bit for bit, through cmath.exp on a Python complex.  Complex division
-is where the two differ (numpy divides through a reciprocal), so a value
+pochhammer multiplies a real float as a Python float, bit for bit the array
+element, and any other argument on a numpy array, so a complex scalar is its
+array element too (numpy's array loop for complex multiplication may fuse a
+multiply-add that a scalar multiply rounds twice); ``cexp`` is np.exp bit
+for bit, through cmath.exp on a Python complex.  Complex division is where
+CPython and numpy differ (numpy divides through a reciprocal), so a value
 that is later divided stays a numpy scalar.
 
 One rule says when a point is an integer j <= 0: within a tolerance of it,
@@ -38,14 +39,6 @@ _EXP_OVERFLOW = 709.0
 # and sin, bit for bit; above log(DBL_MAX) - 1 ~ 708.3964 cmath.exp rescales
 # (and raises OverflowError past ~709.78), so it may round otherwise
 _CMATH_EXP_MAX = 708.0
-
-# the scalar types whose Pochhammer product runs on Python numbers, each
-# mapped to -0.0 of the numpy scalar type that numpy scalars' product has:
-# -0.0 + x is x bit for bit (signed zeros, inf and NaN included), and the
-# cheapest way to make a Python number that numpy scalar
-_NEG_ZERO = {float: np.float64(-0.0), np.float64: np.float64(-0.0),
-             complex: np.complex128(complex(-0.0, -0.0)),
-             np.complex128: np.complex128(complex(-0.0, -0.0))}
 
 _POLE_MESSAGE = "log_gamma: argument within 1e-12 of a non-positive integer pole"
 
@@ -138,28 +131,27 @@ def pochhammer(a, m):
 
     The product a (a+1) ... (a+m-1) at every order, so it is 0 when a is a
     non-positive integer > -m and keeps the dtype of ``a``; (a)_0 == 1
-    exactly.  Integer ``a`` is taken as float64.  A Python or numpy float or
-    complex scalar multiplies as a Python number, with no warning on
-    overflow, NaN or inf, and comes back as the np.float64 or np.complex128
-    that numpy scalars give, with their bits.
+    exactly.  Integer ``a`` is taken as float64.  A Python float or
+    np.float64 multiplies as a Python float and comes back as np.float64;
+    any other ``a`` multiplies on a numpy array of at least one dimension,
+    and a scalar or 0-d ``a`` comes back as that array's one element.
+    Overflow, NaN and inf give no warning.
     """
     if not is_index(m):
         raise DomainError(f"pochhammer: order must be a nonnegative integer, got {m!r}")
-    zero = _NEG_ZERO.get(type(a))
-    if zero is None:
-        a = np.asarray(a)
-        if a.dtype.kind in "biu":  # an integer product would wrap silently
-            a = a.astype(np.float64)
-        if a.ndim == 0:
-            a = a[()]  # numpy scalar arithmetic, same dtype and bits as the 0-d array
-        if m == 0:
-            out = np.ones(a.shape, dtype=np.result_type(a, np.float64))
-            return out if a.ndim else out[()]
-    elif m == 0:
-        return zero + 1
+    if isinstance(a, float):
+        a, out = float(a), 1.0  # 1.0 * (a + 0) is a + 0 exactly
+        for i in range(m):
+            out *= a + i
+        return np.float64(out)
+    arr = np.atleast_1d(a)
+    if arr.dtype.kind in "biu":  # an integer product would wrap silently
+        arr = arr.astype(np.float64)
+    if m == 0:
+        out = np.ones(arr.shape, dtype=np.result_type(arr, np.float64))
     else:
-        a = complex(a) if isinstance(a, complex) else float(a)
-    out = a + 0
-    for i in range(1, m):
-        out = out * (a + i)
-    return out if zero is None else zero + out
+        with np.errstate(all="ignore"):
+            out = arr + 0
+            for i in range(1, m):
+                out = out * (arr + i)
+    return out if np.ndim(a) else out[0]

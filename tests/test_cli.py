@@ -477,8 +477,8 @@ def test_compare_revisions_script_flags_a_wrong_constant(tmp_path):
                                           "    val *= 2\n    return float(val)\n"))
     res = compare(copy)
     assert res.returncode == 1 and "DIFFERS" in res.stdout and "verdict changes: 3" in res.stdout
-    # its children cached their bytecode under their one shared directory,
-    # even where they were allowed to write it, never in the checkout
+    # its children imported a clean copy of it without writing bytecode, so
+    # none appears in the checkout
     assert not list(copy.rglob("__pycache__"))
     lines = sum(bool(line.strip()) for line in source.splitlines())
     assert "difference -1\n" in res.stdout and res.stdout.count("→") == 1
@@ -516,35 +516,56 @@ def test_compare_revisions_times_table_of_synthetic_rounds():
     assert cr.p99([float(i) for i in range(101)]) == 99.0
 
 
-def test_compare_revisions_children_share_one_fresh_bytecode_prefix(tmp_path, monkeypatch):
-    # each tree's children import from that tree's src/, and all of them read
-    # and write bytecode only under one fresh directory, so numpy and scipy
-    # are compiled once for both trees (the prefix mirrors each source
-    # file's absolute path, so each tree's package has bytecode of its own);
-    # one import of orthopara.cli per tree fills it, the second tree's import
-    # reading what the first wrote, and a tree that cannot import is an
-    # error (exit 2).  That no child writes into a checkout is checked end to
-    # end in test_compare_revisions_script_flags_a_wrong_constant.
+def test_compare_revisions_children_import_clean_copies(tmp_path, monkeypatch):
+    # every child process of both trees, sweeps and --times timers, imports
+    # the package from a copy of that tree's src/ outside its checkout that
+    # holds no __pycache__, with PYTHONDONTWRITEBYTECODE=1 and no
+    # PYTHONPYCACHEPREFIX (not even the caller's), so both trees compile their
+    # package alike and numpy and scipy read their installed bytecode
     cr = _script_module("compare_revisions")
-    warmed = []
+    base = tmp_path / "base"
+    shutil.copytree(cr.ROOT / "src", base / "src")
+    (base / "src" / "orthopara" / "__pycache__").mkdir(exist_ok=True)
+    (base / "src" / "orthopara" / "__pycache__" / "stale.pyc").touch()
+    (base / "src" / "base-tree-only").touch()
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"families": ["PARSEVAL_A"], "dims": [1],
+                                  "parseval_max_degree": 1}))
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
+    children = []
 
     def run(cmd, env, **kwargs):
-        prefix = Path(env["PYTHONPYCACHEPREFIX"])
-        warmed.append((cmd[1:], env["PYTHONPATH"], sorted(p.name for p in prefix.iterdir())))
-        (prefix / f"written-by-{len(warmed)}").touch()
-        return subprocess.CompletedProcess(cmd, 0 if env["PYTHONPATH"] != "broken" else 1, "", "")
+        src = Path(env["PYTHONPATH"])
+        children.append((cmd[3] if cmd[1] == "-m" else "timer", env, src,
+                         sorted(p.relative_to(src) for p in src.rglob("*"))))
+        if cmd[1] == "-m":
+            Path(cmd[cmd.index("--out") + 1]).write_text(
+                json.dumps({"summary": {"total": 0, "failed": 0}, "cases": []}))
+        return subprocess.CompletedProcess(cmd, 0, json.dumps({"PARSEVAL": [1e-6]}), "")
 
     monkeypatch.setattr(cr.subprocess, "run", run)
-    trees = (tmp_path / "base" / "src", cr.ROOT / "src")
-    envs = cr.child_envs(trees, tmp_path)
-    assert [env["PYTHONPATH"] for env in envs] == [str(tree) for tree in trees]
-    assert {env["PYTHONPYCACHEPREFIX"] for env in envs} == {str(tmp_path / "pycache")}
-    assert all("PYTHONDONTWRITEBYTECODE" not in env for env in envs)
-    imports = ["-c", "import orthopara.cli"]
-    assert warmed == [(imports, str(trees[0]), []), (imports, str(trees[1]), ["written-by-1"])]
-    (tmp_path / "again").mkdir()
-    with pytest.raises(ValueError, match="import orthopara.cli from broken exited 1"):
-        cr.child_envs(("broken",), tmp_path / "again")
+    monkeypatch.setattr(sys, "argv", ["compare_revisions.py", "--base", str(base), "--seeds", "1",
+                                      "--config", str(config), "--times", "1"])
+    assert cr.main() == 0
+    assert [kind for kind, *_ in children] == ["sweep", "sweep", "timer", "timer"]
+    for tree, (_, env, src, listing) in zip((base, cr.ROOT) * 2, children):
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1" and "PYTHONPYCACHEPREFIX" not in env
+        assert src.name == "src" and not src.is_relative_to(tree)
+        assert listing == sorted(p.relative_to(tree / "src") for p in (tree / "src").rglob("*")
+                                 if "__pycache__" not in p.parts)
+    # a tree that cannot import stops the script at its first sweep, with a
+    # message that names its copy and gives the import error
+    broken = tmp_path / "broken" / "src" / "orthopara"
+    broken.mkdir(parents=True)
+    (broken / "__init__.py").write_text('raise ImportError("this tree cannot import")\n')
+    monkeypatch.undo()
+    res = subprocess.run([sys.executable, str(cr.ROOT / "scripts" / "compare_revisions.py"),
+                          "--base", str(broken.parents[1]), "--seeds", "1",
+                          "--config", str(config)], capture_output=True, text=True)
+    assert res.returncode == 2
+    assert re.search(r"compare_revisions: sweep on \S+/base/src exited 1: ", res.stderr)
+    assert "ImportError: this tree cannot import" in res.stderr
+    assert not list(broken.rglob("__pycache__"))
 
 
 def test_high_degree_configs_hold_the_baseline_case_lists():
