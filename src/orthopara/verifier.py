@@ -14,8 +14,9 @@ slotted record (``VerificationReport``), and a kept row holds Python
 numbers, on which the level products, the certificate and the residual
 run by the IEEE operations numpy scalars would use, bit for bit.
 Per-case code calls no BLAS (``@``, ``np.dot``): a row is an elementwise
-product and a row sum, and line sums by ``@`` raised the default sweep's
-median case time by about 10% through OpenBLAS's threads.
+product and a row sum, a Fourier line sum an ``einsum`` (numpy's own loop)
+and a row sum, and line sums by ``@`` raised the default sweep's median
+case time by about 10% through OpenBLAS's threads.
 """
 
 from __future__ import annotations
@@ -358,44 +359,90 @@ def _terms_para(case):
 # Fourier closed forms vs direct transforms
 
 _TRUNC_LOG = math.log(1e13)
+_PANEL = 12  # nodes per panel of a line rule
 
 
 def _line_rule(left, right, level):
     """The 12-point composite Gauss-Legendre rule on [-left, right]: about
     one panel per unit length (at least 6) at level 0, doubled per level."""
     panels = max(6, int(math.ceil(left + right))) * 2**level
-    return composite_legendre(-left, right, panels, 12)
+    return composite_legendre(-left, right, panels, _PANEL)
 
 
-def _fourier_rules(fam, k, wp, level):
-    """The t rule and the len(k) x rules, one shared rule, of the direct
-    transform at ``level``: each side is cut where its exp(-rate |s|) decay
-    falls below 1e-13 (15% margin), except the right side of the Laguerre
-    t-factor, which decays like exp(-e^t / 2) and is cut at t = 4.8."""
-    cut = lambda rate: 1.15 * _TRUNC_LOG / rate
-    n = tail_sum(k, 1)
+def _cut(rate):
+    """Where an exp(-rate |s|) decay falls below 1e-13, with a 15% margin."""
+    return 1.15 * _TRUNC_LOG / rate
+
+
+def _t_rule(fam, n, wp, level):
+    """The t rule of the direct transform at ``level`` for |k| = n: each side
+    is cut where its decay falls below 1e-13, except the right side of the
+    Laguerre t-factor, which decays like exp(-e^t / 2) and is cut at t = 4.8."""
     if fam == "FOURIER_J":
-        t_rule = _line_rule(cut(2 * (wp.zeta + 0.5 * n)), cut(2 * wp.eta), level)
-    else:
-        t_rule = _line_rule(cut(wp.zeta + 0.5 * n), 4.8, level)
-    x = cut(2 * wp.alpha)
-    return t_rule, (_line_rule(x, x, level),) * len(k)
+        return _line_rule(_cut(2 * (wp.zeta + 0.5 * n)), _cut(2 * wp.eta), level)
+    return _line_rule(_cut(wp.zeta + 0.5 * n), 4.8, level)
 
 
-def _fourier_direct(fam, m, k, wp, xi, level, column):
-    """Direct numeric transform of h = h_t(t) prod_j g_axis(x_j): the 1-D
-    transform of the t-factor times one 1-D transform per x axis.  The rules
-    and the factor lines do not depend on xi and come from ``column``."""
-    t_rule, x_rules = column(("rules", tail_sum(k, 1), level),
-                             lambda: _fourier_rules(fam, k, wp, level))
+def _x_rule(wp, level):
+    """The rule that every x axis of a draw shares at ``level``: every
+    ``g_axis`` factor decays at least like exp(-2 alpha |x|)."""
+    x = _cut(2 * wp.alpha)
+    return _line_rule(x, x, level)
+
+
+def _panel_phases(rule):
+    """-i c_p for the P panels, then -i o_q for the 12 offsets, of a line
+    rule whose node (p, q) is c_p + o_q to rounding: c_p is panel p's
+    midpoint, and equal panels share panel 0's offsets from its midpoint."""
+    t = rule.nodes.reshape(-1, _PANEL)
+    mid = 0.5 * (t[:, 0] + t[:, -1])
+    return -1j * np.concatenate((mid, t[0] - mid[0]))
+
+
+def _weighted_line(rule, factor, *args):
+    """``factor(*args, nodes)`` times the rule's weights, as its (P, 12)
+    panel view."""
+    return (rule.weights * factor(*args, rule.nodes)).reshape(-1, _PANEL)
+
+
+def _line_sums(phases, lines, xi):
+    """The sums sum_t w f e^{-i xi t} of weighted lines ``lines`` (..., P, 12)
+    on one rule of ``_panel_phases`` ``phases``, as
+    sum_p e^{-i xi c_p} sum_q (w f)_pq e^{-i xi o_q}: P + 12 exps per line
+    instead of 12 P.  ``xi`` is a number for one line, or a column (d, 1)
+    of one xi per line of a stack (d, P, 12).  ``einsum`` (numpy's own
+    loop, no BLAS) sums each panel's 12 products, and a pairwise ``sum``
+    the P panels."""
+    panels = lines.shape[-2]
+    phase = np.exp(xi * phases)
+    inner = np.einsum("...pq,...q->...p", lines, phase[..., panels:])
+    return (inner * phase[..., :panels]).sum(axis=-1)
+
+
+def _fourier_direct(fam, m, k, wp, xi, level, get):
+    """Direct numeric transform of h = h_t(t) prod_j g_axis(x_j) at
+    ``level``: the 1-D transform of the t-factor times one 1-D transform per
+    x axis, each a ``_line_sums`` over panels.  What does not depend on xi
+    comes from ``get(key, compute, *args)`` (the draw's), keyed by what it
+    depends on in a draw of fixed d and params: the t rule and its phases by
+    (|k|, level), the shared x rule and its phases by level, the weighted
+    t line by (m, |k|, level), the weighted x line of axis j by
+    (j, k_j, |k^{j+1}|, level), and the stack of a case's d x lines by
+    (k, level), which one ``_line_sums`` sums at the d x entries of xi.
+    Returns the value and the nodes of the t rule and the d x rules."""
+    n, d = tail_sum(k, 1), len(k)
+    t_rule = get(("t", n, level), _t_rule, fam, n, wp, level)
+    x_rule = get(("x", level), _x_rule, wp, level)
     h_t = h_jacobi_t if fam == "FOURIER_J" else h_laguerre_t
-    t = t_rule.nodes
-    ht = column(("h", m, k, level), lambda: h_t(m, k, wp, t))
-    val = (t_rule.weights * np.exp(-1j * xi[len(k)] * t) * ht).sum()
-    for j, r in enumerate(x_rules, start=1):
-        fx = column(("g", j, k, level), lambda: g_axis(j, wp.alpha, wp.mu, k, r.nodes))
-        val = val * (r.weights * np.exp(-1j * xi[j - 1] * r.nodes) * fx).sum()
-    return val, len(t_rule) + sum(len(r) for r in x_rules)
+    ht = get(("h", m, n, level), _weighted_line, t_rule, h_t, m, k, wp)
+    gx = get(("gs", k, level), lambda: np.stack([
+        get(("g", j, k[j - 1], tail_sum(k, j + 1), level), _weighted_line,
+            x_rule, g_axis, j, wp.alpha, wp.mu, k) for j in range(1, d + 1)]))
+    val = _line_sums(get(("tp", n, level), _panel_phases, t_rule), ht, xi[d])
+    xs = np.array(xi[:d])[:, None]
+    for v in _line_sums(get(("xp", level), _panel_phases, x_rule), gx, xs).tolist():
+        val = val * v
+    return val, len(t_rule) + d * len(x_rule)
 
 
 def _bind_fourier(case):

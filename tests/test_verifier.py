@@ -28,7 +28,7 @@ from orthopara.transforms import (
     eval_h_jacobi, eval_h_laguerre,
 )
 from orthopara.verifier import (
-    _PARSEVAL_LEVELS, ALL_FAMILIES, IdentityCase, _fourier_direct, _fourier_rules,
+    _PARSEVAL_LEVELS, ALL_FAMILIES, IdentityCase, _Draw, _fourier_direct, _t_rule, _x_rule,
     _gram_level, _parseval_rule, degree_index_pairs, generate_cases,
     multi_indices, parseval_rhs, run_case, share_draws,
 )
@@ -153,13 +153,85 @@ def test_separated_fourier_oracle_matches_full_tensor(fam, d):
     else:
         wp = WrapParamsLaguerre(p["alpha"], p["zeta"], p["beta"], p["mu"])
         h = lambda t, *x: eval_h_laguerre(m, k, wp, t, list(x))
-    t_rule, x_rules = _fourier_rules(fam, k, wp, 0)
     full = tensor_integrate(
-        [t_rule, *x_rules],
+        [_t_rule(fam, d, wp, 0), *(_x_rule(wp, 0),) * d],
         lambda t, *x: np.exp(-1j * (xi[d] * t + sum(v * xv for v, xv in zip(xi, x)))) * h(t, *x),
     )
-    separated, _ = _fourier_direct(fam, m, k, wp, xi, 0, lambda key, compute: compute())
+    separated, _ = _fourier_direct(fam, m, k, wp, xi, 0, _Draw().get)
     assert separated == pytest.approx(full, rel=1e-12)
+
+
+FOURIER_WP = {"FOURIER_J": WrapParamsJacobi(0.8, 1.1, 0.9, 0.3, 0.4, 0.7),
+              "FOURIER_L": WrapParamsLaguerre(0.8, 1.1, 0.3, 0.7)}
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.7, -0.7, 2.0, -2.0])
+@pytest.mark.parametrize("fam", ["FOURIER_J", "FOURIER_L"])
+def test_panel_line_sum_matches_per_node_sum(fam, xi):
+    # sum_p e^{-i xi c_p} sum_q (w f)_pq e^{-i xi o_q} is the plain per-node
+    # sum of w f e^{-i xi t}: on the t line of either family, on each row of
+    # a stack of x lines (one xi per row), and on a one-panel rule
+    wp, k = FOURIER_WP[fam], ball.validate_multi_index((1, 2))
+    h_t = verifier.h_jacobi_t if fam == "FOURIER_J" else verifier.h_laguerre_t
+
+    def check(rule, factors, xis):
+        lines = np.stack([(rule.weights * f).reshape(-1, 12) for f in factors])
+        got = verifier._line_sums(verifier._panel_phases(rule), lines, np.array(xis)[:, None])
+        for f, x, v in zip(factors, xis, got):
+            want = (rule.weights * f * np.exp(-1j * x * rule.nodes)).sum()
+            assert v == pytest.approx(want, rel=1e-13)
+        one = verifier._line_sums(verifier._panel_phases(rule), lines[0], xis[0])
+        assert one == pytest.approx(got[0], rel=1e-15)
+
+    t_rule, x_rule = _t_rule(fam, 3, wp, 1), _x_rule(wp, 0)
+    check(t_rule, [h_t(3, k, wp, t_rule.nodes)], [xi])
+    check(x_rule, [verifier.g_axis(j, wp.alpha, wp.mu, k, x_rule.nodes) for j in (1, 2)],
+          [xi, -0.5 * xi])
+    one = verifier.composite_legendre(-1.5, 2.0, 1, 12)
+    check(one, [np.cos(one.nodes) + one.nodes ** 2], [xi])
+
+
+@pytest.mark.parametrize("fam", ["FOURIER_J", "FOURIER_L"])
+def test_fourier_draw_builds_each_line_once(fam, monkeypatch):
+    # a draw builds its x rule once per level, its t rule once per (|k|,
+    # level), its t line once per (m, |k|, level) and the x line of axis j
+    # once per (j, k_j, |k^{j+1}|, level), though cases share them; every
+    # line it holds is, bit for bit, the line of each case's own (m, k)
+    builds = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            builds[name] = builds.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(verifier, name, wrapper)
+
+    h_name = "h_jacobi_t" if fam == "FOURIER_J" else "h_laguerre_t"
+    for name in ("_x_rule", "_t_rule", h_name, "g_axis"):
+        counted(name, getattr(verifier, name))
+    cases = generate_cases(SweepConfig(families=[fam], seed=3, dims=[2], fourier_max_degree=3))
+    assert all(c.draw is cases[0].draw for c in cases)
+    for c in cases:
+        assert run_case(c).passed
+    mks = {(c.m, c.k) for c in cases}
+    ns = {sum(k) for _, k in mks}
+    g_keys = {(j, k[j - 1], sum(k[j:])) for _, k in mks for j in (1, 2)}
+    # the cases share lines: fewer dependency keys than (m, k) pairs
+    assert len({(m, sum(k)) for m, k in mks}) < len(mks) and len(g_keys) < 2 * len(mks)
+    assert builds == {"_x_rule": 2, "_t_rule": 2 * len(ns),
+                      h_name: 2 * len({(m, sum(k)) for m, k in mks}), "g_axis": 2 * len(g_keys)}
+    wp = (WrapParamsJacobi if fam == "FOURIER_J" else WrapParamsLaguerre)(**cases[0].params)
+    h_t, columns = getattr(verifier, h_name), cases[0].draw.columns
+    for m, k in mks:
+        k, n = ball.validate_multi_index(k), sum(k)
+        for level in (0, 1):
+            t_rule, x_rule = _t_rule(fam, n, wp, level), _x_rule(wp, level)
+            assert np.array_equal(columns["t", n, level].nodes, t_rule.nodes)
+            assert np.array_equal(columns["x", level].nodes, x_rule.nodes)
+            assert np.array_equal(columns["h", m, n, level],
+                                  (t_rule.weights * h_t(m, k, wp, t_rule.nodes)).reshape(-1, 12))
+            for j in (1, 2):
+                gj = x_rule.weights * verifier.g_axis(j, wp.alpha, wp.mu, k, x_rule.nodes)
+                assert np.array_equal(columns["gs", k, level][j - 1], gj.reshape(-1, 12))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -598,7 +670,7 @@ def test_quadrature_oracle_values_pinned():
         values.update(repr((c.identity_id, rep.passed, rep.lhs, rep.rhs)).encode() + b"\n")
     assert len(cases) == 272
     assert verdicts.hexdigest() == "0a1d1a6f408000b96d635af8e442869748dbbb7808a5f827a3032a7d4461cc5a"
-    assert values.hexdigest() == "115bfa11a6eea0bbcf6bdae3f761ca8f993c8f34945d1854aa680fcb7f715060"
+    assert values.hexdigest() == "0e5798a49b450d2ba9402e7b35d1f4ecb94c425c6a6855a4ed3e6da9898161ca"
 
 
 # small sweeps of two parameter draws each (ORT_PARA_J: d = 1 and d = 2)
@@ -822,9 +894,10 @@ def test_draw_memo_holds_one_draw_read_only(fam):
 def test_draw_lock_keeps_one_thread_in_its_stacks(region, monkeypatch):
     # two threads each read one entry of a draw that enters ``region``: a
     # column stack's append, or a row fill.  Inside it the first thread
-    # waits up to 0.5 s for the other to come in too; the draw's lock keeps
-    # the other out until the first has left, so one thread at a time is
-    # inside, and each reads the serial value
+    # waits until the other comes in too or finds the draw's lock held,
+    # which the lock, instrumented, reports; the lock keeps the other out
+    # until the first has left, so one thread at a time is inside, and each
+    # reads the serial value
     import threading
 
     n, entries = 16, [(1, 1), (2, 2)] if region == "append" else [(1, 0), (2, 0)]
@@ -837,6 +910,21 @@ def test_draw_lock_keeps_one_thread_in_its_stacks(region, monkeypatch):
     guard, met = threading.Lock(), threading.Event()
     original = getattr(verifier._Stack, region)
 
+    class Watched:
+        # the draw's lock, which sets ``met`` when a thread finds it held
+        def __init__(self, lock):
+            self.lock = lock
+
+        def __enter__(self):
+            if not self.lock.acquire(blocking=False):
+                met.set()
+                self.lock.acquire()
+
+        def __exit__(self, *exc):
+            self.lock.release()
+
+    draw.lock = Watched(draw.lock)
+
     def waiting(*args):
         nonlocal inside, most, entered
         with guard:
@@ -846,7 +934,7 @@ def test_draw_lock_keeps_one_thread_in_its_stacks(region, monkeypatch):
                 met.set()
             last = entered == len(entries)
         if not last:
-            met.wait(timeout=0.5)
+            met.wait(timeout=10)
         try:
             return original(*args)
         finally:
