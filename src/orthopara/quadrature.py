@@ -1,28 +1,19 @@
-"""Gauss rules for the oracles: Gauss-Jacobi and Gauss-Laguerre for the ball
-and paraboloid Gram entries, composite Gauss-Legendre panels on the
-truncated lines of the Fourier and Parseval integrals.
+"""Rules for the oracles: Gauss-Jacobi and Gauss-Laguerre for the ball and
+paraboloid Gram entries, the trapezoid rule on the truncated lines of the
+Fourier and Parseval integrals.  The Gauss rules are built by Golub-Welsch
+(Math. Comp. 23, 1969): the nodes are the eigenvalues of the recurrence's
+Jacobi matrix (numpy's ``eigvalsh``), each polished by one Newton step, and
+the weights come from the polynomials at the nodes, as scipy builds its
+Gauss rules; a symmetric weight halves the eigenproblem.
 
-The Gauss-Jacobi and Gauss-Laguerre rules are built by Golub-Welsch (Math.
-Comp. 23, 1969): the nodes are the eigenvalues of the recurrence's Jacobi
-matrix (numpy's ``eigvalsh``), each polished by one Newton step, and the
-weights come from the polynomials at the nodes, as scipy builds its Gauss
-rules; a symmetric weight halves the eigenproblem.
-
-Every call builds its rule; a caller that reuses a rule holds it (the
-verifier keeps each parameter draw's rules in its draw).  The one
-constant kept for the process is the n-point Gauss-Legendre rule on
-[-1, 1], built once per n.  A rule's nodes and weights are read-only, so no
-caller can change a rule that another reads, and the oracles sum in fixed
-node order, so repeated runs produce bit-identical results.  Every rule size
-is checked before anything is allocated: a node or panel count is an index
-(``gammafn.is_index``) from 1 to MAX_NODES_PER_AXIS, and a composite rule has at most
-MAX_NODES_PER_AXIS nodes in all; anything else raises DomainError.  A
-Gauss-Jacobi or Gauss-Laguerre rule has at most MAX_GAUSS_NODES nodes, as
-its dense n x n Jacobi matrix is 8 n^2 bytes (8 MB at the limit).  The
-largest rules the shipped configs build are 32 nodes in the default sweep,
-128 in perfbench's gram-highdeg and 192 on BALL-28's ball axes
-(scripts/configs/ball-28.json: |k| + |k2| <= 56 puts n0 at 96 on the
-12 2^j ladder); the Fourier and Parseval configs build none.
+Every call builds its rule, read-only; a caller that reuses a rule holds it
+(the verifier keeps each parameter draw's rules in its draw), and the
+oracles sum in fixed node order, so reruns are bit-identical.  Every rule
+size is checked before anything is allocated: a node count is an index
+(``gammafn.is_index``) from 1 to MAX_NODES_PER_AXIS, and a Gauss rule's at
+most MAX_GAUSS_NODES, its dense Jacobi matrix being 8 n^2 bytes; else
+DomainError.  The largest Gauss rules the shipped configs build have 192
+nodes (BALL-28's ball axes).
 """
 
 from __future__ import annotations
@@ -30,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import betaln, eval_genlaguerre, eval_jacobi, gamma
 
 from .errors import DomainError
@@ -42,9 +32,10 @@ MAX_GAUSS_NODES = 2**10
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights of a rule; both arrays are made read-only."""
+    """Nodes and weights (made read-only) and ``tails`` (``trapezoid``) of a rule."""
     nodes: np.ndarray
     weights: np.ndarray
+    tails: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         self.nodes.flags.writeable = False
@@ -139,27 +130,10 @@ def gauss_jacobi(n, a, b):
         lambda x: 0.5 * (n + a + b + 1) * eval_jacobi(n - 1, a + 1, b + 1, x))
 
 
-_LEGENDRE = {}  # n -> the n-point Gauss-Legendre rule on [-1, 1]
-
-
-def _legendre(n):
-    rule = _LEGENDRE.get(n)
-    if rule is None:
-        rule = _LEGENDRE[n] = QuadratureRule(*leggauss(n))
-    return rule
-
-
-def composite_legendre(lo, hi, panels, n=12):
-    """Composite Gauss-Legendre: ``panels`` equal panels of an n-point rule,
-    each exact for degree <= 2n-1.  Every panel at once: the affine image
-    of the n-point rule on [-1, 1] in each panel."""
-    n = _check_size("composite_legendre: n", n)
-    panels = _check_size("composite_legendre: panels", panels)
-    if panels * n > MAX_NODES_PER_AXIS:
-        raise DomainError(f"composite_legendre: {panels} panels of {n} nodes; "
-                          f"needs at most {MAX_NODES_PER_AXIS} nodes")
-    base = _legendre(n)
-    edges = np.linspace(lo, hi, panels + 1)
-    slope = ((edges[1:] - edges[:-1]) / 2.0)[:, None]
-    return QuadratureRule((edges[:-1, None] + (base.nodes + 1.0) * slope).ravel(),
-                          (base.weights * slope).ravel())
+def trapezoid(a, h, n, lengths):
+    """The n-point trapezoid rule a + j h (j < n), every weight h, on a line
+    cut where its integrand decays by ``lengths`` past the first and the last
+    node; its ``tails`` are those lengths over h."""
+    n = _check_size("trapezoid: n", n)
+    return QuadratureRule(a + h * np.arange(n), np.full(n, float(h)),
+                          (lengths[0] / h, lengths[1] / h))

@@ -5,8 +5,8 @@ Gram entries against norm formulas, closed-form Fourier transforms against
 direct numeric transforms, the two Parseval constants, the 14 lifted
 contiguous relations, and the Hahn-form equivalences.  ``run_case`` judges
 the two sides a family's runner returns into a VerificationReport, with a
-convergence certificate (two quadrature refinement levels in agreement)
-behind every oracle side.
+convergence certificate (two refinement levels in agreement, and a line's
+tail past its cuts within it) behind every oracle side.
 
 Most Gram cases read their entries from rows their draw already holds,
 so such a case costs little more than its bookkeeping: its report is one
@@ -40,7 +40,7 @@ from .contiguous import a_relation_pair, b_relation_pair
 from .errors import DomainError, PoleError, QuadratureNonConvergence
 from .gammafn import cexp, log_gamma, pochhammer
 from .paraboloid import jacobi_paraboloid_norm, laguerre_paraboloid_norm, radial_factor, t_rule
-from .quadrature import QuadratureRule, composite_legendre, gauss_jacobi, gauss_laguerre
+from .quadrature import QuadratureRule, gauss_jacobi, gauss_laguerre, trapezoid
 from .transforms import (
     SPLIT_NAMES, A_t, B_t, D_axis, SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A,
     eval_A_hahn, eval_D, eval_D_hahn, fourier_h_jacobi_closed, fourier_h_laguerre_closed,
@@ -95,27 +95,25 @@ class _Skip(Exception):
 def _certified(levels, integral, tol, scale):
     """Refine through ``levels`` until two successive ones agree.
 
-    ``integral(level)`` returns (value, nodes).  Agreement within
-    max(tol |value|, 0.1 tol scale) is the convergence certificate behind the
-    verdict; returns the finer value and the nodes of every level used.
+    ``integral(level)`` returns (value, tail past a line's cuts, nodes).
+    Agreement within max(tol |value|, 0.1 tol scale), and a tail within it, is
+    the certificate behind the verdict; returns the finer value and nodes used.
     """
     if len(levels) < 2:
         raise ValueError(f"_certified: a certificate needs at least two levels, got {levels!r}")
     prev = None
     nodes = 0
     for level in levels:
-        val, n = integral(level)
+        val, tail, n = integral(level)
         nodes += n
         if prev is not None:
             delta = abs(val - prev)
             threshold = max(tol * abs(val), 0.1 * tol * scale)
-            if delta <= threshold:
+            if delta <= threshold and tail <= threshold:
                 return val, nodes
         prev = val
-    raise QuadratureNonConvergence(
-        f"refinement levels {levels} did not agree: "
-        f"last delta {delta:.3e} > threshold {threshold:.3e}"
-    )
+    raise QuadratureNonConvergence(f"refinement levels {levels} did not agree: last delta "
+                                   f"{delta:.3e} or tail {tail:.3e} > threshold {threshold:.3e}")
 
 
 def _gram_levels(floor, degree):
@@ -165,16 +163,17 @@ class _Draw:
     equal identity id, d and params (``share_draws``), or one case run
     without a draw.
 
-    Its family's ``bind(case)`` binds the draw's params into the rule
-    builder ``rule_of(n)`` (the n-point level's rules, one per axis), basis
+    Its family's ``bind(run)`` binds the params of its run into the rule
+    builder ``rule_of(n)`` (level n's rules, one per axis), basis
     ``basis(axis, i, nodes)`` (the factor of index i on an axis) and norm
-    ``norm_of(i)``; a Fourier draw binds none of them.  The draw caches, per
-    key, each level's rules, each basis or factor column and beside it that
-    column times its axis weights (the weighted column), and per index i its
-    norm.  ``get(key, compute, *args)`` evaluates ``compute(*args)`` once per
-    key; an array is cached as a read-only view, and a rule has read-only
-    arrays already.  ``release()`` drops the caches, which a later case of
-    the draw computes again.
+    ``norm_of(i)``; a Fourier draw binds only line rules.  The draw caches,
+    per key, each level's rules, each basis or factor column and beside it
+    that column times its axis weights (the weighted column), each line
+    entry's tail, and per index i its norm.  ``get(key, compute, *args)``
+    evaluates ``compute(*args)`` once per key; an array is cached as a
+    read-only view (a tail too), and a rule has read-only arrays already.
+    ``release()`` drops the caches, which a later case of the draw computes
+    again.
 
     A Gram entry on an axis is ``entry(n, axis, i, i2)``: the weighted
     column of i times the column of i2, summed, which is the product order
@@ -257,25 +256,24 @@ class _Draw:
 def _gram_level(draw, terms, n):
     """The product of the draw's entries ((axis, i, i2), ...) on the n-point
     level, in that order from the first entry (a one-entry level is its
-    entry), and its nodes: n per entry."""
+    entry), its tail, 0 on a Gauss rule, and its nodes (n per entry)."""
     val = None
     for axis, i, i2 in terms:
         entry = draw.entry(n, axis, i, i2)
         val = entry if val is None else val * entry
-    return val, n * len(terms)
+    return val, 0.0, n * len(terms)
 
 
-def _gram(terms):
+def _gram(terms, integral=functools.partial(functools.partial, _gram_level)):
     """The runner of a Gram family whose ``terms(case)`` is (levels, i, i2,
-    entries): the certified ``_gram_level`` of the entries against the draw's
-    norm of i, or 0 off the diagonal, at scale sqrt(norm(i) norm(i2))."""
+    entries): ``integral(draw, entries)`` certified against the draw's norm of
+    i, or 0 off the diagonal, at scale sqrt(norm(i) norm(i2))."""
     def run(case):
         draw = case.draw
         levels, i, i2, entries = terms(case)
         diag, diag2 = draw.norm(i), draw.norm(i2)
         scale = math.sqrt(diag * diag2)
-        val, nodes = _certified(levels, functools.partial(_gram_level, draw, entries),
-                                case.tolerance, scale)
+        val, nodes = _certified(levels, integral(draw, entries), case.tolerance, scale)
         return val, diag if i == i2 else 0.0, scale, nodes
     return run
 
@@ -284,15 +282,15 @@ def _gram(terms):
 # orthogonality
 
 
-def _bind_1d(case):
+def _bind_1d(run):
     """A 1-D draw: one axis, the Gauss rule of the family's weight, its
     polynomials and their norms."""
-    p = case.params
-    if case.identity_id == "ORT_GEGEN":
+    p = run[0].params
+    if run[0].identity_id == "ORT_GEGEN":
         mu = p["mu"]
         return (lambda n: (gauss_jacobi(n, mu - 0.5, mu - 0.5),),
                 lambda axis, mm, x: gegenbauer(mm, mu, x), lambda mm: gegenbauer_norm(mm, mu))
-    if case.identity_id == "ORT_JACOBI":
+    if run[0].identity_id == "ORT_JACOBI":
         a, b = p["alpha"], p["beta"]
         return (lambda n: (gauss_jacobi(n, a, b),), lambda axis, mm, x: jacobi(mm, a, b, x),
                 lambda mm: jacobi_norm(mm, a, b))
@@ -307,10 +305,10 @@ def _terms_1d(case):
     return _gram_levels(16, m + m2), m, m2, ((0, m, m2),)
 
 
-def _bind_ball(case):
+def _bind_ball(run):
     """A ball draw: axis j - 1 carries ``ball_rules``' rule j and
     ``ball_axis`` factor j, j = 1 .. len(k)."""
-    d, mu = len(case.k), case.params["mu"]
+    d, mu = len(run[0].k), run[0].params["mu"]
     return (lambda n: ball_rules(d, mu, n), lambda axis, kk, v: ball_axis(axis + 1, mu, kk, v),
             lambda kk: ball_norm(kk, mu))
 
@@ -323,14 +321,14 @@ def _terms_ball(case):
     return levels, k, k2, tuple((axis, k, k2) for axis in range(len(k)))
 
 
-def _bind_para(case):
+def _bind_para(run):
     """A paraboloid draw: the ball axes of ``_bind_ball``, then axis d = len(k)
     with the radial ``t_rule`` and the t-factor of index (m, k): with
     x = sqrt(t) y a basis function is its ``radial_factor`` times t^{|k|/2}
     times the ball factors of y."""
-    p = case.params
-    d, mu, beta = len(case.k), p["mu"], p["beta"]
-    if case.identity_id == "ORT_PARA_J":
+    p = run[0].params
+    d, mu, beta = len(run[0].k), p["mu"], p["beta"]
+    if run[0].identity_id == "ORT_PARA_J":
         kind, gamma = "jacobi", p["gamma"]
         norm = lambda mk: jacobi_paraboloid_norm(*mk, beta, gamma, mu)
     else:
@@ -356,123 +354,139 @@ def _terms_para(case):
 
 
 # ---------------------------------------------------------------------------
-# Fourier closed forms vs direct transforms
+# line rules (Fourier and Parseval); Fourier closed forms vs direct transforms
 
-_TRUNC_LOG = math.log(1e13)
 _PANEL = 12  # nodes per panel of a line rule
+_LOG_TOL = math.log(1e14)
+"""Each line aims at 1e-14: on an integrand analytic in |Im| < w and at most
+e^g times its integral there, a trapezoid step h errs by about
+e^{g - 2 pi w / h} (Trefethen-Weideman, SIAM Review 56, 2014, Thm 5.1)."""
+
+_FOURIER_WIDTH = math.pi / 8
+"""w of a Fourier line, a quarter of the way to tanh's poles at +-i pi/2:
+tanh maps |Im| < pi/8 into the Bernstein ellipse of [-1, 1] through
+i tan(pi/8), where a polynomial in tanh of degree M grows by rho^M."""
+_LOG_RHO = math.log(math.tan(_FOURIER_WIDTH) + 1 / math.cos(_FOURIER_WIDTH))  # ln rho
 
 
-def _line_rule(left, right, level):
-    """The 12-point composite Gauss-Legendre rule on [-left, right]: about
-    one panel per unit length (at least 6) at level 0, doubled per level."""
-    panels = max(6, int(math.ceil(left + right))) * 2**level
-    return composite_legendre(-left, right, panels, _PANEL)
+def _line_size(sides, width, growth):
+    """The sizer: a line's cuts, each the first T = 1.1^j >= 1 at which its side's
+    log bound ``side(T)`` is below -ln 1e14, and its step for an integrand
+    analytic in |Im| < ``width`` and at most e^growth times its integral there."""
+    cuts = [next(1.1 ** j for j in range(218) if j == 217 or side(1.1 ** j) <= -_LOG_TOL)
+            for side in sides]  # 1.1^217 = 1e9: past it the rule is oversized
+    return cuts, 2 * math.pi * width / (_LOG_TOL + growth)
 
 
-def _cut(rate):
-    """Where an exp(-rate |s|) decay falls below 1e-13, with a 15% margin."""
-    return 1.15 * _TRUNC_LOG / rate
+def _line(sides, width, growth, shift):
+    """The sized line's trapezoid rule from the left cut, on a multiple of 12
+    nodes, moved by ``shift`` half steps (shifts 0 and 1 make the rule of half
+    the step); past a cut T a side decays by the length 0.1 T over its bound's
+    fall to 1.1 T, at most T."""
+    (left, right), h = _line_size(sides, width, growth)
+    lengths = [0.1 * T / max(side(T) - side(1.1 * T), 0.1) for side, T in zip(sides, (left, right))]
+    n = _PANEL * math.ceil(((left + right) / h + 1) / _PANEL)
+    return trapezoid(0.5 * shift * h - left, h, n, lengths)
 
 
-def _t_rule(fam, n, wp, level):
-    """The t rule of the direct transform at ``level`` for |k| = n: each side
-    is cut where its decay falls below 1e-13, except the right side of the
-    Laguerre t-factor, which decays like exp(-e^t / 2) and is cut at t = 4.8."""
-    if fam == "FOURIER_J":
-        return _line_rule(_cut(2 * (wp.zeta + 0.5 * n)), _cut(2 * wp.eta), level)
-    return _line_rule(_cut(wp.zeta + 0.5 * n), 4.8, level)
+def _tail(rule, line):
+    """The integral past its rule's cuts of a weighted line (..., nodes)."""
+    return rule.tails[0] * abs(line[..., 0]) + rule.tails[1] * abs(line[..., -1])
 
 
-def _x_rule(wp, level):
-    """The rule that every x axis of a draw shares at ``level``: every
-    ``g_axis`` factor decays at least like exp(-2 alpha |x|)."""
-    x = _cut(2 * wp.alpha)
-    return _line_rule(x, x, level)
+def _line_product(shifts, nodes, level):
+    """The value, first-order tail and nodes of a product of lines at ``level``
+    (shift 0, or shifts 0 and 1) from each shift's (value, tail) per line."""
+    lines = shifts[0] if level == 0 else [((v + w) / 2, (t + u) / 2)
+                                          for (v, t), (w, u) in zip(*shifts)]
+    return math.prod(v for v, _ in lines), sum(
+        t * math.prod(abs(v) for v, _ in lines[:j] + lines[j + 1:])
+        for j, (_, t) in enumerate(lines)), nodes * (level + 1)
 
 
 def _panel_phases(rule):
-    """-i c_p for the P panels, then -i o_q for the 12 offsets, of a line
-    rule whose node (p, q) is c_p + o_q to rounding: c_p is panel p's
-    midpoint, and equal panels share panel 0's offsets from its midpoint."""
+    """-i c_p for the P panels, then -i o_q for the 12 offsets, of a line rule
+    of equal panels: node (p, q) is c_p + o_q to rounding, c_p its panel's first."""
     t = rule.nodes.reshape(-1, _PANEL)
-    mid = 0.5 * (t[:, 0] + t[:, -1])
-    return -1j * np.concatenate((mid, t[0] - mid[0]))
+    return -1j * np.concatenate((t[:, 0], t[0] - t[0, 0]))
 
 
-def _weighted_line(rule, factor, *args):
-    """``factor(*args, nodes)`` times the rule's weights, as its (P, 12)
-    panel view."""
-    return (rule.weights * factor(*args, rule.nodes)).reshape(-1, _PANEL)
+def _weighted_lines(rule, factor, *args):
+    """``factor(*args, nodes)`` times the weight h of a trapezoid rule, at its
+    nodes and at their midpoints (shift 1), as a (2, P, 12) panel view."""
+    h = rule.weights[0]
+    return (h * factor(*args, np.append(rule.nodes, rule.nodes + 0.5 * h))).reshape(2, -1, _PANEL)
 
 
 def _line_sums(phases, lines, xi):
     """The sums sum_t w f e^{-i xi t} of weighted lines ``lines`` (..., P, 12)
     on one rule of ``_panel_phases`` ``phases``, as
     sum_p e^{-i xi c_p} sum_q (w f)_pq e^{-i xi o_q}: P + 12 exps per line
-    instead of 12 P.  ``xi`` is a number for one line, or a column (d, 1)
-    of one xi per line of a stack (d, P, 12).  ``einsum`` (numpy's own
-    loop, no BLAS) sums each panel's 12 products, and a pairwise ``sum``
-    the P panels."""
+    instead of 12 P.  ``xi`` is a number, or a column (d, 1) of one xi per
+    line of a stack (..., d, P, 12).  ``einsum`` (numpy's own loop, no BLAS)
+    sums each panel's 12 products, and a pairwise ``sum`` the P panels."""
     panels = lines.shape[-2]
     phase = np.exp(xi * phases)
     inner = np.einsum("...pq,...q->...p", lines, phase[..., panels:])
     return (inner * phase[..., :panels]).sum(axis=-1)
 
 
-def _fourier_direct(fam, m, k, wp, xi, level, get):
-    """Direct numeric transform of h = h_t(t) prod_j g_axis(x_j) at
-    ``level``: the 1-D transform of the t-factor times one 1-D transform per
-    x axis, each a ``_line_sums`` over panels.  What does not depend on xi
-    comes from ``get(key, compute, *args)`` (the draw's), keyed by what it
-    depends on in a draw of fixed d and params: the t rule and its phases by
-    (|k|, level), the shared x rule and its phases by level, the weighted
-    t line by (m, |k|, level), the weighted x line of axis j by
-    (j, k_j, |k^{j+1}|, level), and the stack of a case's d x lines by
-    (k, level), which one ``_line_sums`` sums at the d x entries of xi.
-    Returns the value and the nodes of the t rule and the d x rules."""
-    n, d = tail_sum(k, 1), len(k)
-    t_rule = get(("t", n, level), _t_rule, fam, n, wp, level)
-    x_rule = get(("x", level), _x_rule, wp, level)
+def _fourier_direct(fam, m, k, wp, xi, draw):
+    """Direct numeric transform of h = h_t(t) prod_j g_axis(x_j): the 1-D
+    transform of the t-factor and one per x axis, each a ``_line_sums`` on the
+    draw's rule (shift 0) and its midpoints (shift 1: its panels moved by
+    h / 2).  What does not depend on xi comes from the draw's ``get(key,
+    compute, *args)``, keyed by what it depends on in a draw of fixed d and
+    params: the t rule and its phases by |k|, the x rule and its phases once,
+    the weighted t lines by (m, |k|), the x lines of axis j by
+    (j, k_j, |k^{j+1}|), and a case's stack of d x lines by k.  Returns each
+    shift's (value, tail) per line as a level function (``_line_product``)."""
+    n, d, get = tail_sum(k, 1), len(k), draw.get
+    t_rule, x_rule = get(("t", n), draw.rule_of, n), get(("x",), draw.rule_of, None)
     h_t = h_jacobi_t if fam == "FOURIER_J" else h_laguerre_t
-    ht = get(("h", m, n, level), _weighted_line, t_rule, h_t, m, k, wp)
-    gx = get(("gs", k, level), lambda: np.stack([
-        get(("g", j, k[j - 1], tail_sum(k, j + 1), level), _weighted_line,
-            x_rule, g_axis, j, wp.alpha, wp.mu, k) for j in range(1, d + 1)]))
-    val = _line_sums(get(("tp", n, level), _panel_phases, t_rule), ht, xi[d])
-    xs = np.array(xi[:d])[:, None]
-    for v in _line_sums(get(("xp", level), _panel_phases, x_rule), gx, xs).tolist():
-        val = val * v
-    return val, len(t_rule) + d * len(x_rule)
+    ht = get(("h", m, n), _weighted_lines, t_rule, h_t, m, k, wp)
+    gx = get(("gs", k), lambda: np.stack([
+        get(("g", j, k[j - 1], tail_sum(k, j + 1)), _weighted_lines,
+            x_rule, g_axis, j, wp.alpha, wp.mu, k) for j in range(1, d + 1)], axis=1))
+    xs = np.array(xi[:d])
+    t = _line_sums(get(("tp", n), _panel_phases, t_rule), ht, xi[d]) * np.exp(
+        [0, -0.5j * xi[d] * t_rule.weights[0]])
+    x = _line_sums(get(("xp",), _panel_phases, x_rule), gx, xs[:, None]) * np.exp(
+        np.outer([0, -0.5j], xs * x_rule.weights[0]))
+    tt, tx = _tail(t_rule, ht.reshape(2, -1)).tolist(), _tail(x_rule, gx.reshape(2, d, -1))
+    return functools.partial(_line_product, [[(v, u), *zip(vx, ux)] for v, u, vx, ux in zip(
+        t.tolist(), tt, x.tolist(), tx.tolist())], len(t_rule) + d * len(x_rule))
 
 
-def _bind_fourier(case):
-    """A Fourier draw binds nothing: its cases share their line rules and
-    factor lines through the draw's ``get``."""
-    return ()
+def _bind_fourier(run):
+    """A Fourier draw binds ``rule_of(n)``, the t line's rule of |k| = n or the x
+    lines' (n None), sized by the run's largest M = m - |k| and K = max k: each
+    side's decay times e^{6 + deg ln 4} is cut at 1e-14, its step absorbs e^{6 + deg ln rho}."""
+    fam, p = run[0].identity_id, run[0].params
+    M, K = max(c.m - sum(c.k) for c in run), max(max(c.k) for c in run)
+    decay = lambda rate, deg: lambda T: 6 + deg * math.log(4) - rate * T
+
+    def rule_of(n):
+        z = p["zeta"] + 0.5 * (n or 0)
+        sides = ((decay(2 * p["alpha"], K),) * 2 if n is None else  # every g_axis
+                 (decay(2 * z, M), decay(2 * p["eta"], M)) if fam == "FOURIER_J" else
+                 (decay(z, M), lambda T: 6 + (z + M + 1) * T - 0.5 * math.exp(T)))
+        return _line(sides, _FOURIER_WIDTH, 6 + (K if n is None else M) * _LOG_RHO, 0)
+    return (rule_of,)
 
 
 def _fourier(case):
-    column = case.draw.get
-    k = validate_multi_index(case.k)
-    if case.identity_id == "FOURIER_J":
-        wp = WrapParamsJacobi(**case.params)
-        closed = fourier_h_jacobi_closed(case.m, k, wp, case.xi)
-    else:
-        wp = WrapParamsLaguerre(**case.params)
-        closed = fourier_h_laguerre_closed(case.m, k, wp, case.xi)
-    val, nodes = _certified(
-        (0, 1),
-        lambda level: _fourier_direct(case.identity_id, case.m, k, wp, case.xi, level, column),
-        case.tolerance, abs(closed),
-    )
+    k, jacobi_h = validate_multi_index(case.k), case.identity_id == "FOURIER_J"
+    wp = (WrapParamsJacobi if jacobi_h else WrapParamsLaguerre)(**case.params)
+    closed = (fourier_h_jacobi_closed if jacobi_h else fourier_h_laguerre_closed)(
+        case.m, k, wp, case.xi)
+    val, nodes = _certified((0, 1), _fourier_direct(case.identity_id, case.m, k, wp, case.xi,
+                                                    case.draw), case.tolerance, abs(closed))
     return val, closed, abs(closed), nodes
 
 
 # ---------------------------------------------------------------------------
 # Parseval
-
-_PARSEVAL_LEVELS = (192, 288, 432)  # nodes per axis: 16, 24, 36 panels of 12, 1.5x refinement
-
 
 def parseval_rhs(fam, m, k, sp):
     """The Parseval constant (diagonal value) in log space, d = len(k).  Its
@@ -513,29 +527,26 @@ def parseval_rhs(fam, m, k, sp):
     return float(val)
 
 
-def _parseval_rule(nodes):
-    """The ``nodes``-point line rule (12-point panels) used on each of the
-    d + 1 axes of the Parseval integral."""
-    T = 1.1 * math.log(100.0 / 1e-12) / math.pi
-    return composite_legendre(-T, T, nodes // 12, 12)
-
-
-def _bind_parseval(case):
-    """A Parseval draw: x axes 0 .. d - 1 and the t axis d = len(k) all carry
-    ``_parseval_rule``, the t axis with the A family's Gamma weight.  F's
-    factors have index (1, k) on an x axis (its ``D_axis`` line) and
-    (1, m, k) on the t axis (its A_t or B_t line), G's (-1, ...); the norm of
-    (m, k) is ``parseval_rhs``."""
-    fam, d = case.identity_id, len(case.k)
-    sp = SplitParams(**case.params)
+def _bind_parseval(run):
+    """A Parseval draw: every axis carries one line rule (the t axis d = len(k)
+    with the A family's Gamma weight) for e^{-pi |s|} (four Gammas) times a
+    polynomial of degree <= D + 2, D the run's largest m + m2, analytic up to
+    the nearest Gamma pole.  F's factors have index (1, k) on an x axis
+    (``D_axis``) and (1, m, k) on the t axis (A_t or B_t), G's (-1, ...)."""
+    fam, d = run[0].identity_id, len(run[0].k)
+    sp = SplitParams(**run[0].params)
     f_t = A_t if fam == "PARSEVAL_A" else B_t
     sides = {1: (sp, 1j), -1: (sp.swapped(), -1j)}  # F at (it, ix), G at (-it, -ix)
+    D = max(c.m + c.m2 for c in run)
+    bound = lambda T: 2 + (D + 2) * math.log1p(T) - math.pi * T
+    width = min(2 * sp.alpha1, 2 * sp.alpha2, *((2 * sp.zeta1, 2 * sp.zeta2, 2 * sp.eta1,
+                2 * sp.eta2) if fam == "PARSEVAL_A" else (sp.zeta1, sp.zeta2)))  # Gamma poles
 
-    def rules(nodes):
-        rule = _parseval_rule(nodes)
+    def rules(shift):
+        rule = _line((bound, bound), width, 4, shift)
         s = rule.nodes
         rule_t = rule if fam == "PARSEVAL_B" else QuadratureRule(s, rule.weights * np.exp(
-            log_gamma(sp.eta1 + 0.5j * s) + log_gamma(sp.eta2 - 0.5j * s)))
+            log_gamma(sp.eta1 + 0.5j * s) + log_gamma(sp.eta2 - 0.5j * s)), rule.tails)
         return (rule,) * d + (rule_t,)
 
     def basis(axis, i, s):
@@ -547,12 +558,21 @@ def _bind_parseval(case):
     return rules, basis, lambda mk: parseval_rhs(fam, *mk, sp)
 
 
+def _line_level(draw, terms):
+    """The levels (``_line_product``) of a line draw's entries ``terms``."""
+    def tail(s, a, i, i2):  # kept by the draw, as a read-only 0-d array
+        return np.asarray(_tail(draw.rule(s)[a], draw.weighted(s, a, i) * draw.column(s, a, i2)))
+    shifts = [[(draw.entry(s, *e), float(draw.get(("tail", s, *e), tail, s, *e))) for e in terms]
+              for s in (0, 1)]
+    return functools.partial(_line_product, shifts, len(draw.rule(0)[0]) * len(terms))
+
+
 def _terms_parseval(case):
     """The Parseval integral of F(it, ix) G(-it, -ix), F of (m, k) and G of
     (m2, k2) in the A (Gamma weight in t) or B family: a t-factor times
     prod_j D_axis, so the entry of the t-lines, then one per x axis."""
     m, m2, k, k2 = case.m, case.m2, case.k, case.k2
-    return _PARSEVAL_LEVELS, (m, k), (m2, k2), (
+    return (0, 1), (m, k), (m2, k2), (
         (len(k), (1, m, k), (-1, m2, k2)), *((axis, (1, k), (-1, k2)) for axis in range(len(k))))
 
 
@@ -769,7 +789,7 @@ def share_draws(cases):
         fam = FAMILIES.get(identity_id)
         if fam is not None and fam.bind is not None:
             run = list(run)
-            draw = _Draw(*fam.bind(run[0]))
+            draw = _Draw(*fam.bind(run))
             for case in run:
                 case.draw = draw
     return cases
@@ -824,9 +844,9 @@ FAMILIES = {fam.id: fam for fam in [
            "closed-form height-1 Fourier transform vs direct quadrature", _bind_fourier),
     Family("FOURIER_L", "FOURIER", 1e-6, _fourier, _fourier_cases,
            "closed-form infinite-height Fourier transform vs direct quadrature", _bind_fourier),
-    Family("PARSEVAL_A", "PARSEVAL", 1e-6, _gram(_terms_parseval), _parseval_cases,
+    Family("PARSEVAL_A", "PARSEVAL", 1e-6, _gram(_terms_parseval, _line_level), _parseval_cases,
            "height-1 Parseval integral vs printed constant", _bind_parseval),
-    Family("PARSEVAL_B", "PARSEVAL", 1e-6, _gram(_terms_parseval), _parseval_cases,
+    Family("PARSEVAL_B", "PARSEVAL", 1e-6, _gram(_terms_parseval, _line_level), _parseval_cases,
            "infinite-height Parseval integral vs printed constant", _bind_parseval),
     *(Family(f"CONTIG_{side}_{r}", "CONTIG", 1e-10, _contiguous(side, idx), _contig_cases,
              f"lifted contiguous relation ({r}) of the {height} family")

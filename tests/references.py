@@ -1,8 +1,9 @@
 """Reference routines the tests check the package against, kept off the
-package path: a tanh-sinh rule for endpoint singularities, tensor-product
-quadrature over up to three axes, the non-terminating pFq by direct
-summation, the homogenized Gegenbauer polynomial as its explicit sum, and
-the sweep report written through a dict and ``json.dumps`` per case record.
+package path: a tanh-sinh rule for endpoint singularities, composite
+Gauss-Legendre panels on a line, tensor-product quadrature over up to three
+axes, the non-terminating pFq by direct summation, the homogenized
+Gegenbauer polynomial as its explicit sum, and the sweep report written
+through a dict and ``json.dumps`` per case record.
 
 None of them shares code with what it checks: the Gram and transform
 oracles are products of 1-D sums, the closed forms sum terminating
@@ -17,6 +18,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from orthopara.errors import DenominatorPoleError, DomainError, NonTerminatingError
 from orthopara.quadrature import QuadratureRule
@@ -50,6 +52,16 @@ def tanh_sinh(level=3):
     (a > 0) at double-exponential convergence.  Doubling ``level`` halves h."""
     u, w = _tanh_sinh_nodes(int(level))
     return QuadratureRule(u, w)
+
+
+def legendre_panels(lo, hi, panels, n=12):
+    """Composite Gauss-Legendre on [lo, hi]: ``panels`` equal panels of
+    numpy's n-point ``leggauss`` rule, a reference independent of the
+    package's trapezoid line rules."""
+    x, w = leggauss(n)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = ((edges[1:] - edges[:-1]) / 2.0)[:, None]
+    return QuadratureRule((edges[:-1, None] + (x + 1.0) * half).ravel(), (w * half).ravel())
 
 
 _CHUNK_LIMIT = 2**22

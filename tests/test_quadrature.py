@@ -15,36 +15,9 @@ from orthopara.errors import DomainError
 from orthopara.gammafn import gamma
 from orthopara.paraboloid import t_rule
 from orthopara.quadrature import (
-    MAX_GAUSS_NODES, MAX_NODES_PER_AXIS, composite_legendre, gauss_jacobi, gauss_laguerre,
+    MAX_GAUSS_NODES, MAX_NODES_PER_AXIS, gauss_jacobi, gauss_laguerre, trapezoid,
 )
-from references import tanh_sinh, tensor_integrate
-
-
-def test_gauss_legendre_basics():
-    # one panel on [-1, 1] is the plain Gauss-Legendre rule
-    r = composite_legendre(-1.0, 1.0, 1, 1)
-    assert r.nodes[0] == 0.0 and r.weights[0] == 2.0
-    r5 = composite_legendre(-1.0, 1.0, 1, 5)
-    assert np.sum(r5.weights * r5.nodes**8) == pytest.approx(2 / 9, abs=1e-14)
-    assert np.sum(r5.weights) == pytest.approx(2.0, abs=1e-12)
-    assert (r5.weights > 0).all()
-    for panels, n in ((1, 0), (0, 5), (1, 20000), (2000, 12), (2.0, 12), (2, 12.0), (True, 12),
-                      (1, True)):
-        with pytest.raises(DomainError):
-            composite_legendre(-1.0, 1.0, panels, n)
-
-
-def test_gauss_legendre_exactness_random_polys():
-    rng = np.random.default_rng(1)
-    for n in (3, 6, 11):
-        r = composite_legendre(-1.0, 1.0, 1, n)
-        deg = 2 * n - 1
-        coefs = rng.uniform(-1, 1, deg + 1)
-        got = np.sum(r.weights * np.polyval(coefs, r.nodes))
-        # exact antiderivative on [-1, 1]
-        integ = np.polyint(coefs)
-        want = np.polyval(integ, 1.0) - np.polyval(integ, -1.0)
-        assert abs(got - want) < 1e-12 * np.abs(coefs).sum()
+from references import legendre_panels, tanh_sinh, tensor_integrate
 
 
 def test_gauss_laguerre():
@@ -175,10 +148,10 @@ def test_gauss_rule_sizes_checked(build):
 
 @pytest.mark.parametrize("build", [lambda: gauss_jacobi(8, 0.5, 0.5),
                                    lambda: gauss_laguerre(8, 0.5),
-                                   lambda: composite_legendre(-2.0, 3.0, 4, 12),
+                                   lambda: trapezoid(-2.0, 0.25, 24, (1.0, 1.0)),
                                    lambda: t_rule("jacobi", 8, 0.3, 0.4, 0.7, 2),
                                    lambda: t_rule("laguerre", 8, 0.3, 0.0, 0.7, 2)],
-                         ids=["jacobi", "laguerre", "composite", "t_jacobi", "t_laguerre"])
+                         ids=["jacobi", "laguerre", "trapezoid", "t_jacobi", "t_laguerre"])
 def test_rules_are_read_only(build):
     # no caller can change a rule that another call returns
     r = build()
@@ -195,18 +168,25 @@ def test_rules_are_read_only(build):
     assert not again.nodes.flags.writeable and not again.weights.flags.writeable
 
 
+def test_trapezoid_rule():
+    # nodes a + j h and weights h; the rule of step h / 2 on twice the nodes
+    # is the rule of step h and its midpoints, bit for bit; ``tails`` is the
+    # decay lengths over h; a size that is not an index in
+    # [1, MAX_NODES_PER_AXIS] is a DomainError before anything is allocated
+    r, fine = trapezoid(-3.7, 0.3, 24, (0.6, 0.15)), trapezoid(-3.7, 0.15, 48, (0.6, 0.15))
+    assert np.array_equal(r.nodes, -3.7 + 0.3 * np.arange(24)) and set(r.weights) == {0.3}
+    assert np.array_equal(fine.nodes[::2], r.nodes) and set(fine.weights) == {0.15}
+    assert r.tails == pytest.approx((2.0, 0.5)) and fine.tails == pytest.approx((4.0, 1.0))
+    assert len(trapezoid(0.0, 1.0, np.int64(12), (1.0, 1.0))) == 12
+    for n in (0, -12, 12.0, True, "12", MAX_NODES_PER_AXIS + 1, 10**12):
+        with pytest.raises(DomainError):
+            trapezoid(0.0, 1.0, n, (1.0, 1.0))
+
+
 def test_tanh_sinh_endpoint_singularity():
     r = tanh_sinh(3)
     val = np.sum(r.weights * r.nodes**-0.5)
     assert val == pytest.approx(2.0, abs=1e-10)
-
-
-def test_scaled_and_composite():
-    # one panel is the affine image of the Gauss-Legendre rule on [0, 3]
-    r = composite_legendre(0.0, 3.0, 1, 8)
-    assert np.sum(r.weights * r.nodes**2) == pytest.approx(9.0, rel=1e-12)
-    c = composite_legendre(0.0, 3.0, panels=5, n=8)
-    assert np.sum(c.weights * np.exp(-c.nodes)) == pytest.approx(1 - math.exp(-3), rel=1e-13)
 
 
 @pytest.mark.parametrize("lo, hi, panels, n", [
@@ -214,11 +194,13 @@ def test_scaled_and_composite():
     (-30, 5, 50, 12), (-7.321, 7.321, 16, 12), (-2.5, 11.25, 1, 3),
 ])
 def test_composite_equals_panelwise_scaled(lo, hi, panels, n):
-    # the vectorised construction is the per-panel affine map, bit for bit
+    # the Gauss-Legendre panels of ``references.legendre_panels``, the
+    # independent line rule the transform and verifier tests compare with,
+    # are the per-panel affine map of numpy's rule, bit for bit
     x, w = leggauss(n)
     edges = np.linspace(lo, hi, panels + 1)
     slopes = [(edges[i + 1] - edges[i]) / 2.0 for i in range(panels)]
-    c = composite_legendre(lo, hi, panels, n)
+    c = legendre_panels(lo, hi, panels, n)
     assert np.array_equal(c.nodes, np.concatenate(
         [edges[i] + (x + 1.0) * slopes[i] for i in range(panels)]))
     assert np.array_equal(c.weights, np.concatenate([w * s for s in slopes]))
@@ -232,23 +214,25 @@ def test_composite_equals_panelwise_scaled(lo, hi, panels, n):
 
 def test_line_gamma_decay():
     # |Gamma(1+is)|^2 = pi s / sinh(pi s) integrates to pi/2; it decays like
-    # e^{-pi |s|}, so [-T, T] with e^{-pi T} ~ 1e-13 holds the whole integral
+    # e^{-pi |s|}, so [-T, T] with e^{-pi T} ~ 1e-13 holds the whole integral,
+    # and it is analytic in |Im s| < 1, so the trapezoid rule's error is about
+    # e^{-2 pi / h} (Trefethen-Weideman): 5e-12 at h = 0.25
     T = 1.1 * math.log(1e12) / math.pi
-    r = composite_legendre(-T, T, 64, 12)
+    r = trapezoid(-T, 0.25, 80, (0.0, 0.0))
     val = np.sum(r.weights * gamma(1 + 1j * r.nodes) * gamma(1 - 1j * r.nodes))
     assert val.real == pytest.approx(math.pi / 2, rel=1e-9)
     assert abs(val.imag) < 1e-12
 
 
 def test_tensor_product_factorization():
-    rx = composite_legendre(0, 1, 4, 10)
-    ry = composite_legendre(0, 2, 4, 10)
+    rx = legendre_panels(0, 1, 4, 10)
+    ry = legendre_panels(0, 2, 4, 10)
     f = lambda x, y: np.exp(-x) * np.cos(y)
     got = tensor_integrate([rx, ry], f)
     want = (1 - math.exp(-1)) * math.sin(2.0)
     assert got == pytest.approx(want, rel=1e-12)
     # three axes, chunked path stays consistent with the joint product
-    rz = composite_legendre(0, 1, 3, 8)
+    rz = legendre_panels(0, 1, 3, 8)
     g = lambda x, y, z: x * np.ones_like(y) * z
     got3 = tensor_integrate([rx, ry, rz], g)
     assert got3 == pytest.approx(0.5 * 2.0 * 0.5, rel=1e-12)
@@ -257,6 +241,6 @@ def test_tensor_product_factorization():
 def test_tensor_ball_volume():
     # area of the unit disk via the slice parametrization
     r = gauss_jacobi(30, 0.5, 0.5)
-    r2 = composite_legendre(-1.0, 1.0, 1, 30)
+    r2 = legendre_panels(-1.0, 1.0, 1, 30)
     val = tensor_integrate([r, r2], lambda a, b: np.ones_like(a) * np.ones_like(b) / 2)
     assert val == pytest.approx(math.pi / 2, rel=1e-10)

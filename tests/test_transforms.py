@@ -12,7 +12,6 @@ from orthopara.gammafn import gamma, pochhammer
 from orthopara.hyper import hyp_terminating
 from orthopara.ball import ball_eval
 from orthopara.paraboloid import jacobi_paraboloid, laguerre_paraboloid
-from orthopara.quadrature import composite_legendre
 from orthopara.transforms import (
     A_t, B_t, D_axis, SplitParams, WrapParamsJacobi, WrapParamsLaguerre, eval_A, eval_A_hahn,
     eval_B, eval_B_hahn, eval_D, eval_D_hahn, eval_g, eval_h_jacobi,
@@ -20,7 +19,7 @@ from orthopara.transforms import (
     fourier_h_laguerre_closed, lambda_factor, phi_factor, phi_factor_hahn,
     theta_factor,
 )
-from references import tensor_integrate
+from references import legendre_panels, tensor_integrate
 
 PJ = WrapParamsJacobi(alpha=0.8, zeta=1.1, eta=0.9, beta=0.3, gamma=0.4, mu=0.7)
 PL = WrapParamsLaguerre(alpha=0.8, zeta=1.1, beta=0.3, mu=0.7)
@@ -216,7 +215,7 @@ def test_fourier_g_multi_d_factorization():
         K = sum(k[j:])
         lam = mu + K + 0.5 * (d - j)
         A = alpha + 0.25 * (d - j) + 0.5 * K
-        rule = composite_legendre(-40, 40, 90, 12)
+        rule = legendre_panels(-40, 40, 90, 12)
         fx = sech2(rule.nodes) ** A * gegenbauer(k[j - 1], lam, np.tanh(rule.nodes))
         direct *= np.sum(rule.weights * np.exp(-1j * xi[j - 1] * rule.nodes) * fx)
     assert closed == pytest.approx(direct, rel=1e-8)
@@ -301,15 +300,15 @@ def test_fourier_h_vs_direct_2d_quadrature():
     # d=1: honest tensor quadrature of the wrapped function against e^{-i xi.(x,t)}
     m, k = 2, (1,)
     xi = (0.7, -0.4)
-    t_rule = composite_legendre(-16, 16, 48, 12)
-    x_rule = composite_legendre(-22, 22, 60, 12)
+    t_rule = legendre_panels(-16, 16, 48, 12)
+    x_rule = legendre_panels(-22, 22, 60, 12)
     direct = tensor_integrate(
         [t_rule, x_rule],
         lambda t, x: np.exp(-1j * (xi[0] * x + xi[1] * t)) * eval_h_jacobi(m, k, PJ, t, [x]),
     )
     closed = fourier_h_jacobi_closed(m, k, PJ, xi)
     assert closed == pytest.approx(direct, rel=1e-8)
-    t_rule = composite_legendre(-30, 5, 50, 12)
+    t_rule = legendre_panels(-30, 5, 50, 12)
     directL = tensor_integrate(
         [t_rule, x_rule],
         lambda t, x: np.exp(-1j * (xi[0] * x + xi[1] * t)) * eval_h_laguerre(m, k, PL, t, [x]),

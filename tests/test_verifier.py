@@ -16,7 +16,7 @@ import orthopara
 from orthopara import ball, hyper, verifier
 from orthopara.ball import ball_eval, ball_norm
 from orthopara.classical import gegenbauer, jacobi, laguerre
-from orthopara.cli import SweepConfig
+from orthopara.cli import SweepConfig, load_config
 from orthopara.errors import QuadratureNonConvergence
 from orthopara.gammafn import gamma, log_gamma
 from orthopara.paraboloid import (
@@ -28,11 +28,10 @@ from orthopara.transforms import (
     eval_h_jacobi, eval_h_laguerre,
 )
 from orthopara.verifier import (
-    _PARSEVAL_LEVELS, ALL_FAMILIES, IdentityCase, _Draw, _fourier_direct, _t_rule, _x_rule,
-    _gram_level, _parseval_rule, degree_index_pairs, generate_cases,
-    multi_indices, parseval_rhs, run_case, share_draws,
+    ALL_FAMILIES, IdentityCase, _fourier_direct, _gram_level, degree_index_pairs,
+    generate_cases, multi_indices, parseval_rhs, run_case, share_draws,
 )
-from references import tensor_integrate
+from references import legendre_panels, tensor_integrate
 from slice_tensor import slice_tensor
 
 
@@ -83,11 +82,11 @@ PARSEVAL_PARAMS = {"alpha1": 0.7, "alpha2": 0.9, "zeta1": 0.8, "zeta2": 1.2,
                    "eta1": 0.6, "eta2": 1.1}
 
 
-def _draw(fam, k, params):
-    # a fresh Gram state of a draw of ``fam`` at dimension len(k), bound by
-    # the family's binder
-    case = IdentityCase(fam, len(k), 1e-8, k=k, params=params)
-    return verifier._Draw(*verifier.FAMILIES[fam].bind(case))
+def _draw(fam, k, params, **index):
+    # a fresh state of a draw of ``fam`` at dimension len(k), bound by the
+    # family's binder to a run of the one case of ``index``
+    case = IdentityCase(fam, len(k), 1e-8, k=k, params=params, **index)
+    return verifier._Draw(*verifier.FAMILIES[fam].bind([case]))
 
 
 def _level_product(terms, draw, n, **index):
@@ -144,8 +143,8 @@ def test_parseval_every_index_pair_at_d3_and_d4(fam, d):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("fam", ["FOURIER_J", "FOURIER_L"])
 def test_separated_fourier_oracle_matches_full_tensor(fam, d):
-    # damping 3.5 keeps the d = 2 grid near 1e6 points
-    p = {"alpha": 3.5, "zeta": 3.5, "eta": 3.5, "beta": 0.3, "gamma": 0.4, "mu": 0.7}
+    # damping 7 keeps the d = 2 grid near 1e6 points
+    p = {"alpha": 7.0, "zeta": 7.0, "eta": 7.0, "beta": 0.3, "gamma": 0.4, "mu": 0.7}
     m, k, xi = 3, (1,) * d, (0.7, -0.4, 0.3)[:d + 1]
     if fam == "FOURIER_J":
         wp = WrapParamsJacobi(p["alpha"], p["zeta"], p["eta"], p["beta"], p["gamma"], p["mu"])
@@ -153,12 +152,17 @@ def test_separated_fourier_oracle_matches_full_tensor(fam, d):
     else:
         wp = WrapParamsLaguerre(p["alpha"], p["zeta"], p["beta"], p["mu"])
         h = lambda t, *x: eval_h_laguerre(m, k, wp, t, list(x))
-    full = tensor_integrate(
-        [_t_rule(fam, d, wp, 0), *(_x_rule(wp, 0),) * d],
-        lambda t, *x: np.exp(-1j * (xi[d] * t + sum(v * xv for v, xv in zip(xi, x)))) * h(t, *x),
-    )
-    separated, _ = _fourier_direct(fam, m, k, wp, xi, 0, _Draw().get)
+    draw = _draw(fam, k, p, m=m)
+    rules = [draw.rule_of(d), *(draw.rule_of(None),) * d]
+    f = lambda t, *x: np.exp(-1j * (xi[d] * t + sum(v * xv for v, xv in zip(xi, x)))) * h(t, *x)
+    full = tensor_integrate(rules, f)
+    separated = _fourier_direct(fam, m, k, wp, xi, draw)(0)[0]
     assert separated == pytest.approx(full, rel=1e-12)
+    if d == 1:  # the finer level: each rule and its midpoints, at half the weight
+        fine = [QuadratureRule(np.append(r.nodes, r.nodes + 0.5 * r.weights[0]),
+                               np.append(r.weights, r.weights) / 2) for r in rules]
+        assert _fourier_direct(fam, m, k, wp, xi, draw)(1)[0] == pytest.approx(
+            tensor_integrate(fine, f), rel=1e-12)
 
 
 FOURIER_WP = {"FOURIER_J": WrapParamsJacobi(0.8, 1.1, 0.9, 0.3, 0.4, 0.7),
@@ -183,31 +187,40 @@ def test_panel_line_sum_matches_per_node_sum(fam, xi):
         one = verifier._line_sums(verifier._panel_phases(rule), lines[0], xis[0])
         assert one == pytest.approx(got[0], rel=1e-15)
 
-    t_rule, x_rule = _t_rule(fam, 3, wp, 1), _x_rule(wp, 0)
+    rule_of = _draw(fam, k, dataclasses.asdict(wp), m=3).rule_of
+    t_rule, x_rule = rule_of(3), rule_of(None)
     check(t_rule, [h_t(3, k, wp, t_rule.nodes)], [xi])
     check(x_rule, [verifier.g_axis(j, wp.alpha, wp.mu, k, x_rule.nodes) for j in (1, 2)],
           [xi, -0.5 * xi])
-    one = verifier.composite_legendre(-1.5, 2.0, 1, 12)
+    one = legendre_panels(-1.5, 2.0, 1, 12)
     check(one, [np.cos(one.nodes) + one.nodes ** 2], [xi])
 
 
 @pytest.mark.parametrize("fam", ["FOURIER_J", "FOURIER_L"])
 def test_fourier_draw_builds_each_line_once(fam, monkeypatch):
-    # a draw builds its x rule once per level, its t rule once per (|k|,
-    # level), its t line once per (m, |k|, level) and the x line of axis j
-    # once per (j, k_j, |k^{j+1}|, level), though cases share them; every
-    # line it holds is, bit for bit, the line of each case's own (m, k)
+    # a draw builds its x rule once, its t rule once per |k|, its t lines
+    # (at the rule's nodes and at their midpoints) once per (m, |k|) and the
+    # x lines of axis j once per (j, k_j, |k^{j+1}|), though cases share
+    # them; every line it holds is, bit for bit, the line of each case's own
+    # (m, k)
     builds = {}
 
     def counted(name, fn):
         def wrapper(*args):
             builds[name] = builds.get(name, 0) + 1
             return fn(*args)
-        monkeypatch.setattr(verifier, name, wrapper)
+        return wrapper
 
+    def bind(run):
+        rule_of, = verifier._bind_fourier(run)
+        x_rule, t_rule = counted("x rule", rule_of), counted("t rule", rule_of)
+        return (lambda n: x_rule(n) if n is None else t_rule(n)),
+
+    monkeypatch.setitem(verifier.FAMILIES, fam, dataclasses.replace(verifier.FAMILIES[fam],
+                                                                    bind=bind))
     h_name = "h_jacobi_t" if fam == "FOURIER_J" else "h_laguerre_t"
-    for name in ("_x_rule", "_t_rule", h_name, "g_axis"):
-        counted(name, getattr(verifier, name))
+    for name in (h_name, "g_axis"):
+        monkeypatch.setattr(verifier, name, counted(name, getattr(verifier, name)))
     cases = generate_cases(SweepConfig(families=[fam], seed=3, dims=[2], fourier_max_degree=3))
     assert all(c.draw is cases[0].draw for c in cases)
     for c in cases:
@@ -217,21 +230,25 @@ def test_fourier_draw_builds_each_line_once(fam, monkeypatch):
     g_keys = {(j, k[j - 1], sum(k[j:])) for _, k in mks for j in (1, 2)}
     # the cases share lines: fewer dependency keys than (m, k) pairs
     assert len({(m, sum(k)) for m, k in mks}) < len(mks) and len(g_keys) < 2 * len(mks)
-    assert builds == {"_x_rule": 2, "_t_rule": 2 * len(ns),
-                      h_name: 2 * len({(m, sum(k)) for m, k in mks}), "g_axis": 2 * len(g_keys)}
+    assert builds == {"x rule": 1, "t rule": len(ns),
+                      h_name: len({(m, sum(k)) for m, k in mks}), "g_axis": len(g_keys)}
     wp = (WrapParamsJacobi if fam == "FOURIER_J" else WrapParamsLaguerre)(**cases[0].params)
     h_t, columns = getattr(verifier, h_name), cases[0].draw.columns
+    rule_of, = verifier._bind_fourier(cases)
+
+    def lines(rule, f):  # f at the rule's nodes and midpoints, times its weight
+        h = rule.weights[0]
+        return (h * f(np.append(rule.nodes, rule.nodes + 0.5 * h))).reshape(2, -1, 12)
+
     for m, k in mks:
         k, n = ball.validate_multi_index(k), sum(k)
-        for level in (0, 1):
-            t_rule, x_rule = _t_rule(fam, n, wp, level), _x_rule(wp, level)
-            assert np.array_equal(columns["t", n, level].nodes, t_rule.nodes)
-            assert np.array_equal(columns["x", level].nodes, x_rule.nodes)
-            assert np.array_equal(columns["h", m, n, level],
-                                  (t_rule.weights * h_t(m, k, wp, t_rule.nodes)).reshape(-1, 12))
-            for j in (1, 2):
-                gj = x_rule.weights * verifier.g_axis(j, wp.alpha, wp.mu, k, x_rule.nodes)
-                assert np.array_equal(columns["gs", k, level][j - 1], gj.reshape(-1, 12))
+        t_rule, x_rule = rule_of(n), rule_of(None)
+        assert np.array_equal(columns["t", n].nodes, t_rule.nodes)
+        assert np.array_equal(columns["x",].nodes, x_rule.nodes)
+        assert np.array_equal(columns["h", m, n], lines(t_rule, lambda t: h_t(m, k, wp, t)))
+        for j in (1, 2):
+            gj = lines(x_rule, lambda x: verifier.g_axis(j, wp.alpha, wp.mu, k, x))
+            assert np.array_equal(columns["gs", k][:, j - 1], gj)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -253,10 +270,9 @@ def test_separated_parseval_oracle_matches_full_tensor(fam, d):
         return (weight(t) * family(m, k, sp, 1j * t, [1j * v for v in x])
                 * family(m, k, sw, -1j * t, [-1j * v for v in x]))
 
-    nodes = _PARSEVAL_LEVELS[0]
-    full = tensor_integrate([_parseval_rule(nodes)] * (d + 1), f)
-    separated = _level_product(verifier._terms_parseval, _draw(fam, k, params), nodes,
-                               m=m, m2=m, k=k, k2=k)
+    draw = _draw(fam, k, params, m=m, m2=m)
+    full = tensor_integrate([draw.rule_of(0)[0]] * (d + 1), f)
+    separated = _level_product(verifier._terms_parseval, draw, 0, m=m, m2=m, k=k, k2=k)
     assert separated == pytest.approx(full, rel=1e-12)
 
 
@@ -305,7 +321,6 @@ def test_separated_gram_oracle_matches_full_tensor(fam, d):
 def test_D_family_line_integral_d2():
     # the x-part backbone of both Parseval identities: the D product
     # integrates along imaginary-argument lines to the same block constant
-    from orthopara.quadrature import composite_legendre
     from orthopara.transforms import eval_D
     from orthopara.ball import tail_sum
     from orthopara.gammafn import log_gamma, pochhammer
@@ -313,7 +328,7 @@ def test_D_family_line_integral_d2():
 
     a1, a2, d, k = 0.7, 0.9, 2, (1, 1)
     T = 1.1 * math.log(1e14) / math.pi
-    rule = composite_legendre(-T, T, 30, 12)
+    rule = legendre_panels(-T, T, 30, 12)
 
     def f(x1, x2):
         return eval_D(k, a1, a2, [1j * x1, 1j * x2]) * eval_D(
@@ -472,13 +487,19 @@ def test_certificate_needs_two_agreeing_levels():
     from orthopara.verifier import _certified
 
     vals = {0: 1.0, 1: 1.5, 2: 1.5 + 1e-12}
-    level = lambda lv: (vals[lv], 10)
+    level = lambda lv: (vals[lv], 0.0, 10)
     # stops at the first agreeing pair; nodes of every level used add up
     assert _certified((0, 1, 2), level, 1e-8, 1.0) == (vals[2], 30)
     with pytest.raises(QuadratureNonConvergence):
         _certified((0, 1), level, 1e-8, 1.0)
     with pytest.raises(QuadratureNonConvergence):  # a NaN delta never certifies
-        _certified((0, 1), lambda lv: (float("nan"), 10), 1e-8, 1.0)
+        _certified((0, 1), lambda lv: (float("nan"), 0.0, 10), 1e-8, 1.0)
+    # agreeing levels do not certify a tail past the cuts above the threshold
+    # max(tol |value|, 0.1 tol scale) = 1.5e-8, nor a NaN tail
+    for tail in (1.6e-8, float("nan")):
+        with pytest.raises(QuadratureNonConvergence, match="tail"):
+            _certified((1, 2), lambda lv: (vals[lv], tail, 10), 1e-8, 1.0)
+    assert _certified((1, 2), lambda lv: (vals[lv], 1.4e-8, 10), 1e-8, 1.0) == (vals[2], 20)
     for levels in ((), (0,)):  # one level has nothing to agree with
         with pytest.raises(ValueError, match="at least two levels"):
             _certified(levels, level, 1e-8, 1.0)
@@ -642,6 +663,70 @@ def test_high_degree_fourier_j_passes_every_case():
     assert [(c.m, c.k) for c in cases if not run_case(c).passed] == []
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+def test_reduced_hdt_8_parseval_passes_every_case():
+    # the PARSEVAL families of the HDT-8 config (scripts/configs/hdt-8.json:
+    # d = 1, m and m2 to 8) at seed 1: Gauss-Legendre lines cut at a fixed
+    # T = 11.3 failed 343 cases of the config, every one PARSEVAL, and about
+    # 8% of these
+    cfg = load_config(CONFIGS / "hdt-8.json")
+    cfg.families, cfg.seed = ["PARSEVAL_A", "PARSEVAL_B"], 1
+    cfg.validate()
+    cases = generate_cases(cfg)
+    assert len(cases) == 4050
+    assert [(c.identity_id, c.m, c.m2, c.k, c.k2) for c in cases if not run_case(c).passed] == []
+
+
+def test_reduced_hdf_30_fourier_l_passes_every_case():
+    # the FOURIER_L cases of the HDF-30 config (scripts/configs/hdf-30.json)
+    # at seed 1 with m = 18 and 19, in a draw of their own: lines cut at
+    # fixed points failed the 4 cases of m = 19 and |k| <= 1 by their
+    # residual, none by a raise
+    cfg = load_config(CONFIGS / "hdf-30.json")
+    cfg.seed = 1
+    cfg.validate()
+    cases = share_draws([dataclasses.replace(c) for c in generate_cases(cfg)
+                         if c.identity_id == "FOURIER_L" and 18 <= c.m <= 19])
+    assert len(cases) == 12
+    assert [(c.m, c.k) for c in cases if not run_case(c).passed] == []
+
+
+def test_halved_cuts_raise_wherever_they_move_a_value(monkeypatch):
+    # with every line cut at half the sizer's cut, a case whose value moves
+    # by more than its tolerance (relative to the larger of the value and
+    # its scale) raises QuadratureNonConvergence through the tail check;
+    # none returns a verdict.  The PARSEVAL lines of degree 6 and the
+    # Laguerre t lines lose digits there, so some cases of both raise
+    cfg = SweepConfig(families=["FOURIER", "PARSEVAL"], seed=1, dims=[1, 2],
+                      fourier_max_degree=6, parseval_max_degree=6)
+    cfg.validate()
+
+    def values():
+        out = []
+        for c in generate_cases(cfg):
+            try:
+                lhs, rhs, scale, _ = verifier.FAMILIES[c.identity_id].run(c)
+            except QuadratureNonConvergence:
+                lhs = scale = None
+            out.append((c, lhs, abs(rhs) if scale is None else scale))
+        return out
+
+    full = values()
+    assert all(lhs is not None for _, lhs, _ in full)
+    size = verifier._line_size
+    monkeypatch.setattr(verifier, "_line_size",
+                        lambda *a: ([cut / 2 for cut in size(*a)[0]], size(*a)[1]))
+    raised = set()
+    for (c, lhs, scale), (_, cut_lhs, _) in zip(full, values()):
+        if cut_lhs is None:
+            raised.add(c.identity_id)
+        else:
+            assert abs(cut_lhs - lhs) <= c.tolerance * max(abs(lhs), scale), (c.identity_id, c.m)
+    assert {"FOURIER_L", "PARSEVAL_A", "PARSEVAL_B"} <= raised
+
+
 def test_high_degree_ball_diagonal_passes_every_case():
     # every diagonal ORT_BALL entry k = k2 with |k| <= 28 at d = 2, the
     # diagonal of the BALL-28 config (scripts/configs/ball-28.json): the
@@ -670,7 +755,7 @@ def test_quadrature_oracle_values_pinned():
         values.update(repr((c.identity_id, rep.passed, rep.lhs, rep.rhs)).encode() + b"\n")
     assert len(cases) == 272
     assert verdicts.hexdigest() == "0a1d1a6f408000b96d635af8e442869748dbbb7808a5f827a3032a7d4461cc5a"
-    assert values.hexdigest() == "0e5798a49b450d2ba9402e7b35d1f4ecb94c425c6a6855a4ed3e6da9898161ca"
+    assert values.hexdigest() == "6719e915c92e1869e84e6781088f1f5b46e937e17cdf382da747280395356a27"
 
 
 # small sweeps of two parameter draws each (ORT_PARA_J: d = 1 and d = 2)
@@ -694,12 +779,19 @@ def _values(rep):
 @pytest.mark.parametrize("fam", list(DRAW_SWEEPS))
 def test_draw_memo_order_independent(fam):
     # a case's values do not depend on which cases of its draw ran before
-    # it: in order, in reverse on a fresh case list, or each case alone in a
-    # draw of its own (a replaced case carries none until it runs)
+    # it: in order, in reverse on a fresh case list, or each case alone, the
+    # only case run in its draw on a fresh case list.  A line draw sizes its
+    # rules from its run's largest degree, so a case in a draw of its own (a
+    # replaced case carries none until it runs) may get other rules; it
+    # still passes
     in_order = [_values(run_case(c)) for c in _draw_sweep(fam)]
     reverse = [_values(run_case(c)) for c in reversed(_draw_sweep(fam))][::-1]
-    alone = [_values(run_case(dataclasses.replace(c))) for c in _draw_sweep(fam)]
+    alone = [_values(run_case(_draw_sweep(fam)[i])) for i in range(len(in_order))]
     assert in_order == reverse == alone
+    replaced = [run_case(dataclasses.replace(c)) for c in _draw_sweep(fam)]
+    assert all(rep.passed for rep in replaced)
+    if fam.startswith("ORT"):  # a Gauss rule's size is the entry's own
+        assert [_values(rep) for rep in replaced] == in_order
 
 
 def test_draws_group_cases_by_value(monkeypatch):
